@@ -21,7 +21,7 @@ use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// The seed's WordCount mapper, kept verbatim as the regression
-/// baseline: every token allocates a fresh `String` key (no interning).
+/// baseline: every token allocates a fresh `String` key.
 /// Paired with `ShuffleImpl::BTreeGrouping` this is exactly the
 /// pre-optimization data path.
 struct SeedWordCountMapper;
@@ -161,7 +161,7 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
         let wc_splits = wordcount::make_splits(MAP_TASKS, 1);
         // The baseline configuration pairs the reference shuffle with the
         // seed's allocating mapper — the true pre-optimization path; the
-        // optimized configurations use the shipping interned mapper.
+        // optimized configurations use the shipping rank-keyed mapper.
         let mapper = wordcount::WordCountMapper::new();
         let (mean_ns, iters) = if shuffle == ShuffleImpl::BTreeGrouping {
             measure(|| {

@@ -20,12 +20,6 @@ impl Sizeable for &str {
     }
 }
 
-impl Sizeable for std::sync::Arc<str> {
-    fn size_bytes(&self) -> u64 {
-        self.len() as u64
-    }
-}
-
 impl Sizeable for u64 {
     fn size_bytes(&self) -> u64 {
         8
@@ -169,7 +163,6 @@ mod tests {
         assert_eq!(().size_bytes(), 0);
         assert_eq!(vec![0u8; 10].size_bytes(), 10);
         assert_eq!([0u8; 10].size_bytes(), 10);
-        assert_eq!(std::sync::Arc::<str>::from("hello").size_bytes(), 5);
         assert_eq!(("ab".to_string(), 1u64).size_bytes(), 10);
     }
 

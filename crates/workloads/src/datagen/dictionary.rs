@@ -3,7 +3,10 @@
 //! The paper: *"The working data sets for WordCount and Sort are randomly
 //! generated text, drawn from a UNIX dictionary that contains 1000
 //! words."* We synthesize a deterministic 1000-word dictionary with a
-//! UNIX-`words`-like length distribution and draw text from it.
+//! UNIX-`words`-like length distribution and draw text from it. The
+//! dictionary is generated once per process and shared.
+
+use std::sync::LazyLock;
 
 use ipso_sim::SimRng;
 
@@ -15,10 +18,22 @@ const SYLLABLES: &[&str] = &[
     "ol", "per", "qua", "rin", "sol", "tur", "ul", "ver", "win", "xen", "yor", "zan",
 ];
 
+/// The generated dictionary, built on first use.
+static DICTIONARY: LazyLock<Vec<String>> = LazyLock::new(generate_dictionary);
+
 /// The deterministic 1000-word dictionary. Words are distinct, lowercase
 /// and between 2 and 12 characters, resembling `/usr/share/dict/words`
-/// entries.
+/// entries. Returns a copy of the shared dictionary.
 pub fn unix_dictionary() -> Vec<String> {
+    DICTIONARY.clone()
+}
+
+/// The shared dictionary, in generation order.
+pub(crate) fn dictionary_words() -> &'static [String] {
+    &DICTIONARY
+}
+
+fn generate_dictionary() -> Vec<String> {
     let mut words = Vec::with_capacity(DICTIONARY_SIZE);
     let mut i = 0usize;
     while words.len() < DICTIONARY_SIZE {
@@ -41,7 +56,7 @@ pub fn unix_dictionary() -> Vec<String> {
 
 /// Generates `lines` lines of `words_per_line` random dictionary words.
 pub fn random_lines(lines: usize, words_per_line: usize, rng: &mut SimRng) -> Vec<String> {
-    let dict = unix_dictionary();
+    let dict = dictionary_words();
     (0..lines)
         .map(|_| {
             let mut line = String::new();
@@ -78,7 +93,7 @@ mod tests {
 
     #[test]
     fn dictionary_is_deterministic() {
-        assert_eq!(unix_dictionary(), unix_dictionary());
+        assert_eq!(generate_dictionary(), unix_dictionary());
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! workload (`η → 1`) and no intermediate data, so the measured speedup
 //! matches Gustafson's law — the paper's only purely benign MapReduce
 //! case.
+//!
+//! The mapper evaluates the two Halton coordinates (bases 2 and 3) from
+//! compile-time tables instead of [`van_der_corput`]'s chain of float
+//! divisions: one table holds `van_der_corput` itself over the low digits
+//! (4096 base-2 and 2187 base-3 entries), and the remaining high digits
+//! are added to that partial sum in the same least-significant-first
+//! order, with digit weights from the same `f /= base` chain. Every float
+//! operation is one `van_der_corput` performs, so the coordinates are
+//! bit-identical to it, not approximations.
 
 use ipso_mapreduce::{
     InputSplit, JobCostModel, JobSpec, Mapper, OutputScaling, Reducer, ScalingSweep,
@@ -19,14 +28,88 @@ const SAMPLE_POINTS: u64 = 20_000;
 /// CPU-bound; one sample costs as much as streaming ~1.6 bytes).
 const BYTES_PER_SAMPLE: u64 = 2;
 
-/// The `index`-th element of the van der Corput sequence in `base`.
-pub fn van_der_corput(mut index: u64, base: u64) -> f64 {
+/// The `index`-th element of the van der Corput sequence in `base`: the
+/// base-`base` digits of `index` mirrored about the radix point, summed
+/// least-significant digit first.
+///
+/// # Panics
+///
+/// If `base < 2` (base 1 never terminates, base 0 divides by zero).
+pub const fn van_der_corput(mut index: u64, base: u64) -> f64 {
+    assert!(base >= 2, "van der Corput base must be at least 2");
     let mut result = 0.0;
     let mut f = 1.0 / base as f64;
     while index > 0 {
         result += f * (index % base) as f64;
         index /= base;
         f /= base as f64;
+    }
+    result
+}
+
+/// Low base-2 digits resolved by one [`LOW_SUMS_2`] lookup.
+const LOW_DIGITS_2: u32 = 12;
+/// Low base-3 digits resolved by one [`LOW_SUMS_3`] lookup.
+const LOW_DIGITS_3: u32 = 7;
+
+/// `w[k] = base^-(k + 1)`, computed by [`van_der_corput`]'s own division
+/// chain (`w[0] = 1 / base`, `w[k] = w[k - 1] / base`), so every weight
+/// is bit-identical to the factor the loop multiplies digit `k` by.
+const fn digit_weights<const DIGITS: usize>(base: u64) -> [f64; DIGITS] {
+    let mut weights = [0.0; DIGITS];
+    let mut f = 1.0 / base as f64;
+    let mut k = 0;
+    while k < DIGITS {
+        weights[k] = f;
+        f /= base as f64;
+        k += 1;
+    }
+    weights
+}
+
+/// `sums[i] = van_der_corput(i, base)` for every `i < LEN`.
+const fn low_digit_sums<const LEN: usize>(base: u64) -> [f64; LEN] {
+    let mut sums = [0.0; LEN];
+    let mut i = 0;
+    while i < LEN {
+        sums[i] = van_der_corput(i as u64, base);
+        i += 1;
+    }
+    sums
+}
+
+/// Base-2 digit weights; a `u64` has at most 64 binary digits.
+const WEIGHTS_2: [f64; 64] = digit_weights(2);
+/// Base-3 digit weights; a `u64` has at most 41 ternary digits.
+const WEIGHTS_3: [f64; 41] = digit_weights(3);
+/// Partial sums over the low [`LOW_DIGITS_2`] binary digits.
+static LOW_SUMS_2: [f64; 1 << LOW_DIGITS_2] = low_digit_sums(2);
+/// Partial sums over the low [`LOW_DIGITS_3`] ternary digits.
+static LOW_SUMS_3: [f64; 3usize.pow(LOW_DIGITS_3)] = low_digit_sums(3);
+
+/// `van_der_corput(index, 2)`, bit for bit. The high digits are 0 or 1:
+/// `w * 1.0 == w`, and a zero digit adds `+0.0` to a non-negative sum,
+/// which leaves it unchanged, so only the set bits are visited.
+fn halton_2(index: u64) -> f64 {
+    let mut result = LOW_SUMS_2[(index & ((1 << LOW_DIGITS_2) - 1)) as usize];
+    let mut high = index >> LOW_DIGITS_2;
+    while high != 0 {
+        result += WEIGHTS_2[(LOW_DIGITS_2 + high.trailing_zeros()) as usize];
+        high &= high - 1;
+    }
+    result
+}
+
+/// `van_der_corput(index, 3)`, bit for bit.
+fn halton_3(index: u64) -> f64 {
+    const LOW: u64 = 3u64.pow(LOW_DIGITS_3);
+    let mut result = LOW_SUMS_3[(index % LOW) as usize];
+    let mut high = index / LOW;
+    let mut k = LOW_DIGITS_3 as usize;
+    while high > 0 {
+        result += WEIGHTS_3[k] * (high % 3) as f64;
+        high /= 3;
+        k += 1;
     }
     result
 }
@@ -53,8 +136,8 @@ impl Mapper for QmcMapper {
         let mut inside = 0u64;
         for i in slice.offset..slice.offset + slice.count {
             // 2D Halton: bases 2 and 3.
-            let x = van_der_corput(i + 1, 2);
-            let y = van_der_corput(i + 1, 3);
+            let x = halton_2(i + 1);
+            let y = halton_3(i + 1);
             if x * x + y * y <= 1.0 {
                 inside += 1;
             }
@@ -147,6 +230,47 @@ mod tests {
         // Base 3: 1 → 1/3, 2 → 2/3.
         assert!((van_der_corput(1, 3) - 1.0 / 3.0).abs() < 1e-12);
         assert!((van_der_corput(2, 3) - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn van_der_corput_rejects_base_one() {
+        van_der_corput(5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn van_der_corput_rejects_base_zero() {
+        van_der_corput(5, 0);
+    }
+
+    fn assert_halton_bits(indices: impl Iterator<Item = u64>) {
+        for i in indices {
+            assert_eq!(
+                halton_2(i).to_bits(),
+                van_der_corput(i, 2).to_bits(),
+                "base 2, index {i}"
+            );
+            assert_eq!(
+                halton_3(i).to_bits(),
+                van_der_corput(i, 3).to_bits(),
+                "base 3, index {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn halton_tables_are_bit_identical_over_the_paper_sweep() {
+        // The mapper evaluates index `i + 1` for every `i` of every task's
+        // slice, up to the sweep's largest degree.
+        let max_n = *crate::PAPER_SWEEP.iter().max().unwrap();
+        assert_halton_bits(0..=u64::from(max_n) * SAMPLE_POINTS + 1);
+    }
+
+    #[test]
+    fn halton_tables_are_bit_identical_at_large_indices() {
+        assert_halton_bits((1u64 << 40) - 50_000..(1u64 << 40) + 50_000);
+        assert_halton_bits(u64::MAX - 1000..=u64::MAX);
     }
 
     #[test]

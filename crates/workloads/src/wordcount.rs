@@ -6,14 +6,23 @@
 //! shards are processed: the serial portion is dominated by the constant
 //! reducer setup and the paper measures `IN(n) ≈ 1` — a benign It/IIt
 //! scaling type.
+//!
+//! Keys are [`Word`]s: a dictionary token is carried as its rank in the
+//! sorted dictionary, so the map-side sort and the reduce-side merge
+//! compare integers, and emitting a token costs one lookup and no
+//! allocation or reference count. Rank order is string order, so output
+//! order and byte accounting are those of plain string keys.
 
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock};
 
 use ipso_mapreduce::{
-    InputSplit, JobCostModel, JobSpec, Mapper, OutputScaling, Reducer, ScalingSweep,
+    InputSplit, JobCostModel, JobSpec, Mapper, OutputScaling, Reducer, ScalingSweep, Sizeable,
 };
 use ipso_sim::SimRng;
 
+use crate::datagen::dictionary::dictionary_words;
 use crate::datagen::random_lines;
 
 /// Nominal HDFS shard per map task (the paper's maximal block size).
@@ -23,59 +32,105 @@ const SAMPLE_LINES: usize = 250;
 /// Words per generated line.
 const WORDS_PER_LINE: usize = 8;
 
-/// Tokenizing mapper with a summing combiner.
+/// Each dictionary word's rank in the sorted dictionary, keyed by the
+/// shared dictionary's own text.
+static RANKS: LazyLock<HashMap<&'static str, u32>> = LazyLock::new(|| {
+    let mut sorted: Vec<&'static str> = dictionary_words().iter().map(String::as_str).collect();
+    sorted.sort_unstable();
+    sorted.into_iter().zip(0..).collect()
+});
+
+/// A WordCount key: a token, ordered and compared as its text.
 ///
-/// Keys are interned `Arc<str>` handles into the generated dictionary:
-/// emitting a token hashes it into the dictionary set and clones a
-/// pointer instead of allocating a fresh `String` per token, and every
-/// downstream clone of the key (grouping, combining, merging) stays
-/// allocation-free. Tokens outside the dictionary — impossible for
-/// [`random_lines`] text, but allowed by the API — fall back to a
-/// one-off allocation.
+/// A dictionary word holds its rank in the sorted dictionary, which
+/// orders dictionary words exactly as their text does; any other token
+/// holds its own text. Two dictionary words compare by rank, every other
+/// pair by text.
 #[derive(Debug, Clone)]
-pub struct WordCountMapper {
-    /// The dictionary, as a hash set for O(1) interning.
-    dict: std::collections::HashSet<Arc<str>>,
+pub struct Word(WordRepr);
+
+#[derive(Debug, Clone)]
+enum WordRepr {
+    Dictionary { rank: u32, text: &'static str },
+    Other(Arc<str>),
 }
 
-impl WordCountMapper {
-    /// Builds the mapper, interning the generated dictionary.
-    pub fn new() -> WordCountMapper {
-        let dict = crate::datagen::unix_dictionary()
-            .into_iter()
-            .map(Arc::from)
-            .collect();
-        WordCountMapper { dict }
+impl Word {
+    /// The key for `token`: its dictionary rank, or a copy of the text
+    /// for an out-of-dictionary token.
+    pub fn new(token: &str) -> Word {
+        Word(match RANKS.get_key_value(token) {
+            Some((&text, &rank)) => WordRepr::Dictionary { rank, text },
+            None => WordRepr::Other(Arc::from(token)),
+        })
     }
 
-    /// The shared handle for `word`: a clone of the dictionary entry, or
-    /// a fresh allocation for out-of-dictionary tokens.
-    fn intern(&self, word: &str) -> Arc<str> {
-        match self.dict.get(word) {
-            Some(entry) => Arc::clone(entry),
-            None => Arc::from(word),
+    /// The token's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            WordRepr::Dictionary { text, .. } => text,
+            WordRepr::Other(text) => text,
         }
     }
 }
 
-impl Default for WordCountMapper {
-    fn default() -> WordCountMapper {
-        WordCountMapper::new()
+impl PartialEq for Word {
+    fn eq(&self, other: &Word) -> bool {
+        match (&self.0, &other.0) {
+            (WordRepr::Dictionary { rank: a, .. }, WordRepr::Dictionary { rank: b, .. }) => a == b,
+            _ => self.as_str() == other.as_str(),
+        }
+    }
+}
+
+impl Eq for Word {}
+
+impl PartialOrd for Word {
+    fn partial_cmp(&self, other: &Word) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Word {
+    fn cmp(&self, other: &Word) -> Ordering {
+        match (&self.0, &other.0) {
+            (WordRepr::Dictionary { rank: a, .. }, WordRepr::Dictionary { rank: b, .. }) => {
+                a.cmp(b)
+            }
+            _ => self.as_str().cmp(other.as_str()),
+        }
+    }
+}
+
+impl Sizeable for Word {
+    fn size_bytes(&self) -> u64 {
+        self.as_str().len() as u64
+    }
+}
+
+/// Tokenizing mapper with a summing combiner.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordCountMapper;
+
+impl WordCountMapper {
+    /// The mapper; the dictionary ranks are shared process-wide.
+    pub fn new() -> WordCountMapper {
+        WordCountMapper
     }
 }
 
 impl Mapper for WordCountMapper {
     type Input = String;
-    type Key = Arc<str>;
+    type Key = Word;
     type Value = u64;
 
-    fn map(&self, line: &String, emit: &mut dyn FnMut(Arc<str>, u64)) {
-        for word in line.split_whitespace() {
-            emit(self.intern(word), 1);
+    fn map(&self, line: &String, emit: &mut dyn FnMut(Word, u64)) {
+        for token in line.split_whitespace() {
+            emit(Word::new(token), 1);
         }
     }
 
-    fn combine(&self, _key: &Arc<str>, values: &mut Vec<u64>) {
+    fn combine(&self, _key: &Word, values: &mut Vec<u64>) {
         let sum = values.iter().sum();
         values.clear();
         values.push(sum);
@@ -91,12 +146,12 @@ impl Mapper for WordCountMapper {
 pub struct WordCountReducer;
 
 impl Reducer for WordCountReducer {
-    type Key = Arc<str>;
+    type Key = Word;
     type Value = u64;
     type Output = (String, u64);
 
-    fn reduce(&self, key: &Arc<str>, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
-        emit((key.to_string(), values.iter().sum()));
+    fn reduce(&self, key: &Word, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
+        emit((key.as_str().to_string(), values.iter().sum()));
     }
 }
 
@@ -169,21 +224,127 @@ mod tests {
         assert!(run.output.iter().all(|(w, _)| dict.contains(w)));
     }
 
+    /// Out-of-dictionary tokens: empty, prefixes and extensions of
+    /// dictionary words, and text sorting before and after all of them.
+    fn mixed_tokens() -> Vec<String> {
+        let dict = crate::datagen::unix_dictionary();
+        let mut tokens: Vec<String> = ["", "a", "zzzz", "Ber", "n0t-a-w0rd", "é"]
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        for w in dict.iter().step_by(97) {
+            tokens.push(w[..1].to_string());
+            tokens.push(format!("{w}s"));
+            tokens.push(format!("{w}\u{0}"));
+        }
+        tokens.retain(|t| !dict.contains(t));
+        tokens.extend(dict);
+        tokens
+    }
+
     #[test]
-    fn dictionary_tokens_are_interned() {
-        let mapper = WordCountMapper::new();
-        let word = crate::datagen::unix_dictionary()[0].clone();
-        let line = format!("{word} {word}");
-        let mut keys = Vec::new();
-        mapper.map(&line, &mut |k, _| keys.push(k));
-        assert_eq!(keys.len(), 2);
-        // Same handle, not merely the same text.
-        assert!(Arc::ptr_eq(&keys[0], &keys[1]));
-        assert_eq!(&*keys[0], word.as_str());
-        // Out-of-dictionary tokens still come through, just unshared.
-        let mut fallback = Vec::new();
-        mapper.map(&"n0t-a-w0rd".to_string(), &mut |k, _| fallback.push(k));
-        assert_eq!(&*fallback[0], "n0t-a-w0rd");
+    fn word_order_and_size_match_the_text() {
+        let tokens = mixed_tokens();
+        let words: Vec<Word> = tokens.iter().map(|t| Word::new(t)).collect();
+        for (a, wa) in tokens.iter().zip(&words) {
+            assert_eq!(wa.as_str(), a);
+            assert_eq!(wa.size_bytes(), a.len() as u64);
+            for (b, wb) in tokens.iter().zip(&words) {
+                assert_eq!(wa.cmp(wb), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(wa == wb, a == b, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn dictionary_tokens_are_ranked() {
+        let dict = crate::datagen::unix_dictionary();
+        let mut sorted = dict.clone();
+        sorted.sort();
+        for word in &dict {
+            let rank = sorted.binary_search(word).unwrap() as u32;
+            match Word::new(word).0 {
+                WordRepr::Dictionary { rank: r, text } => {
+                    assert_eq!(r, rank);
+                    assert_eq!(text, word);
+                }
+                WordRepr::Other(_) => panic!("{word:?} not ranked"),
+            }
+        }
+        assert!(matches!(Word::new("n0t-a-w0rd").0, WordRepr::Other(_)));
+    }
+
+    /// WordCount keyed by plain `String`s: the reference for [`Word`].
+    struct StringWordCount;
+
+    impl Mapper for StringWordCount {
+        type Input = String;
+        type Key = String;
+        type Value = u64;
+
+        fn map(&self, line: &String, emit: &mut dyn FnMut(String, u64)) {
+            for token in line.split_whitespace() {
+                emit(token.to_string(), 1);
+            }
+        }
+
+        fn combine(&self, _key: &String, values: &mut Vec<u64>) {
+            let sum = values.iter().sum();
+            values.clear();
+            values.push(sum);
+        }
+
+        fn output_scaling(&self) -> OutputScaling {
+            OutputScaling::Saturating
+        }
+    }
+
+    impl Reducer for StringWordCount {
+        type Key = String;
+        type Value = u64;
+        type Output = (String, u64);
+
+        fn reduce(&self, key: &String, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
+            emit((key.clone(), values.iter().sum()));
+        }
+    }
+
+    #[test]
+    fn mixed_text_counts_like_string_keys() {
+        use ipso_mapreduce::{run_scale_out, run_sequential};
+        let tokens: Vec<String> = mixed_tokens()
+            .into_iter()
+            .filter(|t| !t.is_empty())
+            .collect();
+        let mut rng = SimRng::seed_from(3);
+        let splits: Vec<InputSplit<String>> = (0..4)
+            .map(|_| {
+                let lines: Vec<String> = (0..60)
+                    .map(|_| {
+                        (0..6)
+                            .map(|_| tokens[rng.index(tokens.len())].as_str())
+                            .collect::<Vec<_>>()
+                            .join(" ")
+                    })
+                    .collect();
+                let bytes = lines.iter().map(|l| l.len() as u64 + 1).sum();
+                InputSplit::new(lines, bytes, SHARD_BYTES)
+            })
+            .collect();
+        let spec = job_spec(4);
+        let words = run_scale_out(&spec, &WordCountMapper, &WordCountReducer, &splits);
+        let strings = run_scale_out(&spec, &StringWordCount, &StringWordCount, &splits);
+        assert!(words
+            .output
+            .iter()
+            .any(|(w, _)| !RANKS.contains_key(w.as_str())));
+        assert_eq!(words.output, strings.output);
+        assert_eq!(words.reduce_input_bytes, strings.reduce_input_bytes);
+        assert_eq!(words.trace, strings.trace);
+        let words = run_sequential(&spec, &WordCountMapper, &WordCountReducer, &splits);
+        let strings = run_sequential(&spec, &StringWordCount, &StringWordCount, &splits);
+        assert_eq!(words.output, strings.output);
+        assert_eq!(words.reduce_input_bytes, strings.reduce_input_bytes);
     }
 
     #[test]
