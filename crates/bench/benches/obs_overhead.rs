@@ -1,7 +1,7 @@
 //! Overhead of the observability layer on the MapReduce engine.
 //!
 //! The design contract of `ipso-obs` is that disabled instrumentation
-//! costs one relaxed atomic load per touch point. This bench measures
+//! costs one thread-local load per touch point. This bench measures
 //! the engine with tracing off and on, measures the disabled check
 //! itself, and **asserts** that the disabled-mode instrumentation cost
 //! stays below 5% of the engine's runtime.

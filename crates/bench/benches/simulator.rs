@@ -1,45 +1,17 @@
-//! Criterion micro-benchmarks of the simulation substrate: event-queue
-//! throughput, wave scheduling and the network/scheduler cost models.
+//! Criterion micro-benchmarks of the simulation substrate: wave
+//! scheduling, server pools and the network/scheduler cost models.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ipso_cluster::{run_wave_schedule, CentralScheduler, ClusterSpec, NetworkModel};
-use ipso_sim::{EventQueue, ServerPool, SimTime, Simulation};
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..10_000u32 {
-                q.push(SimTime::from_secs(((i * 2_654_435_761) % 10_000) as f64), i);
-            }
-            let mut count = 0;
-            while q.pop().is_some() {
-                count += 1;
-            }
-            black_box(count)
-        })
-    });
-}
-
-fn bench_simulation_cascade(c: &mut Criterion) {
-    c.bench_function("simulation_cascade_10k", |b| {
-        b.iter(|| {
-            let mut sim = Simulation::new();
-            sim.schedule_in(0.001, 10_000u32);
-            sim.run(|sim, _, remaining| {
-                if remaining > 0 {
-                    sim.schedule_in(0.001, remaining - 1);
-                }
-            })
-        })
-    });
-}
+use ipso_cluster::{
+    run_wave_schedule, CentralScheduler, ClusterSpec, NetworkModel, SchedulerPolicy,
+};
+use ipso_sim::{ServerPool, SimTime};
 
 fn bench_wave_schedule(c: &mut Criterion) {
     let durations: Vec<f64> = (0..2048).map(|i| 1.0 + (i % 7) as f64 * 0.1).collect();
     let sched = CentralScheduler::spark_like();
     c.bench_function("wave_schedule_2048_tasks_64_exec", |b| {
-        b.iter(|| run_wave_schedule(black_box(&durations), 64, &sched))
+        b.iter(|| run_wave_schedule(black_box(&durations), 64, &sched, SchedulerPolicy::Fifo))
     });
 }
 
@@ -64,8 +36,6 @@ fn bench_network_model(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
-    bench_simulation_cascade,
     bench_wave_schedule,
     bench_server_pool,
     bench_network_model

@@ -10,19 +10,21 @@
 //! * **Per-point seeding** — each point gets its own RNG seeded from the
 //!   stable hash [`ipso_sim::stream_seed`]`(base_seed, point_index)`, so
 //!   the randomness a point consumes never depends on execution order.
-//! * **Index-ordered results** — workers pull points off a shared queue
-//!   (work stealing, so one expensive `n = 200` point cannot serialize
-//!   the sweep behind it) but results are collected by point index.
-//! * **Observability capture** — each point runs under
-//!   [`ipso_obs::capture`], and the per-point span/metric buffers are
-//!   merged into the global recorder in point order after the joins, so
-//!   `--trace-out` timelines survive parallelism unchanged.
+//! * **Index-ordered results** — points run through
+//!   [`ipso_sim::ordered_map_indexed`]: workers pull points off a shared
+//!   queue (work stealing, so one expensive `n = 200` point cannot
+//!   serialize the sweep behind it) but results are collected by point
+//!   index.
+//! * **Observability capture** — workers inherit the calling thread's
+//!   observability switch, each point runs under [`ipso_obs::capture`],
+//!   and the per-point span/metric buffers are merged into the calling
+//!   thread's recorder in point order after the joins, so `--trace-out`
+//!   timelines survive parallelism unchanged.
 //!
 //! Binaries opt in via [`SweepRunner::from_env`], which understands the
 //! shared `--jobs N` flag: `--jobs 1` reproduces today's sequential run
 //! exactly, and any other value produces the same bytes faster.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
@@ -75,12 +77,10 @@ impl SweepRunner {
 
     /// A runner with an explicit base seed for per-point RNG streams.
     pub fn with_seed(jobs: usize, base_seed: u64) -> SweepRunner {
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            jobs
-        };
-        SweepRunner { jobs, base_seed }
+        SweepRunner {
+            jobs: ipso_sim::resolve_threads(jobs),
+            base_seed,
+        }
     }
 
     /// Builds a runner from the process arguments: `--jobs N` or
@@ -105,10 +105,10 @@ impl SweepRunner {
     /// results in input order.
     ///
     /// The determinism contract: as long as `f(ctx, item)` depends only
-    /// on its arguments (plus the global observability recorder, which
-    /// is captured per point and merged in index order), the returned
-    /// vector and the recorder state are identical for every `jobs`
-    /// value, including `jobs = 1`.
+    /// on its arguments (plus the observability recorder, which is
+    /// captured per point and merged into the calling thread's recorder
+    /// in index order), the returned vector and the recorder state are
+    /// identical for every `jobs` value, including `jobs = 1`.
     ///
     /// # Panics
     ///
@@ -119,18 +119,10 @@ impl SweepRunner {
         R: Send,
         F: Fn(PointCtx, T) -> R + Sync,
     {
-        let total = items.len();
-        let workers = self.jobs.min(total).max(1);
-
-        // One slot per point: the input moves out as a worker claims it,
-        // the result (plus its captured observability records) moves in.
+        // The input moves out of its slot when a worker claims the point.
         let inputs: Vec<Mutex<Option<T>>> =
             items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let outputs: Vec<Mutex<Option<(R, ipso_obs::LocalRecords)>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        let run_point = |index: usize| {
+        let outputs = ipso_sim::ordered_map_indexed(self.jobs, inputs.len(), |index| {
             let item = inputs[index]
                 .lock()
                 .expect("input slot poisoned")
@@ -140,36 +132,11 @@ impl SweepRunner {
                 index,
                 seed: ipso_sim::stream_seed(self.base_seed, index as u64),
             };
-            let (result, records) = ipso_obs::capture(|| f(ctx, item));
-            *outputs[index].lock().expect("output slot poisoned") = Some((result, records));
-        };
-
-        if workers == 1 {
-            for index in 0..total {
-                run_point(index);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= total {
-                            break;
-                        }
-                        run_point(index);
-                    });
-                }
-            });
-        }
-
-        // Merge observability buffers and collect results in point order.
+            ipso_obs::capture(|| f(ctx, item))
+        });
         outputs
             .into_iter()
-            .map(|slot| {
-                let (result, records) = slot
-                    .into_inner()
-                    .expect("output slot poisoned")
-                    .expect("point not executed");
+            .map(|(result, records)| {
                 ipso_obs::merge(records);
                 result
             })
@@ -292,7 +259,6 @@ mod tests {
 
     #[test]
     fn observability_merges_in_point_order_for_any_jobs() {
-        let _guard = obs_test_lock();
         let collect = |jobs: usize| -> Vec<String> {
             ipso_obs::set_enabled(true);
             ipso_obs::reset();
@@ -313,12 +279,5 @@ mod tests {
         assert_eq!(sequential.len(), 16);
         assert_eq!(sequential[3], "point-3");
         assert_eq!(collect(4), sequential);
-    }
-
-    /// Serializes tests that toggle the global obs recorder.
-    fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }

@@ -71,31 +71,16 @@ impl TaskSchedule {
 /// Runs `durations.len()` tasks over `executors` slots.
 ///
 /// Task `i` becomes runnable once the scheduler has dispatched it
-/// (dispatches are serialized at the master in task order) and an executor
-/// slot frees up; slots are granted earliest-available-first.
+/// (dispatches are serialized at the master in `policy`'s dispatch
+/// order) and an executor slot frees up; slots are granted
+/// earliest-available-first. [`SchedulerPolicy::Fifo`] dispatches in task
+/// order; other policies permute only the dispatch order. The returned
+/// records are always in task-id order.
 ///
 /// # Panics
 ///
 /// Panics if `executors` is zero or any duration is negative/non-finite.
 pub fn run_wave_schedule(
-    durations: &[f64],
-    executors: usize,
-    scheduler: &CentralScheduler,
-) -> TaskSchedule {
-    run_wave_schedule_policy(durations, executors, scheduler, SchedulerPolicy::Fifo)
-}
-
-/// [`run_wave_schedule`] with an explicit dispatch-order policy.
-///
-/// [`SchedulerPolicy::Fifo`] reproduces `run_wave_schedule` operation for
-/// operation (dispatch order, pool submissions, instrumentation), so every
-/// pre-policy artifact is byte-identical. Other policies permute only the
-/// dispatch order; the returned records are always in task-id order.
-///
-/// # Panics
-///
-/// Panics if `executors` is zero or any duration is negative/non-finite.
-pub fn run_wave_schedule_policy(
     durations: &[f64],
     executors: usize,
     scheduler: &CentralScheduler,
@@ -208,7 +193,7 @@ mod tests {
     #[test]
     fn single_wave_is_max_plus_dispatch() {
         let sched = CentralScheduler::idealized();
-        let s = run_wave_schedule(&[5.0, 7.0, 6.0], 3, &sched);
+        let s = run_wave_schedule(&[5.0, 7.0, 6.0], 3, &sched, SchedulerPolicy::Fifo);
         // Dispatch is ~instant, so makespan ≈ slowest task.
         assert!((s.makespan - 7.0).abs() < 1e-3);
         assert_eq!(s.records.len(), 3);
@@ -218,7 +203,7 @@ mod tests {
     #[test]
     fn waves_stack_on_few_executors() {
         let sched = CentralScheduler::idealized();
-        let s = run_wave_schedule(&[1.0; 6], 2, &sched);
+        let s = run_wave_schedule(&[1.0; 6], 2, &sched, SchedulerPolicy::Fifo);
         // 6 unit tasks on 2 executors: 3 waves.
         assert!((s.makespan - 3.0).abs() < 1e-3);
     }
@@ -230,7 +215,7 @@ mod tests {
             contention: 0.0,
             job_setup: 0.0,
         };
-        let s = run_wave_schedule(&[10.0, 10.0], 2, &sched);
+        let s = run_wave_schedule(&[10.0, 10.0], 2, &sched, SchedulerPolicy::Fifo);
         // Task 0 dispatched at t = 1, task 1 at t = 2.
         assert!((s.records[0].start - 1.0).abs() < 1e-12);
         assert!((s.records[1].start - 2.0).abs() < 1e-12);
@@ -245,8 +230,8 @@ mod tests {
             contention: 0.001,
             job_setup: 0.0,
         };
-        let s100 = run_wave_schedule(&[0.0; 100], 100, &sched);
-        let s200 = run_wave_schedule(&[0.0; 200], 200, &sched);
+        let s100 = run_wave_schedule(&[0.0; 100], 100, &sched, SchedulerPolicy::Fifo);
+        let s200 = run_wave_schedule(&[0.0; 200], 200, &sched, SchedulerPolicy::Fifo);
         assert!(s200.dispatch_total > 2.5 * s100.dispatch_total);
     }
 
@@ -257,7 +242,7 @@ mod tests {
             contention: 0.0,
             job_setup: 0.0,
         };
-        let s = run_wave_schedule(&[4.0, 4.0], 2, &sched);
+        let s = run_wave_schedule(&[4.0, 4.0], 2, &sched, SchedulerPolicy::Fifo);
         let zero = 4.0; // with free dispatch both run immediately
         assert!(s.dispatch_induced_delay(zero) > 0.0);
         assert_eq!(s.dispatch_induced_delay(1e9), 0.0);
@@ -266,12 +251,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one executor")]
     fn zero_executors_rejected() {
-        run_wave_schedule(&[1.0], 0, &CentralScheduler::idealized());
+        run_wave_schedule(
+            &[1.0],
+            0,
+            &CentralScheduler::idealized(),
+            SchedulerPolicy::Fifo,
+        );
     }
 
     #[test]
     fn empty_task_set_is_trivial() {
-        let s = run_wave_schedule(&[], 4, &CentralScheduler::idealized());
+        let s = run_wave_schedule(
+            &[],
+            4,
+            &CentralScheduler::idealized(),
+            SchedulerPolicy::Fifo,
+        );
         assert_eq!(s.makespan, 0.0);
         assert!(s.records.is_empty());
     }
@@ -287,7 +282,8 @@ mod tests {
                     job_setup: 0.0,
                 },
             ] {
-                let full = run_wave_schedule(&vec![d; tasks], execs, &scheduler);
+                let full =
+                    run_wave_schedule(&vec![d; tasks], execs, &scheduler, SchedulerPolicy::Fifo);
                 let fast = uniform_wave_makespan(d, tasks, execs, &scheduler);
                 assert_eq!(
                     full.makespan, fast,

@@ -412,7 +412,8 @@ pub struct FaultOutcome {
 /// per task in index order (retry loop), then per node in slot order
 /// (crash decisions) — and speculation consumes no randomness at all.
 /// Tasks are assigned to nodes round-robin (`task i` on `node i %
-/// executors`), matching [`crate::run_wave_schedule`]'s executor labels.
+/// executors`), matching [`crate::run_wave_schedule`]'s executor labels
+/// under FIFO dispatch.
 ///
 /// When observability is enabled, emits `fault.*` counters, a
 /// `fault.task_attempts` histogram, and `overhead.*_wasted_s` gauges.

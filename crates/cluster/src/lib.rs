@@ -45,9 +45,7 @@ pub mod spec;
 pub mod straggler;
 
 pub use error::ClusterError;
-pub use exec::{
-    run_wave_schedule, run_wave_schedule_policy, uniform_wave_makespan, EngineOptions, TaskSchedule,
-};
+pub use exec::{run_wave_schedule, uniform_wave_makespan, EngineOptions, TaskSchedule};
 pub use fault::{
     resolve_faults, FaultModel, FaultOutcome, FaultSummary, RecoveryEvent, RecoveryEventKind,
     RecoveryPolicy, TimeToFailure,

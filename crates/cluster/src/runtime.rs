@@ -24,7 +24,7 @@
 //! and the lineage partition mapping.
 
 use crate::error::ClusterError;
-use crate::exec::{run_wave_schedule_policy, uniform_wave_makespan, TaskSchedule};
+use crate::exec::{run_wave_schedule, uniform_wave_makespan, TaskSchedule};
 use crate::fault::{resolve_faults, FaultModel, FaultOutcome, RecoveryPolicy};
 use crate::graph::{IdealReference, LineageMode, StageNode, TaskGraph};
 use crate::metrics::TaskRecord;
@@ -291,7 +291,7 @@ pub fn execute(
             let stage = &graph.stages[k];
             let sample = &samples[k];
             let ((schedule, ideal_makespan, no_straggler), records) = ipso_obs::capture(|| {
-                let schedule = run_wave_schedule_policy(
+                let schedule = run_wave_schedule(
                     &sample.effective,
                     config.executors,
                     &config.scheduler,
@@ -306,7 +306,7 @@ pub fn execute(
                         &CentralScheduler::idealized(),
                     ),
                     IdealReference::Tasks(ideal) => {
-                        run_wave_schedule_policy(
+                        run_wave_schedule(
                             ideal,
                             config.executors,
                             &CentralScheduler::idealized(),
@@ -319,13 +319,9 @@ pub fn execute(
                 // to split overhead into tail and scheduling shares.
                 let no_straggler = if graph.no_straggler_reference && ipso_obs::enabled() {
                     let ns: Vec<f64> = (0..stage.tasks()).map(|t| stage.nominal(t)).collect();
-                    let ns_makespan = run_wave_schedule_policy(
-                        &ns,
-                        config.executors,
-                        &config.scheduler,
-                        config.policy,
-                    )
-                    .makespan;
+                    let ns_makespan =
+                        run_wave_schedule(&ns, config.executors, &config.scheduler, config.policy)
+                            .makespan;
                     Some((ns, ns_makespan))
                 } else {
                     None
@@ -502,15 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn policies_are_deterministic_and_fifo_matches_legacy() {
+    fn policies_are_deterministic() {
         let durations = [3.0, 1.0, 2.0, 5.0, 0.5];
         let sched = CentralScheduler::spark_like();
-        let legacy = crate::exec::run_wave_schedule(&durations, 2, &sched);
-        let fifo = run_wave_schedule_policy(&durations, 2, &sched, SchedulerPolicy::Fifo);
-        assert_eq!(legacy, fifo);
         for policy in [SchedulerPolicy::Fair, SchedulerPolicy::Locality] {
-            let a = run_wave_schedule_policy(&durations, 2, &sched, policy);
-            let b = run_wave_schedule_policy(&durations, 2, &sched, policy);
+            let a = run_wave_schedule(&durations, 2, &sched, policy);
+            let b = run_wave_schedule(&durations, 2, &sched, policy);
             assert_eq!(a, b, "{policy}");
             // Records always come back in task order.
             assert!(a.records.windows(2).all(|w| w[0].task_id < w[1].task_id));

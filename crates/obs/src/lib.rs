@@ -2,20 +2,22 @@
 //!
 //! Three pieces, shared by every engine crate:
 //!
-//! * [`span`] — a low-overhead span tracer. Engines record *virtual-time*
-//!   spans (the simulated clock the engines compute analytically) via
-//!   [`record_span`] / [`VirtualSpan`], and *wall-clock* spans via the
-//!   RAII [`WallSpan`] guard.
-//! * [`metrics`] — a global registry of atomic counters, gauges and
-//!   log₂-bucketed histograms.
+//! * [`span`] — span recording. Engines record *virtual-time* spans (the
+//!   simulated clock the engines compute analytically) via
+//!   [`record_span`] and zero-duration markers via [`record_instant`].
+//! * [`metrics`] — counters, gauges and log₂-bucketed histograms.
 //! * [`perfetto`] — a Chrome trace-event (Perfetto-loadable) JSON
 //!   exporter over the recorded spans: one track per executor, `ph:"X"`
 //!   duration events and `ph:"i"` instants.
 //!
-//! Everything is gated behind one global flag. When tracing is disabled
-//! (the default) every instrumentation call reduces to a single relaxed
-//! atomic load, so the engines pay essentially nothing; see the
-//! `obs_overhead` bench in `crates/bench`.
+//! Every thread has its own recorder and its own switch, so concurrent
+//! runs (and concurrent tests) never see each other's records. A thread
+//! starts disabled; when the switch is off (the default) every
+//! instrumentation call reduces to one thread-local load, so the engines
+//! pay essentially nothing; see the `obs_overhead` bench in
+//! `crates/bench`. Work fanned out to other threads records inside
+//! [`capture`] and hands the records back to the spawning thread, which
+//! [`merge`]s them in a deterministic order.
 //!
 //! # Example
 //!
@@ -29,56 +31,93 @@
 //! ipso_obs::set_enabled(false);
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::{Cell, RefCell};
 
 pub mod metrics;
 pub mod perfetto;
 pub mod span;
 
 pub use metrics::{
-    counter_add, counter_value, gauge_add, gauge_set, gauge_value, histogram_record, reset_metrics,
-    snapshot, MetricsSnapshot,
+    counter_add, counter_value, gauge_add, gauge_set, gauge_value, histogram_record, snapshot,
+    MetricsSnapshot,
 };
 pub use perfetto::{export_chrome_trace, write_chrome_trace};
-pub use span::{
-    clear_events, record_instant, record_span, snapshot_events, take_events, SpanKind, TraceEvent,
-    VirtualSpan, WallSpan,
-};
+pub use span::{record_instant, record_span, snapshot_events, take_events, SpanKind, TraceEvent};
 
-/// The global instrumentation switch. Off by default.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns instrumentation on or off globally.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+/// This thread's recorder: the base frame holds the recorded events and
+/// metric values; each open [`capture`] scope pushes an op-log frame on
+/// top, which receives everything recorded until the scope closes.
+struct Recorder {
+    events: Vec<TraceEvent>,
+    metrics: metrics::Registry,
+    frames: Vec<LocalRecords>,
 }
 
-/// Whether instrumentation is currently enabled.
+impl Recorder {
+    fn event(&mut self, event: TraceEvent) {
+        match self.frames.last_mut() {
+            Some(frame) => frame.events.push(event),
+            None => self.events.push(event),
+        }
+    }
+
+    fn op(&mut self, op: metrics::MetricOp) {
+        match self.frames.last_mut() {
+            Some(frame) => frame.ops.push(op),
+            None => self.metrics.apply(op),
+        }
+    }
+}
+
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static RECORDER: RefCell<Recorder> = const {
+        RefCell::new(Recorder {
+            events: Vec::new(),
+            metrics: metrics::Registry::new(),
+            frames: Vec::new(),
+        })
+    };
+}
+
+fn with_recorder<T>(f: impl FnOnce(&mut Recorder) -> T) -> T {
+    RECORDER.with(|r| f(&mut r.borrow_mut()))
+}
+
+/// Turns instrumentation on or off for the calling thread.
+pub fn set_enabled(on: bool) {
+    ENABLED.with(|e| e.set(on));
+}
+
+/// Whether instrumentation is enabled on the calling thread.
 ///
 /// This is the only cost instrumented code pays when tracing is off: a
-/// single relaxed atomic load.
+/// single thread-local load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Clears all recorded spans and metrics (the enable flag is untouched).
+/// Clears this thread's recorded spans and metrics (the switch is
+/// untouched).
 pub fn reset() {
-    span::clear_events();
-    metrics::reset_metrics();
+    with_recorder(|r| {
+        r.events.clear();
+        r.metrics = metrics::Registry::new();
+    });
 }
 
 /// Spans and metric updates recorded inside one [`capture`] scope,
-/// waiting to be [`merge`]d into the global recorder.
+/// waiting to be [`merge`]d into a recorder.
 ///
 /// The records preserve recording order, so merging a set of captures in
 /// a deterministic order (e.g. sweep-point index order) reproduces the
-/// exact global state a sequential run would have produced — the
-/// mechanism behind the parallel sweep runner's determinism guarantee.
+/// exact state a sequential run would have produced — the mechanism
+/// behind the parallel sweep runner's determinism guarantee.
 #[derive(Debug, Default)]
 #[must_use = "captured records are lost unless merged"]
 pub struct LocalRecords {
-    events: Vec<span::TraceEvent>,
+    events: Vec<TraceEvent>,
     ops: Vec<metrics::MetricOp>,
 }
 
@@ -94,14 +133,12 @@ impl LocalRecords {
     }
 }
 
-/// Runs `f` with all instrumentation on this thread redirected into a
-/// private buffer — no global lock on the recording path — and returns
-/// `f`'s result together with the captured records.
+/// Runs `f` with everything this thread records redirected into a
+/// private buffer, and returns `f`'s result together with the captured
+/// records.
 ///
 /// Captures nest: an inner capture takes over recording and the outer
-/// buffer resumes when it finishes. Spans must complete inside the scope
-/// that opened them; a guard dropped after the scope records into
-/// whatever recorder is active at drop time.
+/// buffer resumes when it finishes.
 ///
 /// # Example
 ///
@@ -120,45 +157,39 @@ impl LocalRecords {
 /// ipso_obs::set_enabled(false);
 /// ```
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, LocalRecords) {
-    struct Guard {
-        prev_events: Option<Vec<span::TraceEvent>>,
-        prev_ops: Option<Vec<metrics::MetricOp>>,
-        armed: bool,
-    }
-    impl Drop for Guard {
+    /// Pops the scope's frame if `f` unwinds, so the thread's recorder
+    /// stays consistent.
+    struct PopOnUnwind;
+    impl Drop for PopOnUnwind {
         fn drop(&mut self) {
-            // On panic inside `f`, still restore the previous recorder so
-            // the thread is left in a consistent state.
-            if self.armed {
-                let _ = span::take_local_events(self.prev_events.take());
-                let _ = metrics::take_local_ops(self.prev_ops.take());
-            }
+            let _ = RECORDER.try_with(|r| {
+                if let Ok(mut r) = r.try_borrow_mut() {
+                    r.frames.pop();
+                }
+            });
         }
     }
-    let mut guard = Guard {
-        prev_events: span::install_local_events(),
-        prev_ops: metrics::install_local_ops(),
-        armed: true,
-    };
+    with_recorder(|r| r.frames.push(LocalRecords::default()));
+    let guard = PopOnUnwind;
     let result = f();
-    guard.armed = false;
-    let records = LocalRecords {
-        events: span::take_local_events(guard.prev_events.take()),
-        ops: metrics::take_local_ops(guard.prev_ops.take()),
-    };
+    std::mem::forget(guard);
+    let records = with_recorder(|r| r.frames.pop()).expect("capture frame missing");
     (result, records)
 }
 
-/// Flushes captured records into the global recorder: events are
-/// appended in capture order, metric updates are replayed in capture
-/// order. When called on a thread that is itself inside a [`capture`]
-/// scope, the records flow into that scope's buffer instead, so nested
-/// parallel sections compose.
+/// Replays captured records on this thread: events are appended and
+/// metric updates applied in capture order. Inside a [`capture`] scope
+/// the records flow into that scope's buffer instead, so nested parallel
+/// sections compose.
 pub fn merge(records: LocalRecords) {
-    span::append_events(records.events);
-    for op in records.ops {
-        metrics::apply_op(op);
-    }
+    with_recorder(|r| {
+        for event in records.events {
+            r.event(event);
+        }
+        for op in records.ops {
+            r.op(op);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -167,7 +198,6 @@ mod tests {
 
     #[test]
     fn capture_redirects_and_merge_replays_in_order() {
-        let _guard = span::test_lock();
         set_enabled(true);
         reset();
         record_span("t", "outside-before", "c", 0.0, 1.0);
@@ -177,7 +207,7 @@ mod tests {
             gauge_set("depth", 3.0);
             gauge_set("depth", 7.0); // order-sensitive: last write wins
         });
-        // Nothing visible globally until merged.
+        // Nothing visible in the base frame until merged.
         assert_eq!(snapshot_events().len(), 1);
         assert_eq!(counter_value("tasks"), 0);
         merge(records);
@@ -192,7 +222,6 @@ mod tests {
 
     #[test]
     fn nested_captures_compose() {
-        let _guard = span::test_lock();
         set_enabled(true);
         reset();
         let ((), outer) = capture(|| {
@@ -214,12 +243,12 @@ mod tests {
 
     #[test]
     fn cross_thread_captures_merge_deterministically() {
-        let _guard = span::test_lock();
         set_enabled(true);
         reset();
         let mut handles = Vec::new();
         for i in 0..4u32 {
             handles.push(std::thread::spawn(move || {
+                set_enabled(true);
                 capture(|| {
                     record_span(
                         "t",
@@ -246,10 +275,34 @@ mod tests {
     }
 
     #[test]
-    fn disabled_by_default_and_toggleable() {
-        // Other tests toggle the flag; just exercise the transitions.
-        set_enabled(false);
+    fn another_threads_recording_stays_on_that_thread() {
+        std::thread::spawn(|| {
+            set_enabled(true);
+            record_span("t", "elsewhere", "c", 0.0, 1.0);
+            counter_add("elsewhere", 1);
+        })
+        .join()
+        .expect("worker");
         assert!(!enabled());
+        assert!(snapshot_events().is_empty());
+        assert_eq!(snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn a_panicking_capture_restores_the_recorder() {
+        set_enabled(true);
+        reset();
+        let unwound = std::panic::catch_unwind(|| capture(|| -> u32 { panic!("boom") }));
+        assert!(unwound.is_err());
+        record_span("t", "after", "c", 0.0, 1.0);
+        assert_eq!(snapshot_events().len(), 1);
+        set_enabled(false);
+        reset();
+    }
+
+    #[test]
+    fn disabled_by_default_and_toggleable() {
+        assert!(!enabled(), "a fresh thread starts disabled");
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);

@@ -1,75 +1,104 @@
-//! The global metrics registry.
+//! Metrics: counters, gauges and histograms.
 //!
 //! Three instrument kinds, all registered by name on first use:
 //!
 //! * **counters** — monotonically increasing `u64` ([`counter_add`]);
 //! * **gauges** — last-written / accumulated `f64` ([`gauge_set`],
-//!   [`gauge_add`]) stored as atomic bit patterns;
+//!   [`gauge_add`]);
 //! * **histograms** — log₂-bucketed `u64` distributions
 //!   ([`histogram_record`]), e.g. queueing delays in microseconds.
 //!
-//! Values live in `Arc<AtomicU64>` cells, so updates after registration
-//! are lock-free; the registry map itself is behind a mutex taken only
-//! on name lookup. Every entry point is gated on [`crate::enabled`]:
-//! disabled cost is one relaxed atomic load.
+//! Values live in the calling thread's recorder, in plain maps. Every
+//! entry point is gated on [`crate::enabled`]: disabled cost is one
+//! thread-local load.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of log₂ buckets: bucket 0 holds zeros, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)`.
 const BUCKETS: usize = 65;
 
 /// A log₂-bucketed histogram of `u64` samples.
-#[derive(Debug)]
 struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
 }
 
 impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
+    fn record(&mut self, value: u64) {
+        let idx = (64 - value.leading_zeros()) as usize;
+        self.buckets[idx] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
+    fn snapshot(&self) -> HistogramSnapshot {
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(i, &c)| {
+                let (lo, hi) = if i == 0 {
+                    (0, 1)
+                } else {
+                    (1u64 << (i - 1), if i == 64 { u64::MAX } else { 1u64 << i })
+                };
+                (lo, hi, c)
+            })
+            .collect();
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            buckets,
+        }
+    }
+}
+
+/// One thread's instrument values.
+pub(crate) struct Registry {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, Histogram>,
+}
+
+impl Registry {
+    pub(crate) const fn new() -> Registry {
+        Registry {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
         }
     }
 
-    fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros()) as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+    pub(crate) fn apply(&mut self, op: MetricOp) {
+        match op {
+            MetricOp::CounterAdd(name, delta) => {
+                let c = self.counters.entry(name).or_insert(0);
+                *c = c.wrapping_add(delta);
+            }
+            MetricOp::GaugeSet(name, value) => {
+                self.gauges.insert(name, value);
+            }
+            MetricOp::GaugeAdd(name, delta) => *self.gauges.entry(name).or_insert(0.0) += delta,
+            MetricOp::HistogramRecord(name, value) => self
+                .histograms
+                .entry(name)
+                .or_insert_with(|| Histogram {
+                    buckets: [0; BUCKETS],
+                    count: 0,
+                    sum: 0,
+                })
+                .record(value),
+        }
     }
 }
 
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
-}
-
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    histograms: BTreeMap::new(),
-});
-
-fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
-    f(&mut REGISTRY.lock().expect("metrics registry poisoned"))
-}
-
-/// One recorded metric update, replayable against the global registry.
-///
-/// Inside a [`crate::capture`] scope updates are buffered as ops on the
-/// capturing thread and applied later, in a caller-chosen order — which
-/// is how the parallel sweep runner keeps even order-sensitive updates
+/// One metric update. Inside a [`crate::capture`] scope updates are
+/// logged as ops and applied later, in a caller-chosen order — which is
+/// how the parallel sweep runner keeps even order-sensitive updates
 /// ([`gauge_set`], float accumulation in [`gauge_add`]) deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum MetricOp {
@@ -79,164 +108,51 @@ pub(crate) enum MetricOp {
     HistogramRecord(String, u64),
 }
 
-thread_local! {
-    static LOCAL_OPS: RefCell<Option<Vec<MetricOp>>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh thread-local op buffer, returning the previous one.
-pub(crate) fn install_local_ops() -> Option<Vec<MetricOp>> {
-    LOCAL_OPS.with(|l| l.borrow_mut().replace(Vec::new()))
-}
-
-/// Removes the thread-local op buffer, restoring `previous`, and returns
-/// the captured ops.
-pub(crate) fn take_local_ops(previous: Option<Vec<MetricOp>>) -> Vec<MetricOp> {
-    LOCAL_OPS.with(|l| {
-        let mut slot = l.borrow_mut();
-        let captured = slot.take().expect("no local metric buffer installed");
-        *slot = previous;
-        captured
-    })
-}
-
-/// Buffers `op` locally when a capture scope is active; returns it back
-/// for direct application otherwise.
-fn buffer_locally(op: MetricOp) -> Option<MetricOp> {
-    LOCAL_OPS.with(|l| match l.borrow_mut().as_mut() {
-        Some(buf) => {
-            buf.push(op);
-            None
-        }
-        None => Some(op),
-    })
-}
-
-/// Replays one captured op: into the local capture buffer when one is
-/// installed on this thread (nested parallel sections compose), else
-/// against the global registry.
-pub(crate) fn apply_op(op: MetricOp) {
-    let Some(op) = buffer_locally(op) else { return };
-    match op {
-        MetricOp::CounterAdd(name, delta) => counter_add_global(&name, delta),
-        MetricOp::GaugeSet(name, value) => {
-            gauge_cell(&name).store(value.to_bits(), Ordering::Relaxed);
-        }
-        MetricOp::GaugeAdd(name, delta) => gauge_add_global(&name, delta),
-        MetricOp::HistogramRecord(name, value) => histogram_record_global(&name, value),
-    }
+fn record(op: MetricOp) {
+    crate::with_recorder(|r| r.op(op));
 }
 
 /// Adds `delta` to the named counter (registering it on first use).
 /// No-op unless tracing is enabled.
 pub fn counter_add(name: &str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    if let Some(MetricOp::CounterAdd(name, delta)) =
-        buffer_locally(MetricOp::CounterAdd(name.to_string(), delta))
-    {
-        counter_add_global(&name, delta);
+    if crate::enabled() {
+        record(MetricOp::CounterAdd(name.to_string(), delta));
     }
 }
 
-fn counter_add_global(name: &str, delta: u64) {
-    let cell = with_registry(|r| {
-        Arc::clone(
-            r.counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    });
-    cell.fetch_add(delta, Ordering::Relaxed);
-}
-
-/// The current value of a counter (0 if never touched).
+/// The current value of one of this thread's counters (0 if never
+/// touched).
 pub fn counter_value(name: &str) -> u64 {
-    with_registry(|r| {
-        r.counters
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    })
-}
-
-fn gauge_cell(name: &str) -> Arc<AtomicU64> {
-    with_registry(|r| {
-        Arc::clone(
-            r.gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
-        )
-    })
+    crate::with_recorder(|r| r.metrics.counters.get(name).copied().unwrap_or(0))
 }
 
 /// Sets the named gauge. No-op unless tracing is enabled.
 pub fn gauge_set(name: &str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    if let Some(MetricOp::GaugeSet(name, value)) =
-        buffer_locally(MetricOp::GaugeSet(name.to_string(), value))
-    {
-        gauge_cell(&name).store(value.to_bits(), Ordering::Relaxed);
+    if crate::enabled() {
+        record(MetricOp::GaugeSet(name.to_string(), value));
     }
 }
 
 /// Adds `delta` to the named gauge (an accumulating gauge, used for the
 /// overhead-component breakdown). No-op unless tracing is enabled.
 pub fn gauge_add(name: &str, delta: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    if let Some(MetricOp::GaugeAdd(name, delta)) =
-        buffer_locally(MetricOp::GaugeAdd(name.to_string(), delta))
-    {
-        gauge_add_global(&name, delta);
+    if crate::enabled() {
+        record(MetricOp::GaugeAdd(name.to_string(), delta));
     }
 }
 
-fn gauge_add_global(name: &str, delta: f64) {
-    let cell = gauge_cell(name);
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(current) + delta).to_bits();
-        match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => current = actual,
-        }
-    }
-}
-
-/// The current value of a gauge (0.0 if never touched).
+/// The current value of one of this thread's gauges (0.0 if never
+/// touched).
 pub fn gauge_value(name: &str) -> f64 {
-    with_registry(|r| {
-        r.gauges
-            .get(name)
-            .map_or(0.0, |g| f64::from_bits(g.load(Ordering::Relaxed)))
-    })
+    crate::with_recorder(|r| r.metrics.gauges.get(name).copied().unwrap_or(0.0))
 }
 
 /// Records `value` into the named log₂ histogram. No-op unless tracing
 /// is enabled.
 pub fn histogram_record(name: &str, value: u64) {
-    if !crate::enabled() {
-        return;
+    if crate::enabled() {
+        record(MetricOp::HistogramRecord(name.to_string(), value));
     }
-    if let Some(MetricOp::HistogramRecord(name, value)) =
-        buffer_locally(MetricOp::HistogramRecord(name.to_string(), value))
-    {
-        histogram_record_global(&name, value);
-    }
-}
-
-fn histogram_record_global(name: &str, value: u64) {
-    let hist = with_registry(|r| {
-        Arc::clone(
-            r.histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    });
-    hist.record(value);
 }
 
 /// A point-in-time copy of one histogram.
@@ -296,72 +212,30 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Captures the current state of every registered instrument.
+/// Captures the current state of every instrument on this thread.
 pub fn snapshot() -> MetricsSnapshot {
-    with_registry(|r| MetricsSnapshot {
-        counters: r
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect(),
-        gauges: r
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-            .collect(),
-        histograms: r
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| {
-                        let c = b.load(Ordering::Relaxed);
-                        if c == 0 {
-                            return None;
-                        }
-                        let (lo, hi) = if i == 0 {
-                            (0, 1)
-                        } else {
-                            (1u64 << (i - 1), if i == 64 { u64::MAX } else { 1u64 << i })
-                        };
-                        Some((lo, hi, c))
-                    })
-                    .collect();
-                (
-                    k.clone(),
-                    HistogramSnapshot {
-                        count: h.count.load(Ordering::Relaxed),
-                        sum: h.sum.load(Ordering::Relaxed),
-                        buckets,
-                    },
-                )
-            })
-            .collect(),
+    crate::with_recorder(|r| {
+        let m = &r.metrics;
+        MetricsSnapshot {
+            counters: m.counters.clone(),
+            gauges: m.gauges.clone(),
+            histograms: m
+                .histograms
+                .iter()
+                .map(|(k, h)| (k.clone(), h.snapshot()))
+                .collect(),
+        }
     })
-}
-
-/// Drops every registered instrument.
-pub fn reset_metrics() {
-    with_registry(|r| {
-        r.counters.clear();
-        r.gauges.clear();
-        r.histograms.clear();
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::test_lock;
 
     #[test]
     fn disabled_registry_stays_empty() {
-        let _guard = test_lock();
         crate::set_enabled(false);
-        reset_metrics();
+        crate::reset();
         counter_add("c", 1);
         gauge_set("g", 1.0);
         histogram_record("h", 1);
@@ -373,9 +247,8 @@ mod tests {
 
     #[test]
     fn counters_gauges_histograms_accumulate() {
-        let _guard = test_lock();
         crate::set_enabled(true);
-        reset_metrics();
+        crate::reset();
         counter_add("tasks", 3);
         counter_add("tasks", 2);
         gauge_set("depth", 4.0);
@@ -400,18 +273,17 @@ mod tests {
         assert_eq!(h.buckets[1], (1, 2, 1));
         assert_eq!(h.buckets[2], (512, 1024, 1));
         assert!(format!("{snap}").contains("histogram delay"));
-        reset_metrics();
+        crate::reset();
     }
 
     #[test]
     fn reset_clears_all_instruments() {
-        let _guard = test_lock();
         crate::set_enabled(true);
-        reset_metrics();
+        crate::reset();
         counter_add("x", 1);
         crate::set_enabled(false);
         assert_eq!(counter_value("x"), 1);
-        reset_metrics();
+        crate::reset();
         assert_eq!(counter_value("x"), 0);
         assert!(snapshot().counters.is_empty());
     }

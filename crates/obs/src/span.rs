@@ -2,16 +2,10 @@
 //!
 //! A span is a named interval on a *track* (one track per executor, plus
 //! a `driver` track for phase-level spans). The engines operate on a
-//! simulated clock, so most spans carry virtual times supplied by the
-//! caller; wall-clock spans are available through the RAII [`WallSpan`]
-//! guard for timing real host work (fitting, report generation).
+//! simulated clock, so spans carry virtual times supplied by the caller.
 //!
 //! All recording is gated on [`crate::enabled`]: when tracing is off a
-//! call is a single relaxed atomic load and an immediate return.
-
-use std::cell::RefCell;
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+//! call is a single thread-local load and an immediate return.
 
 /// The temporal shape of a recorded event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,64 +63,6 @@ impl TraceEvent {
     }
 }
 
-static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-
-thread_local! {
-    /// When a [`crate::capture`] scope is active on this thread, events
-    /// go here instead of the global buffer — no lock on the hot path.
-    static LOCAL_EVENTS: RefCell<Option<Vec<TraceEvent>>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh thread-local event buffer, returning the previous
-/// one (captures nest).
-pub(crate) fn install_local_events() -> Option<Vec<TraceEvent>> {
-    LOCAL_EVENTS.with(|l| l.borrow_mut().replace(Vec::new()))
-}
-
-/// Removes the thread-local event buffer, restoring `previous`, and
-/// returns the captured events.
-pub(crate) fn take_local_events(previous: Option<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    LOCAL_EVENTS.with(|l| {
-        let mut slot = l.borrow_mut();
-        let captured = slot.take().expect("no local event buffer installed");
-        *slot = previous;
-        captured
-    })
-}
-
-/// Appends already-recorded events to the active recorder — the local
-/// capture buffer when one is installed on this thread, else the global
-/// buffer (one lock per batch). How capture buffers are flushed.
-pub(crate) fn append_events(events: Vec<TraceEvent>) {
-    if events.is_empty() {
-        return;
-    }
-    let leftover = LOCAL_EVENTS.with(|l| match l.borrow_mut().as_mut() {
-        Some(buf) => {
-            buf.extend(events);
-            None
-        }
-        None => Some(events),
-    });
-    if let Some(events) = leftover {
-        EVENTS.lock().expect("span buffer poisoned").extend(events);
-    }
-}
-
-fn push(event: TraceEvent) {
-    let event = match LOCAL_EVENTS.with(|l| match l.borrow_mut().as_mut() {
-        Some(buf) => {
-            buf.push(event);
-            None
-        }
-        None => Some(event),
-    }) {
-        Some(event) => event,
-        None => return,
-    };
-    EVENTS.lock().expect("span buffer poisoned").push(event);
-}
-
 /// Records a completed span with caller-supplied (virtual) times.
 ///
 /// No-op unless tracing is enabled. `end` is clamped to `start` so a
@@ -135,15 +71,15 @@ pub fn record_span(track: &str, name: &str, cat: &str, start: f64, end: f64) {
     if !crate::enabled() {
         return;
     }
-    push(TraceEvent {
-        track: track.to_string(),
-        name: name.to_string(),
-        cat: cat.to_string(),
-        kind: SpanKind::Complete {
+    record(
+        track,
+        name,
+        cat,
+        SpanKind::Complete {
             start,
             end: end.max(start),
         },
-    });
+    );
 }
 
 /// Records an instant marker at a caller-supplied (virtual) time.
@@ -153,151 +89,27 @@ pub fn record_instant(track: &str, name: &str, cat: &str, at: f64) {
     if !crate::enabled() {
         return;
     }
-    push(TraceEvent {
+    record(track, name, cat, SpanKind::Instant { at });
+}
+
+fn record(track: &str, name: &str, cat: &str, kind: SpanKind) {
+    let event = TraceEvent {
         track: track.to_string(),
         name: name.to_string(),
         cat: cat.to_string(),
-        kind: SpanKind::Instant { at },
-    });
+        kind,
+    };
+    crate::with_recorder(|r| r.event(event));
 }
 
-/// Returns a copy of all recorded events, in recording order.
+/// Returns a copy of this thread's recorded events, in recording order.
 pub fn snapshot_events() -> Vec<TraceEvent> {
-    EVENTS.lock().expect("span buffer poisoned").clone()
+    crate::with_recorder(|r| r.events.clone())
 }
 
-/// Drains and returns all recorded events.
+/// Drains and returns this thread's recorded events.
 pub fn take_events() -> Vec<TraceEvent> {
-    std::mem::take(&mut *EVENTS.lock().expect("span buffer poisoned"))
-}
-
-/// Discards all recorded events.
-pub fn clear_events() {
-    EVENTS.lock().expect("span buffer poisoned").clear();
-}
-
-/// Process-wide wall-clock epoch: all [`WallSpan`] times are seconds
-/// since the first wall-clock observation.
-fn wall_now_s() -> f64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
-}
-
-/// RAII wall-clock span: records a `Complete` span from construction to
-/// drop. Inert (no allocation, no clock read) when tracing is disabled.
-///
-/// # Example
-///
-/// ```
-/// ipso_obs::set_enabled(true);
-/// {
-///     let _span = ipso_obs::WallSpan::new("host", "fit", "analysis");
-///     // ... timed work ...
-/// } // span recorded here
-/// ipso_obs::set_enabled(false);
-/// ```
-#[must_use = "a span guard records its span when dropped"]
-pub struct WallSpan {
-    inner: Option<(String, String, String, f64)>,
-}
-
-impl WallSpan {
-    /// Opens a wall-clock span on `track`.
-    pub fn new(track: &str, name: &str, cat: &str) -> WallSpan {
-        if !crate::enabled() {
-            return WallSpan { inner: None };
-        }
-        WallSpan {
-            inner: Some((
-                track.to_string(),
-                name.to_string(),
-                cat.to_string(),
-                wall_now_s(),
-            )),
-        }
-    }
-}
-
-impl Drop for WallSpan {
-    fn drop(&mut self) {
-        if let Some((track, name, cat, start)) = self.inner.take() {
-            let end = wall_now_s();
-            push(TraceEvent {
-                track,
-                name,
-                cat,
-                kind: SpanKind::Complete {
-                    start,
-                    end: end.max(start),
-                },
-            });
-        }
-    }
-}
-
-/// RAII virtual-time span: opened at a simulated start time, completed
-/// with an explicit simulated end time. Dropping the guard without
-/// calling [`VirtualSpan::complete`] records a zero-length span at the
-/// start time so the opened span is never silently lost.
-///
-/// # Example
-///
-/// ```
-/// ipso_obs::set_enabled(true);
-/// let span = ipso_obs::VirtualSpan::new("executor-1", "shuffle", "spark", 4.0);
-/// span.complete(7.5); // records [4.0, 7.5]
-/// ipso_obs::set_enabled(false);
-/// ```
-#[must_use = "a span guard records its span when dropped"]
-pub struct VirtualSpan {
-    inner: Option<(String, String, String, f64)>,
-}
-
-impl VirtualSpan {
-    /// Opens a virtual-time span starting at `start` seconds.
-    pub fn new(track: &str, name: &str, cat: &str, start: f64) -> VirtualSpan {
-        if !crate::enabled() {
-            return VirtualSpan { inner: None };
-        }
-        VirtualSpan {
-            inner: Some((track.to_string(), name.to_string(), cat.to_string(), start)),
-        }
-    }
-
-    /// Completes the span at `end` seconds on the virtual clock.
-    pub fn complete(mut self, end: f64) {
-        if let Some((track, name, cat, start)) = self.inner.take() {
-            push(TraceEvent {
-                track,
-                name,
-                cat,
-                kind: SpanKind::Complete {
-                    start,
-                    end: end.max(start),
-                },
-            });
-        }
-    }
-}
-
-impl Drop for VirtualSpan {
-    fn drop(&mut self) {
-        if let Some((track, name, cat, start)) = self.inner.take() {
-            push(TraceEvent {
-                track,
-                name,
-                cat,
-                kind: SpanKind::Complete { start, end: start },
-            });
-        }
-    }
-}
-
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    crate::with_recorder(|r| std::mem::take(&mut r.events))
 }
 
 #[cfg(test)]
@@ -306,24 +118,20 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = test_lock();
         crate::set_enabled(false);
-        clear_events();
+        crate::reset();
         record_span("t", "a", "c", 0.0, 1.0);
         record_instant("t", "b", "c", 0.5);
-        let _w = WallSpan::new("t", "w", "c");
-        VirtualSpan::new("t", "v", "c", 0.0).complete(1.0);
         assert!(snapshot_events().is_empty());
     }
 
     #[test]
     fn virtual_and_instant_events_record_in_order() {
-        let _guard = test_lock();
         crate::set_enabled(true);
-        clear_events();
+        crate::reset();
         record_span("driver", "init", "mr", 0.0, 1.0);
         record_instant("executor-0", "straggler", "mr", 3.5);
-        VirtualSpan::new("executor-0", "map", "mr", 1.0).complete(4.0);
+        record_span("executor-0", "map", "mr", 1.0, 4.0);
         let events = take_events();
         crate::set_enabled(false);
         assert_eq!(events.len(), 3);
@@ -341,44 +149,17 @@ mod tests {
 
     #[test]
     fn degenerate_spans_are_clamped_non_negative() {
-        let _guard = test_lock();
         crate::set_enabled(true);
-        clear_events();
+        crate::reset();
         record_span("t", "backwards", "c", 5.0, 2.0);
-        VirtualSpan::new("t", "dangling", "c", 7.0).complete(1.0);
-        let dropped = VirtualSpan::new("t", "dropped", "c", 9.0);
-        drop(dropped);
         let events = take_events();
         crate::set_enabled(false);
-        assert_eq!(events.len(), 3);
-        for e in &events {
-            assert!(e.duration() >= 0.0, "negative duration in {e:?}");
-        }
         assert_eq!(
-            events[2].kind,
+            events[0].kind,
             SpanKind::Complete {
-                start: 9.0,
-                end: 9.0
+                start: 5.0,
+                end: 5.0
             }
-        );
-    }
-
-    #[test]
-    fn wall_span_measures_real_time() {
-        let _guard = test_lock();
-        crate::set_enabled(true);
-        clear_events();
-        {
-            let _span = WallSpan::new("host", "sleep", "test");
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let events = take_events();
-        crate::set_enabled(false);
-        assert_eq!(events.len(), 1);
-        assert!(
-            events[0].duration() >= 0.004,
-            "d = {}",
-            events[0].duration()
         );
     }
 }

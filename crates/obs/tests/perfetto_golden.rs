@@ -2,7 +2,7 @@
 //! timeline must serialize byte-for-byte to the checked-in JSON. Any
 //! intentional format change must update `tests/golden/mini.trace.json`.
 
-use ipso_obs::{export_chrome_trace, record_instant, record_span, take_events, VirtualSpan};
+use ipso_obs::{export_chrome_trace, record_instant, record_span, take_events};
 
 const GOLDEN: &str = include_str!("golden/mini.trace.json");
 
@@ -14,8 +14,7 @@ fn mini_timeline_matches_golden_file() {
     record_span("driver", "init", "mapreduce", 0.0, 2.0);
     record_span("driver", "map", "mapreduce", 2.0, 5.5);
     record_span("executor-0", "task-0", "mapreduce", 2.0, 4.25);
-    let span = VirtualSpan::new("executor-1", "task-1", "mapreduce", 2.0);
-    span.complete(5.5);
+    record_span("executor-1", "task-1", "mapreduce", 2.0, 5.5);
     record_instant("executor-1", "straggler", "mapreduce", 5.5);
     record_span("driver", "reduce", "mapreduce", 5.5, 6.125);
 

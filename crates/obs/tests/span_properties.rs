@@ -1,16 +1,9 @@
 //! Property tests of the span recorder: recorded spans always have
 //! non-negative durations, and recording a nested structure keeps it
 //! well-nested (any two spans on a track are disjoint or contained).
-//!
-//! The recorder is global state, so every property takes the same lock;
-//! keep any future obs-touching tests in this binary behind it too.
-
-use std::sync::Mutex;
 
 use ipso_obs::{record_span, snapshot_events, SpanKind};
 use proptest::prelude::*;
-
-static OBS: Mutex<()> = Mutex::new(());
 
 fn complete_bounds(events: &[ipso_obs::TraceEvent]) -> Vec<(f64, f64)> {
     events
@@ -32,7 +25,6 @@ proptest! {
     fn recorded_spans_never_have_negative_durations(
         pairs in prop::collection::vec((0.0f64..1e6, -1e3f64..1e3), 1..40),
     ) {
-        let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
         ipso_obs::set_enabled(true);
         ipso_obs::reset();
         for (start, delta) in &pairs {
@@ -55,7 +47,6 @@ proptest! {
         insets in prop::collection::vec((0.01f64..0.4, 0.01f64..0.4), 1..8),
         siblings in prop::collection::vec(0.1f64..0.9, 0..6),
     ) {
-        let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
         ipso_obs::set_enabled(true);
         ipso_obs::reset();
         // A chain of strictly nested spans under a [0, 100] root…

@@ -1,37 +1,34 @@
 #![warn(missing_docs)]
 
-//! Discrete-event simulation core for the IPSO reproduction.
+//! Simulation core for the IPSO reproduction.
 //!
 //! The paper's measurements come from Amazon EC2/EMR clusters; this crate
 //! is the foundation of the simulated substitute. It provides:
 //!
 //! * [`time`] — a virtual-clock time type with total ordering;
-//! * [`event`] — a deterministic event queue (FIFO tie-breaking);
-//! * [`engine`] — a thin simulation driver combining clock and queue;
 //! * [`resource`] — FIFO single/multi-server resources for modelling
-//!   serialization points (master NIC, centralized scheduler);
+//!   serialization points (master NIC, centralized scheduler, executor
+//!   slots);
+//! * [`par`] — deterministic index-ordered fan-out over host threads;
 //! * [`rng`] — seeded random-number helpers so every simulated experiment
 //!   is reproducible run-to-run;
-//! * [`stats`] — online statistics and percentile helpers for metrics.
+//! * [`special`] — special functions for the analytic straggler models;
+//! * [`stats`] — percentile helper for metrics.
 //!
 //! # Example
 //!
 //! ```
-//! use ipso_sim::engine::Simulation;
+//! use ipso_sim::{ServerPool, SimTime};
 //!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Ping(u32) }
-//!
-//! let mut sim = Simulation::new();
-//! sim.schedule_in(1.5, Ev::Ping(1));
-//! sim.schedule_in(0.5, Ev::Ping(2));
-//! let (t, ev) = sim.next_event().unwrap();
-//! assert_eq!(ev, Ev::Ping(2));
-//! assert_eq!(t.as_secs(), 0.5);
+//! // Three unit tasks on two executor slots: the third queues behind the
+//! // first two, so the wave takes 2 s.
+//! let mut slots = ServerPool::new(2);
+//! for _ in 0..3 {
+//!     slots.submit(SimTime::ZERO, 1.0);
+//! }
+//! assert_eq!(slots.makespan().as_secs(), 2.0);
 //! ```
 
-pub mod engine;
-pub mod event;
 pub mod par;
 pub mod resource;
 pub mod rng;
@@ -39,11 +36,9 @@ pub mod special;
 pub mod stats;
 pub mod time;
 
-pub use engine::Simulation;
-pub use event::EventQueue;
 pub use par::{ordered_map_indexed, resolve_threads};
 pub use resource::{FifoServer, ServerPool};
 pub use rng::{stream_seed, SimRng};
 pub use special::{harmonic, ln_beta, ln_gamma, pareto_expected_max};
-pub use stats::{percentile, OnlineStats};
+pub use stats::percentile;
 pub use time::SimTime;

@@ -10,9 +10,12 @@
 //! byte-identical for every thread count, including `threads = 1`,
 //! which bypasses thread spawning entirely.
 //!
-//! This is the same pattern as the sweep runner in `ipso-bench`, pushed
-//! down to the engine layer where individual jobs (not whole sweeps)
-//! need it.
+//! The sweep runner in `ipso-bench` fans out whole grid points through
+//! the same function.
+//!
+//! Observability is per thread: workers inherit the caller's switch, and
+//! anything pool work records must be recorded inside
+//! [`ipso_obs::capture`] and merged by the caller in index order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -29,6 +32,10 @@ pub fn resolve_threads(threads: usize) -> usize {
 
 /// Runs `f(0), f(1), …, f(len - 1)` across up to `threads` scoped
 /// workers and returns the results in index order.
+///
+/// Each worker starts with the caller's [`ipso_obs::enabled`] switch;
+/// what a worker records outside [`ipso_obs::capture`] is dropped with
+/// the thread.
 ///
 /// The determinism contract: as long as `f(i)` depends only on `i` (and
 /// state it does not share mutably with other indices), the returned
@@ -51,16 +58,20 @@ where
 
     let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let obs = ipso_obs::enabled();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= len {
-                        break;
+                scope.spawn(|| {
+                    ipso_obs::set_enabled(obs);
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= len {
+                            break;
+                        }
+                        let result = f(index);
+                        *slots[index].lock().expect("result slot poisoned") = Some(result);
                     }
-                    let result = f(index);
-                    *slots[index].lock().expect("result slot poisoned") = Some(result);
                 })
             })
             .collect();

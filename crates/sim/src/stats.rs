@@ -1,124 +1,4 @@
-//! Online statistics and percentile helpers for simulation metrics.
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use ipso_sim::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(v);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-finite samples.
-    pub fn push(&mut self, value: f64) {
-        assert!(value.is_finite(), "statistics require finite samples");
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (`m2 / n`; 0 with fewer than two samples).
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (`m2 / (n − 1)`; 0 with fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Smallest sample seen (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample seen (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Percentile helper for simulation metrics.
 
 /// The `p`-th percentile (0–100) of a sample set, by linear interpolation
 /// between closest ranks.
@@ -149,64 +29,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_naive() {
-        let data = [1.0, 2.5, -3.0, 4.0, 10.0, 0.5];
-        let mut s = OnlineStats::new();
-        for v in data {
-            s.push(v);
-        }
-        let mean = data.iter().sum::<f64>() / data.len() as f64;
-        let var = data.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (data.len() - 1) as f64;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.sample_variance() - var).abs() < 1e-12);
-        assert_eq!(s.min(), Some(-3.0));
-        assert_eq!(s.max(), Some(10.0));
-        assert_eq!(s.count(), 6);
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &v in &data {
-            all.push(v);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &v in &data[..37] {
-            left.push(v);
-        }
-        for &v in &data[37..] {
-            right.push(v);
-        }
-        left.merge(&right);
-        assert!((left.mean() - all.mean()).abs() < 1e-10);
-        assert!((left.sample_variance() - all.sample_variance()).abs() < 1e-10);
-        assert_eq!(left.count(), all.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn percentiles_interpolate() {
         let data = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(percentile(&data, 0.0), Some(1.0));
@@ -219,12 +41,5 @@ mod tests {
     fn percentile_on_unsorted_input() {
         let data = [9.0, 1.0, 5.0];
         assert_eq!(percentile(&data, 50.0), Some(5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "finite samples")]
-    fn nan_sample_rejected() {
-        let mut s = OnlineStats::new();
-        s.push(f64::NAN);
     }
 }

@@ -455,7 +455,6 @@ mod tests {
 
     #[test]
     fn observability_stream_is_identical_for_any_thread_count() {
-        let _guard = obs_test_lock();
         let collect = |threads: usize| {
             ipso_obs::set_enabled(true);
             ipso_obs::reset();
@@ -473,13 +472,6 @@ mod tests {
         for threads in [2, 4] {
             assert_eq!(collect(threads), sequential, "threads = {threads}");
         }
-    }
-
-    /// Serializes tests that toggle the global obs recorder.
-    fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]

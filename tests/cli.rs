@@ -193,13 +193,8 @@ fn usage_mentions_every_command() {
     }
 }
 
-/// Serializes the tests below: `metrics` toggles the global
-/// observability recorder.
-static OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn metrics_command_reports_fault_recovery() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let cmd = args(&[
         "metrics",
         "sort",
@@ -219,7 +214,6 @@ fn metrics_command_reports_fault_recovery() {
 
 #[test]
 fn fail_fast_flag_aborts_with_an_error() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let err = run(&args(&[
         "metrics",
         "sort",
@@ -239,7 +233,6 @@ fn fail_fast_flag_aborts_with_an_error() {
 
 #[test]
 fn invalid_fault_flags_are_rejected() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let err = run(&args(&[
         "metrics",
         "sort",
@@ -254,7 +247,6 @@ fn invalid_fault_flags_are_rejected() {
 
 #[test]
 fn scheduler_flag_selects_a_policy() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let fifo = run(&args(&["metrics", "sort", "--n", "4"])).unwrap();
     // Explicit fifo is the default.
     let explicit = run(&args(&[
@@ -285,7 +277,6 @@ fn scheduler_flag_selects_a_policy() {
 
 #[test]
 fn unknown_scheduler_is_a_typed_error_not_a_panic() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let err = run(&args(&[
         "metrics",
         "sort",

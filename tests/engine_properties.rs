@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation substrate and the two engines.
 
-use ipso_cluster::{run_wave_schedule, CentralScheduler};
+use ipso_cluster::{run_wave_schedule, CentralScheduler, SchedulerPolicy};
 use ipso_mapreduce::{run_scale_out, run_sequential, InputSplit, JobSpec, Mapper, Reducer};
-use ipso_sim::{EventQueue, ServerPool, SimTime};
+use ipso_sim::{ServerPool, SimTime};
 use ipso_spark::{run_job, SparkJobSpec, StageSpec};
 use proptest::prelude::*;
 
@@ -87,36 +87,18 @@ proptest! {
         durations in prop::collection::vec(0.01f64..10.0, 1..60),
         executors in 1usize..16,
     ) {
-        let s = run_wave_schedule(&durations, executors, &CentralScheduler::idealized());
+        let s = run_wave_schedule(
+            &durations,
+            executors,
+            &CentralScheduler::idealized(),
+            SchedulerPolicy::Fifo,
+        );
         let total: f64 = durations.iter().sum();
         let longest = durations.iter().cloned().fold(0.0, f64::max);
         let lower = (total / executors as f64).max(longest);
         prop_assert!(s.makespan >= lower - 1e-6, "makespan {} < lower {}", s.makespan, lower);
         let upper = total / executors as f64 + longest + s.dispatch_total + 1e-6;
         prop_assert!(s.makespan <= upper, "makespan {} > upper {}", s.makespan, upper);
-    }
-
-    /// The event queue is a stable priority queue: pops come out in
-    /// non-decreasing time order, FIFO within equal times.
-    #[test]
-    fn event_queue_is_stable_and_ordered(
-        times in prop::collection::vec(0u32..50, 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_secs(f64::from(t)), (t, i));
-        }
-        let mut last: Option<(u32, usize)> = None;
-        while let Some((at, (t, i))) = q.pop() {
-            prop_assert_eq!(at.as_secs(), f64::from(t));
-            if let Some((lt, li)) = last {
-                prop_assert!(t >= lt);
-                if t == lt {
-                    prop_assert!(i > li, "FIFO violated within equal timestamps");
-                }
-            }
-            last = Some((t, i));
-        }
     }
 
     /// Server pools never idle while work is waiting: the makespan of k

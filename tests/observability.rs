@@ -2,18 +2,11 @@
 //! event logs from instrumented runs still round-trip, the exported
 //! timeline is structurally sound, and the overhead breakdown assembled
 //! from the engines' gauges accounts for the measured `Wo(n)`.
-//!
-//! The observability layer is global state; every test here serializes
-//! on `OBS` (and leaves tracing disabled afterwards).
-
-use std::sync::Mutex;
 
 use ipso::overhead_breakdown;
 use ipso_obs::SpanKind;
 use ipso_spark::{parse_event_log, run_job};
 use ipso_workloads::{bayes, terasort};
-
-static OBS: Mutex<()> = Mutex::new(());
 
 fn breakdown_from_gauges(total: f64) -> ipso::OverheadBreakdown {
     overhead_breakdown(
@@ -27,7 +20,6 @@ fn breakdown_from_gauges(total: f64) -> ipso::OverheadBreakdown {
 
 #[test]
 fn instrumented_spark_event_log_still_roundtrips() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
     let job = bayes::job(64, 16);
@@ -61,7 +53,6 @@ fn instrumented_spark_event_log_still_roundtrips() {
 
 #[test]
 fn uninstrumented_run_matches_instrumented_run() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     ipso_obs::set_enabled(false);
     ipso_obs::reset();
     let job = bayes::job(64, 16);
@@ -76,7 +67,6 @@ fn uninstrumented_run_matches_instrumented_run() {
 
 #[test]
 fn spark_overhead_gauges_sum_to_measured_overhead() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
     let run = run_job(&bayes::job(128, 32));
@@ -102,7 +92,6 @@ fn spark_overhead_gauges_sum_to_measured_overhead() {
 
 #[test]
 fn mapreduce_overhead_gauges_sum_to_trace_overhead() {
-    let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
     let n = 8;
