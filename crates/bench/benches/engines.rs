@@ -8,9 +8,10 @@
 //! 2. A regression harness that times the engines under pinned
 //!    configurations — the reference `BTreeGrouping` shuffle on one
 //!    thread against the sort-based shuffle, sequential and with the
-//!    full host — and writes the wall-clock numbers and speedup ratios
-//!    to `BENCH_engines.json` at the repository root so CI can assert
-//!    the optimised data path never regresses.
+//!    full host — and writes the wall-clock numbers (independent
+//!    samples per bench with their median and IQR) and the speedup
+//!    ratios of the medians to `BENCH_engines.json` at the repository
+//!    root so CI can assert the optimised data path never regresses.
 
 use criterion::{black_box, criterion_group, Criterion};
 use ipso_bench::SweepRunner;
@@ -76,7 +77,15 @@ struct BenchRecord {
     workload: &'static str,
     config: &'static str,
     threads: usize,
+    /// Total sampled time over total iterations.
     mean_ns: f64,
+    /// Median of the per-sample ns per iteration.
+    median_ns: f64,
+    /// Interquartile range of the per-sample ns per iteration.
+    iqr_ns: f64,
+    /// Every sample's ns per iteration, in the order taken.
+    samples_ns: Vec<f64>,
+    /// Iterations over all samples.
     iters: u64,
 }
 
@@ -86,6 +95,7 @@ struct SpeedupRecord {
     workload: &'static str,
     baseline: &'static str,
     optimized: &'static str,
+    /// Baseline median over optimized median.
     ratio: f64,
 }
 
@@ -98,31 +108,68 @@ struct BenchReport {
     speedups: Vec<SpeedupRecord>,
 }
 
-/// Times `f` with the same calibration loop as the criterion stand-in
-/// (grow the batch until measurable, bounded total budget) and returns
-/// the mean nanoseconds per iteration.
-fn measure<T, F: FnMut() -> T>(mut f: F) -> (f64, u64) {
-    let budget = Duration::from_millis(600);
-    let mut total = Duration::ZERO;
-    let mut iters: u64 = 0;
+/// Independent timing samples per bench.
+const SAMPLES: usize = 7;
+/// Wall-clock time one sample aims for.
+const SAMPLE_TIME: Duration = Duration::from_millis(90);
+
+/// The timing fields of one [`BenchRecord`].
+struct Timing {
+    mean_ns: f64,
+    median_ns: f64,
+    iqr_ns: f64,
+    samples_ns: Vec<f64>,
+    iters: u64,
+}
+
+/// The `q`-quantile of ascending `sorted`, interpolating linearly
+/// between the two nearest ranks.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// Times `f`: a warm-up that doubles the batch until one batch takes a
+/// quarter of [`SAMPLE_TIME`] sizes the batch to fill a sample, then
+/// [`SAMPLES`] batches are timed independently.
+fn measure<T, F: FnMut() -> T>(mut f: F) -> Timing {
     let mut batch: u64 = 1;
-    let start = Instant::now();
     loop {
-        let batch_start = Instant::now();
+        let start = Instant::now();
         for _ in 0..batch {
             black_box(f());
         }
-        let batch_time = batch_start.elapsed();
-        total += batch_time;
-        iters += batch;
-        if start.elapsed() >= budget {
+        let elapsed = start.elapsed();
+        if elapsed >= SAMPLE_TIME / 4 || batch >= 1 << 20 {
+            let scale = SAMPLE_TIME.as_secs_f64() / elapsed.as_secs_f64().max(1e-9);
+            batch = ((batch as f64 * scale).ceil() as u64).max(1);
             break;
         }
-        if batch_time < Duration::from_millis(10) && batch < 1 << 20 {
-            batch *= 2;
-        }
+        batch *= 2;
     }
-    (total.as_secs_f64() * 1e9 / iters as f64, iters)
+    let mut total = Duration::ZERO;
+    let samples_ns: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            let elapsed = start.elapsed();
+            total += elapsed;
+            elapsed.as_secs_f64() * 1e9 / batch as f64
+        })
+        .collect();
+    let mut sorted = samples_ns.clone();
+    sorted.sort_by(f64::total_cmp);
+    let iters = batch * SAMPLES as u64;
+    Timing {
+        mean_ns: total.as_secs_f64() * 1e9 / iters as f64,
+        median_ns: quantile(&sorted, 0.5),
+        iqr_ns: quantile(&sorted, 0.75) - quantile(&sorted, 0.25),
+        samples_ns,
+        iters,
+    }
 }
 
 /// The regression grid: (config label, shuffle implementation, threads).
@@ -133,6 +180,33 @@ const CONFIGS: [(&str, ShuffleImpl, usize); 3] = [
     ("sortmerge_par", ShuffleImpl::SortMerge, 0),
 ];
 
+/// Prints one bench's timing and wraps it in its record.
+fn record(
+    name: String,
+    engine: &'static str,
+    workload: &'static str,
+    config: &'static str,
+    threads: usize,
+    t: Timing,
+) -> BenchRecord {
+    println!(
+        "bench {name:<40} {:>12.1} ns/iter median, IQR {:.1} ({SAMPLES} samples, {} iters)",
+        t.median_ns, t.iqr_ns, t.iters
+    );
+    BenchRecord {
+        name,
+        engine,
+        workload,
+        config,
+        threads,
+        mean_ns: t.mean_ns,
+        median_ns: t.median_ns,
+        iqr_ns: t.iqr_ns,
+        samples_ns: t.samples_ns,
+        iters: t.iters,
+    }
+}
+
 fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
     // MapReduce: sort and wordcount at MAP_TASKS map tasks, running the
     // real record path through each shuffle/thread configuration.
@@ -141,19 +215,17 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
         spec.shuffle = shuffle;
         spec.engine.threads = threads;
         let splits = sort::make_splits(MAP_TASKS, 1);
-        let (mean_ns, iters) = measure(|| {
+        let timing = measure(|| {
             ipso_mapreduce::run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits)
         });
-        report_line("mapreduce", "sort", config, mean_ns, iters);
-        records.push(BenchRecord {
-            name: format!("mapreduce_sort_n{MAP_TASKS}_{config}"),
-            engine: "mapreduce",
-            workload: "sort",
+        records.push(record(
+            format!("mapreduce_sort_n{MAP_TASKS}_{config}"),
+            "mapreduce",
+            "sort",
             config,
             threads,
-            mean_ns,
-            iters,
-        });
+            timing,
+        ));
 
         let mut wc_spec = wordcount::job_spec(MAP_TASKS);
         wc_spec.shuffle = shuffle;
@@ -163,7 +235,7 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
         // seed's allocating mapper — the true pre-optimization path; the
         // optimized configurations use the shipping rank-keyed mapper.
         let mapper = wordcount::WordCountMapper::new();
-        let (mean_ns, iters) = if shuffle == ShuffleImpl::BTreeGrouping {
+        let timing = if shuffle == ShuffleImpl::BTreeGrouping {
             measure(|| {
                 ipso_mapreduce::run_scale_out(
                     &wc_spec,
@@ -182,16 +254,14 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
                 )
             })
         };
-        report_line("mapreduce", "wordcount", config, mean_ns, iters);
-        records.push(BenchRecord {
-            name: format!("mapreduce_wordcount_n{MAP_TASKS}_{config}"),
-            engine: "mapreduce",
-            workload: "wordcount",
+        records.push(record(
+            format!("mapreduce_wordcount_n{MAP_TASKS}_{config}"),
+            "mapreduce",
+            "wordcount",
             config,
             threads,
-            mean_ns,
-            iters,
-        });
+            timing,
+        ));
     }
 
     // Spark: the Bayes stage DAG with the host-side stage executor
@@ -199,69 +269,48 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
     for (config, threads) in [("seq", 1usize), ("par", 0)] {
         let mut job = bayes::job(256, 64);
         job.engine.threads = threads;
-        let (mean_ns, iters) = measure(|| run_job(&job));
-        report_line("spark", "bayes", config, mean_ns, iters);
-        records.push(BenchRecord {
-            name: format!("spark_bayes_n256_m64_{config}"),
-            engine: "spark",
-            workload: "bayes",
+        let timing = measure(|| run_job(&job));
+        records.push(record(
+            format!("spark_bayes_n256_m64_{config}"),
+            "spark",
+            "bayes",
             config,
             threads,
-            mean_ns,
-            iters,
-        });
+            timing,
+        ));
     }
 }
 
-fn report_line(engine: &str, workload: &str, config: &str, mean_ns: f64, iters: u64) {
-    let name = format!("{engine}_{workload}_{config}");
-    println!("bench {name:<40} {mean_ns:>12.1} ns/iter ({iters} iters)");
-}
-
-/// Derives the speedup ratios the harness exists to defend: reference
-/// shuffle on one thread vs. the optimised path, per workload.
+/// Derives the speedup ratios the harness exists to defend, from the
+/// median timings: reference shuffle on one thread vs. the optimised
+/// path per MapReduce workload, and sequential vs. parallel Spark.
 fn speedups(records: &[BenchRecord]) -> Vec<SpeedupRecord> {
-    let mean = |workload: &str, config: &str| {
+    let median = |workload: &str, config: &str| {
         records
             .iter()
             .find(|r| r.workload == workload && r.config == config)
-            .map(|r| r.mean_ns)
+            .map(|r| r.median_ns)
     };
-    let mut out = Vec::new();
-    for workload in ["sort", "wordcount"] {
-        for optimized in ["sortmerge_seq", "sortmerge_par"] {
-            if let (Some(base), Some(opt)) =
-                (mean(workload, "btree_seq"), mean(workload, optimized))
-            {
-                out.push(SpeedupRecord {
-                    engine: "mapreduce",
-                    workload,
-                    baseline: "btree_seq",
-                    optimized,
-                    ratio: base / opt,
-                });
-            }
-        }
-    }
-    if let (Some(base), Some(opt)) = (
-        records
-            .iter()
-            .find(|r| r.workload == "bayes" && r.config == "seq")
-            .map(|r| r.mean_ns),
-        records
-            .iter()
-            .find(|r| r.workload == "bayes" && r.config == "par")
-            .map(|r| r.mean_ns),
-    ) {
-        out.push(SpeedupRecord {
-            engine: "spark",
-            workload: "bayes",
-            baseline: "seq",
-            optimized: "par",
-            ratio: base / opt,
-        });
-    }
-    out
+    let pairs = [
+        ("mapreduce", "sort", "btree_seq", "sortmerge_seq"),
+        ("mapreduce", "sort", "btree_seq", "sortmerge_par"),
+        ("mapreduce", "wordcount", "btree_seq", "sortmerge_seq"),
+        ("mapreduce", "wordcount", "btree_seq", "sortmerge_par"),
+        ("spark", "bayes", "seq", "par"),
+    ];
+    pairs
+        .into_iter()
+        .filter_map(|(engine, workload, baseline, optimized)| {
+            let (base, opt) = (median(workload, baseline)?, median(workload, optimized)?);
+            Some(SpeedupRecord {
+                engine,
+                workload,
+                baseline,
+                optimized,
+                ratio: base / opt,
+            })
+        })
+        .collect()
 }
 
 fn run_regression_harness() {

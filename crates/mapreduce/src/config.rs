@@ -14,7 +14,7 @@ use crate::cost::JobCostModel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShuffleImpl {
     /// Sort-based shuffle: flat pair buffer, one stable sort per task,
-    /// combine streamed over sorted runs, binary-heap k-way merge on the
+    /// combine streamed over sorted runs, loser-tree k-way merge on the
     /// reduce side. The default and the fast path.
     #[default]
     SortMerge,

@@ -19,14 +19,15 @@
 //!   split, stably sorted by key, with the combiner streamed over the
 //!   sorted runs through one reused scratch buffer;
 //! * the reduce side k-way-merges the already-sorted per-task runs
-//!   through a binary heap; a key that lives in a single run is reduced
-//!   straight off that run's value buffer, copy-free.
+//!   through a loser tree, which replays one leaf-to-root path per
+//!   group; a key that lives in a single run is reduced straight off
+//!   that run's value buffer, copy-free.
 //!
 //! The original double `BTreeMap` grouping survives, faithfully, as
 //! [`ShuffleImpl::BTreeGrouping`] so the benchmark regression harness
 //! can measure the before/after and tests can assert equivalence.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use crate::api::{Mapper, OutputScaling, Reducer};
 use crate::config::{JobSpec, ShuffleImpl};
@@ -170,33 +171,69 @@ struct RunSource<K, V> {
     pos: usize,
 }
 
-/// The head of one task's run, ordered for min-heap extraction: smallest
-/// key first, ties broken by task index so values merge in task order
-/// exactly as the sequential grouping path appended them.
-struct RunHead<K> {
-    key: K,
-    task: usize,
+/// Whether run `a`'s head merges before run `b`'s: smallest key first,
+/// ties broken by task index so values merge in task order exactly as
+/// the sequential grouping path appended them. An exhausted run (`None`)
+/// sorts after every live one.
+fn run_precedes<K: Ord>(heads: &[Option<K>], a: usize, b: usize) -> bool {
+    match (&heads[a], &heads[b]) {
+        (Some(ka), Some(kb)) => (ka, a) < (kb, b),
+        (Some(_), None) => true,
+        (None, Some(_)) => false,
+        (None, None) => a < b,
+    }
 }
 
-impl<K: Ord> PartialEq for RunHead<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.task == other.task
-    }
+/// A tournament tree of losers over the heads of `k >= 1` runs, in the
+/// layout that works for any `k`: run `t` is leaf `k + t`, internal node
+/// `i` (`1..k`) has children `2i` and `2i + 1` and holds the run that
+/// lost the match there, and slot 0 holds the overall winner.
+struct LoserTree {
+    nodes: Vec<usize>,
 }
-impl<K: Ord> Eq for RunHead<K> {}
-impl<K: Ord> PartialOrd for RunHead<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl LoserTree {
+    fn new<K: Ord>(heads: &[Option<K>]) -> Self {
+        let k = heads.len();
+        let mut nodes = vec![0; k];
+        // `winners[i]` is the run that wins subtree `i`.
+        let mut winners = vec![0; 2 * k];
+        for (t, leaf) in winners[k..].iter_mut().enumerate() {
+            *leaf = t;
+        }
+        for i in (1..k).rev() {
+            let (a, b) = (winners[2 * i], winners[2 * i + 1]);
+            let (win, lose) = if run_precedes(heads, a, b) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            winners[i] = win;
+            nodes[i] = lose;
+        }
+        if k > 1 {
+            nodes[0] = winners[1];
+        }
+        Self { nodes }
     }
-}
-impl<K: Ord> Ord for RunHead<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed so `BinaryHeap` (a max-heap) pops the smallest
-        // (key, task) pair first.
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.task.cmp(&self.task))
+
+    /// The run whose head merges next.
+    fn winner(&self) -> usize {
+        self.nodes[0]
+    }
+
+    /// Restores the tree after the winner's head changed: one match per
+    /// level on the winner's leaf-to-root path, against the stored losers.
+    fn replay<K: Ord>(&mut self, heads: &[Option<K>]) {
+        let mut winner = self.nodes[0];
+        let mut node = (self.nodes.len() + winner) / 2;
+        while node > 0 {
+            if run_precedes(heads, self.nodes[node], winner) {
+                std::mem::swap(&mut self.nodes[node], &mut winner);
+            }
+            node /= 2;
+        }
+        self.nodes[0] = winner;
     }
 }
 
@@ -214,42 +251,43 @@ where
 
     match shuffle {
         ShuffleImpl::SortMerge => {
-            // K-way merge over the per-task runs: a binary heap holds one
-            // head key per task. A key that lives in a single run is
-            // reduced directly from that run's value buffer; equal keys
-            // across tasks are coalesced into one reused scratch group in
-            // task order.
+            // K-way merge over the per-task runs: a loser tree over one
+            // head key per task picks the next group, and the new
+            // winner's head tells whether the key continues in another
+            // run. A key that lives in a single run is reduced directly
+            // from that run's value buffer; equal keys across tasks are
+            // coalesced into one reused scratch group in task order.
+            let mut heads: Vec<Option<R::Key>> = Vec::with_capacity(tasks.len());
             let mut sources: Vec<RunSource<R::Key, R::Value>> = tasks
                 .into_iter()
                 .map(|t| {
                     reduce_input_bytes += t.nominal_out_bytes;
+                    let mut keys = t.keys.into_iter();
+                    heads.push(keys.next());
                     RunSource {
-                        keys: t.keys.into_iter(),
+                        keys,
                         ends: t.ends.into_iter(),
                         values: t.values,
                         pos: 0,
                     }
                 })
                 .collect();
-            let mut heap: BinaryHeap<RunHead<R::Key>> = BinaryHeap::with_capacity(sources.len());
-            for (task, source) in sources.iter_mut().enumerate() {
-                if let Some(key) = source.keys.next() {
-                    heap.push(RunHead { key, task });
-                }
+            if sources.is_empty() {
+                return (output, reduce_input_bytes);
             }
+            let mut tree = LoserTree::new(&heads);
             let mut scratch: Vec<R::Value> = Vec::new();
-            while let Some(RunHead { key, task }) = heap.pop() {
+            loop {
+                let task = tree.winner();
+                // The winner is exhausted only once every run is.
+                let Some(key) = heads[task].take() else { break };
                 let src = &mut sources[task];
                 let start = src.pos;
                 let end = src.ends.next().expect("ends parallel to keys") as usize;
                 src.pos = end;
-                if let Some(next_key) = src.keys.next() {
-                    heap.push(RunHead {
-                        key: next_key,
-                        task,
-                    });
-                }
-                let key_continues = heap.peek().is_some_and(|head| head.key == key);
+                heads[task] = src.keys.next();
+                tree.replay(&heads);
+                let key_continues = heads[tree.winner()].as_ref() == Some(&key);
                 if !key_continues && scratch.is_empty() {
                     // Sole-run key: reduce straight off the run, no copy.
                     reducer.reduce(&key, &sources[task].values[start..end], &mut |o| {

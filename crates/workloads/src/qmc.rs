@@ -9,12 +9,16 @@
 //!
 //! The mapper evaluates the two Halton coordinates (bases 2 and 3) from
 //! compile-time tables instead of [`van_der_corput`]'s chain of float
-//! divisions: one table holds `van_der_corput` itself over the low digits
-//! (4096 base-2 and 2187 base-3 entries), and the remaining high digits
-//! are added to that partial sum in the same least-significant-first
-//! order, with digit weights from the same `f /= base` chain. Every float
-//! operation is one `van_der_corput` performs, so the coordinates are
-//! bit-identical to it, not approximations.
+//! divisions, a chunk of consecutive indices at a time. One table holds
+//! `van_der_corput` itself over the low digits (4096 base-2 and 2187
+//! base-3 entries). A chunk never crosses a multiple of 4096 or of 2187,
+//! so its remaining high digits are the same for every point in it: the
+//! coordinate buffers start from the table entries, and each high-digit
+//! term (digit times the weight from the same `f /= base` chain) is
+//! added to the whole buffer, one term at a time, least-significant
+//! digit first. Every float operation is one `van_der_corput` performs,
+//! in its order, so the coordinates are bit-identical to it, not
+//! approximations; the per-chunk loops have fixed trip counts.
 
 use ipso_mapreduce::{
     InputSplit, JobCostModel, JobSpec, Mapper, OutputScaling, Reducer, ScalingSweep,
@@ -87,31 +91,80 @@ static LOW_SUMS_2: [f64; 1 << LOW_DIGITS_2] = low_digit_sums(2);
 /// Partial sums over the low [`LOW_DIGITS_3`] ternary digits.
 static LOW_SUMS_3: [f64; 3usize.pow(LOW_DIGITS_3)] = low_digit_sums(3);
 
-/// `van_der_corput(index, 2)`, bit for bit. The high digits are 0 or 1:
-/// `w * 1.0 == w`, and a zero digit adds `+0.0` to a non-negative sum,
-/// which leaves it unchanged, so only the set bits are visited.
-fn halton_2(index: u64) -> f64 {
-    let mut result = LOW_SUMS_2[(index & ((1 << LOW_DIGITS_2) - 1)) as usize];
-    let mut high = index >> LOW_DIGITS_2;
+/// Base-2 indices per [`LOW_SUMS_2`] block.
+const LOW_BLOCK_2: u64 = 1 << LOW_DIGITS_2;
+/// Base-3 indices per [`LOW_SUMS_3`] block.
+const LOW_BLOCK_3: u64 = 3u64.pow(LOW_DIGITS_3);
+/// Longest chunk: one base-3 block, the shorter of the two.
+const CHUNK: usize = LOW_BLOCK_3 as usize;
+
+/// Fills `x[j]` with `van_der_corput(first + j, 2)` and `y[j]` with
+/// `van_der_corput(first + j, 3)`, bit for bit.
+///
+/// The buffers start from the low-digit tables; then each high-digit
+/// term is added to every element, least-significant digit first, as
+/// `van_der_corput` adds it. Base-2 digits are 0 or 1: `w * 1.0 == w`,
+/// and a zero digit adds `+0.0` to a non-negative sum, which leaves it
+/// unchanged, so only the set bits are visited.
+///
+/// # Panics
+///
+/// If `x` and `y` differ in length, or the indices cross a multiple of
+/// 4096 or of 2187.
+fn halton_chunk(first: u64, x: &mut [f64], y: &mut [f64]) {
+    let len = x.len();
+    let low_2 = (first % LOW_BLOCK_2) as usize;
+    let low_3 = (first % LOW_BLOCK_3) as usize;
+    x.copy_from_slice(&LOW_SUMS_2[low_2..low_2 + len]);
+    y.copy_from_slice(&LOW_SUMS_3[low_3..low_3 + len]);
+
+    let mut high = first >> LOW_DIGITS_2;
     while high != 0 {
-        result += WEIGHTS_2[(LOW_DIGITS_2 + high.trailing_zeros()) as usize];
+        let term = WEIGHTS_2[(LOW_DIGITS_2 + high.trailing_zeros()) as usize];
+        for v in x.iter_mut() {
+            *v += term;
+        }
         high &= high - 1;
     }
-    result
-}
 
-/// `van_der_corput(index, 3)`, bit for bit.
-fn halton_3(index: u64) -> f64 {
-    const LOW: u64 = 3u64.pow(LOW_DIGITS_3);
-    let mut result = LOW_SUMS_3[(index % LOW) as usize];
-    let mut high = index / LOW;
+    let mut high = first / LOW_BLOCK_3;
     let mut k = LOW_DIGITS_3 as usize;
     while high > 0 {
-        result += WEIGHTS_3[k] * (high % 3) as f64;
+        let term = WEIGHTS_3[k] * (high % 3) as f64;
+        for v in y.iter_mut() {
+            *v += term;
+        }
         high /= 3;
         k += 1;
     }
-    result
+}
+
+/// Evaluates the Halton points of `slice` (indices `offset + 1` through
+/// `offset + count`) chunk by chunk, passing each chunk's first index
+/// and coordinate buffers to `visit`.
+fn for_each_chunk(slice: &QmcSlice, mut visit: impl FnMut(u64, &[f64], &[f64])) {
+    let mut x = [0.0; CHUNK];
+    let mut y = [0.0; CHUNK];
+    let end = slice.offset + slice.count;
+    let mut i = slice.offset;
+    while i < end {
+        let first = i + 1;
+        let len = (end - i)
+            .min(LOW_BLOCK_2 - first % LOW_BLOCK_2)
+            .min(LOW_BLOCK_3 - first % LOW_BLOCK_3) as usize;
+        let (x, y) = (&mut x[..len], &mut y[..len]);
+        halton_chunk(first, x, y);
+        visit(first, x, y);
+        i += len as u64;
+    }
+}
+
+/// Points with `x * x + y * y <= 1.0`.
+fn count_inside(x: &[f64], y: &[f64]) -> u64 {
+    x.iter()
+        .zip(y)
+        .map(|(&x, &y)| u64::from(x * x + y * y <= 1.0))
+        .sum()
 }
 
 /// One task's slice of the Halton sequence.
@@ -133,15 +186,9 @@ impl Mapper for QmcMapper {
     type Value = (u64, u64);
 
     fn map(&self, slice: &QmcSlice, emit: &mut dyn FnMut(u32, (u64, u64))) {
+        // 2D Halton: bases 2 and 3.
         let mut inside = 0u64;
-        for i in slice.offset..slice.offset + slice.count {
-            // 2D Halton: bases 2 and 3.
-            let x = halton_2(i + 1);
-            let y = halton_3(i + 1);
-            if x * x + y * y <= 1.0 {
-                inside += 1;
-            }
-        }
+        for_each_chunk(slice, |_, x, y| inside += count_inside(x, y));
         emit(0, (inside, slice.count));
     }
 
@@ -244,33 +291,89 @@ mod tests {
         van_der_corput(5, 0);
     }
 
-    fn assert_halton_bits(indices: impl Iterator<Item = u64>) {
-        for i in indices {
-            assert_eq!(
-                halton_2(i).to_bits(),
-                van_der_corput(i, 2).to_bits(),
-                "base 2, index {i}"
-            );
-            assert_eq!(
-                halton_3(i).to_bits(),
-                van_der_corput(i, 3).to_bits(),
-                "base 3, index {i}"
-            );
+    /// The slice whose points are exactly the indices `first..=last`.
+    fn window(first: u64, last: u64) -> QmcSlice {
+        QmcSlice {
+            offset: first - 1,
+            count: last - first + 1,
+        }
+    }
+
+    /// Asserts that every coordinate the chunk kernel produces for
+    /// `slice` has the bits of `van_der_corput` at its index, and that
+    /// the chunks cover the slice's indices in order.
+    fn assert_chunk_bits(slice: &QmcSlice) {
+        let mut next = slice.offset + 1;
+        let mut seen = 0u64;
+        for_each_chunk(slice, |first, x, y| {
+            assert_eq!(first, next, "chunks are contiguous");
+            assert_eq!(x.len(), y.len());
+            for (j, (&x, &y)) in x.iter().zip(y).enumerate() {
+                let i = first + j as u64;
+                let want_x = van_der_corput(i, 2);
+                let want_y = van_der_corput(i, 3);
+                assert_eq!(x.to_bits(), want_x.to_bits(), "base 2, index {i}");
+                assert_eq!(y.to_bits(), want_y.to_bits(), "base 3, index {i}");
+            }
+            seen += x.len() as u64;
+            next = first.wrapping_add(x.len() as u64);
+        });
+        assert_eq!(seen, slice.count);
+    }
+
+    /// The paper sweep's slices at its largest degree: every index any
+    /// degree of the sweep evaluates.
+    fn paper_sweep_slices() -> Vec<QmcSlice> {
+        let max_n = *crate::PAPER_SWEEP.iter().max().unwrap();
+        make_splits(max_n)
+            .into_iter()
+            .map(|split| split.records[0])
+            .collect()
+    }
+
+    #[test]
+    fn chunk_kernel_is_bit_identical_over_the_paper_sweep() {
+        let slices = paper_sweep_slices();
+        assert_eq!(slices.len(), 200);
+        for slice in &slices {
+            assert_chunk_bits(slice);
         }
     }
 
     #[test]
-    fn halton_tables_are_bit_identical_over_the_paper_sweep() {
-        // The mapper evaluates index `i + 1` for every `i` of every task's
-        // slice, up to the sweep's largest degree.
-        let max_n = *crate::PAPER_SWEEP.iter().max().unwrap();
-        assert_halton_bits(0..=u64::from(max_n) * SAMPLE_POINTS + 1);
+    fn chunk_kernel_is_bit_identical_across_block_boundaries() {
+        const BOTH: u64 = LOW_BLOCK_2 * LOW_BLOCK_3;
+        for m in [1, 2, 3, 1000, 1 << 20, 1 << 40] {
+            for block in [LOW_BLOCK_2, LOW_BLOCK_3, BOTH] {
+                let edge = m * block;
+                assert_chunk_bits(&window(edge - 2000, edge + 2000));
+            }
+        }
+        // One point, and a window that is exactly one aligned chunk.
+        assert_chunk_bits(&window(BOTH, BOTH));
+        assert_chunk_bits(&window(BOTH, BOTH + LOW_BLOCK_3 - 1));
     }
 
     #[test]
-    fn halton_tables_are_bit_identical_at_large_indices() {
-        assert_halton_bits((1u64 << 40) - 50_000..(1u64 << 40) + 50_000);
-        assert_halton_bits(u64::MAX - 1000..=u64::MAX);
+    fn chunk_kernel_is_bit_identical_at_large_indices() {
+        assert_chunk_bits(&window((1u64 << 40) - 50_000, (1u64 << 40) + 49_999));
+        assert_chunk_bits(&window(u64::MAX / 2 - 5000, u64::MAX / 2 + 5000));
+        assert_chunk_bits(&window(u64::MAX - 30_000, u64::MAX));
+    }
+
+    #[test]
+    fn slice_counts_match_the_per_point_oracle() {
+        for slice in paper_sweep_slices() {
+            let want = (slice.offset + 1..=slice.offset + slice.count)
+                .filter(|&i| {
+                    let (x, y) = (van_der_corput(i, 2), van_der_corput(i, 3));
+                    x * x + y * y <= 1.0
+                })
+                .count() as u64;
+            let mut got = Vec::new();
+            QmcMapper.map(&slice, &mut |k, v| got.push((k, v)));
+            assert_eq!(got, vec![(0, (want, slice.count))], "{slice:?}");
+        }
     }
 
     #[test]
