@@ -1,64 +1,6 @@
-//! Runs every figure/table regeneration binary in sequence.
-//!
-//! ```text
-//! cargo run -p ipso-bench --release --bin all_experiments -- --jobs 4
-//! ```
-//!
-//! The `--jobs N` flag is forwarded to every child binary, so one flag
-//! parallelizes the whole regeneration; the CSVs under `results/` are
-//! byte-identical for every `N`.
-
-use std::process::Command;
-
-use ipso_bench::jobs_from_args;
-
-const EXPERIMENTS: &[&str] = &[
-    "fig2_taxonomy_fixed_time",
-    "fig3_taxonomy_fixed_size",
-    "fig4_mapreduce_speedups",
-    "fig5_terasort_stepwise",
-    "fig6_scaling_factors",
-    "fig7_ipso_prediction",
-    "table1_collab_filtering",
-    "fig8_collab_filtering",
-    "fig9_spark_fixed_time",
-    "fig10_spark_fixed_size",
-    "provisioning_tradeoffs",
-    // Ablations of the mechanisms behind the paper's pathologies.
-    "ablation_broadcast",
-    "ablation_scheduler",
-    "ablation_stragglers",
-    "ablation_memory",
-    "ablation_shuffle_pipelining",
-    "ablation_faults",
-    "sensitivity_analysis",
-];
+//! Runs every experiment in one process; the CSVs are byte-identical
+//! for every `--jobs N`, and to those the standalone binaries write.
 
 fn main() {
-    let jobs = jobs_from_args(std::env::args().skip(1));
-    let exe = std::env::current_exe().expect("own path");
-    let bin_dir = exe.parent().expect("bin dir");
-    let mut failures = Vec::new();
-    for name in EXPERIMENTS {
-        println!("──────────────────────────────────────────────────────");
-        println!("▶ {name}");
-        println!("──────────────────────────────────────────────────────");
-        let status = Command::new(bin_dir.join(name))
-            .arg("--jobs")
-            .arg(jobs.to_string())
-            .status()
-            .unwrap_or_else(|e| panic!("cannot launch {name}: {e}"));
-        if !status.success() {
-            failures.push(*name);
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "\nall {} experiments completed; CSVs under results/",
-            EXPERIMENTS.len()
-        );
-    } else {
-        eprintln!("\nFAILED experiments: {failures:?}");
-        std::process::exit(1);
-    }
+    ipso_bench::experiments::run_all();
 }

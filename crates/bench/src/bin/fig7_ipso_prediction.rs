@@ -1,103 +1,3 @@
-//! Fig. 7 — IPSO-predicted speedups versus measured and Gustafson's law
-//! for the four MapReduce cases.
-//!
-//! The pipeline fits the scaling factors on small runs only (n ≤ 16 for
-//! QMC/WordCount/Sort; 16 ≤ n ≤ 64 for TeraSort, skipping the pre-spill
-//! regime as the paper does) and extrapolates to n = 200. The headline
-//! claim: IPSO tracks the measured curves everywhere while Gustafson's
-//! law overshoots by an order of magnitude on Sort/TeraSort.
-
-use ipso::classic::gustafson;
-use ipso::predict::ScalingPredictor;
-use ipso_bench::{SweepRunner, Table};
-use ipso_mapreduce::ScalingSweep;
-use ipso_workloads::{qmc, sort, terasort, wordcount, FIT_WINDOW, PAPER_SWEEP};
-
-/// A named MapReduce sweep constructor with its n-grid and fit window.
-struct Case {
-    name: &'static str,
-    sweep: fn(&[u32]) -> ScalingSweep,
-    ns: Vec<u32>,
-    late_window: bool,
-}
-
 fn main() {
-    let runner = SweepRunner::from_env();
-    let case_fns: Vec<Case> = vec![
-        Case {
-            name: "qmc",
-            sweep: qmc::sweep,
-            ns: PAPER_SWEEP.to_vec(),
-            late_window: false,
-        },
-        Case {
-            name: "wordcount",
-            sweep: wordcount::sweep,
-            ns: PAPER_SWEEP.to_vec(),
-            late_window: false,
-        },
-        Case {
-            name: "sort",
-            sweep: sort::sweep,
-            ns: PAPER_SWEEP.to_vec(),
-            late_window: false,
-        },
-        // TeraSort: fit past the spill boundary, as the paper does; the
-        // n = 1 run still provides the workload reference.
-        Case {
-            name: "terasort",
-            sweep: terasort::sweep,
-            ns: vec![
-                1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128, 160, 200,
-            ],
-            late_window: true,
-        },
-    ];
-
-    let grid: Vec<(usize, u32)> = case_fns
-        .iter()
-        .enumerate()
-        .flat_map(|(c, case)| case.ns.iter().map(move |&n| (c, n)))
-        .collect();
-    let mut points = runner
-        .map(grid, |_ctx, (c, n)| (case_fns[c].sweep)(&[n]).points)
-        .into_iter();
-    let cases: Vec<(&Case, ScalingSweep)> = case_fns
-        .iter()
-        .map(|case| {
-            let points = points.by_ref().take(case.ns.len()).flatten().collect();
-            (case, ScalingSweep { points })
-        })
-        .collect();
-
-    for (case, sweep) in &cases {
-        let name = case.name;
-        let measurements = sweep.measurements();
-        let predictor = if case.late_window {
-            ScalingPredictor::fit_range(&measurements, 16, 64).expect("fit")
-        } else {
-            ScalingPredictor::fit(&measurements, FIT_WINDOW).expect("fit")
-        };
-        let base = &measurements[0];
-        let eta = base.seq_parallel_work / (base.seq_parallel_work + base.seq_serial_work);
-
-        let mut table = Table::new(
-            &format!("fig7_{name}"),
-            &["n", "measured", "ipso", "gustafson"],
-        );
-        let mut max_rel_err = 0.0f64;
-        for m in &measurements {
-            let ipso_s = predictor.predict(f64::from(m.n)).expect("predictable");
-            let g = gustafson(eta, f64::from(m.n)).expect("valid");
-            table.push(vec![f64::from(m.n), m.speedup(), ipso_s, g]);
-            if m.n > predictor.window() {
-                max_rel_err = max_rel_err.max((ipso_s - m.speedup()).abs() / m.speedup());
-            }
-        }
-        table.emit();
-        println!(
-            "  {name}: max IPSO extrapolation error beyond the fit window = {:.1}%\n",
-            100.0 * max_rel_err
-        );
-    }
+    ipso_bench::experiments::main(env!("CARGO_BIN_NAME"));
 }

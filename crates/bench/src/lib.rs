@@ -1,14 +1,14 @@
 #![warn(missing_docs)]
 
-//! Experiment harness shared by the figure/table regeneration binaries.
+//! Experiment harness regenerating the paper's figures and tables.
 //!
-//! Every table and figure of the paper's evaluation has a binary under
-//! `src/bin/` that regenerates it: the binary prints the series the paper
-//! plots (aligned, human-readable) and writes the same data as CSV under
-//! `results/`. Run them all with `cargo run -p ipso-bench --bin
-//! all_experiments --release`.
+//! Every table and figure of the paper's evaluation has an emitter in
+//! [`experiments`] that prints the series the paper plots and writes the
+//! same data as CSV under `results/`. A binary of the same name runs one
+//! emitter; `all_experiments` runs them all in one process. Run it with
+//! `cargo run -p ipso-bench --bin all_experiments --release`.
 //!
-//! | Binary | Paper artifact |
+//! | Emitter | Paper artifact |
 //! |---|---|
 //! | `fig2_taxonomy_fixed_time` | Fig. 2 — fixed-time taxonomy curves |
 //! | `fig3_taxonomy_fixed_size` | Fig. 3 — fixed-size taxonomy curves |
@@ -21,14 +21,17 @@
 //! | `fig9_spark_fixed_time` | Fig. 9 — Spark fixed-time dimension |
 //! | `fig10_spark_fixed_size` | Fig. 10 — Spark fixed-size dimension |
 //! | `provisioning_tradeoffs` | §I/§VI — speedup-versus-cost analysis |
+//! | `ablation_*`, `sensitivity_analysis` | the mechanisms behind the pathologies |
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+pub mod experiments;
 pub mod parallel;
 
-pub use parallel::{jobs_from_args, PointCtx, SweepRunner};
+pub use experiments::Context;
+pub use parallel::{PointCtx, SweepRunner};
 
 /// Where experiment CSVs are written: `<workspace>/results/`.
 pub fn results_dir() -> PathBuf {
@@ -160,60 +163,55 @@ impl Table {
     }
 }
 
-/// The experiment binaries' shared `--trace-out FILE` support.
-///
-/// Call [`trace_out_from_env`] first thing in `main`; if the flag is
-/// present the observability layer is enabled for the whole run, and
-/// [`TraceOut::finish`] writes the collected spans as a Chrome
-/// trace-event (Perfetto) file. Without the flag both calls are no-ops.
-#[derive(Debug)]
-#[must_use = "call finish() at the end of main to write the trace"]
-pub struct TraceOut {
-    path: Option<PathBuf>,
+/// The flags every experiment binary shares, each also spelled
+/// `--flag=value`.
+#[derive(Debug, Default, PartialEq)]
+pub struct Flags {
+    /// `--jobs N`: sweep workers; `0` (the default) means one per
+    /// hardware thread.
+    pub jobs: usize,
+    /// `--trace-out FILE`: where the traced figures write their Perfetto
+    /// timeline.
+    pub trace_out: Option<PathBuf>,
 }
 
-/// Parses `--trace-out FILE` (or `--trace-out=FILE`) from the process
-/// arguments and, when present, switches tracing on.
-pub fn trace_out_from_env() -> TraceOut {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut path = None;
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i] == "--trace-out" && i + 1 < raw.len() {
-            path = Some(PathBuf::from(&raw[i + 1]));
-            i += 2;
-        } else if let Some(p) = raw[i].strip_prefix("--trace-out=") {
-            path = Some(PathBuf::from(p));
-            i += 1;
-        } else {
-            i += 1;
-        }
+impl Flags {
+    /// [`Flags::parse`] over the process arguments.
+    pub fn from_env() -> Flags {
+        Flags::parse(std::env::args().skip(1))
     }
-    if path.is_some() {
-        ipso_obs::set_enabled(true);
-        ipso_obs::reset();
-    }
-    TraceOut { path }
-}
 
-impl TraceOut {
-    /// Writes the timeline collected since [`trace_out_from_env`] (if
-    /// `--trace-out` was given) and disables tracing again.
+    /// Parses an argument list, ignoring unknown arguments; the last
+    /// occurrence of a flag wins.
     ///
     /// # Panics
     ///
-    /// Panics if the output file cannot be written (experiment binaries
-    /// want loud failures).
-    pub fn finish(self) {
-        let Some(path) = self.path else { return };
-        let events = ipso_obs::take_events();
-        ipso_obs::set_enabled(false);
-        ipso_obs::write_chrome_trace(&path, &events).expect("cannot write --trace-out file");
-        println!(
-            "{} trace events -> {} (open in https://ui.perfetto.dev)",
-            events.len(),
-            path.display()
-        );
+    /// Panics on a flag without a value and on a malformed `--jobs`
+    /// value — experiment binaries want loud failures.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Flags {
+        let mut args = args.into_iter();
+        let mut flags = Flags::default();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            if flag != "--jobs" && flag != "--trace-out" {
+                continue;
+            }
+            let value = inline
+                .or_else(|| args.next())
+                .filter(|v| !v.is_empty())
+                .unwrap_or_else(|| panic!("{flag} needs a value"));
+            if flag == "--jobs" {
+                flags.jobs = value
+                    .parse()
+                    .unwrap_or_else(|e| panic!("invalid --jobs value {value:?}: {e}"));
+            } else {
+                flags.trace_out = Some(PathBuf::from(value));
+            }
+        }
+        flags
     }
 }
 
@@ -267,6 +265,36 @@ mod tests {
         assert_eq!(format_number(0.0061), "0.00610");
         // Banker's rounding of {:.0}.
         assert_eq!(format_number(1602.5), "1602");
+    }
+
+    #[test]
+    fn jobs_flag_parsing() {
+        let parse = |args: &[&str]| Flags::parse(args.iter().map(|s| s.to_string()));
+        assert_eq!(parse(&[]).jobs, 0);
+        assert_eq!(parse(&["--jobs", "4"]).jobs, 4);
+        assert_eq!(parse(&["--jobs=2"]).jobs, 2);
+        let both = parse(&["--trace-out", "x.json", "--jobs", "3"]);
+        assert_eq!(both.jobs, 3);
+        assert_eq!(both.trace_out, Some(PathBuf::from("x.json")));
+        assert_eq!(
+            parse(&["--trace-out=a=b.json"]).trace_out,
+            Some(PathBuf::from("a=b.json"))
+        );
+        // Last flag wins, like most CLIs.
+        assert_eq!(parse(&["--jobs=2", "--jobs=5"]).jobs, 5);
+        assert_eq!(parse(&["--verbose", "x"]), Flags::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid --jobs value")]
+    fn malformed_jobs_flag_is_loud() {
+        let _ = Flags::parse(["--jobs".to_string(), "many".to_string()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--trace-out needs a value")]
+    fn trailing_trace_out_flag_is_loud() {
+        let _ = Flags::parse(["--jobs=1".to_string(), "--trace-out".to_string()]);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   thread's recorder in point order after the joins, so `--trace-out`
 //!   timelines survive parallelism unchanged.
 //!
-//! Binaries opt in via [`SweepRunner::from_env`], which understands the
-//! shared `--jobs N` flag: `--jobs 1` reproduces today's sequential run
-//! exactly, and any other value produces the same bytes faster.
+//! Experiment binaries size their runner with the shared `--jobs N` flag
+//! ([`crate::Flags`]): `--jobs 1` is the sequential run, and any other
+//! value produces the same bytes faster.
 
 use std::sync::Mutex;
 
@@ -83,19 +83,6 @@ impl SweepRunner {
         }
     }
 
-    /// Builds a runner from the process arguments: `--jobs N` or
-    /// `--jobs=N` (default: one worker per hardware thread). This is the
-    /// flag every experiment binary accepts; unknown arguments are left
-    /// for other parsers (e.g. `--trace-out`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `--jobs` value — experiment binaries want
-    /// loud failures.
-    pub fn from_env() -> SweepRunner {
-        SweepRunner::new(jobs_from_args(std::env::args().skip(1)))
-    }
-
     /// The worker count this runner will use.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -142,45 +129,6 @@ impl SweepRunner {
             })
             .collect()
     }
-
-    /// Runs a set of independent closures ("one task per grid point") in
-    /// parallel, returning their results in submission order. The
-    /// heterogeneous-grid convenience over [`SweepRunner::map`].
-    pub fn run<R: Send>(&self, tasks: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R> {
-        self.map(tasks, |_ctx, task| task())
-    }
-}
-
-/// Parses `--jobs N` / `--jobs=N` from an argument list; `0` (the
-/// default when the flag is absent) means one worker per hardware
-/// thread.
-///
-/// # Panics
-///
-/// Panics on a malformed or missing value.
-pub fn jobs_from_args(args: impl IntoIterator<Item = String>) -> usize {
-    let args: Vec<String> = args.into_iter().collect();
-    let mut jobs = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        let value = if args[i] == "--jobs" {
-            i += 1;
-            Some(
-                args.get(i)
-                    .unwrap_or_else(|| panic!("--jobs needs a value"))
-                    .as_str(),
-            )
-        } else {
-            args[i].strip_prefix("--jobs=")
-        };
-        if let Some(value) = value {
-            jobs = value
-                .parse()
-                .unwrap_or_else(|e| panic!("invalid --jobs value {value:?}: {e}"));
-        }
-        i += 1;
-    }
-    jobs
 }
 
 #[cfg(test)]
@@ -218,37 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_tasks_run_in_order() {
-        let runner = SweepRunner::new(4);
-        let tasks: Vec<Box<dyn FnOnce() -> String + Send>> = (0..10)
-            .map(|i| Box::new(move || format!("task-{i}")) as Box<dyn FnOnce() -> String + Send>)
-            .collect();
-        let out = runner.run(tasks);
-        assert_eq!(out[0], "task-0");
-        assert_eq!(out[9], "task-9");
-    }
-
-    #[test]
     fn zero_jobs_resolves_to_hardware_threads() {
         let runner = SweepRunner::new(0);
         assert!(runner.jobs() >= 1);
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let parse = |args: &[&str]| jobs_from_args(args.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&[]), 0);
-        assert_eq!(parse(&["--jobs", "4"]), 4);
-        assert_eq!(parse(&["--jobs=2"]), 2);
-        assert_eq!(parse(&["--trace-out", "x.json", "--jobs", "3"]), 3);
-        // Last flag wins, like most CLIs.
-        assert_eq!(parse(&["--jobs=2", "--jobs=5"]), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid --jobs value")]
-    fn malformed_jobs_flag_is_loud() {
-        let _ = jobs_from_args(["--jobs".to_string(), "many".to_string()]);
     }
 
     #[test]

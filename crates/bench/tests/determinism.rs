@@ -6,8 +6,10 @@
 //! flag rests on.
 
 use ipso::stochastic::TaskTimeDistribution;
-use ipso_bench::SweepRunner;
+use ipso_bench::experiments::{Workload, QMC, SORT, TERASORT, WORDCOUNT};
+use ipso_bench::{Context, SweepRunner};
 use ipso_mapreduce::ScalingSweep;
+use ipso_workloads::{qmc, sort};
 use proptest::prelude::*;
 
 /// A sweep whose points consume their private RNG streams: for each n,
@@ -53,17 +55,16 @@ proptest! {
 }
 
 /// Decomposing a real MapReduce sweep into one grid point per n — the
-/// pattern every ported figure binary uses — must reproduce the
-/// monolithic sequential sweep measurement-for-measurement.
+/// pattern every figure's point cache uses — must reproduce the
+/// monolithic sequential sweep, whichever grids the cache served
+/// before, in whichever order, at any worker count.
 #[test]
 fn per_point_decomposition_matches_full_sweep() {
     let ns = [1u32, 2, 4, 8];
-    let full = ipso_workloads::qmc::sweep(&ns);
+    let full = qmc::sweep(&ns);
     for jobs in [1usize, 4] {
         let points = SweepRunner::new(jobs)
-            .map(ns.to_vec(), |_ctx, n| {
-                ipso_workloads::qmc::sweep(&[n]).points
-            })
+            .map(ns.to_vec(), |_ctx, n| qmc::sweep(&[n]).points)
             .into_iter()
             .flatten()
             .collect();
@@ -73,5 +74,23 @@ fn per_point_decomposition_matches_full_sweep() {
             full.measurements(),
             "jobs = {jobs}"
         );
+    }
+
+    // Two overlapping request sets, in the shape fig4/fig6 (several
+    // workloads) and fig5/provisioning (one workload) use.
+    let first: [(Workload, &[u32]); 3] = [(QMC, &[1, 2, 4]), (SORT, &[2, 4, 8]), (WORDCOUNT, &[3])];
+    let second: [(Workload, &[u32]); 3] = [(SORT, &[1, 2, 8]), (TERASORT, &[1, 4]), (QMC, &[4, 6])];
+    for jobs in [1usize, 2] {
+        for order in [[&first, &second], [&second, &first]] {
+            let mut ctx = Context::new(jobs);
+            for requests in order {
+                let sweeps = ctx.sweeps(requests);
+                assert_eq!(sweeps.len(), requests.len());
+                for (&((_, direct), ns), sweep) in requests.iter().zip(&sweeps) {
+                    assert_eq!(*sweep, direct(ns), "jobs = {jobs}");
+                }
+            }
+            assert_eq!(ctx.sweeps(&[(SORT, &[8])]), [sort::sweep(&[8])]);
+        }
     }
 }

@@ -3,12 +3,16 @@
 //! value and any engine thread count, and a spec that merely *spells
 //! out* the disabled fault model reproduces the stock trace exactly.
 //! These are the properties the `ablation_faults` CSV and
-//! `BENCH_faults.json` regression record rest on.
+//! `BENCH_faults.json` regression record rest on, together with the
+//! one-data-path sweep point the figures and the ablation run.
 
 use ipso_bench::SweepRunner;
 use ipso_cluster::{FaultModel, JobTrace, RecoveryPolicy};
-use ipso_mapreduce::try_run_scale_out;
-use ipso_workloads::sort;
+use ipso_mapreduce::measure::SweepPoint;
+use ipso_mapreduce::{
+    measurement_from_runs, run_sequential, try_run_scale_out, InputSplit, JobSpec, Mapper, Reducer,
+};
+use ipso_workloads::{sort, terasort};
 use proptest::prelude::*;
 
 /// One faulted Sort run per grid point; the whole trace is the result,
@@ -90,4 +94,80 @@ fn disabled_faults_reproduce_the_stock_traces() {
         assert_eq!(explicit.trace, stock.points[0].par, "n = {n}");
         assert!(explicit.trace.faults.is_none(), "n = {n}");
     }
+}
+
+/// Asserts that [`SweepPoint::run`], which runs the data path once,
+/// equals the scale-out run plus the standalone sequential run over the
+/// same splits, and returns the point and the scale-out run's
+/// reduce-side bytes. The
+/// comparison goes through `Debug`, which prints every `f64` in its
+/// shortest round-trip form, so it is bit for bit.
+fn assert_one_data_path_matches<M, R>(
+    spec: &JobSpec,
+    mapper: &M,
+    reducer: &R,
+    splits: &[InputSplit<M::Input>],
+) -> (SweepPoint, u64)
+where
+    M: Mapper + Sync,
+    M::Input: Sync,
+    M::Key: Send,
+    M::Value: Send,
+    R: Reducer<Key = M::Key, Value = M::Value>,
+{
+    let point = SweepPoint::run(spec, mapper, reducer, splits).expect("recoverable");
+    let par = try_run_scale_out(spec, mapper, reducer, splits).expect("recoverable");
+    let mut seq = run_sequential(spec, mapper, reducer, splits).trace;
+    seq.n = splits.len() as u32;
+    let reference = SweepPoint {
+        n: seq.n,
+        measurement: measurement_from_runs(&seq, &par.trace),
+        seq,
+        par: par.trace,
+    };
+    assert_eq!(
+        format!("{point:?}"),
+        format!("{reference:?}"),
+        "{}",
+        spec.name
+    );
+    (point, par.reduce_input_bytes)
+}
+
+/// The one-data-path point beyond the default specs: a pipelined
+/// shuffle, a reducer that spills, and the fault ablation's faulted Sort.
+#[test]
+fn one_data_path_point_matches_the_two_engine_runs() {
+    // ablation_shuffle_pipelining's shuffle-heavy, slow-start Sort.
+    let mut spec = sort::job_spec(16);
+    spec.cost.shuffle_rate = 90.0e6;
+    spec.pipelined_shuffle = true;
+    let splits = sort::make_splits(16, 2);
+    assert_one_data_path_matches(&spec, &sort::SortMapper, &sort::SortReducer, &splits);
+
+    // TeraSort at n = 24: the reducer's input overflows its memory.
+    let spec = terasort::job_spec(24);
+    let splits = terasort::make_splits(24, 3);
+    let (_, bytes) = assert_one_data_path_matches(
+        &spec,
+        &terasort::TeraSortMapper,
+        &terasort::TeraSortReducer,
+        &splits,
+    );
+    assert!(spec.reducer_memory.spills(bytes), "n = 24 must spill");
+
+    // ablation_faults' spec at p = 0.05.
+    let mut retries = 0;
+    for n in [16u32, 64] {
+        let mut spec = sort::job_spec(n);
+        spec.faults = FaultModel::flaky(0.05);
+        spec.faults.node_crash_prob = 0.005;
+        spec.recovery = RecoveryPolicy::hadoop_like().with_speculation();
+        spec.recovery.max_attempts = 8;
+        let splits = sort::make_splits(n, 2);
+        let (point, _) =
+            assert_one_data_path_matches(&spec, &sort::SortMapper, &sort::SortReducer, &splits);
+        retries += point.par.faults.expect("faults enabled").retries;
+    }
+    assert!(retries > 0, "p = 0.05 over 80 tasks should retry");
 }

@@ -12,7 +12,7 @@
 //! over the sample records and produce real outputs; only wall-clock time
 //! is synthetic, charged from nominal data volumes via the cost model.
 //!
-//! Since the unified-runtime refactor the engine is a thin composition:
+//! The engine is a thin composition:
 //!
 //! 1. **data path** ([`crate::datapath`]) — the real map/combine/
 //!    shuffle-group/reduce over sample records, run as a parallel wave
@@ -26,6 +26,12 @@
 //! 4. **account** — the serial merging portion (shuffle, merge, reduce)
 //!    is charged behind the barrier from the real intermediate volumes,
 //!    and the trace/timeline is assembled here.
+//!
+//! The sequential model needs no plan and no execute: its trace is pure
+//! accounting over the volumes the scale-out run's data path produced,
+//! so a sweep point ([`crate::measure::SweepPoint::run`]) runs the data
+//! path once. [`run_sequential`] is the standalone reference for tests
+//! and benchmarks.
 
 use ipso_cluster::runtime::{RuntimeConfig, StageOutcome};
 use ipso_cluster::{ClusterError, JobTrace, PhaseTimes, RunConfig, StageNode};
@@ -111,6 +117,25 @@ pub fn try_run_scale_out<M, R>(
     reducer: &R,
     splits: &[InputSplit<M::Input>],
 ) -> Result<JobRun<R::Output>, ClusterError>
+where
+    M: Mapper + Sync,
+    M::Input: Sync,
+    M::Key: Send,
+    M::Value: Send,
+    R: Reducer<Key = M::Key, Value = M::Value>,
+{
+    run_point(spec, mapper, reducer, splits).map(|(run, _)| run)
+}
+
+/// The scale-out run and, from the same data path, the sequential
+/// model's trace ([`sequential_trace`]): the map wave and the reduce run
+/// once, and both execution models charge time from their volumes.
+pub(crate) fn run_point<M, R>(
+    spec: &JobSpec,
+    mapper: &M,
+    reducer: &R,
+    splits: &[InputSplit<M::Input>],
+) -> Result<(JobRun<R::Output>, JobTrace), ClusterError>
 where
     M: Mapper + Sync,
     M::Input: Sync,
@@ -228,11 +253,13 @@ where
         }),
         faults: stage.fault.map(|o| o.summary),
     };
-    Ok(JobRun {
+    let seq = sequential_trace(spec, splits, total_intermediate, reduce_input_bytes);
+    let run = JobRun {
         trace,
         output,
         reduce_input_bytes,
-    })
+    };
+    Ok((run, seq))
 }
 
 /// Emits the scale-out run's timeline and metrics into `ipso_obs`.
@@ -283,10 +310,9 @@ fn record_scale_out_trace(
     ipso_obs::gauge_add("overhead.scheduling_s", overhead);
 }
 
-/// Runs the paper's sequential job execution model: all tasks
-/// back-to-back on one processing unit, then the merge. No dispatch
-/// overhead, no incast, no stragglers (the expectation is charged via the
-/// straggler model's mean multiplier so workloads stay calibrated).
+/// Runs the paper's sequential job execution model on its own: the data
+/// path, then the sequential accounting (`sequential_trace`) over its
+/// volumes.
 ///
 /// # Panics
 ///
@@ -309,35 +335,45 @@ where
         "sequential run needs at least one split"
     );
     spec.validate().expect("invalid job spec");
-    let n = splits.len() as u32;
-
     // "Sequential" refers to the simulated execution model, not the
     // host: the real record processing still uses the map wave.
-    let mapped: Vec<MappedTask<M::Key, M::Value>> = execute_map_tasks(mapper, splits, spec);
+    let mapped = execute_map_tasks(mapper, splits, spec);
+    let total_intermediate = mapped.iter().map(|t| t.nominal_out_bytes).sum();
+    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped, spec.shuffle);
+    JobRun {
+        trace: sequential_trace(spec, splits, total_intermediate, reduce_input_bytes),
+        output,
+        reduce_input_bytes,
+    }
+}
 
+/// The sequential job execution model's timing: all tasks back-to-back
+/// on one processing unit, then the merge. No dispatch overhead, no
+/// incast, no stragglers (the expectation is charged via the straggler
+/// model's mean multiplier so workloads stay calibrated). Pure
+/// accounting over the splits' count and nominal bytes, the map side's
+/// total post-combine output and the bytes the reducer read.
+fn sequential_trace<I>(
+    spec: &JobSpec,
+    splits: &[InputSplit<I>],
+    total_intermediate: u64,
+    reduce_input_bytes: u64,
+) -> JobTrace {
     let mean_mult = spec.straggler.mean_multiplier();
     let map_total: f64 = splits
         .iter()
         .map(|s| spec.cost.map_time(s.nominal_bytes) * mean_mult)
         .sum();
-
-    let total_intermediate: u64 = mapped.iter().map(|t| t.nominal_out_bytes).sum();
-    let shuffle = spec.cost.shuffle_time(total_intermediate);
     let slowdown = spec.reducer_memory.slowdown(total_intermediate);
-    let merge = spec.cost.serial_setup + spec.cost.merge_time(total_intermediate) * slowdown;
-
-    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped, spec.shuffle);
-    let reduce = spec.cost.reduce_time(reduce_input_bytes) * slowdown;
-
-    let trace = JobTrace {
+    JobTrace {
         job: spec.name.clone(),
-        n,
+        n: splits.len() as u32,
         phases: PhaseTimes {
             init: spec.cost.seq_init,
             map: map_total,
-            shuffle,
-            merge,
-            reduce,
+            shuffle: spec.cost.shuffle_time(total_intermediate),
+            merge: spec.cost.serial_setup + spec.cost.merge_time(total_intermediate) * slowdown,
+            reduce: spec.cost.reduce_time(reduce_input_bytes) * slowdown,
         },
         tasks: Vec::new(),
         scale_out_overhead: 0.0,
@@ -347,11 +383,6 @@ where
             seed: spec.seed,
         }),
         faults: None,
-    };
-    JobRun {
-        trace,
-        output,
-        reduce_input_bytes,
     }
 }
 

@@ -1,11 +1,11 @@
 //! Converting job traces into IPSO measurements and sweeping `n`.
 
 use ipso::measurement::{RunMeasurement, SpeedupCurve};
-use ipso_cluster::JobTrace;
+use ipso_cluster::{ClusterError, JobTrace};
 
 use crate::api::{Mapper, Reducer};
 use crate::config::JobSpec;
-use crate::engine::{run_scale_out, run_sequential};
+use crate::engine::run_point;
 use crate::split::InputSplit;
 
 /// Builds the IPSO run decomposition from a paired sequential/scale-out
@@ -59,22 +59,46 @@ pub struct ScalingSweep {
     pub points: Vec<SweepPoint>,
 }
 
+impl SweepPoint {
+    /// Runs one point with a single data path run: bit for bit what
+    /// [`crate::try_run_scale_out`] and [`crate::run_sequential`] give
+    /// over the same splits, with the same errors and panics.
+    pub fn run<M, R>(
+        spec: &JobSpec,
+        mapper: &M,
+        reducer: &R,
+        splits: &[InputSplit<M::Input>],
+    ) -> Result<SweepPoint, ClusterError>
+    where
+        M: Mapper + Sync,
+        M::Input: Sync,
+        M::Key: Send,
+        M::Value: Send,
+        R: Reducer<Key = M::Key, Value = M::Value>,
+    {
+        let (par, seq) = run_point(spec, mapper, reducer, splits)?;
+        Ok(SweepPoint {
+            n: seq.n,
+            measurement: measurement_from_runs(&seq, &par.trace),
+            seq,
+            par: par.trace,
+        })
+    }
+}
+
 impl ScalingSweep {
-    /// Runs a full sweep: for each `n`, execute the sequential reference
-    /// and the scale-out job, derive the measurement.
+    /// Runs a full sweep: for each `n`, one [`SweepPoint::run`] with
+    /// spec `make_spec(n)` over the `n` splits `make_splits(n)`.
     ///
-    /// * `make_spec(n)` — job spec for degree `n`;
-    /// * `par_splits(n)` — the `n` splits of the scale-out run;
-    /// * `seq_splits(n)` — the task list of the sequential model (equal to
-    ///   `par_splits(n)` for fixed-time workloads; a single whole-set
-    ///   split for fixed-size ones, per the paper's Section IV).
+    /// # Panics
+    ///
+    /// Panics on an unrecoverable fault, and as [`SweepPoint::run`] does.
     pub fn run<M, R>(
         ns: &[u32],
         mapper: &M,
         reducer: &R,
         mut make_spec: impl FnMut(u32) -> JobSpec,
-        mut par_splits: impl FnMut(u32) -> Vec<InputSplit<M::Input>>,
-        mut seq_splits: impl FnMut(u32) -> Vec<InputSplit<M::Input>>,
+        mut make_splits: impl FnMut(u32) -> Vec<InputSplit<M::Input>>,
     ) -> ScalingSweep
     where
         M: Mapper + Sync,
@@ -83,22 +107,13 @@ impl ScalingSweep {
         M::Value: Send,
         R: Reducer<Key = M::Key, Value = M::Value>,
     {
-        let mut points = Vec::with_capacity(ns.len());
-        for &n in ns {
-            let spec = make_spec(n);
-            let par = run_scale_out(&spec, mapper, reducer, &par_splits(n)).trace;
-            let mut seq = run_sequential(&spec, mapper, reducer, &seq_splits(n)).trace;
-            // The sequential model's n is the sweep's n even when it runs
-            // as a single task over the whole working set (fixed-size).
-            seq.n = n;
-            let measurement = measurement_from_runs(&seq, &par);
-            points.push(SweepPoint {
-                n,
-                seq,
-                par,
-                measurement,
-            });
-        }
+        let mut points: Vec<SweepPoint> = ns
+            .iter()
+            .map(|&n| {
+                SweepPoint::run(&make_spec(n), mapper, reducer, &make_splits(n))
+                    .unwrap_or_else(|e| panic!("unrecoverable fault: {e}"))
+            })
+            .collect();
         points.sort_by_key(|p| p.n);
         ScalingSweep { points }
     }
@@ -213,7 +228,6 @@ mod tests {
             &IdMap,
             &IdReduce,
             |n| JobSpec::emr("sort", n),
-            mk_splits,
             mk_splits,
         );
         assert_eq!(sweep.points.len(), 4);

@@ -254,14 +254,7 @@ pub fn make_splits(n: u32) -> Vec<InputSplit<QmcSlice>> {
 
 /// Runs the full paper sweep for QMC-Pi.
 pub fn sweep(ns: &[u32]) -> ScalingSweep {
-    ScalingSweep::run(
-        ns,
-        &QmcMapper,
-        &QmcReducer,
-        job_spec,
-        make_splits,
-        make_splits,
-    )
+    ScalingSweep::run(ns, &QmcMapper, &QmcReducer, job_spec, make_splits)
 }
 
 #[cfg(test)]

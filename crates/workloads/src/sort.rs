@@ -90,14 +90,9 @@ pub fn make_splits(n: u32, seed: u64) -> Vec<InputSplit<String>> {
 
 /// Runs the full paper sweep for Sort.
 pub fn sweep(ns: &[u32]) -> ScalingSweep {
-    ScalingSweep::run(
-        ns,
-        &SortMapper,
-        &SortReducer,
-        job_spec,
-        |n| make_splits(n, 2),
-        |n| make_splits(n, 2),
-    )
+    ScalingSweep::run(ns, &SortMapper, &SortReducer, job_spec, |n| {
+        make_splits(n, 2)
+    })
 }
 
 #[cfg(test)]

@@ -101,14 +101,9 @@ pub fn make_splits(n: u32, seed: u64) -> Vec<InputSplit<TeraRecord>> {
 
 /// Runs the full paper sweep for TeraSort.
 pub fn sweep(ns: &[u32]) -> ScalingSweep {
-    ScalingSweep::run(
-        ns,
-        &TeraSortMapper,
-        &TeraSortReducer,
-        job_spec,
-        |n| make_splits(n, 3),
-        |n| make_splits(n, 3),
-    )
+    ScalingSweep::run(ns, &TeraSortMapper, &TeraSortReducer, job_spec, |n| {
+        make_splits(n, 3)
+    })
 }
 
 #[cfg(test)]

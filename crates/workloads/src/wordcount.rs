@@ -197,7 +197,6 @@ pub fn sweep(ns: &[u32]) -> ScalingSweep {
         &WordCountReducer,
         job_spec,
         |n| make_splits(n, 1),
-        |n| make_splits(n, 1),
     )
 }
 
