@@ -124,6 +124,79 @@ pub trait Mapper {
     /// Maps one record, emitting zero or more key/value pairs.
     fn map(&self, input: &Self::Input, emit: &mut dyn FnMut(Self::Key, Self::Value));
 
+    /// Maps a whole split: every record of one map task, in order,
+    /// emitting into one buffer. The default maps each record with
+    /// [`Mapper::map`].
+    ///
+    /// The engine calls this once per task, then stably sorts the
+    /// emitted pairs by key and runs [`Mapper::combine`] on each key's
+    /// group. An override may emit different pairs than mapping each
+    /// record would, but after that sort and combine it must give the
+    /// same groups: the same keys, and per key the same combined values
+    /// in the same order. Emitting already-combined pairs is therefore
+    /// valid exactly when the combiner is insensitive to that regrouping
+    /// — a summing combiner, as in WordCount, is the typical case. This
+    /// is Hadoop's in-mapper combining (`Mapper.run` overridden to keep
+    /// state across a split's records).
+    ///
+    /// # Example
+    ///
+    /// In-mapper counting for a word count whose combiner sums: count
+    /// the split's tokens first and emit one pre-summed pair per distinct
+    /// token, in key order, so the engine's sort sees a sorted run and
+    /// the combiner sums one value per key.
+    ///
+    /// ```
+    /// use std::collections::BTreeMap;
+    ///
+    /// use ipso_mapreduce::{Mapper, OutputScaling};
+    ///
+    /// struct CountWords;
+    ///
+    /// impl Mapper for CountWords {
+    ///     type Input = String;
+    ///     type Key = String;
+    ///     type Value = u64;
+    ///
+    ///     fn map(&self, line: &String, emit: &mut dyn FnMut(String, u64)) {
+    ///         for word in line.split_whitespace() {
+    ///             emit(word.to_string(), 1);
+    ///         }
+    ///     }
+    ///
+    ///     fn map_split(&self, lines: &[String], emit: &mut dyn FnMut(String, u64)) {
+    ///         let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+    ///         for word in lines.iter().flat_map(|line| line.split_whitespace()) {
+    ///             *counts.entry(word).or_insert(0) += 1;
+    ///         }
+    ///         for (word, count) in counts {
+    ///             emit(word.to_string(), count);
+    ///         }
+    ///     }
+    ///
+    ///     fn combine(&self, _key: &String, values: &mut Vec<u64>) {
+    ///         let sum = values.iter().sum();
+    ///         values.clear();
+    ///         values.push(sum);
+    ///     }
+    ///
+    ///     fn output_scaling(&self) -> OutputScaling {
+    ///         OutputScaling::Saturating
+    ///     }
+    /// }
+    ///
+    /// let lines = vec!["to be or".to_string(), "not to be".to_string()];
+    /// let mut pairs = Vec::new();
+    /// CountWords.map_split(&lines, &mut |k, v| pairs.push((k, v)));
+    /// assert_eq!(pairs[0], ("be".to_string(), 2));
+    /// assert_eq!(pairs.len(), 4);
+    /// ```
+    fn map_split(&self, records: &[Self::Input], emit: &mut dyn FnMut(Self::Key, Self::Value)) {
+        for record in records {
+            self.map(record, emit);
+        }
+    }
+
     /// Optional map-side combiner applied per task and key, rewriting
     /// the group's values in place (so a summing combiner reuses the
     /// group's buffer instead of allocating a fresh one per key). The
@@ -183,6 +256,32 @@ mod tests {
         m.combine(&1, &mut values);
         assert_eq!(values, vec![1, 2, 3]);
         assert_eq!(m.output_scaling(), OutputScaling::Proportional);
+    }
+
+    #[test]
+    fn default_map_split_maps_each_record_in_order() {
+        struct Repeat;
+        impl Mapper for Repeat {
+            type Input = u64;
+            type Key = u64;
+            type Value = u64;
+            fn map(&self, input: &u64, emit: &mut dyn FnMut(u64, u64)) {
+                for i in 0..*input {
+                    emit(*input, i);
+                }
+            }
+        }
+        let records = [3, 0, 1, 3, 2];
+        let mut per_record = Vec::new();
+        for r in &records {
+            Repeat.map(r, &mut |k, v| per_record.push((k, v)));
+        }
+        let mut split = Vec::new();
+        Repeat.map_split(&records, &mut |k, v| split.push((k, v)));
+        assert_eq!(split, per_record);
+        let mut empty = Vec::new();
+        Repeat.map_split(&[], &mut |k, v| empty.push((k, v)));
+        assert!(empty.is_empty());
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //!   threads ([`ipso_sim::par::ordered_map_indexed`]), with results
 //!   collected in task order so outputs and traces are byte-identical
 //!   to the sequential path for any thread count;
-//! * the map-side sort is a single flat pair buffer pre-sized from the
-//!   split, stably sorted by key, with the combiner streamed over the
-//!   sorted runs through one reused scratch buffer;
+//! * a task maps its whole split through one [`Mapper::map_split`] call
+//!   into a single flat pair buffer pre-sized from the split, which is
+//!   stably sorted by key, with the combiner streamed over the sorted
+//!   runs through one reused scratch buffer. A mapper that combines
+//!   in-mapper (WordCount counts its split and emits one pair per
+//!   distinct token, in key order) hands the sort an already-sorted run,
+//!   which the stable sort detects in one linear scan;
 //! * the reduce side k-way-merges the already-sorted per-task runs
 //!   through a loser tree, which replays one leaf-to-root path per
 //!   group; a key that lives in a single run is reduced straight off
@@ -65,9 +69,7 @@ where
         ShuffleImpl::SortMerge => Vec::with_capacity(split.records.len()),
         ShuffleImpl::BTreeGrouping => Vec::new(),
     };
-    for record in &split.records {
-        mapper.map(record, &mut |k, v| pairs.push((k, v)));
-    }
+    mapper.map_split(&split.records, &mut |k, v| pairs.push((k, v)));
 
     let mut keys: Vec<M::Key> = Vec::new();
     let mut ends: Vec<u32> = Vec::new();

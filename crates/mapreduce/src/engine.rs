@@ -14,9 +14,9 @@
 //!
 //! The engine is a thin composition:
 //!
-//! 1. **data path** ([`crate::datapath`]) — the real map/combine/
-//!    shuffle-group/reduce over sample records, run as a parallel wave
-//!    over host threads; consumes no randomness;
+//! 1. **data path** (the crate-private `datapath` module) — the real
+//!    map/combine/shuffle-group/reduce over sample records, run as a
+//!    parallel wave over host threads; consumes no randomness;
 //! 2. **plan** ([`crate::plan`]) — lower the job to the framework-
 //!    agnostic task-graph IR ([`ipso_cluster::TaskGraph`]): one stage of
 //!    map tasks, slowest-task ideal, no lineage;
@@ -95,7 +95,7 @@ where
 /// never errs.
 ///
 /// When the fault model is enabled, nominal task durations are passed
-/// through [`resolve_faults`] before scheduling: recovery latency
+/// through [`ipso_cluster::resolve_faults`] before scheduling: recovery latency
 /// (failed attempts, restarts, backoff, crash recomputation) lengthens
 /// the affected tasks on the schedule, and the wasted *work* is charged
 /// into `scale_out_overhead` — the paper's `Wo(n)` attribution for

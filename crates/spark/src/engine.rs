@@ -85,8 +85,9 @@ pub fn run_job(spec: &SparkJobSpec) -> SparkRun {
 /// [`run_job`] with fault-recovery failures surfaced as typed errors.
 ///
 /// With `spec.faults` enabled, each stage's planned durations pass
-/// through [`resolve_faults`] (in the sequential plan phase, so the RNG
-/// stream stays byte-deterministic for any thread count): recovery
+/// through [`ipso_cluster::resolve_faults`] (in the sequential plan
+/// phase, so the RNG stream stays byte-deterministic for any thread
+/// count): recovery
 /// latency lengthens the affected tasks, wasted work is charged into
 /// `overhead_time`, and a node crash in stage `k > 0` additionally
 /// triggers lineage recomputation of the crashed node's stage-`k−1`

@@ -22,10 +22,10 @@ const SAMPLE_RECORDS: usize = 400;
 /// the record's 82-byte payload so the full 100-byte record transits the
 /// reducer (that volume is what overflows its memory).
 ///
-/// Keys and payloads are fixed-size inline arrays — emitting, grouping
-/// and merging a record never touches the heap; sizes (10 + 90 bytes)
-/// match the previous `Vec<u8>` representation exactly, so volume
-/// accounting is unchanged.
+/// Keys and payloads are fixed-size inline arrays, and so are the
+/// reducer's outputs — emitting, grouping, merging and reducing a record
+/// never touches the heap; sizes (10 + 90 bytes) match the previous
+/// `Vec<u8>` representation exactly, so volume accounting is unchanged.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TeraSortMapper;
 
@@ -50,16 +50,16 @@ pub struct TeraSortReducer;
 impl Reducer for TeraSortReducer {
     type Key = [u8; 10];
     type Value = (u64, [u8; PAYLOAD_BYTES]);
-    type Output = (Vec<u8>, u64);
+    type Output = ([u8; 10], u64);
 
     fn reduce(
         &self,
         key: &[u8; 10],
         values: &[(u64, [u8; PAYLOAD_BYTES])],
-        emit: &mut dyn FnMut((Vec<u8>, u64)),
+        emit: &mut dyn FnMut(([u8; 10], u64)),
     ) {
         for (row, _) in values {
-            emit((key.to_vec(), *row));
+            emit((*key, *row));
         }
     }
 }
@@ -131,11 +131,11 @@ mod tests {
         use ipso_mapreduce::run_sequential;
         let splits = make_splits(3, 6);
         let run = run_sequential(&job_spec(3), &TeraSortMapper, &TeraSortReducer, &splits);
-        let mut rows: Vec<u64> = run.output.iter().map(|(_, r)| *r).collect();
+        let mut rows = run.output;
         rows.sort_unstable();
-        let mut expected: Vec<u64> = splits
+        let mut expected: Vec<([u8; 10], u64)> = splits
             .iter()
-            .flat_map(|s| s.records.iter().map(|r| r.row))
+            .flat_map(|s| s.records.iter().map(|r| (r.key, r.row)))
             .collect();
         expected.sort_unstable();
         assert_eq!(rows, expected);

@@ -12,9 +12,18 @@
 //! compare integers, and emitting a token costs one lookup and no
 //! allocation or reference count. Rank order is string order, so output
 //! order and byte accounting are those of plain string keys.
+//!
+//! The mapper combines in-mapper: [`WordCountMapper`]'s
+//! [`Mapper::map_split`] splits each line in one pass, 8 bytes a step,
+//! looks each token up once in an open-addressing dictionary index,
+//! counts dictionary words in a dense per-rank array and other tokens in
+//! a sorted map, and emits one `(Word, count)` per distinct token in
+//! [`Word`] order. The engine's sort then sees a sorted run and the
+//! summing combiner one value per key, so every task's output is the one
+//! [`Mapper::map`] per line would give.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
 use ipso_mapreduce::{
@@ -23,7 +32,7 @@ use ipso_mapreduce::{
 use ipso_sim::SimRng;
 
 use crate::datagen::dictionary::dictionary_words;
-use crate::datagen::random_lines;
+use crate::datagen::{random_lines, DICTIONARY_SIZE};
 
 /// Nominal HDFS shard per map task (the paper's maximal block size).
 pub const SHARD_BYTES: u64 = 128 * 1024 * 1024;
@@ -32,13 +41,120 @@ const SAMPLE_LINES: usize = 250;
 /// Words per generated line.
 const WORDS_PER_LINE: usize = 8;
 
-/// Each dictionary word's rank in the sorted dictionary, keyed by the
-/// shared dictionary's own text.
-static RANKS: LazyLock<HashMap<&'static str, u32>> = LazyLock::new(|| {
-    let mut sorted: Vec<&'static str> = dictionary_words().iter().map(String::as_str).collect();
-    sorted.sort_unstable();
-    sorted.into_iter().zip(0..).collect()
-});
+/// log2 of the dictionary index's slot count.
+const INDEX_BITS: u32 = 12;
+/// Slots in the dictionary index: at least four per word, so linear
+/// probes stay short.
+const INDEX_SLOTS: usize = 1 << INDEX_BITS;
+/// An empty index slot.
+const VACANT: u16 = u16::MAX;
+const _: () = assert!(4 * DICTIONARY_SIZE <= INDEX_SLOTS);
+
+/// The shared dictionary index, built on first use.
+static INDEX: LazyLock<DictionaryIndex> = LazyLock::new(DictionaryIndex::build);
+
+/// The sorted dictionary and an open-addressing hash index from a
+/// token's text to its rank.
+struct DictionaryIndex {
+    /// Dictionary words in sorted order: a word's rank is its position.
+    words: Vec<&'static str>,
+    /// Linear-probing table of ranks, slotted by [`token_slot`];
+    /// [`VACANT`] where empty.
+    slots: Vec<u16>,
+}
+
+impl DictionaryIndex {
+    fn build() -> DictionaryIndex {
+        let mut words: Vec<&'static str> = dictionary_words().iter().map(String::as_str).collect();
+        words.sort_unstable();
+        let mut slots = vec![VACANT; INDEX_SLOTS];
+        for (rank, word) in words.iter().enumerate() {
+            let mut slot = token_slot(word.as_bytes());
+            while slots[slot] != VACANT {
+                slot = (slot + 1) % INDEX_SLOTS;
+            }
+            slots[slot] = rank as u16;
+        }
+        DictionaryIndex { words, slots }
+    }
+
+    /// `token`'s rank in the sorted dictionary, if it is a dictionary
+    /// word.
+    fn rank(&self, token: &str) -> Option<u32> {
+        let mut slot = token_slot(token.as_bytes());
+        loop {
+            let rank = self.slots[slot];
+            if rank == VACANT {
+                return None;
+            }
+            if self.words[usize::from(rank)] == token {
+                return Some(u32::from(rank));
+            }
+            slot = (slot + 1) % INDEX_SLOTS;
+        }
+    }
+}
+
+/// The home slot of a token: a multiplicative hash of its length and
+/// its first and last (up to) 8 bytes. Tokens that collide are told
+/// apart by [`DictionaryIndex::rank`]'s full-text comparison.
+fn token_slot(token: &[u8]) -> usize {
+    let n = token.len();
+    let (head, tail) = if n >= 8 {
+        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        (word(&token[..8]), word(&token[n - 8..]))
+    } else {
+        let mut head = [0u8; 8];
+        head[..n].copy_from_slice(token);
+        (u64::from_le_bytes(head), 0)
+    };
+    let mixed = (head ^ tail.rotate_left(32) ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - INDEX_BITS)) as usize
+}
+
+/// Whether `byte` separates tokens: 9–13 and 32, the ASCII characters
+/// `char::is_whitespace` accepts (`u8::is_ascii_whitespace` omits 0x0B).
+fn is_separator(byte: u8) -> bool {
+    matches!(byte, b'\t'..=b'\r' | b' ')
+}
+
+/// Calls `f` on each token of an ASCII `line`: the maximal runs of
+/// non-[`is_separator`] bytes, which are the tokens of
+/// `str::split_whitespace`.
+///
+/// The line is scanned 8 bytes at a time: one add flags every byte at or
+/// below 0x20 (a carry-free test, since ASCII bytes are below 0x80), and
+/// only the flagged bytes — the separators and rare control bytes — are
+/// tested one by one.
+fn for_each_ascii_token<'a>(line: &'a str, f: &mut impl FnMut(&'a str)) {
+    let bytes = line.as_bytes();
+    let mut start = 0;
+    let mut cut_at = |i: usize| {
+        if start < i {
+            f(&line[start..i]);
+        }
+        start = i + 1;
+    };
+    let chunks = bytes.chunks_exact(8);
+    let tail = bytes.len() - chunks.remainder().len();
+    for (c, chunk) in chunks.enumerate() {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+        let mut flagged = !word.wrapping_add(0x5F5F_5F5F_5F5F_5F5F) & 0x8080_8080_8080_8080;
+        while flagged != 0 {
+            let i = 8 * c + (flagged.trailing_zeros() / 8) as usize;
+            if is_separator(bytes[i]) {
+                cut_at(i);
+            }
+            flagged &= flagged - 1;
+        }
+    }
+    for (i, &byte) in bytes.iter().enumerate().skip(tail) {
+        if is_separator(byte) {
+            cut_at(i);
+        }
+    }
+    cut_at(bytes.len());
+}
 
 /// A WordCount key: a token, ordered and compared as its text.
 ///
@@ -59,10 +175,21 @@ impl Word {
     /// The key for `token`: its dictionary rank, or a copy of the text
     /// for an out-of-dictionary token.
     pub fn new(token: &str) -> Word {
-        Word(match RANKS.get_key_value(token) {
-            Some((&text, &rank)) => WordRepr::Dictionary { rank, text },
-            None => WordRepr::Other(Arc::from(token)),
-        })
+        match INDEX.rank(token) {
+            Some(rank) => Word::ranked(&INDEX, rank),
+            None => Word::other(token),
+        }
+    }
+
+    /// The key of the dictionary word of rank `rank`.
+    fn ranked(index: &DictionaryIndex, rank: u32) -> Word {
+        let text = index.words[rank as usize];
+        Word(WordRepr::Dictionary { rank, text })
+    }
+
+    /// The key of an out-of-dictionary token.
+    fn other(token: &str) -> Word {
+        Word(WordRepr::Other(Arc::from(token)))
     }
 
     /// The token's text.
@@ -113,7 +240,7 @@ impl Sizeable for Word {
 pub struct WordCountMapper;
 
 impl WordCountMapper {
-    /// The mapper; the dictionary ranks are shared process-wide.
+    /// The mapper; the dictionary index is shared process-wide.
     pub fn new() -> WordCountMapper {
         WordCountMapper
     }
@@ -127,6 +254,43 @@ impl Mapper for WordCountMapper {
     fn map(&self, line: &String, emit: &mut dyn FnMut(Word, u64)) {
         for token in line.split_whitespace() {
             emit(Word::new(token), 1);
+        }
+    }
+
+    /// Counts the whole split, then emits one `(Word, count)` per
+    /// distinct token in [`Word`] order: the groups mapping each line
+    /// and summing would give. Pure-ASCII lines are split by byte; any
+    /// other line falls back to `split_whitespace`.
+    fn map_split(&self, lines: &[String], emit: &mut dyn FnMut(Word, u64)) {
+        let index = &*INDEX;
+        let mut ranked = vec![0u64; index.words.len()];
+        let mut others: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut count = |token| match index.rank(token) {
+            Some(rank) => ranked[rank as usize] += 1,
+            None => *others.entry(token).or_insert(0) += 1,
+        };
+        for line in lines {
+            if line.is_ascii() {
+                for_each_ascii_token(line, &mut count);
+            } else {
+                line.split_whitespace().for_each(&mut count);
+            }
+        }
+        // Dictionary words in rank order and other tokens in text order
+        // are both sorted by text, and never share a text: merge them.
+        let mut others = others.into_iter().peekable();
+        for (rank, &n) in (0..).zip(&ranked) {
+            if n == 0 {
+                continue;
+            }
+            let word = Word::ranked(index, rank);
+            while let Some((token, m)) = others.next_if(|&(token, _)| token < word.as_str()) {
+                emit(Word::other(token), m);
+            }
+            emit(word, n);
+        }
+        for (token, m) in others {
+            emit(Word::other(token), m);
         }
     }
 
@@ -203,6 +367,7 @@ pub fn sweep(ns: &[u32]) -> ScalingSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipso_mapreduce::JobRun;
 
     #[test]
     fn counts_are_exact() {
@@ -308,42 +473,171 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mixed_text_counts_like_string_keys() {
+    /// [`WordCountMapper`] without its `map_split`: the engine maps each
+    /// line through [`Mapper::map`], the per-record definition.
+    struct PerLine(WordCountMapper);
+
+    impl Mapper for PerLine {
+        type Input = String;
+        type Key = Word;
+        type Value = u64;
+
+        fn map(&self, line: &String, emit: &mut dyn FnMut(Word, u64)) {
+            self.0.map(line, emit);
+        }
+
+        fn combine(&self, key: &Word, values: &mut Vec<u64>) {
+            self.0.combine(key, values);
+        }
+
+        fn output_scaling(&self) -> OutputScaling {
+            self.0.output_scaling()
+        }
+    }
+
+    /// Both engine modes over `splits`: scale-out, then sequential.
+    fn run_both<M, R>(
+        mapper: &M,
+        reducer: &R,
+        splits: &[InputSplit<String>],
+    ) -> Vec<JobRun<R::Output>>
+    where
+        M: Mapper<Input = String> + Sync,
+        M::Key: Send,
+        M::Value: Send,
+        R: Reducer<Key = M::Key, Value = M::Value>,
+    {
         use ipso_mapreduce::{run_scale_out, run_sequential};
-        let tokens: Vec<String> = mixed_tokens()
+        let spec = job_spec(splits.len() as u32);
+        vec![
+            run_scale_out(&spec, mapper, reducer, splits),
+            run_sequential(&spec, mapper, reducer, splits),
+        ]
+    }
+
+    /// Text over every separator class `split_whitespace` knows, in runs
+    /// and at line ends, with dictionary words, out-of-dictionary tokens
+    /// (sorting before, between and after them) and non-ASCII tokens;
+    /// some lines are empty or separators only, and the last split is
+    /// empty.
+    fn mixed_text_splits() -> Vec<InputSplit<String>> {
+        const ASCII_SEPARATORS: [&str; 6] = [" ", "\t", "\n", "\x0B", "\x0C", "\r"];
+        const OTHER_SEPARATORS: [&str; 4] = ["\u{A0}", "\u{3000}", "\u{85}", "\u{2028}"];
+        let mut ascii_tokens: Vec<String> = mixed_tokens()
             .into_iter()
-            .filter(|t| !t.is_empty())
+            .filter(|t| !t.is_empty() && t.is_ascii())
             .collect();
+        // ASCII bytes that are not separators: 0x1C-0x1F (`isspace` in
+        // some languages) and 0x7F.
+        ascii_tokens.extend(["ber\x1Cal", "\x1F", "an\x7F"].map(String::from));
+        let other_tokens: Vec<String> = ["é", "naïve", "ber\u{301}", "日本", "zan\u{200B}"]
+            .map(String::from)
+            .to_vec();
         let mut rng = SimRng::seed_from(3);
-        let splits: Vec<InputSplit<String>> = (0..4)
+        let separator = |rng: &mut SimRng, ascii: bool| -> String {
+            (0..1 + rng.index(3))
+                .map(|_| {
+                    if ascii || rng.index(3) > 0 {
+                        ASCII_SEPARATORS[rng.index(ASCII_SEPARATORS.len())]
+                    } else {
+                        OTHER_SEPARATORS[rng.index(OTHER_SEPARATORS.len())]
+                    }
+                })
+                .collect()
+        };
+        let mut splits: Vec<InputSplit<String>> = (0..4)
             .map(|_| {
                 let lines: Vec<String> = (0..60)
                     .map(|_| {
-                        (0..6)
-                            .map(|_| tokens[rng.index(tokens.len())].as_str())
-                            .collect::<Vec<_>>()
-                            .join(" ")
+                        // Two lines in three are pure ASCII.
+                        let ascii = rng.index(3) > 0;
+                        let mut line = String::new();
+                        if rng.index(4) == 0 {
+                            line += &separator(&mut rng, ascii);
+                        }
+                        for i in 0..rng.index(8) {
+                            if i > 0 {
+                                line += &separator(&mut rng, ascii);
+                            }
+                            let tokens = if ascii || rng.index(4) > 0 {
+                                &ascii_tokens
+                            } else {
+                                &other_tokens
+                            };
+                            line += &tokens[rng.index(tokens.len())];
+                        }
+                        if rng.index(4) == 0 {
+                            line += &separator(&mut rng, ascii);
+                        }
+                        line
                     })
                     .collect();
                 let bytes = lines.iter().map(|l| l.len() as u64 + 1).sum();
                 InputSplit::new(lines, bytes, SHARD_BYTES)
             })
             .collect();
-        let spec = job_spec(4);
-        let words = run_scale_out(&spec, &WordCountMapper, &WordCountReducer, &splits);
-        let strings = run_scale_out(&spec, &StringWordCount, &StringWordCount, &splits);
-        assert!(words
-            .output
-            .iter()
-            .any(|(w, _)| !RANKS.contains_key(w.as_str())));
-        assert_eq!(words.output, strings.output);
-        assert_eq!(words.reduce_input_bytes, strings.reduce_input_bytes);
-        assert_eq!(words.trace, strings.trace);
-        let words = run_sequential(&spec, &WordCountMapper, &WordCountReducer, &splits);
-        let strings = run_sequential(&spec, &StringWordCount, &StringWordCount, &splits);
-        assert_eq!(words.output, strings.output);
-        assert_eq!(words.reduce_input_bytes, strings.reduce_input_bytes);
+        splits.push(InputSplit::new(Vec::new(), 0, SHARD_BYTES));
+        splits
+    }
+
+    #[test]
+    fn mixed_text_counts_like_string_keys() {
+        let splits = mixed_text_splits();
+        let lines = splits.iter().flat_map(|s| &s.records);
+        assert!(lines.clone().any(|l| l.is_empty()));
+        for sep in ["\x0B", "\x0C", "\r", "\u{A0}", "\u{3000}"] {
+            assert!(lines.clone().any(|l| l.contains(sep)), "{sep:?} missing");
+        }
+        assert!(lines.clone().any(|l| l.is_ascii() && l.contains('\x0B')));
+        let counted = run_both(&WordCountMapper, &WordCountReducer, &splits);
+        let per_line = run_both(&PerLine(WordCountMapper), &WordCountReducer, &splits);
+        let strings = run_both(&StringWordCount, &StringWordCount, &splits);
+        let output = &counted[0].output;
+        assert!(output.iter().any(|(w, _)| INDEX.rank(w).is_none()));
+        assert!(output.iter().any(|(w, _)| !w.is_ascii()));
+        assert!(output.iter().any(|(w, _)| INDEX.rank(w).is_some()));
+        assert_eq!(counted, per_line);
+        assert_eq!(counted, strings);
+    }
+
+    #[test]
+    fn ascii_tokens_are_split_whitespace_tokens() {
+        fn tokens(line: &str) -> Vec<&str> {
+            let mut tokens = Vec::new();
+            for_each_ascii_token(line, &mut |t| tokens.push(t));
+            tokens
+        }
+        // Every ASCII byte, alone and in pairs, at every offset of lines
+        // longer and shorter than one 8-byte step.
+        for len in 0..20 {
+            let base = "abcdefghijklmnopqrstu"[..len].to_string();
+            for b in 0..0x80u8 {
+                for at in 0..len {
+                    for width in 1..=2.min(len - at) {
+                        let mut bytes = base.clone().into_bytes();
+                        bytes[at..at + width].fill(b);
+                        let line = String::from_utf8(bytes).unwrap();
+                        let want: Vec<&str> = line.split_whitespace().collect();
+                        assert_eq!(tokens(&line), want, "{line:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn map_split_emits_each_token_once_in_order() {
+        for split in mixed_text_splits() {
+            let mut pairs = Vec::new();
+            WordCountMapper.map_split(&split.records, &mut |w, n| pairs.push((w, n)));
+            assert!(pairs.windows(2).all(|p| p[0].0 < p[1].0));
+            let tokens: usize = split
+                .records
+                .iter()
+                .map(|l| l.split_whitespace().count())
+                .sum();
+            assert_eq!(pairs.iter().map(|(_, n)| n).sum::<u64>(), tokens as u64);
+        }
     }
 
     #[test]
