@@ -5,17 +5,17 @@
 //! 1. Criterion-style benches of one MapReduce job (map + shuffle +
 //!    merge + reduce with real record processing), one Spark job (stage
 //!    DAG with broadcast and shuffles) and an end-to-end scaling sweep.
-//! 2. A regression harness that times the engines under pinned
-//!    configurations — the reference `BTreeGrouping` shuffle on one
-//!    thread against the sort-based shuffle, sequential and with the
-//!    full host — and writes the wall-clock numbers (independent
-//!    samples per bench with their median and IQR) and the speedup
-//!    ratios of the medians to `BENCH_engines.json` at the repository
-//!    root so CI can assert the optimised data path never regresses.
+//! 2. A regression harness that times the seed's ordered-map data path
+//!    ([`ipso_bench::reference`], the `btree_seq` rows) against the
+//!    engine's sort-based shuffle, sequential and with the full host —
+//!    and writes the wall-clock numbers (independent samples per bench
+//!    with their median and IQR) and the speedup ratios of the medians
+//!    to `BENCH_engines.json` at the repository root so CI can assert
+//!    the optimised data path never regresses.
 
 use criterion::{black_box, criterion_group, Criterion};
-use ipso_bench::SweepRunner;
-use ipso_mapreduce::{Mapper, OutputScaling, Reducer, ShuffleImpl};
+use ipso_bench::{reference, SweepRunner};
+use ipso_mapreduce::{Mapper, OutputScaling, Reducer};
 use ipso_spark::run_job;
 use ipso_workloads::{bayes, sort, wordcount};
 use serde::Serialize;
@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 /// The seed's WordCount mapper, kept verbatim as the regression
 /// baseline: every token allocates a fresh `String` key.
-/// Paired with `ShuffleImpl::BTreeGrouping` this is exactly the
-/// pre-optimization data path.
+/// Run through [`reference::run`] this is exactly the pre-optimization
+/// data path.
 struct SeedWordCountMapper;
 
 impl Mapper for SeedWordCountMapper {
@@ -172,13 +172,10 @@ fn measure<T, F: FnMut() -> T>(mut f: F) -> Timing {
     }
 }
 
-/// The regression grid: (config label, shuffle implementation, threads).
+/// The regression grid: (config label, threads). `btree_seq` times the
+/// reference data path on one thread; the others time the engine, and
 /// `threads = 0` means every hardware thread.
-const CONFIGS: [(&str, ShuffleImpl, usize); 3] = [
-    ("btree_seq", ShuffleImpl::BTreeGrouping, 1),
-    ("sortmerge_seq", ShuffleImpl::SortMerge, 1),
-    ("sortmerge_par", ShuffleImpl::SortMerge, 0),
-];
+const CONFIGS: [(&str, usize); 3] = [("btree_seq", 1), ("sortmerge_seq", 1), ("sortmerge_par", 0)];
 
 /// Prints one bench's timing and wraps it in its record.
 fn record(
@@ -209,15 +206,19 @@ fn record(
 
 fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
     // MapReduce: sort and wordcount at MAP_TASKS map tasks, running the
-    // real record path through each shuffle/thread configuration.
-    for (config, shuffle, threads) in CONFIGS {
+    // real record path through each configuration.
+    for (config, threads) in CONFIGS {
+        let seed_path = config == "btree_seq";
         let mut spec = sort::job_spec(MAP_TASKS);
-        spec.shuffle = shuffle;
         spec.engine.threads = threads;
         let splits = sort::make_splits(MAP_TASKS, 1);
-        let timing = measure(|| {
-            ipso_mapreduce::run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits)
-        });
+        let timing = if seed_path {
+            measure(|| reference::run(&sort::SortMapper, &sort::SortReducer, &splits))
+        } else {
+            measure(|| {
+                ipso_mapreduce::run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits)
+            })
+        };
         records.push(record(
             format!("mapreduce_sort_n{MAP_TASKS}_{config}"),
             "mapreduce",
@@ -228,22 +229,14 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
         ));
 
         let mut wc_spec = wordcount::job_spec(MAP_TASKS);
-        wc_spec.shuffle = shuffle;
         wc_spec.engine.threads = threads;
         let wc_splits = wordcount::make_splits(MAP_TASKS, 1);
-        // The baseline configuration pairs the reference shuffle with the
-        // seed's allocating mapper — the true pre-optimization path; the
-        // optimized configurations use the shipping rank-keyed mapper.
+        // The baseline configuration pairs the reference data path with
+        // the seed's allocating mapper — the true pre-optimization path;
+        // the optimized configurations use the shipping rank-keyed mapper.
         let mapper = wordcount::WordCountMapper::new();
-        let timing = if shuffle == ShuffleImpl::BTreeGrouping {
-            measure(|| {
-                ipso_mapreduce::run_scale_out(
-                    &wc_spec,
-                    &SeedWordCountMapper,
-                    &SeedWordCountReducer,
-                    &wc_splits,
-                )
-            })
+        let timing = if seed_path {
+            measure(|| reference::run(&SeedWordCountMapper, &SeedWordCountReducer, &wc_splits))
         } else {
             measure(|| {
                 ipso_mapreduce::run_scale_out(
@@ -282,7 +275,7 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
 }
 
 /// Derives the speedup ratios the harness exists to defend, from the
-/// median timings: reference shuffle on one thread vs. the optimised
+/// median timings: the reference data path on one thread vs. the optimised
 /// path per MapReduce workload, and sequential vs. parallel Spark.
 fn speedups(records: &[BenchRecord]) -> Vec<SpeedupRecord> {
     let median = |workload: &str, config: &str| {

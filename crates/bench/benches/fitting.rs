@@ -3,9 +3,7 @@
 //! proposes could run online.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ipso_fit::{
-    fit_line, fit_polynomial, fit_power_law, fit_two_segment, levenberg_marquardt, NonlinearOptions,
-};
+use ipso_fit::{fit_line, fit_power_law, fit_two_segment, levenberg_marquardt, NonlinearOptions};
 
 fn data(n: usize) -> (Vec<f64>, Vec<f64>) {
     let xs: Vec<f64> = (1..=n).map(|v| v as f64).collect();
@@ -20,9 +18,6 @@ fn bench_linear(c: &mut Criterion) {
     let (xs, ys) = data(64);
     c.bench_function("fit_line_64", |b| {
         b.iter(|| fit_line(black_box(&xs), black_box(&ys)).expect("fits"))
-    });
-    c.bench_function("fit_polynomial_deg3_64", |b| {
-        b.iter(|| fit_polynomial(black_box(&xs), black_box(&ys), 3).expect("fits"))
     });
 }
 

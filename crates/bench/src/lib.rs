@@ -29,6 +29,7 @@ use std::path::{Path, PathBuf};
 
 pub mod experiments;
 pub mod parallel;
+pub mod reference;
 
 pub use experiments::Context;
 pub use parallel::{PointCtx, SweepRunner};

@@ -1,11 +1,10 @@
 //! The execution engines' parallelism contract, end to end: for ANY
-//! host thread count and either shuffle implementation, a MapReduce job
-//! produces bit-identical outputs, intermediate-volume accounting and
-//! `JobTrace`s to the sequential (`threads = 1`, sort-merge) run — the
-//! property the `--threads` flag and the sort-based shuffle rest on.
+//! host thread count, a MapReduce job produces bit-identical outputs,
+//! intermediate-volume accounting and `JobTrace`s to the single-threaded
+//! run — the property the `--threads` flag rests on.
 
 use ipso_cluster::JobTrace;
-use ipso_mapreduce::{run_scale_out, run_sequential, JobSpec, ShuffleImpl};
+use ipso_mapreduce::{run_scale_out, run_sequential, JobSpec};
 use ipso_workloads::{sort, terasort, wordcount};
 use proptest::prelude::*;
 
@@ -24,16 +23,9 @@ struct EngineFingerprint {
     seq_trace: JobTrace,
 }
 
-fn fingerprint(
-    workload: &str,
-    n: u32,
-    seed: u64,
-    threads: usize,
-    shuffle: ShuffleImpl,
-) -> EngineFingerprint {
+fn fingerprint(workload: &str, n: u32, seed: u64, threads: usize) -> EngineFingerprint {
     let configure = |mut spec: JobSpec| {
         spec.engine.threads = threads;
-        spec.shuffle = shuffle;
         spec
     };
     match workload {
@@ -107,24 +99,10 @@ proptest! {
         which in 0usize..3,
     ) {
         let workload = WORKLOADS[which];
-        let baseline = fingerprint(workload, n, seed, 1, ShuffleImpl::SortMerge);
-        let threaded = fingerprint(workload, n, seed, threads, ShuffleImpl::SortMerge);
+        let baseline = fingerprint(workload, n, seed, 1);
+        let threaded = fingerprint(workload, n, seed, threads);
         prop_assert_eq!(&threaded, &baseline);
         baseline.par_trace.check_invariants().expect("valid trace");
     }
 
-    /// The sort-based shuffle and the reference BTree grouping are
-    /// observationally equivalent, threaded or not.
-    #[test]
-    fn shuffle_impls_are_equivalent(
-        threads in 1usize..5,
-        n in 1u32..7,
-        seed in any::<u64>(),
-        which in 0usize..3,
-    ) {
-        let workload = WORKLOADS[which];
-        let fast = fingerprint(workload, n, seed, threads, ShuffleImpl::SortMerge);
-        let reference = fingerprint(workload, n, seed, threads, ShuffleImpl::BTreeGrouping);
-        prop_assert_eq!(fast, reference);
-    }
 }

@@ -60,12 +60,6 @@ impl TaskSchedule {
             .map(TaskRecord::duration)
             .fold(0.0, f64::max)
     }
-
-    /// Extra wall-clock time attributable to dispatch serialization:
-    /// the makespan minus what a zero-dispatch-cost schedule would take.
-    pub fn dispatch_induced_delay(&self, zero_dispatch_makespan: f64) -> f64 {
-        (self.makespan - zero_dispatch_makespan).max(0.0)
-    }
 }
 
 /// Runs `durations.len()` tasks over `executors` slots.
@@ -233,19 +227,6 @@ mod tests {
         let s100 = run_wave_schedule(&[0.0; 100], 100, &sched, SchedulerPolicy::Fifo);
         let s200 = run_wave_schedule(&[0.0; 200], 200, &sched, SchedulerPolicy::Fifo);
         assert!(s200.dispatch_total > 2.5 * s100.dispatch_total);
-    }
-
-    #[test]
-    fn dispatch_induced_delay_is_nonnegative() {
-        let sched = CentralScheduler {
-            base_dispatch: 0.5,
-            contention: 0.0,
-            job_setup: 0.0,
-        };
-        let s = run_wave_schedule(&[4.0, 4.0], 2, &sched, SchedulerPolicy::Fifo);
-        let zero = 4.0; // with free dispatch both run immediately
-        assert!(s.dispatch_induced_delay(zero) > 0.0);
-        assert_eq!(s.dispatch_induced_delay(1e9), 0.0);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! * [`spec`] — machine and cluster specifications (cores, memory, disk
 //!   and NIC bandwidth), with presets mirroring the paper's instances;
-//! * [`network`] — transfer-time models: point-to-point, serialized
-//!   master-side broadcast (the Orchestra/Collaborative-Filtering
-//!   bottleneck), and many-to-one shuffle with a TCP-incast penalty;
+//! * [`network`] — transfer-time models: serialized master-side
+//!   broadcast (the Orchestra/Collaborative-Filtering bottleneck) and
+//!   the receive goodput of a shuffle under a TCP-incast penalty;
 //! * [`scheduler`] — a centralized scheduler whose per-task dispatch cost
 //!   grows with cluster size (the Hadoop/Spark scheduling bottleneck);
 //! * [`memory`] — working-set versus capacity with spill-to-disk slowdown

@@ -115,14 +115,6 @@ impl JobTrace {
             .fold(None, |acc, d| Some(acc.map_or(d, |m: f64| m.max(d))))
     }
 
-    /// Mean map-task duration.
-    pub fn mean_task_duration(&self) -> Option<f64> {
-        if self.tasks.is_empty() {
-            return None;
-        }
-        Some(self.tasks.iter().map(TaskRecord::duration).sum::<f64>() / self.tasks.len() as f64)
-    }
-
     /// Checks the structural invariants every engine-produced trace must
     /// satisfy — the contract the parallel execution paths are tested
     /// against:
@@ -253,7 +245,6 @@ mod tests {
     fn task_statistics() {
         let t = trace();
         assert_eq!(t.max_task_duration(), Some(10.0));
-        assert!((t.mean_task_duration().unwrap() - 9.0).abs() < 1e-12);
         assert_eq!(t.tasks[1].duration(), 10.0);
     }
 
@@ -261,7 +252,6 @@ mod tests {
     fn empty_trace_is_safe() {
         let t = JobTrace::default();
         assert_eq!(t.max_task_duration(), None);
-        assert_eq!(t.mean_task_duration(), None);
         assert_eq!(t.total_time(), 0.0);
     }
 

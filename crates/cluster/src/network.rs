@@ -1,15 +1,14 @@
 //! Network transfer-time models.
 //!
-//! Three patterns dominate the paper's case studies:
+//! Two patterns dominate the paper's case studies:
 //!
-//! * **point-to-point** — a plain `bytes / bandwidth` transfer;
 //! * **broadcast** — the master pushes the same payload to every worker.
 //!   Without a broadcast tree the master NIC serializes the `n` unicasts,
 //!   so the cost grows *linearly in `n`* — exactly the overhead that gives
 //!   Collaborative Filtering its `q(n) ∝ n²` pathology (\[12\], Fig. 8);
-//! * **shuffle / incast** — `n` mappers push to one reducer. Beyond raw
-//!   bytes the reducer suffers TCP incast collapse as fan-in grows (\[13\]),
-//!   modelled as a goodput penalty increasing with `n`.
+//! * **shuffle / incast** — `n` senders push to one receiver. Beyond raw
+//!   bytes the receiver suffers TCP incast collapse as fan-in grows
+//!   (\[13\]), modelled as a goodput penalty increasing with `n`.
 
 use serde::{Deserialize, Serialize};
 
@@ -47,12 +46,6 @@ impl NetworkModel {
         }
     }
 
-    /// Point-to-point transfer time for `bytes` between two workers.
-    pub fn p2p_time(&self, bytes: u64) -> f64 {
-        ipso_obs::counter_add("network.p2p_transfers", 1);
-        self.latency + bytes as f64 / self.worker_bandwidth
-    }
-
     /// Time for the master to broadcast `bytes` to `n` workers.
     ///
     /// Serialized unicast: `n · (latency + bytes/master_bw)` — linear in
@@ -74,22 +67,6 @@ impl NetworkModel {
         }
     }
 
-    /// Time for `n` senders to deliver `bytes_per_sender` each into a
-    /// single receiver (the single-reducer shuffle), including the incast
-    /// goodput penalty.
-    pub fn incast_shuffle_time(&self, bytes_per_sender: u64, n: u32) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        if ipso_obs::enabled() {
-            ipso_obs::counter_add("network.incast_shuffles", 1);
-            ipso_obs::counter_add("network.shuffle_bytes", bytes_per_sender * u64::from(n));
-        }
-        let total = bytes_per_sender as f64 * n as f64;
-        let goodput = self.worker_bandwidth / (1.0 + self.incast_coefficient * (n as f64 - 1.0));
-        self.latency + total / goodput
-    }
-
     /// Effective receive goodput (bytes/s) at fan-in `n`.
     pub fn incast_goodput(&self, n: u32) -> f64 {
         self.worker_bandwidth / (1.0 + self.incast_coefficient * (n.max(1) as f64 - 1.0))
@@ -103,14 +80,6 @@ mod tests {
 
     fn model() -> NetworkModel {
         NetworkModel::from_cluster(&ClusterSpec::emr(8))
-    }
-
-    #[test]
-    fn p2p_is_bandwidth_bound() {
-        let m = model();
-        let t = m.p2p_time(56 * MIB);
-        // ~56 MiB at 56.25 MB/s ≈ 1.04 s.
-        assert!((1.0..1.2).contains(&t), "t = {t}");
     }
 
     #[test]
@@ -141,30 +110,16 @@ mod tests {
     }
 
     #[test]
-    fn incast_penalty_grows_with_fanin() {
+    fn incast_goodput_falls_with_fanin() {
         let m = model();
-        // Same total bytes, split among more senders: incast makes wider
-        // fan-in slower.
-        let narrow = m.incast_shuffle_time(64 * MIB, 4);
-        let wide = m.incast_shuffle_time(16 * MIB, 16);
-        assert!(wide > narrow, "wide = {wide}, narrow = {narrow}");
         assert!(m.incast_goodput(16) < m.incast_goodput(4));
+        assert_eq!(m.incast_goodput(1), m.worker_bandwidth);
     }
 
     #[test]
     fn zero_incast_coefficient_disables_penalty() {
         let mut m = model();
         m.incast_coefficient = 0.0;
-        let narrow = m.incast_shuffle_time(64 * MIB, 4);
-        let wide = m.incast_shuffle_time(16 * MIB, 16);
-        assert!((narrow - wide).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shuffle_scales_with_total_bytes() {
-        let m = model();
-        let t1 = m.incast_shuffle_time(10 * MIB, 8);
-        let t2 = m.incast_shuffle_time(20 * MIB, 8);
-        assert!(t2 > 1.9 * t1 && t2 < 2.1 * t1);
+        assert_eq!(m.incast_goodput(16), m.incast_goodput(1));
     }
 }

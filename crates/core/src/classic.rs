@@ -161,6 +161,28 @@ mod tests {
     }
 
     #[test]
+    fn sun_ni_with_sqrt_memory_sits_between_amdahl_and_gustafson() {
+        let eta = 0.9;
+        for n in [4.0, 64.0, 1024.0] {
+            let s = sun_ni(eta, n, f64::sqrt).unwrap();
+            let a = amdahl(eta, n).unwrap();
+            let g = gustafson(eta, n).unwrap();
+            assert!(s >= a - 1e-9, "n = {n}: sun-ni {s} < amdahl {a}");
+            assert!(s <= g + 1e-9, "n = {n}: sun-ni {s} > gustafson {g}");
+        }
+    }
+
+    #[test]
+    fn sqrt_external_factor_in_the_model_is_sun_ni() {
+        let model = IpsoModel::builder(0.9)
+            .external(crate::factors::ScalingFactor::power(1.0, 0.5))
+            .build()
+            .unwrap();
+        let direct = sun_ni(0.9, 64.0, f64::sqrt).unwrap();
+        assert!((model.speedup(64.0).unwrap() - direct).abs() < 1e-9);
+    }
+
+    #[test]
     fn models_match_closed_forms() {
         let am = amdahl_model(0.7).unwrap();
         let gm = gustafson_model(0.7).unwrap();

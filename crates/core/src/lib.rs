@@ -62,7 +62,6 @@
 //! * [`provision`] — speedup-versus-cost provisioning (Section I/VI).
 //! * [`multiround`] — multi-round jobs with a shared scale-out degree
 //!   (Section III).
-//! * [`memory_bounded`] — Sun-Ni's `g(n)` derived from memory footprints.
 //! * [`sensitivity`] — parameter elasticities of the asymptotic speedup.
 
 pub mod asymptotic;
@@ -73,7 +72,6 @@ pub mod error;
 pub mod estimate;
 pub mod factors;
 pub mod measurement;
-pub mod memory_bounded;
 pub mod model;
 pub mod multiround;
 pub mod predict;

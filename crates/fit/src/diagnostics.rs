@@ -89,29 +89,6 @@ pub fn residuals(observed: &[f64], predicted: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Mean absolute percentage error (in percent). Points where the observation
-/// is zero are skipped; returns `None` when every observation is zero.
-pub fn mape(observed: &[f64], predicted: &[f64]) -> Option<f64> {
-    assert_eq!(
-        observed.len(),
-        predicted.len(),
-        "observed/predicted length mismatch"
-    );
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for (y, yhat) in observed.iter().zip(predicted) {
-        if *y != 0.0 {
-            sum += ((y - yhat) / y).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        None
-    } else {
-        Some(100.0 * sum / count as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,13 +137,6 @@ mod tests {
     fn residuals_are_signed() {
         let r = residuals(&[3.0, 1.0], &[1.0, 3.0]);
         assert_eq!(r, vec![2.0, -2.0]);
-    }
-
-    #[test]
-    fn mape_skips_zero_observations() {
-        let m = mape(&[0.0, 10.0], &[5.0, 9.0]).unwrap();
-        assert!((m - 10.0).abs() < 1e-12);
-        assert_eq!(mape(&[0.0], &[1.0]), None);
     }
 
     #[test]

@@ -9,14 +9,11 @@
 //! toolkit from scratch:
 //!
 //! * [`linear`] — ordinary least squares for `y = a + b·x` with diagnostics.
-//! * [`polynomial`] — polynomial least squares of arbitrary degree.
-//! * [`powerlaw`] — power-law fits `y = a·x^b` (log–log OLS) and
-//!   `y = a·x^b + c` (nonlinear).
+//! * [`powerlaw`] — power-law fits `y = a·x^b` (log–log OLS).
 //! * [`segmented`] — two-segment linear regression with changepoint search,
 //!   used for the step-wise internal scaling of TeraSort (paper Fig. 5).
 //! * [`nonlinear`] — Gauss–Newton and Levenberg–Marquardt solvers with
 //!   numeric Jacobians for arbitrary parametric models.
-//! * [`select`] — AICc-based model selection across candidate families.
 //! * [`matrix`] — the small dense linear-algebra kernel backing the solvers.
 //! * [`diagnostics`] — R², adjusted R², RMSE and residual helpers.
 //!
@@ -41,15 +38,11 @@ pub mod error;
 pub mod linear;
 pub mod matrix;
 pub mod nonlinear;
-pub mod polynomial;
 pub mod powerlaw;
 pub mod segmented;
-pub mod select;
 
 pub use error::FitError;
-pub use linear::{fit_line, fit_line_through_origin, LineFit};
+pub use linear::{fit_line, LineFit};
 pub use nonlinear::{levenberg_marquardt, NonlinearFit, NonlinearOptions};
-pub use polynomial::{fit_polynomial, PolynomialFit};
-pub use powerlaw::{fit_power_law, fit_power_law_offset, PowerLawFit};
+pub use powerlaw::{fit_power_law, PowerLawFit};
 pub use segmented::{fit_two_segment, TwoSegmentFit};
-pub use select::{select_model, Candidate, ModelFamily};

@@ -24,7 +24,7 @@ use crate::FitError;
 pub struct LineFit {
     /// Fitted slope.
     pub slope: f64,
-    /// Fitted intercept (zero for [`fit_line_through_origin`]).
+    /// Fitted intercept.
     pub intercept: f64,
     /// Standard error of the slope estimate.
     pub slope_stderr: f64,
@@ -75,35 +75,6 @@ pub fn fit_line(x: &[f64], y: &[f64]) -> Result<LineFit, FitError> {
     })
 }
 
-/// Fits `y = b·x` (a line through the origin) by least squares.
-///
-/// Useful for external-scaling factors which satisfy `EX(1) = 1` and are
-/// expected to be proportional to `n`.
-///
-/// # Errors
-///
-/// Returns an error on mismatched input, fewer than one point, non-finite
-/// values, or all-zero `x` ([`FitError::Singular`]).
-pub fn fit_line_through_origin(x: &[f64], y: &[f64]) -> Result<LineFit, FitError> {
-    validate_xy(x, y, 1)?;
-    let sxx: f64 = x.iter().map(|v| v * v).sum();
-    if sxx < 1e-18 {
-        return Err(FitError::Singular);
-    }
-    let sxy: f64 = x.iter().zip(y).map(|(xv, yv)| xv * yv).sum();
-    let slope = sxy / sxx;
-    let predicted: Vec<f64> = x.iter().map(|&xv| slope * xv).collect();
-    let gof = GoodnessOfFit::from_predictions(y, &predicted, 1);
-    let dof = (x.len() as f64 - 1.0).max(1.0);
-    let slope_stderr = (gof.ss_res / dof / sxx).sqrt();
-    Ok(LineFit {
-        slope,
-        intercept: 0.0,
-        slope_stderr,
-        gof,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,21 +108,6 @@ mod tests {
     #[test]
     fn identical_x_is_singular() {
         let err = fit_line(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).unwrap_err();
-        assert_eq!(err, FitError::Singular);
-    }
-
-    #[test]
-    fn through_origin_recovers_slope() {
-        let x = [1.0, 2.0, 4.0, 8.0];
-        let y = [1.5, 3.0, 6.0, 12.0];
-        let fit = fit_line_through_origin(&x, &y).unwrap();
-        assert!((fit.slope - 1.5).abs() < 1e-12);
-        assert_eq!(fit.intercept, 0.0);
-    }
-
-    #[test]
-    fn through_origin_rejects_all_zero_x() {
-        let err = fit_line_through_origin(&[0.0, 0.0], &[1.0, 2.0]).unwrap_err();
         assert_eq!(err, FitError::Singular);
     }
 

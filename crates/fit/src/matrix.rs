@@ -244,19 +244,6 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Solves the normal equations `(Xᵀ·X)·β = Xᵀ·y` for least squares.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FitError::Singular`] / [`FitError::NonFinite`] from
-    /// [`Matrix::solve`].
-    pub fn least_squares(design: &Matrix, y: &Matrix) -> Result<Matrix, FitError> {
-        let xt = design.transpose();
-        let xtx = xt.mul(design);
-        let xty = xt.mul(y);
-        xtx.solve(&xty)
-    }
-
     /// Returns the contents of a single-column matrix as a `Vec<f64>`.
     ///
     /// # Panics
@@ -315,21 +302,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         let b = Matrix::column(&[1.0, 2.0]);
         assert_eq!(a.solve(&b).unwrap_err(), FitError::Singular);
-    }
-
-    #[test]
-    fn least_squares_recovers_exact_line() {
-        // y = 3 + 2x sampled at x = 0..5, design matrix [1, x].
-        let xs: Vec<f64> = (0..5).map(|v| v as f64).collect();
-        let rows: Vec<Vec<f64>> = xs.iter().map(|&x| vec![1.0, x]).collect();
-        let row_refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let design = Matrix::from_rows(&row_refs);
-        let y = Matrix::column(&xs.iter().map(|&x| 3.0 + 2.0 * x).collect::<Vec<_>>());
-        let beta = Matrix::least_squares(&design, &y)
-            .unwrap()
-            .into_column_vec();
-        assert!((beta[0] - 3.0).abs() < 1e-10);
-        assert!((beta[1] - 2.0).abs() < 1e-10);
     }
 
     #[test]

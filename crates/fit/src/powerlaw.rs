@@ -6,26 +6,23 @@
 
 use crate::diagnostics::GoodnessOfFit;
 use crate::error::validate_xy;
-use crate::nonlinear::{levenberg_marquardt, NonlinearOptions};
 use crate::{fit_line, FitError};
 
-/// Result of fitting `y = a·x^b` (optionally with additive offset `c`).
+/// Result of fitting `y = a·x^b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
     /// Multiplicative coefficient `a` (the paper's α or β).
     pub coefficient: f64,
     /// Exponent `b` (the paper's δ or γ).
     pub exponent: f64,
-    /// Additive offset `c`; zero for the plain power-law fit.
-    pub offset: f64,
     /// Goodness-of-fit statistics in the original (non-log) domain.
     pub gof: GoodnessOfFit,
 }
 
 impl PowerLawFit {
-    /// Evaluates `a·x^b + c` at `x`.
+    /// Evaluates `a·x^b` at `x`.
     pub fn predict(&self, x: f64) -> f64 {
-        self.coefficient * x.powf(self.exponent) + self.offset
+        self.coefficient * x.powf(self.exponent)
     }
 }
 
@@ -75,46 +72,6 @@ pub fn fit_power_law(x: &[f64], y: &[f64]) -> Result<PowerLawFit, FitError> {
     Ok(PowerLawFit {
         coefficient,
         exponent,
-        offset: 0.0,
-        gof,
-    })
-}
-
-/// Fits `y = a·x^b + c` by Levenberg–Marquardt, seeded from the plain
-/// log–log fit.
-///
-/// # Errors
-///
-/// Returns the validation errors of [`fit_power_law`] (the seed fit ignores
-/// non-positive `y` by falling back to a generic seed) or a solver error
-/// from [`levenberg_marquardt`].
-pub fn fit_power_law_offset(x: &[f64], y: &[f64]) -> Result<PowerLawFit, FitError> {
-    validate_xy(x, y, 3)?;
-    if x.iter().any(|&v| v <= 0.0) {
-        return Err(FitError::InvalidDomain(
-            "x must be strictly positive for a power-law fit",
-        ));
-    }
-    let seed = match fit_power_law(x, y) {
-        Ok(f) => vec![f.coefficient, f.exponent, 0.0],
-        Err(_) => vec![1.0, 1.0, 0.0],
-    };
-    let fit = levenberg_marquardt(
-        |p, xv| p[0] * xv.powf(p[1]) + p[2],
-        x,
-        y,
-        &seed,
-        &NonlinearOptions::default(),
-    )?;
-    let predicted: Vec<f64> = x
-        .iter()
-        .map(|&xv| fit.params[0] * xv.powf(fit.params[1]) + fit.params[2])
-        .collect();
-    let gof = GoodnessOfFit::from_predictions(y, &predicted, 3);
-    Ok(PowerLawFit {
-        coefficient: fit.params[0],
-        exponent: fit.params[1],
-        offset: fit.params[2],
         gof,
     })
 }
@@ -130,7 +87,6 @@ mod tests {
         let fit = fit_power_law(&x, &y).unwrap();
         assert!((fit.coefficient - 2.5).abs() < 1e-10);
         assert!((fit.exponent - 1.3).abs() < 1e-12);
-        assert_eq!(fit.offset, 0.0);
     }
 
     #[test]
@@ -155,28 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn offset_variant_recovers_additive_constant() {
-        let x: Vec<f64> = (1..=15).map(|v| v as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| 0.4 * v.powf(1.5) + 7.0).collect();
-        let fit = fit_power_law_offset(&x, &y).unwrap();
-        assert!(
-            (fit.coefficient - 0.4).abs() < 1e-4,
-            "a = {}",
-            fit.coefficient
-        );
-        assert!((fit.exponent - 1.5).abs() < 1e-4, "b = {}", fit.exponent);
-        assert!((fit.offset - 7.0).abs() < 1e-3, "c = {}", fit.offset);
-    }
-
-    #[test]
-    fn predict_includes_offset() {
+    fn predict_evaluates_the_power_law() {
         let fit = PowerLawFit {
             coefficient: 2.0,
             exponent: 1.0,
-            offset: 3.0,
             gof: GoodnessOfFit::from_predictions(&[1.0], &[1.0], 1),
         };
-        assert!((fit.predict(5.0) - 13.0).abs() < 1e-12);
+        assert!((fit.predict(5.0) - 10.0).abs() < 1e-12);
     }
 
     #[test]

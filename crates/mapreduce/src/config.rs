@@ -7,23 +7,6 @@ use ipso_cluster::{
 
 use crate::cost::JobCostModel;
 
-/// Which shuffle/grouping implementation the engine's data path uses.
-///
-/// Both implementations produce byte-identical outputs, traces, and
-/// intermediate-volume accounting; they differ only in host-side speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShuffleImpl {
-    /// Sort-based shuffle: flat pair buffer, one stable sort per task,
-    /// combine streamed over sorted runs, loser-tree k-way merge on the
-    /// reduce side. The default and the fast path.
-    #[default]
-    SortMerge,
-    /// The original `BTreeMap`-per-key grouping with a rebuilt merged
-    /// map on the reduce side. Kept as the reference implementation for
-    /// the benchmark regression harness and equivalence tests.
-    BTreeGrouping,
-}
-
 /// Full configuration of one MapReduce job execution.
 ///
 /// # Example
@@ -66,8 +49,6 @@ pub struct JobSpec {
     /// Host-side execution knobs (map-wave thread count). Never affects
     /// outputs or traces, only how fast the host executes them.
     pub engine: EngineOptions,
-    /// Shuffle/grouping implementation of the data path.
-    pub shuffle: ShuffleImpl,
     /// Fault injection model. Disabled by default; when disabled the run
     /// consumes zero extra RNG draws, so traces match fault-free builds
     /// byte for byte.
@@ -95,7 +76,6 @@ impl JobSpec {
             cost: JobCostModel::io_bound(),
             pipelined_shuffle: false,
             engine: EngineOptions::default(),
-            shuffle: ShuffleImpl::default(),
             faults: FaultModel::none(),
             recovery: RecoveryPolicy::hadoop_like(),
             seed: 42,

@@ -43,19 +43,6 @@ impl JobCostModel {
         }
     }
 
-    /// A CPU-heavy profile (WordCount-like): mapping is slower per byte,
-    /// reduce input is tiny.
-    pub fn cpu_bound() -> JobCostModel {
-        JobCostModel {
-            map_rate: 40.0e6,
-            shuffle_rate: 90.0e6,
-            merge_rate: 45.0e6,
-            reduce_rate: 120.0e6,
-            seq_init: 2.0,
-            serial_setup: 1.0,
-        }
-    }
-
     /// Validates rate ranges.
     ///
     /// # Errors
@@ -117,9 +104,8 @@ mod tests {
     const MIB: u64 = 1024 * 1024;
 
     #[test]
-    fn presets_validate() {
+    fn preset_validates() {
         assert!(JobCostModel::io_bound().validate().is_ok());
-        assert!(JobCostModel::cpu_bound().validate().is_ok());
     }
 
     #[test]

@@ -27,14 +27,12 @@
 //!   group; a key that lives in a single run is reduced straight off
 //!   that run's value buffer, copy-free.
 //!
-//! The original double `BTreeMap` grouping survives, faithfully, as
-//! [`ShuffleImpl::BTreeGrouping`] so the benchmark regression harness
-//! can measure the before/after and tests can assert equivalence.
-
-use std::collections::BTreeMap;
+//! The seed's ordered-map grouping lives on outside the engine, as
+//! `ipso_bench::reference`: the engines bench times it as the baseline
+//! and the oracle tests check this path against it.
 
 use crate::api::{Mapper, OutputScaling, Reducer};
-use crate::config::{JobSpec, ShuffleImpl};
+use crate::config::JobSpec;
 use crate::split::InputSplit;
 
 /// The per-task result of the (real) map-side computation: a run sorted
@@ -56,81 +54,46 @@ pub(crate) struct MappedTask<K, V> {
 pub(crate) fn execute_map_task<M>(
     mapper: &M,
     split: &InputSplit<M::Input>,
-    shuffle: ShuffleImpl,
 ) -> MappedTask<M::Key, M::Value>
 where
     M: Mapper,
 {
     use crate::api::Sizeable;
 
-    // The reference path keeps the seed's unsized buffer so the
-    // regression benchmarks measure the original allocation behaviour.
-    let mut pairs: Vec<(M::Key, M::Value)> = match shuffle {
-        ShuffleImpl::SortMerge => Vec::with_capacity(split.records.len()),
-        ShuffleImpl::BTreeGrouping => Vec::new(),
-    };
+    let mut pairs: Vec<(M::Key, M::Value)> = Vec::with_capacity(split.records.len());
     mapper.map_split(&split.records, &mut |k, v| pairs.push((k, v)));
 
+    // The map-side sort: one stable sort of the flat buffer (so
+    // order-sensitive reducers see values in emission order), then
+    // combine streamed over the sorted runs in a single pass through one
+    // reused scratch group.
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
     let mut keys: Vec<M::Key> = Vec::new();
     let mut ends: Vec<u32> = Vec::new();
-    let mut values: Vec<M::Value> = Vec::new();
+    let mut values: Vec<M::Value> = Vec::with_capacity(pairs.len());
     let mut sample_out_bytes: u64 = 0;
-
-    match shuffle {
-        ShuffleImpl::SortMerge => {
-            // The map-side sort: one stable sort of the flat buffer (so
-            // order-sensitive reducers see values in emission order, as
-            // the grouping path produced them), then combine streamed
-            // over the sorted runs in a single pass through one reused
-            // scratch group.
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            values.reserve(pairs.len());
-            let mut flush = |key: M::Key, group: &mut Vec<M::Value>| {
-                mapper.combine(&key, group);
-                for v in group.iter() {
-                    sample_out_bytes += key.size_bytes() + v.size_bytes();
-                }
-                keys.push(key);
-                values.append(group);
-                ends.push(values.len() as u32);
-            };
-            let mut pairs = pairs.into_iter();
-            if let Some((first_k, first_v)) = pairs.next() {
-                let mut key = first_k;
-                let mut group = vec![first_v];
-                for (k, v) in pairs {
-                    if k == key {
-                        group.push(v);
-                    } else {
-                        flush(std::mem::replace(&mut key, k), &mut group);
-                        group.push(v);
-                    }
-                }
-                flush(key, &mut group);
+    let mut flush = |key: M::Key, group: &mut Vec<M::Value>| {
+        mapper.combine(&key, group);
+        for v in group.iter() {
+            sample_out_bytes += key.size_bytes() + v.size_bytes();
+        }
+        keys.push(key);
+        values.append(group);
+        ends.push(values.len() as u32);
+    };
+    let mut pairs = pairs.into_iter();
+    if let Some((first_k, first_v)) = pairs.next() {
+        let mut key = first_k;
+        let mut group = vec![first_v];
+        for (k, v) in pairs {
+            if k == key {
+                group.push(v);
+            } else {
+                flush(std::mem::replace(&mut key, k), &mut group);
+                group.push(v);
             }
         }
-        ShuffleImpl::BTreeGrouping => {
-            // Reference path, kept faithful to the seed: group through a
-            // per-key tree, combine into a second rebuilt tree, then
-            // marshal into the run container.
-            let mut groups: BTreeMap<M::Key, Vec<M::Value>> = BTreeMap::new();
-            for (k, v) in pairs {
-                groups.entry(k).or_default().push(v);
-            }
-            let mut combined: BTreeMap<M::Key, Vec<M::Value>> = BTreeMap::new();
-            for (k, mut vs) in groups {
-                mapper.combine(&k, &mut vs);
-                for v in &vs {
-                    sample_out_bytes += k.size_bytes() + v.size_bytes();
-                }
-                combined.insert(k, vs);
-            }
-            for (k, vs) in combined {
-                keys.push(k);
-                values.extend(vs);
-                ends.push(values.len() as u32);
-            }
-        }
+        flush(key, &mut group);
     }
 
     let nominal_out_bytes = match mapper.output_scaling() {
@@ -160,7 +123,7 @@ where
     M::Value: Send,
 {
     ipso_sim::par::ordered_map_indexed(spec.engine.threads, splits.len(), |i| {
-        execute_map_task(mapper, &splits[i], spec.shuffle)
+        execute_map_task(mapper, &splits[i])
     })
 }
 
@@ -174,8 +137,8 @@ struct RunSource<K, V> {
 }
 
 /// Whether run `a`'s head merges before run `b`'s: smallest key first,
-/// ties broken by task index so values merge in task order exactly as
-/// the sequential grouping path appended them. An exhausted run (`None`)
+/// ties broken by task index so values merge in task order, as the
+/// seed's grouping appended them. An exhausted run (`None`)
 /// sorts after every live one.
 fn run_precedes<K: Ord>(heads: &[Option<K>], a: usize, b: usize) -> bool {
     match (&heads[a], &heads[b]) {
@@ -240,92 +203,65 @@ impl LoserTree {
 }
 
 /// Merges all tasks' sorted runs and runs the reducer for real.
+///
+/// K-way merge over the per-task runs: a loser tree over one head key
+/// per task picks the next group, and the new winner's head tells
+/// whether the key continues in another run. A key that lives in a
+/// single run is reduced directly from that run's value buffer; equal
+/// keys across tasks are coalesced into one reused scratch group in task
+/// order.
 pub(crate) fn execute_reduce<R>(
     reducer: &R,
     tasks: Vec<MappedTask<R::Key, R::Value>>,
-    shuffle: ShuffleImpl,
 ) -> (Vec<R::Output>, u64)
 where
     R: Reducer,
 {
     let mut reduce_input_bytes: u64 = 0;
     let mut output = Vec::new();
-
-    match shuffle {
-        ShuffleImpl::SortMerge => {
-            // K-way merge over the per-task runs: a loser tree over one
-            // head key per task picks the next group, and the new
-            // winner's head tells whether the key continues in another
-            // run. A key that lives in a single run is reduced directly
-            // from that run's value buffer; equal keys across tasks are
-            // coalesced into one reused scratch group in task order.
-            let mut heads: Vec<Option<R::Key>> = Vec::with_capacity(tasks.len());
-            let mut sources: Vec<RunSource<R::Key, R::Value>> = tasks
-                .into_iter()
-                .map(|t| {
-                    reduce_input_bytes += t.nominal_out_bytes;
-                    let mut keys = t.keys.into_iter();
-                    heads.push(keys.next());
-                    RunSource {
-                        keys,
-                        ends: t.ends.into_iter(),
-                        values: t.values,
-                        pos: 0,
-                    }
-                })
-                .collect();
-            if sources.is_empty() {
-                return (output, reduce_input_bytes);
+    let mut heads: Vec<Option<R::Key>> = Vec::with_capacity(tasks.len());
+    let mut sources: Vec<RunSource<R::Key, R::Value>> = tasks
+        .into_iter()
+        .map(|t| {
+            reduce_input_bytes += t.nominal_out_bytes;
+            let mut keys = t.keys.into_iter();
+            heads.push(keys.next());
+            RunSource {
+                keys,
+                ends: t.ends.into_iter(),
+                values: t.values,
+                pos: 0,
             }
-            let mut tree = LoserTree::new(&heads);
-            let mut scratch: Vec<R::Value> = Vec::new();
-            loop {
-                let task = tree.winner();
-                // The winner is exhausted only once every run is.
-                let Some(key) = heads[task].take() else { break };
-                let src = &mut sources[task];
-                let start = src.pos;
-                let end = src.ends.next().expect("ends parallel to keys") as usize;
-                src.pos = end;
-                heads[task] = src.keys.next();
-                tree.replay(&heads);
-                let key_continues = heads[tree.winner()].as_ref() == Some(&key);
-                if !key_continues && scratch.is_empty() {
-                    // Sole-run key: reduce straight off the run, no copy.
-                    reducer.reduce(&key, &sources[task].values[start..end], &mut |o| {
-                        output.push(o);
-                    });
-                } else {
-                    scratch.extend_from_slice(&sources[task].values[start..end]);
-                    if !key_continues {
-                        reducer.reduce(&key, &scratch, &mut |o| output.push(o));
-                        scratch.clear();
-                    }
-                }
-            }
-        }
-        ShuffleImpl::BTreeGrouping => {
-            // Reference path, faithful to the seed: rebuild one merged
-            // map, then reduce.
-            let mut merged: BTreeMap<R::Key, Vec<R::Value>> = BTreeMap::new();
-            for t in tasks {
-                reduce_input_bytes += t.nominal_out_bytes;
-                let mut vals = t.values.into_iter();
-                let mut pos: usize = 0;
-                for (k, end) in t.keys.into_iter().zip(t.ends) {
-                    let end = end as usize;
-                    merged
-                        .entry(k)
-                        .or_default()
-                        .extend(vals.by_ref().take(end - pos));
-                    pos = end;
-                }
-            }
-            for (k, vs) in &merged {
-                reducer.reduce(k, vs, &mut |o| output.push(o));
+        })
+        .collect();
+    if sources.is_empty() {
+        return (output, reduce_input_bytes);
+    }
+    let mut tree = LoserTree::new(&heads);
+    let mut scratch: Vec<R::Value> = Vec::new();
+    loop {
+        let task = tree.winner();
+        // The winner is exhausted only once every run is.
+        let Some(key) = heads[task].take() else { break };
+        let src = &mut sources[task];
+        let start = src.pos;
+        let end = src.ends.next().expect("ends parallel to keys") as usize;
+        src.pos = end;
+        heads[task] = src.keys.next();
+        tree.replay(&heads);
+        let key_continues = heads[tree.winner()].as_ref() == Some(&key);
+        if !key_continues && scratch.is_empty() {
+            // Sole-run key: reduce straight off the run, no copy.
+            reducer.reduce(&key, &sources[task].values[start..end], &mut |o| {
+                output.push(o);
+            });
+        } else {
+            scratch.extend_from_slice(&sources[task].values[start..end]);
+            if !key_continues {
+                reducer.reduce(&key, &scratch, &mut |o| output.push(o));
+                scratch.clear();
             }
         }
     }
-
     (output, reduce_input_bytes)
 }

@@ -207,7 +207,7 @@ where
     let slowdown = spec.reducer_memory.slowdown(total_intermediate);
     let merge = spec.cost.serial_setup + spec.cost.merge_time(total_intermediate) * slowdown;
 
-    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped, spec.shuffle);
+    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped);
     let reduce = spec.cost.reduce_time(reduce_input_bytes) * slowdown;
 
     // Scale-out-only overheads, attributed by the runtime: extra job
@@ -339,7 +339,7 @@ where
     // host: the real record processing still uses the map wave.
     let mapped = execute_map_tasks(mapper, splits, spec);
     let total_intermediate = mapped.iter().map(|t| t.nominal_out_bytes).sum();
-    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped, spec.shuffle);
+    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped);
     JobRun {
         trace: sequential_trace(spec, splits, total_intermediate, reduce_input_bytes),
         output,
@@ -390,7 +390,6 @@ fn sequential_trace<I>(
 mod tests {
     use super::*;
     use crate::api::{OutputScaling, Sizeable};
-    use crate::config::ShuffleImpl;
 
     /// A sort-style identity job over u64 records.
     struct IdMap;
@@ -533,29 +532,6 @@ mod tests {
         spec.seed = 7;
         let b = run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100));
         assert_ne!(a.trace.phases.map, b.trace.phases.map);
-    }
-
-    #[test]
-    fn shuffle_impls_are_equivalent() {
-        let mut spec = JobSpec::emr("sort", 4);
-        let s = splits(4, 200);
-        spec.shuffle = ShuffleImpl::SortMerge;
-        let fast = run_scale_out(&spec, &IdMap, &IdReduce, &s);
-        spec.shuffle = ShuffleImpl::BTreeGrouping;
-        let reference = run_scale_out(&spec, &IdMap, &IdReduce, &s);
-        assert_eq!(fast.output, reference.output);
-        assert_eq!(fast.reduce_input_bytes, reference.reduce_input_bytes);
-        assert_eq!(fast.trace, reference.trace);
-
-        let mut spec = JobSpec::emr("count", 3);
-        let s = splits(3, 500);
-        spec.shuffle = ShuffleImpl::SortMerge;
-        let fast = run_scale_out(&spec, &CountMap, &SumReduce, &s);
-        spec.shuffle = ShuffleImpl::BTreeGrouping;
-        let reference = run_scale_out(&spec, &CountMap, &SumReduce, &s);
-        assert_eq!(fast.output, reference.output);
-        assert_eq!(fast.reduce_input_bytes, reference.reduce_input_bytes);
-        assert_eq!(fast.trace, reference.trace);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod plan;
 pub mod split;
 
 pub use api::{Mapper, OutputScaling, Reducer, Sizeable};
-pub use config::{JobSpec, ShuffleImpl};
+pub use config::JobSpec;
 pub use cost::JobCostModel;
 pub use engine::{run_scale_out, run_sequential, try_run_scale_out, JobRun};
 pub use measure::{measurement_from_runs, ScalingSweep};

@@ -12,8 +12,7 @@
 //! * [`par`] — deterministic index-ordered fan-out over host threads;
 //! * [`rng`] — seeded random-number helpers so every simulated experiment
 //!   is reproducible run-to-run;
-//! * [`special`] — special functions for the analytic straggler models;
-//! * [`stats`] — percentile helper for metrics.
+//! * [`special`] — special functions for the analytic straggler models.
 //!
 //! # Example
 //!
@@ -33,12 +32,10 @@ pub mod par;
 pub mod resource;
 pub mod rng;
 pub mod special;
-pub mod stats;
 pub mod time;
 
 pub use par::{ordered_map_indexed, resolve_threads};
 pub use resource::{FifoServer, ServerPool};
 pub use rng::{stream_seed, SimRng};
 pub use special::{harmonic, ln_beta, ln_gamma, pareto_expected_max};
-pub use stats::percentile;
 pub use time::SimTime;

@@ -44,13 +44,6 @@ pub struct Grant {
     pub finish: SimTime,
 }
 
-impl Grant {
-    /// Queueing delay experienced before service began.
-    pub fn queueing_delay(&self, submitted: SimTime) -> f64 {
-        self.start - submitted
-    }
-}
-
 impl FifoServer {
     /// Creates an idle server.
     pub fn new() -> Self {
@@ -188,7 +181,6 @@ mod tests {
         let g3 = s.submit(SimTime::from_secs(5.0), 1.0);
         assert_eq!(g1.start, SimTime::ZERO);
         assert_eq!(g2.start.as_secs(), 1.0);
-        assert_eq!(g2.queueing_delay(SimTime::ZERO), 1.0);
         // Idle gap: server free at 2, request arrives at 5.
         assert_eq!(g3.start.as_secs(), 5.0);
         assert_eq!(s.busy_secs(), 3.0);

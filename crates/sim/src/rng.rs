@@ -157,11 +157,6 @@ impl SimRng {
         assert!(bound > 0, "index bound must be positive");
         self.inner.gen_range(0..bound)
     }
-
-    /// Access to the underlying RNG for generic `rand` APIs.
-    pub fn as_rng(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,16 @@
 //! the `m` executors (their tasks interleave round-robin into the same
 //! wave schedule), and a barrier separates levels.
 //!
-//! Everything else matches the sequential engine: serialized driver
-//! broadcasts, first-wave costs, memory pressure, incast shuffles, and
-//! the same JSON event log.
+//! Shared with the sequential engine: serialized driver broadcasts,
+//! first-wave costs, memory pressure, incast shuffles, fault injection
+//! and the same JSON event log. Not shared:
+//!
+//! * no lineage recompute — a node crash charges the wasted work of the
+//!   level it struck, but no predecessor partitions are replayed;
+//! * no observability spans or metrics of its own — only the runtime's
+//!   captured scheduling records are merged, level by level;
+//! * no straggler-tail split — a level's schedule overhead is charged as
+//!   one lump, without the separate straggler-tail share.
 
 use ipso_cluster::runtime::RuntimeConfig;
 use ipso_cluster::{FaultSummary, SchedulerPolicy};
@@ -72,11 +79,10 @@ pub fn assign_levels(num_stages: usize, edges: &[(usize, usize)]) -> Result<Vec<
 ///
 /// # Errors
 ///
-/// Returns DAG validation errors from [`assign_levels`].
-///
-/// # Panics
-///
-/// Panics if `spec` itself fails validation.
+/// Returns the message of the first error met: `spec`'s own validation
+/// error, a DAG validation error from [`assign_levels`], or the
+/// runtime's `ClusterError` (for example `task 3 failed all 4 attempts`
+/// when a task exhausts its retries).
 ///
 /// # Example
 ///
@@ -277,6 +283,37 @@ mod tests {
         // a and b complete together; c strictly later.
         assert_eq!(run.stage_times.len(), 3);
         assert!(run.stage_times[2] < run.stage_times[0]);
+    }
+
+    #[test]
+    fn invalid_spec_is_an_error() {
+        let mut j = job3();
+        j.parallelism = 0;
+        assert_eq!(
+            run_dag(&j, &[(0, 2)]).unwrap_err(),
+            "parallel degree m must be positive"
+        );
+    }
+
+    #[test]
+    fn cycle_is_an_error() {
+        assert_eq!(
+            run_dag(&job3(), &[(0, 1), (1, 0)]).unwrap_err(),
+            "stage dependency graph contains a cycle"
+        );
+    }
+
+    /// The abort message is part of the contract: callers match it to
+    /// tell an allowed fault-induced abort from a broken run.
+    #[test]
+    fn exhausted_retries_report_the_cluster_error_message() {
+        let mut j = job3();
+        j.faults = ipso_cluster::FaultModel::flaky(1.0);
+        j.recovery.max_attempts = 3;
+        assert_eq!(
+            run_dag(&j, &[(0, 2), (1, 2)]).unwrap_err(),
+            "task 0 failed all 3 attempts"
+        );
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property-based tests of the simulation substrate and the two engines.
 
 use ipso_cluster::{run_wave_schedule, CentralScheduler, SchedulerPolicy};
-use ipso_mapreduce::{
-    run_scale_out, run_sequential, InputSplit, JobSpec, Mapper, Reducer, ShuffleImpl,
-};
+use ipso_mapreduce::{run_scale_out, run_sequential, InputSplit, JobSpec, Mapper, Reducer};
 use ipso_sim::{ServerPool, SimTime};
 use ipso_spark::{run_job, SparkJobSpec, StageSpec};
 use proptest::prelude::*;
@@ -41,49 +39,6 @@ fn splits_from(records: &[Vec<u64>]) -> Vec<InputSplit<u64>> {
         .collect()
 }
 
-// ── MapReduce: the reduce-side merge at sweep-sized fan-in ──────────────
-
-/// Emits each `(key, tag)` record as is.
-struct TagMap;
-impl Mapper for TagMap {
-    type Input = (u64, u32);
-    type Key = u64;
-    type Value = u32;
-    fn map(&self, input: &(u64, u32), emit: &mut dyn FnMut(u64, u32)) {
-        emit(input.0, input.1);
-    }
-}
-
-/// Order-sensitive: emits each group's values in arrival order.
-struct ArrivalOrderReduce;
-impl Reducer for ArrivalOrderReduce {
-    type Key = u64;
-    type Value = u32;
-    type Output = (u64, Vec<u32>);
-    fn reduce(&self, key: &u64, values: &[u32], emit: &mut dyn FnMut((u64, Vec<u32>))) {
-        emit((*key, values.to_vec()));
-    }
-}
-
-/// One split per run of keys; every record gets a distinct tag, so a
-/// value out of task or emission order changes the reducer's output.
-fn tagged_splits(runs: &[Vec<u64>]) -> Vec<InputSplit<(u64, u32)>> {
-    let mut tag = 0u32;
-    runs.iter()
-        .map(|keys| {
-            let records: Vec<(u64, u32)> = keys
-                .iter()
-                .map(|&k| {
-                    tag += 1;
-                    (k, tag)
-                })
-                .collect();
-            let bytes = (records.len() as u64 * 12).max(1);
-            InputSplit::new(records, bytes, bytes * 64)
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -102,27 +57,6 @@ proptest! {
         let mut expected: Vec<u64> = records.into_iter().flatten().collect();
         expected.sort_unstable();
         prop_assert_eq!(run.output, expected);
-    }
-
-    /// The sort-merge shuffle's k-way merge groups exactly as the
-    /// reference `BTreeMap` grouping does, at any fan-in up to past the
-    /// paper sweep's 200 tasks: empty runs, keys shared by many runs,
-    /// values in task then emission order.
-    #[test]
-    fn sort_merge_matches_btree_grouping_at_high_fan_in(
-        runs in prop::collection::vec(
-            prop::collection::vec(0u64..12, 0..10),
-            1..261,
-        ),
-    ) {
-        let splits = tagged_splits(&runs);
-        let mut spec = JobSpec::emr("prop-merge", splits.len() as u32);
-        spec.shuffle = ShuffleImpl::SortMerge;
-        let fast = run_scale_out(&spec, &TagMap, &ArrivalOrderReduce, &splits);
-        spec.shuffle = ShuffleImpl::BTreeGrouping;
-        let reference = run_scale_out(&spec, &TagMap, &ArrivalOrderReduce, &splits);
-        prop_assert_eq!(fast.output, reference.output);
-        prop_assert_eq!(fast.reduce_input_bytes, reference.reduce_input_bytes);
     }
 
     /// Sequential and scale-out executions produce identical outputs and
