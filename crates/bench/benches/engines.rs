@@ -16,7 +16,7 @@
 use criterion::{black_box, criterion_group, Criterion};
 use ipso_bench::{reference, SweepRunner};
 use ipso_mapreduce::{Mapper, OutputScaling, Reducer};
-use ipso_spark::run_job;
+use ipso_spark::try_run_job;
 use ipso_workloads::{bayes, sort, wordcount};
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -216,7 +216,13 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
             measure(|| reference::run(&sort::SortMapper, &sort::SortReducer, &splits))
         } else {
             measure(|| {
-                ipso_mapreduce::run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits)
+                ipso_mapreduce::try_run_scale_out(
+                    &spec,
+                    &sort::SortMapper,
+                    &sort::SortReducer,
+                    &splits,
+                )
+                .expect("fault-free run")
             })
         };
         records.push(record(
@@ -239,12 +245,13 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
             measure(|| reference::run(&SeedWordCountMapper, &SeedWordCountReducer, &wc_splits))
         } else {
             measure(|| {
-                ipso_mapreduce::run_scale_out(
+                ipso_mapreduce::try_run_scale_out(
                     &wc_spec,
                     &mapper,
                     &wordcount::WordCountReducer,
                     &wc_splits,
                 )
+                .expect("fault-free run")
             })
         };
         records.push(record(
@@ -262,7 +269,7 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
     for (config, threads) in [("seq", 1usize), ("par", 0)] {
         let mut job = bayes::job(256, 64);
         job.engine.threads = threads;
-        let timing = measure(|| run_job(&job));
+        let timing = measure(|| try_run_job(&job).expect("fault-free run"));
         records.push(record(
             format!("spark_bayes_n256_m64_{config}"),
             "spark",
@@ -332,12 +339,13 @@ fn bench_mapreduce_jobs(c: &mut Criterion) {
     let spec = sort::job_spec(16);
     c.bench_function("mapreduce_sort_n16", |b| {
         b.iter(|| {
-            ipso_mapreduce::run_scale_out(
+            ipso_mapreduce::try_run_scale_out(
                 black_box(&spec),
                 &sort::SortMapper,
                 &sort::SortReducer,
                 black_box(&splits),
             )
+            .expect("fault-free run")
         })
     });
 
@@ -346,12 +354,13 @@ fn bench_mapreduce_jobs(c: &mut Criterion) {
     let mapper = wordcount::WordCountMapper::new();
     c.bench_function("mapreduce_wordcount_n8", |b| {
         b.iter(|| {
-            ipso_mapreduce::run_scale_out(
+            ipso_mapreduce::try_run_scale_out(
                 black_box(&wc_spec),
                 &mapper,
                 &wordcount::WordCountReducer,
                 black_box(&wc_splits),
             )
+            .expect("fault-free run")
         })
     });
 }
@@ -359,7 +368,7 @@ fn bench_mapreduce_jobs(c: &mut Criterion) {
 fn bench_spark_job(c: &mut Criterion) {
     let job = bayes::job(256, 64);
     c.bench_function("spark_bayes_n256_m64", |b| {
-        b.iter(|| run_job(black_box(&job)))
+        b.iter(|| try_run_job(black_box(&job)).expect("fault-free run"))
     });
 }
 
@@ -380,7 +389,7 @@ fn bench_full_sweep(c: &mut Criterion) {
         c.bench_function(label, |b| {
             b.iter(|| {
                 runner
-                    .map(black_box(vec![1u32, 2, 4, 8, 16]), |_ctx, n| {
+                    .map(black_box(vec![1u32, 2, 4, 8, 16]), |n| {
                         sort::sweep(&[n]).points
                     })
                     .into_iter()

@@ -14,12 +14,15 @@ use ipso_workloads::sort;
 fn run_once() {
     let spec = sort::job_spec(16);
     let splits = sort::make_splits(16, 1);
-    black_box(ipso_mapreduce::run_scale_out(
-        black_box(&spec),
-        &sort::SortMapper,
-        &sort::SortReducer,
-        black_box(&splits),
-    ));
+    black_box(
+        ipso_mapreduce::try_run_scale_out(
+            black_box(&spec),
+            &sort::SortMapper,
+            &sort::SortReducer,
+            black_box(&splits),
+        )
+        .expect("fault-free run"),
+    );
 }
 
 fn bench_disabled_vs_enabled(c: &mut Criterion) {

@@ -20,7 +20,7 @@ pub(super) fn emit(ctx: &mut Context) {
         .iter()
         .flat_map(|&t| ms.iter().map(move |&m| (t, m)))
         .collect();
-    let points = ctx.runner.map(grid, |_ctx, (tree_broadcast, m)| {
+    let points = ctx.runner.map(grid, |(tree_broadcast, m)| {
         let job = |n, mm| {
             let mut spec = job(n, mm);
             spec.network.tree_broadcast = tree_broadcast;

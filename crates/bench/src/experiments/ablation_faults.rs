@@ -133,9 +133,7 @@ pub(super) fn emit(ctx: &mut Context) {
     let grid: Vec<(usize, u32)> = (0..FAIL_PROBS.len())
         .flat_map(|p| NS.iter().map(move |&n| (p, n)))
         .collect();
-    let points = ctx
-        .runner
-        .map(grid, |_ctx, (pi, n)| run_point(FAIL_PROBS[pi], n));
+    let points = ctx.runner.map(grid, |(pi, n)| run_point(FAIL_PROBS[pi], n));
 
     let mut table = Table::new(
         "ablation_faults",

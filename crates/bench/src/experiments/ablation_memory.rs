@@ -37,7 +37,7 @@ pub(super) fn emit(ctx: &mut Context) {
         .iter()
         .flat_map(|&mem| loads.iter().map(move |&load| (mem, load)))
         .collect();
-    let all_speedups = ctx.runner.map(grid, |_ctx, (mem, load)| {
+    let all_speedups = ctx.runner.map(grid, |(mem, load)| {
         let job = |n, mm| {
             let mut spec = bayes::job(n, mm);
             spec.executor_memory = mem;

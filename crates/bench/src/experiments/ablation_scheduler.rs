@@ -8,7 +8,7 @@
 
 use crate::{Context, Table};
 use ipso_cluster::CentralScheduler;
-use ipso_spark::{run_job, run_sequential_reference};
+use ipso_spark::{run_sequential_reference, try_run_job};
 use ipso_workloads::bayes;
 
 pub(super) fn emit(ctx: &mut Context) {
@@ -34,7 +34,7 @@ pub(super) fn emit(ctx: &mut Context) {
         .iter()
         .flat_map(|&t| (0..schedulers.len()).map(move |s| (t, s)))
         .collect();
-    let speedups = ctx.runner.map(grid, |_ctx, (tasks, s)| {
+    let speedups = ctx.runner.map(grid, |(tasks, s)| {
         let m = 64;
         let mut spec = bayes::job(tasks, m);
         // Shrink per-task compute so dispatch matters, as in
@@ -45,7 +45,7 @@ pub(super) fn emit(ctx: &mut Context) {
             stage.caches_input = false;
         }
         spec.scheduler = schedulers[s].1;
-        run_sequential_reference(&spec) / run_job(&spec).total_time
+        run_sequential_reference(&spec) / try_run_job(&spec).expect("fault-free run").total_time
     });
 
     for (&tasks, row_speedups) in task_counts.iter().zip(speedups.chunks(schedulers.len())) {

@@ -25,7 +25,7 @@ pub(super) fn emit(ctx: &mut Context) {
         .iter()
         .flat_map(|&p| ns.iter().map(move |&n| (p, n)))
         .collect();
-    let measurements = ctx.runner.map(grid, |_ctx, (pipelined, n)| {
+    let measurements = ctx.runner.map(grid, |(pipelined, n)| {
         // A shuffle-heavy Sort variant: the reducer ingests at 90 MB/s,
         // so the transfer is a large share of the serial portion and
         // pipelining has something to hide.

@@ -65,7 +65,7 @@ pub(super) fn emit(ctx: &mut Context) {
         .collect();
 
     // One grid point per n-row; every distribution is evaluated at it.
-    let rows = ctx.runner.map(vec![1u32, 4, 16, 64, 128, 256], |_ctx, n| {
+    let rows = ctx.runner.map(vec![1u32, 4, 16, 64, 128, 256], |n| {
         let mut row = vec![f64::from(n)];
         for m in &models {
             row.push(m.speedup(n).expect("evaluable"));

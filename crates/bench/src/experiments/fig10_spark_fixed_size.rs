@@ -23,7 +23,7 @@ pub(super) fn emit(ctx: &mut Context) {
                 .flat_map(move |x| ms.into_iter().map(move |m| (a, x, m)))
         })
         .collect();
-    let points = ctx.runner.map(grid, |_ctx, (a, size, m)| {
+    let points = ctx.runner.map(grid, |(a, size, m)| {
         sweep_fixed_size(SPARK_APPS[a].1, size, &[m]).remove(0)
     });
     let series: Vec<&[SparkSweepPoint]> = points.chunks(ms.len()).collect();

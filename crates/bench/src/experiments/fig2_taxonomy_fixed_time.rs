@@ -40,7 +40,7 @@ pub(super) fn emit(ctx: &mut Context) {
     let mut table = Table::new("fig2_taxonomy_fixed_time", &col_refs);
 
     // One grid point per n-row; every case is evaluated at that n.
-    let rows = ctx.runner.map(ns, |_ctx, n| {
+    let rows = ctx.runner.map(ns, |n| {
         let mut row = vec![f64::from(n)];
         for (_, p) in &cases {
             row.push(p.speedup(f64::from(n)).expect("evaluable"));

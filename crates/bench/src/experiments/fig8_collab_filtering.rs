@@ -39,7 +39,7 @@ pub(super) fn emit(ctx: &mut Context) {
         .map(|&(n, tmax, wo)| (n, Some((tmax, wo))))
         .chain([120u32, 150, 180, 210, 240].into_iter().map(|n| (n, None)))
         .collect();
-    let rows = ctx.runner.map(grid, |_ctx, (n, sample)| {
+    let rows = ctx.runner.map(grid, |(n, sample)| {
         let ipso = predictor.speedup(f64::from(n)).expect("valid");
         // Measured points evaluate Eq. 18 with the fitted Tp,1(1).
         let measured = match sample {

@@ -24,7 +24,7 @@ pub(super) fn emit(ctx: &mut Context) {
                 .flat_map(move |x| ms.into_iter().map(move |m| (a, x, m)))
         })
         .collect();
-    let points = ctx.runner.map(grid, |_ctx, (a, load, m)| {
+    let points = ctx.runner.map(grid, |(a, load, m)| {
         sweep_fixed_time(SPARK_APPS[a].1, load, &[m]).remove(0)
     });
     let series: Vec<&[SparkSweepPoint]> = points.chunks(ms.len()).collect();

@@ -184,7 +184,7 @@ impl Context {
             })
             .collect();
         let keys: Vec<(&str, u32)> = missing.iter().map(|&((name, _), n)| (name, n)).collect();
-        let computed = self.runner.map(missing, |_ctx, ((_, sweep), n)| {
+        let computed = self.runner.map(missing, |((_, sweep), n)| {
             sweep(&[n]).points.pop().expect("one point per n")
         });
         self.points.extend(keys.into_iter().zip(computed));

@@ -31,7 +31,7 @@ pub(super) fn emit(ctx: &mut Context) {
     ];
 
     // One grid point per workload class.
-    let profiles = ctx.runner.map((0..cases.len()).collect(), |_ctx, i| {
+    let profiles = ctx.runner.map((0..cases.len()).collect(), |i| {
         sensitivity_profile(&cases[i].1, [2u32, 8, 32, 64, 128, 256]).expect("evaluable")
     });
 

@@ -6,7 +6,7 @@
 //! show the simulator reproduces the measured workload shape.
 
 use crate::{Context, Table};
-use ipso_spark::run_job;
+use ipso_spark::try_run_job;
 use ipso_workloads::collab_filter::{job, CF_TASKS, TABLE_I};
 
 pub(super) fn emit(ctx: &mut Context) {
@@ -23,8 +23,8 @@ pub(super) fn emit(ctx: &mut Context) {
     // One grid point per Table I row: each runs its own simulated job.
     let rows = ctx
         .runner
-        .map(TABLE_I.to_vec(), |_ctx, (n, paper_tmax, paper_wo)| {
-            let run = run_job(&job(CF_TASKS, n));
+        .map(TABLE_I.to_vec(), |(n, paper_tmax, paper_wo)| {
+            let run = try_run_job(&job(CF_TASKS, n)).expect("fault-free run");
             let sim_split = run.total_time - run.overhead_time;
             vec![
                 f64::from(n),

@@ -32,7 +32,7 @@ pub mod parallel;
 pub mod reference;
 
 pub use experiments::Context;
-pub use parallel::{PointCtx, SweepRunner};
+pub use parallel::SweepRunner;
 
 /// Where experiment CSVs are written: `<workspace>/results/`.
 pub fn results_dir() -> PathBuf {

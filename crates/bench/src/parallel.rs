@@ -7,9 +7,10 @@
 //! workers while keeping the output *byte-identical* to a sequential
 //! run, whatever the thread count:
 //!
-//! * **Per-point seeding** — each point gets its own RNG seeded from the
-//!   stable hash [`ipso_sim::stream_seed`]`(base_seed, point_index)`, so
-//!   the randomness a point consumes never depends on execution order.
+//! * **Point-local inputs** — a point sees only its item; a point that
+//!   needs randomness carries its own seed in the item (for example
+//!   [`ipso_sim::stream_seed`]`(base, index)`), so what it consumes never
+//!   depends on execution order.
 //! * **Index-ordered results** — points run through
 //!   [`ipso_sim::ordered_map_indexed`]: workers pull points off a shared
 //!   queue (work stealing, so one expensive `n = 200` point cannot
@@ -27,30 +28,6 @@
 
 use std::sync::Mutex;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Default base seed for per-point RNG streams — distinct from the
-/// engine seeds (42) so runner streams never collide with spec streams.
-pub const DEFAULT_BASE_SEED: u64 = 0x0001_9500_2019; // "IPSO @ ICDCS 2019"
-
-/// Everything a grid point may consume besides its input: its stable
-/// index in the grid and its private RNG seed.
-#[derive(Debug, Clone, Copy)]
-pub struct PointCtx {
-    /// The point's index in the submitted grid, `0..len`.
-    pub index: usize,
-    /// Stable per-point seed: `stream_seed(base_seed, index)`.
-    pub seed: u64,
-}
-
-impl PointCtx {
-    /// The point's private, deterministic RNG.
-    pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed)
-    }
-}
-
 /// A deterministic parallel runner over sweep/replication grids.
 ///
 /// # Example
@@ -59,27 +36,20 @@ impl PointCtx {
 /// use ipso_bench::SweepRunner;
 ///
 /// let runner = SweepRunner::new(4);
-/// let squares = runner.map(vec![1u64, 2, 3, 4, 5], |_ctx, v| v * v);
+/// let squares = runner.map(vec![1u64, 2, 3, 4, 5], |v| v * v);
 /// assert_eq!(squares, vec![1, 4, 9, 16, 25]); // input order, any thread count
 /// ```
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     jobs: usize,
-    base_seed: u64,
 }
 
 impl SweepRunner {
     /// A runner with the given worker count; `0` means one worker per
     /// available hardware thread.
     pub fn new(jobs: usize) -> SweepRunner {
-        SweepRunner::with_seed(jobs, DEFAULT_BASE_SEED)
-    }
-
-    /// A runner with an explicit base seed for per-point RNG streams.
-    pub fn with_seed(jobs: usize, base_seed: u64) -> SweepRunner {
         SweepRunner {
             jobs: ipso_sim::resolve_threads(jobs),
-            base_seed,
         }
     }
 
@@ -91,8 +61,8 @@ impl SweepRunner {
     /// Runs `f` over every item of the grid, in parallel, returning the
     /// results in input order.
     ///
-    /// The determinism contract: as long as `f(ctx, item)` depends only
-    /// on its arguments (plus the observability recorder, which is
+    /// The determinism contract: as long as `f(item)` depends only on its
+    /// argument (plus the observability recorder, which is
     /// captured per point and merged into the calling thread's recorder
     /// in index order), the returned vector and the recorder state are
     /// identical for every `jobs` value, including `jobs = 1`.
@@ -104,7 +74,7 @@ impl SweepRunner {
     where
         T: Send,
         R: Send,
-        F: Fn(PointCtx, T) -> R + Sync,
+        F: Fn(T) -> R + Sync,
     {
         // The input moves out of its slot when a worker claims the point.
         let inputs: Vec<Mutex<Option<T>>> =
@@ -115,11 +85,7 @@ impl SweepRunner {
                 .expect("input slot poisoned")
                 .take()
                 .expect("point claimed twice");
-            let ctx = PointCtx {
-                index,
-                seed: ipso_sim::stream_seed(self.base_seed, index as u64),
-            };
-            ipso_obs::capture(|| f(ctx, item))
+            ipso_obs::capture(|| f(item))
         });
         outputs
             .into_iter()
@@ -134,7 +100,6 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -142,27 +107,11 @@ mod tests {
         // Heavier work at the front so completion order differs from
         // input order under any real scheduler.
         let items: Vec<u64> = (0..64).rev().collect();
-        let out = runner.map(items.clone(), |_ctx, v| {
+        let out = runner.map(items.clone(), |v| {
             std::hint::black_box((0..v * 1000).sum::<u64>());
             v * 2
         });
         assert_eq!(out, items.iter().map(|v| v * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn per_point_rng_is_independent_of_jobs() {
-        let draw = |jobs: usize| -> Vec<f64> {
-            SweepRunner::new(jobs).map(vec![(); 32], |ctx, ()| ctx.rng().gen_range(0.0..1.0))
-        };
-        let sequential = draw(1);
-        for jobs in [2, 3, 8] {
-            assert_eq!(draw(jobs), sequential, "jobs = {jobs}");
-        }
-        // And the draws are genuinely per-point distinct.
-        let mut unique = sequential.clone();
-        unique.sort_by(f64::total_cmp);
-        unique.dedup();
-        assert_eq!(unique.len(), sequential.len());
     }
 
     #[test]
@@ -173,7 +122,7 @@ mod tests {
 
     #[test]
     fn empty_grid_is_fine() {
-        let out: Vec<u32> = SweepRunner::new(4).map(Vec::<u32>::new(), |_ctx, v| v);
+        let out: Vec<u32> = SweepRunner::new(4).map(Vec::<u32>::new(), |v| v);
         assert!(out.is_empty());
     }
 
@@ -182,7 +131,7 @@ mod tests {
         let collect = |jobs: usize| -> Vec<String> {
             ipso_obs::set_enabled(true);
             ipso_obs::reset();
-            SweepRunner::new(jobs).map((0..16u32).collect(), |_ctx, i| {
+            SweepRunner::new(jobs).map((0..16u32).collect(), |i| {
                 ipso_obs::record_span("t", &format!("point-{i}"), "bench", f64::from(i), 1.0);
                 ipso_obs::counter_add("points", 1);
             });

@@ -9,22 +9,29 @@ use ipso::stochastic::TaskTimeDistribution;
 use ipso_bench::experiments::{Workload, QMC, SORT, TERASORT, WORDCOUNT};
 use ipso_bench::{Context, SweepRunner};
 use ipso_mapreduce::ScalingSweep;
+use ipso_sim::stream_seed;
 use ipso_workloads::{qmc, sort};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// A sweep whose points consume their private RNG streams: for each n,
-/// a Monte-Carlo estimate of E[max of n] plus a few raw draws.
+/// A sweep whose points consume private RNG streams seeded from
+/// `stream_seed(base_seed, index)`: for each n, a Monte-Carlo estimate
+/// of E[max of n] plus a few raw draws.
 fn stochastic_sweep(jobs: usize, base_seed: u64, ns: &[u32]) -> Vec<u64> {
     let dist = TaskTimeDistribution::Exponential { mean: 10.0 };
-    SweepRunner::with_seed(jobs, base_seed)
-        .map(ns.to_vec(), |ctx, n| {
-            let mut rng = ctx.rng();
-            let mc = dist
-                .monte_carlo_expected_max(n, 16, ctx.seed)
-                .expect("valid distribution");
-            (mc + dist.sample_max(n, &mut rng)).to_bits()
-        })
-        .to_vec()
+    let items = ns
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| (n, stream_seed(base_seed, i as u64)))
+        .collect();
+    SweepRunner::new(jobs).map(items, |(n, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mc = dist
+            .monte_carlo_expected_max(n, 16, seed)
+            .expect("valid distribution");
+        (mc + dist.sample_max(n, &mut rng)).to_bits()
+    })
 }
 
 proptest! {
@@ -64,7 +71,7 @@ fn per_point_decomposition_matches_full_sweep() {
     let full = qmc::sweep(&ns);
     for jobs in [1usize, 4] {
         let points = SweepRunner::new(jobs)
-            .map(ns.to_vec(), |_ctx, n| qmc::sweep(&[n]).points)
+            .map(ns.to_vec(), |n| qmc::sweep(&[n]).points)
             .into_iter()
             .flatten()
             .collect();

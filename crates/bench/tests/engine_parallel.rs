@@ -4,7 +4,7 @@
 //! run — the property the `--threads` flag rests on.
 
 use ipso_cluster::JobTrace;
-use ipso_mapreduce::{run_scale_out, run_sequential, JobSpec};
+use ipso_mapreduce::{run_sequential, try_run_scale_out, JobSpec};
 use ipso_workloads::{sort, terasort, wordcount};
 use proptest::prelude::*;
 
@@ -32,7 +32,8 @@ fn fingerprint(workload: &str, n: u32, seed: u64, threads: usize) -> EngineFinge
         "sort" => {
             let spec = configure(sort::job_spec(n));
             let splits = sort::make_splits(n, seed);
-            let par = run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits);
+            let par =
+                try_run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits).unwrap();
             let seq = run_sequential(&spec, &sort::SortMapper, &sort::SortReducer, &splits);
             EngineFingerprint {
                 par_output: par.output.iter().map(|o| format!("{o:?}")).collect(),
@@ -47,7 +48,8 @@ fn fingerprint(workload: &str, n: u32, seed: u64, threads: usize) -> EngineFinge
             let spec = configure(wordcount::job_spec(n));
             let splits = wordcount::make_splits(n, seed);
             let mapper = wordcount::WordCountMapper::new();
-            let par = run_scale_out(&spec, &mapper, &wordcount::WordCountReducer, &splits);
+            let par =
+                try_run_scale_out(&spec, &mapper, &wordcount::WordCountReducer, &splits).unwrap();
             let seq = run_sequential(&spec, &mapper, &wordcount::WordCountReducer, &splits);
             EngineFingerprint {
                 par_output: par.output.iter().map(|o| format!("{o:?}")).collect(),
@@ -61,12 +63,13 @@ fn fingerprint(workload: &str, n: u32, seed: u64, threads: usize) -> EngineFinge
         "terasort" => {
             let spec = configure(terasort::job_spec(n));
             let splits = terasort::make_splits(n, seed);
-            let par = run_scale_out(
+            let par = try_run_scale_out(
                 &spec,
                 &terasort::TeraSortMapper,
                 &terasort::TeraSortReducer,
                 &splits,
-            );
+            )
+            .unwrap();
             let seq = run_sequential(
                 &spec,
                 &terasort::TeraSortMapper,

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 /// bitwise comparison.
 fn faulted_sweep(jobs: usize, fail_prob: f64, threads: usize, ns: &[u32]) -> Vec<JobTrace> {
     SweepRunner::new(jobs)
-        .map(ns.to_vec(), |_ctx, n| {
+        .map(ns.to_vec(), |n| {
             let mut spec = sort::job_spec(n);
             let mut faults = FaultModel::flaky(fail_prob);
             faults.node_crash_prob = fail_prob / 10.0;

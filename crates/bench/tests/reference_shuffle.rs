@@ -7,7 +7,8 @@ use std::fmt::Debug;
 
 use ipso_bench::reference;
 use ipso_mapreduce::{
-    run_scale_out, run_sequential, InputSplit, JobSpec, Mapper, OutputScaling, Reducer, Sizeable,
+    run_sequential, try_run_scale_out, InputSplit, JobSpec, Mapper, OutputScaling, Reducer,
+    Sizeable,
 };
 use ipso_workloads::{sort, terasort, wordcount};
 use proptest::prelude::*;
@@ -34,7 +35,7 @@ fn assert_matches_reference<M, R>(
     let (output, task_bytes) = reference::run(mapper, reducer, splits);
     let total: u64 = task_bytes.iter().sum();
     for run in [
-        run_scale_out(spec, mapper, reducer, splits),
+        try_run_scale_out(spec, mapper, reducer, splits).unwrap(),
         run_sequential(spec, mapper, reducer, splits),
     ] {
         assert_eq!(run.output, output);
@@ -43,7 +44,9 @@ fn assert_matches_reference<M, R>(
     for (split, bytes) in splits.iter().zip(task_bytes) {
         let one = std::slice::from_ref(split);
         assert_eq!(
-            run_scale_out(spec, mapper, reducer, one).reduce_input_bytes,
+            try_run_scale_out(spec, mapper, reducer, one)
+                .unwrap()
+                .reduce_input_bytes,
             bytes
         );
         assert_eq!(

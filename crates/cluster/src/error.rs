@@ -30,6 +30,16 @@ pub enum ClusterError {
     },
 }
 
+impl ClusterError {
+    /// A [`ClusterError::InvalidParameter`] for `what`.
+    pub fn invalid(what: &'static str, message: impl Into<String>) -> ClusterError {
+        ClusterError::InvalidParameter {
+            what,
+            message: message.into(),
+        }
+    }
+}
+
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

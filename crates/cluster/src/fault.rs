@@ -77,10 +77,10 @@ impl TimeToFailure {
         if ok {
             Ok(())
         } else {
-            Err(ClusterError::InvalidParameter {
-                what: "time-to-failure",
-                message: format!("parameters must be positive and finite, got {self:?}"),
-            })
+            Err(ClusterError::invalid(
+                "time-to-failure",
+                format!("parameters must be positive and finite, got {self:?}"),
+            ))
         }
     }
 }
@@ -142,22 +142,22 @@ impl FaultModel {
     /// Returns [`ClusterError::InvalidParameter`] on a violated range.
     pub fn validate(&self) -> Result<(), ClusterError> {
         if !(0.0..=1.0).contains(&self.task_fail_prob) || !self.task_fail_prob.is_finite() {
-            return Err(ClusterError::InvalidParameter {
-                what: "task failure probability",
-                message: format!("must be in [0, 1], got {}", self.task_fail_prob),
-            });
+            return Err(ClusterError::invalid(
+                "task failure probability",
+                format!("must be in [0, 1], got {}", self.task_fail_prob),
+            ));
         }
         if !(0.0..=1.0).contains(&self.node_crash_prob) || !self.node_crash_prob.is_finite() {
-            return Err(ClusterError::InvalidParameter {
-                what: "node crash probability",
-                message: format!("must be in [0, 1], got {}", self.node_crash_prob),
-            });
+            return Err(ClusterError::invalid(
+                "node crash probability",
+                format!("must be in [0, 1], got {}", self.node_crash_prob),
+            ));
         }
         if !self.restart_cost.is_finite() || self.restart_cost < 0.0 {
-            return Err(ClusterError::InvalidParameter {
-                what: "restart cost",
-                message: format!("must be finite and >= 0, got {}", self.restart_cost),
-            });
+            return Err(ClusterError::invalid(
+                "restart cost",
+                format!("must be finite and >= 0, got {}", self.restart_cost),
+            ));
         }
         self.ttf.validate()
     }
@@ -236,10 +236,7 @@ impl RecoveryPolicy {
     /// Returns [`ClusterError::InvalidParameter`] on a violated range.
     pub fn validate(&self) -> Result<(), ClusterError> {
         if self.max_attempts == 0 {
-            return Err(ClusterError::InvalidParameter {
-                what: "max attempts",
-                message: "must be at least 1".into(),
-            });
+            return Err(ClusterError::invalid("max attempts", "must be at least 1"));
         }
         for (what, v) in [
             ("backoff base", self.backoff_base),
@@ -247,29 +244,29 @@ impl RecoveryPolicy {
             ("max wasted fraction", self.max_wasted_fraction),
         ] {
             if !v.is_finite() || v < 0.0 {
-                return Err(ClusterError::InvalidParameter {
+                return Err(ClusterError::invalid(
                     what,
-                    message: format!("must be finite and >= 0, got {v}"),
-                });
+                    format!("must be finite and >= 0, got {v}"),
+                ));
             }
         }
         if !self.backoff_factor.is_finite() || self.backoff_factor < 1.0 {
-            return Err(ClusterError::InvalidParameter {
-                what: "backoff factor",
-                message: format!("must be >= 1, got {}", self.backoff_factor),
-            });
+            return Err(ClusterError::invalid(
+                "backoff factor",
+                format!("must be >= 1, got {}", self.backoff_factor),
+            ));
         }
         if !(0.0..1.0).contains(&self.backoff_jitter) {
-            return Err(ClusterError::InvalidParameter {
-                what: "backoff jitter",
-                message: format!("must be in [0, 1), got {}", self.backoff_jitter),
-            });
+            return Err(ClusterError::invalid(
+                "backoff jitter",
+                format!("must be in [0, 1), got {}", self.backoff_jitter),
+            ));
         }
         if !self.speculation_threshold.is_finite() || self.speculation_threshold <= 1.0 {
-            return Err(ClusterError::InvalidParameter {
-                what: "speculation threshold",
-                message: format!("must exceed 1, got {}", self.speculation_threshold),
-            });
+            return Err(ClusterError::invalid(
+                "speculation threshold",
+                format!("must exceed 1, got {}", self.speculation_threshold),
+            ));
         }
         Ok(())
     }
@@ -357,7 +354,9 @@ impl FaultSummary {
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant.
+    /// Returns the first violated invariant. The error stays a `String`
+    /// because `perfbench/src/cluster.rs:57` propagates it with `?` into
+    /// a `String` error.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (name, v) in [
             ("retry_wasted_s", self.retry_wasted_s),

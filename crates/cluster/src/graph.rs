@@ -125,10 +125,7 @@ impl TaskGraph {
     /// Returns [`ClusterError::InvalidParameter`] describing the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), ClusterError> {
-        let invalid = |message: String| ClusterError::InvalidParameter {
-            what: "task graph",
-            message,
-        };
+        let invalid = |message: String| ClusterError::invalid("task graph", message);
         if !self.setup_overhead.is_finite() || self.setup_overhead < 0.0 {
             return Err(invalid("setup_overhead must be finite and >= 0".into()));
         }

@@ -27,7 +27,9 @@
 //!   straggler sampling, policy-driven wave scheduling, fault resolution,
 //!   lineage recompute and Ws/Wp/Wo attribution in one place;
 //! * [`metrics`] — phase breakdowns and task traces shared by the engines;
-//! * [`error`] — the typed [`ClusterError`] these models reject with.
+//! * [`error`] — the typed [`ClusterError`]: every `validate()` here and
+//!   in both engines rejects with [`ClusterError::InvalidParameter`], and
+//!   the engines' entry points return it.
 //!
 //! All randomness flows through [`ipso_sim::SimRng`] seeds, so every
 //! simulated experiment is reproducible.

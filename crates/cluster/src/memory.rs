@@ -10,6 +10,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::ClusterError;
+
 /// Working-set versus capacity model for one processing unit.
 ///
 /// # Example
@@ -81,16 +83,23 @@ impl MemoryModel {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ClusterError::InvalidParameter`] on the first violated
+    /// constraint.
+    pub fn validate(&self) -> Result<(), ClusterError> {
         if self.capacity_bytes == 0 {
-            return Err("capacity must be positive".into());
+            return Err(ClusterError::invalid("memory capacity", "must be positive"));
         }
         if !self.spill_cost_factor.is_finite() || self.spill_cost_factor < 0.0 {
-            return Err("spill cost factor must be finite and >= 0".into());
+            return Err(ClusterError::invalid(
+                "spill cost factor",
+                "must be finite and >= 0",
+            ));
         }
         if !self.overflow_burst.is_finite() || self.overflow_burst < 0.0 {
-            return Err("overflow burst must be finite and >= 0".into());
+            return Err(ClusterError::invalid(
+                "overflow burst",
+                "must be finite and >= 0",
+            ));
         }
         Ok(())
     }
@@ -155,11 +164,23 @@ mod tests {
             capacity_bytes: 0,
             ..MemoryModel::reducer_2gb()
         };
-        assert!(bad.validate().is_err());
+        assert!(matches!(
+            bad.validate(),
+            Err(ClusterError::InvalidParameter {
+                what: "memory capacity",
+                ..
+            })
+        ));
         let bad = MemoryModel {
             spill_cost_factor: -0.1,
             ..MemoryModel::reducer_2gb()
         };
-        assert!(bad.validate().is_err());
+        assert!(matches!(
+            bad.validate(),
+            Err(ClusterError::InvalidParameter {
+                what: "spill cost factor",
+                ..
+            })
+        ));
     }
 }

@@ -129,7 +129,9 @@ impl JobTrace {
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant.
+    /// Returns the first violated invariant. The error stays a `String`
+    /// because it carries [`FaultSummary::check_invariants`]'s, which
+    /// `perfbench/src/cluster.rs:57` pins.
     pub fn check_invariants(&self) -> Result<(), String> {
         let phases = [
             ("init", self.phases.init),

@@ -218,10 +218,10 @@ pub fn execute(
 ) -> Result<RunOutcome, ClusterError> {
     graph.validate()?;
     if config.executors == 0 {
-        return Err(ClusterError::InvalidParameter {
-            what: "runtime config",
-            message: "need at least one executor".into(),
-        });
+        return Err(ClusterError::invalid(
+            "runtime config",
+            "need at least one executor",
+        ));
     }
 
     // Phase 1 — sample. All RNG consumption happens here, sequentially

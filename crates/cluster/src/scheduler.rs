@@ -79,10 +79,10 @@ impl std::str::FromStr for SchedulerPolicy {
             "fifo" => Ok(SchedulerPolicy::Fifo),
             "fair" => Ok(SchedulerPolicy::Fair),
             "locality" => Ok(SchedulerPolicy::Locality),
-            other => Err(ClusterError::InvalidParameter {
-                what: "scheduler policy",
-                message: format!("unknown policy {other:?}; expected fifo, fair or locality"),
-            }),
+            other => Err(ClusterError::invalid(
+                "scheduler policy",
+                format!("unknown policy {other:?}; expected fifo, fair or locality"),
+            )),
         }
     }
 }
@@ -158,15 +158,15 @@ impl CentralScheduler {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
+    /// Returns [`ClusterError::InvalidParameter`] on a violated range.
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        for (what, v) in [
             ("base_dispatch", self.base_dispatch),
             ("contention", self.contention),
             ("job_setup", self.job_setup),
         ] {
             if !v.is_finite() || v < 0.0 {
-                return Err(format!("{name} must be finite and >= 0"));
+                return Err(ClusterError::invalid(what, "must be finite and >= 0"));
             }
         }
         Ok(())
@@ -220,7 +220,13 @@ mod tests {
             base_dispatch: -1.0,
             ..CentralScheduler::default()
         };
-        assert!(bad.validate().is_err());
+        assert!(matches!(
+            bad.validate(),
+            Err(ClusterError::InvalidParameter {
+                what: "base_dispatch",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::ClusterError;
+
 /// One mebibyte in bytes.
 pub const MIB: u64 = 1024 * 1024;
 /// One gibibyte in bytes.
@@ -61,22 +63,26 @@ impl NodeSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ClusterError::InvalidParameter`] on the first violated
+    /// constraint.
+    pub fn validate(&self) -> Result<(), ClusterError> {
         if self.cores == 0 {
-            return Err("node must have at least one core".into());
+            return Err(ClusterError::invalid("node cores", "must be at least 1"));
         }
         if !(self.core_speed.is_finite() && self.core_speed > 0.0) {
-            return Err("core speed must be positive".into());
+            return Err(ClusterError::invalid("core speed", "must be positive"));
         }
         if self.memory_bytes == 0 {
-            return Err("node must have memory".into());
+            return Err(ClusterError::invalid("node memory", "must be positive"));
         }
         if !(self.disk_bandwidth.is_finite() && self.disk_bandwidth > 0.0) {
-            return Err("disk bandwidth must be positive".into());
+            return Err(ClusterError::invalid("disk bandwidth", "must be positive"));
         }
         if !(self.net_bandwidth.is_finite() && self.net_bandwidth > 0.0) {
-            return Err("network bandwidth must be positive".into());
+            return Err(ClusterError::invalid(
+                "network bandwidth",
+                "must be positive",
+            ));
         }
         Ok(())
     }
@@ -117,13 +123,20 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ClusterError::InvalidParameter`] on the first violated
+    /// constraint.
+    pub fn validate(&self) -> Result<(), ClusterError> {
         if self.workers == 0 {
-            return Err("cluster needs at least one worker".into());
+            return Err(ClusterError::invalid(
+                "cluster workers",
+                "must be at least 1",
+            ));
         }
         if self.containers_per_worker == 0 {
-            return Err("each worker needs at least one container".into());
+            return Err(ClusterError::invalid(
+                "worker containers",
+                "must be at least 1",
+            ));
         }
         self.worker.validate()?;
         self.master.validate()
@@ -158,19 +171,29 @@ mod tests {
         assert_eq!(c.total_slots(), 16);
     }
 
+    fn rejected(result: Result<(), ClusterError>) -> &'static str {
+        match result {
+            Err(ClusterError::InvalidParameter { what, .. }) => what,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
     #[test]
     fn validation_catches_zeroes() {
         let mut c = ClusterSpec::emr(0);
-        assert!(c.validate().is_err());
+        assert_eq!(rejected(c.validate()), "cluster workers");
         c = ClusterSpec::emr(1);
         c.containers_per_worker = 0;
-        assert!(c.validate().is_err());
+        assert_eq!(rejected(c.validate()), "worker containers");
         let mut n = NodeSpec::m4_large();
         n.cores = 0;
-        assert!(n.validate().is_err());
+        assert_eq!(rejected(n.validate()), "node cores");
         n = NodeSpec::m4_large();
         n.net_bandwidth = 0.0;
-        assert!(n.validate().is_err());
+        assert_eq!(rejected(n.validate()), "network bandwidth");
+        c = ClusterSpec::emr(1);
+        c.master.memory_bytes = 0;
+        assert_eq!(rejected(c.validate()), "node memory");
     }
 
     #[test]

@@ -54,12 +54,7 @@ impl StragglerModel {
     /// `shape` is finite and `> 1`.
     pub fn pareto(shape: f64) -> Result<StragglerModel, ClusterError> {
         let model = StragglerModel::Pareto { shape };
-        model
-            .validate()
-            .map_err(|message| ClusterError::InvalidParameter {
-                what: "pareto shape",
-                message,
-            })?;
+        model.validate()?;
         Ok(model)
     }
 
@@ -98,31 +93,21 @@ impl StragglerModel {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ClusterError::InvalidParameter`] on a violated range.
+    pub fn validate(&self) -> Result<(), ClusterError> {
         match *self {
-            StragglerModel::None => Ok(()),
-            StragglerModel::Uniform { spread } => {
-                if (0.0..1.0).contains(&spread) {
-                    Ok(())
-                } else {
-                    Err("uniform spread must be in [0, 1)".into())
-                }
+            StragglerModel::Uniform { spread } if !(0.0..1.0).contains(&spread) => {
+                Err(ClusterError::invalid("uniform spread", "must be in [0, 1)"))
             }
-            StragglerModel::ExponentialTail { mean_excess } => {
-                if mean_excess.is_finite() && mean_excess > 0.0 {
-                    Ok(())
-                } else {
-                    Err("mean excess must be positive".into())
-                }
+            StragglerModel::ExponentialTail { mean_excess }
+                if !(mean_excess.is_finite() && mean_excess > 0.0) =>
+            {
+                Err(ClusterError::invalid("mean excess", "must be positive"))
             }
-            StragglerModel::Pareto { shape } => {
-                if shape.is_finite() && shape > 1.0 {
-                    Ok(())
-                } else {
-                    Err("pareto shape must exceed 1".into())
-                }
+            StragglerModel::Pareto { shape } if !(shape.is_finite() && shape > 1.0) => {
+                Err(ClusterError::invalid("pareto shape", "must exceed 1"))
             }
+            _ => Ok(()),
         }
     }
 }
@@ -176,11 +161,22 @@ mod tests {
     #[test]
     fn validation() {
         assert!(StragglerModel::mild().validate().is_ok());
-        assert!(StragglerModel::Uniform { spread: 1.0 }.validate().is_err());
-        assert!(StragglerModel::ExponentialTail { mean_excess: 0.0 }
-            .validate()
-            .is_err());
-        assert!(StragglerModel::Pareto { shape: 1.0 }.validate().is_err());
+        for (bad, expected) in [
+            (StragglerModel::Uniform { spread: 1.0 }, "uniform spread"),
+            (
+                StragglerModel::ExponentialTail { mean_excess: 0.0 },
+                "mean excess",
+            ),
+            (StragglerModel::Pareto { shape: 1.0 }, "pareto shape"),
+        ] {
+            assert!(
+                matches!(
+                    bad.validate(),
+                    Err(ClusterError::InvalidParameter { what, .. }) if what == expected
+                ),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Job configuration.
 
 use ipso_cluster::{
-    CentralScheduler, ClusterSpec, EngineOptions, FaultModel, MemoryModel, NetworkModel,
-    RecoveryPolicy, SchedulerPolicy, StragglerModel,
+    CentralScheduler, ClusterError, ClusterSpec, EngineOptions, FaultModel, MemoryModel,
+    NetworkModel, RecoveryPolicy, SchedulerPolicy, StragglerModel,
 };
 
 use crate::cost::JobCostModel;
@@ -86,14 +86,15 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ClusterError::InvalidParameter`] for the first violated
+    /// constraint.
+    pub fn validate(&self) -> Result<(), ClusterError> {
         self.cluster.validate()?;
         self.scheduler.validate()?;
         self.reducer_memory.validate()?;
         self.straggler.validate()?;
-        self.faults.validate().map_err(|e| e.to_string())?;
-        self.recovery.validate().map_err(|e| e.to_string())?;
+        self.faults.validate()?;
+        self.recovery.validate()?;
         self.cost.validate()
     }
 }
@@ -101,6 +102,13 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rejected(spec: &JobSpec) -> &'static str {
+        match spec.validate() {
+            Err(ClusterError::InvalidParameter { what, .. }) => what,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
 
     #[test]
     fn emr_defaults_validate() {
@@ -111,7 +119,7 @@ mod tests {
     fn invalid_cluster_fails_validation() {
         let mut spec = JobSpec::emr("x", 1);
         spec.cluster.workers = 0;
-        assert!(spec.validate().is_err());
+        assert_eq!(rejected(&spec), "cluster workers");
     }
 
     #[test]
@@ -123,10 +131,10 @@ mod tests {
     fn invalid_fault_or_recovery_settings_fail_validation() {
         let mut spec = JobSpec::emr("x", 1);
         spec.faults.task_fail_prob = 1.5;
-        assert!(spec.validate().is_err());
+        assert_eq!(rejected(&spec), "task failure probability");
 
         let mut spec = JobSpec::emr("x", 1);
         spec.recovery.max_attempts = 0;
-        assert!(spec.validate().is_err());
+        assert_eq!(rejected(&spec), "max attempts");
     }
 }

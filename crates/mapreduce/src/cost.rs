@@ -4,6 +4,7 @@
 //! volumes through these rates. Defaults approximate 2019-era m4.large
 //! workers processing 128 MB HDFS blocks.
 
+use ipso_cluster::ClusterError;
 use serde::{Deserialize, Serialize};
 
 /// Processing rates for one MapReduce job class.
@@ -47,23 +48,26 @@ impl JobCostModel {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
+    /// Returns [`ClusterError::InvalidParameter`] on a violated range.
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        for (what, v) in [
             ("map_rate", self.map_rate),
             ("shuffle_rate", self.shuffle_rate),
             ("merge_rate", self.merge_rate),
             ("reduce_rate", self.reduce_rate),
         ] {
             if !v.is_finite() || v <= 0.0 {
-                return Err(format!("{name} must be finite and positive"));
+                return Err(ClusterError::invalid(what, "must be finite and positive"));
             }
         }
         if !self.seq_init.is_finite() || self.seq_init < 0.0 {
-            return Err("seq_init must be finite and >= 0".into());
+            return Err(ClusterError::invalid("seq_init", "must be finite and >= 0"));
         }
         if !self.serial_setup.is_finite() || self.serial_setup < 0.0 {
-            return Err("serial_setup must be finite and >= 0".into());
+            return Err(ClusterError::invalid(
+                "serial_setup",
+                "must be finite and >= 0",
+            ));
         }
         Ok(())
     }
@@ -127,9 +131,21 @@ mod tests {
     fn validation_catches_bad_rates() {
         let mut c = JobCostModel::io_bound();
         c.map_rate = 0.0;
-        assert!(c.validate().is_err());
+        assert!(matches!(
+            c.validate(),
+            Err(ClusterError::InvalidParameter {
+                what: "map_rate",
+                ..
+            })
+        ));
         c = JobCostModel::io_bound();
         c.seq_init = -1.0;
-        assert!(c.validate().is_err());
+        assert!(matches!(
+            c.validate(),
+            Err(ClusterError::InvalidParameter {
+                what: "seq_init",
+                ..
+            })
+        ));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Two execution modes, matching the paper's Section IV definitions:
 //!
-//! * [`run_scale_out`] — `n` map tasks in parallel on `n` units with a
-//!   synchronization barrier, then a single reducer;
+//! * [`try_run_scale_out`] — `n` map tasks in parallel on `n` units with
+//!   a synchronization barrier, then a single reducer;
 //! * [`run_sequential`] — the sequential job execution model defining the
 //!   speedup numerator: the same tasks run back-to-back on one unit,
 //!   followed by the same merge.
@@ -66,34 +66,6 @@ pub struct JobRun<O> {
 ///   skew beyond the slowest task, and (with faults enabled) wasted
 ///   recovery work: the measured `Wo(n)`.
 ///
-/// # Panics
-///
-/// Panics if `splits` is empty, the split count exceeds the cluster's
-/// slots, the spec fails validation, or — with faults enabled — the run
-/// hits an unrecoverable fault ([`try_run_scale_out`] returns those as
-/// typed errors instead).
-pub fn run_scale_out<M, R>(
-    spec: &JobSpec,
-    mapper: &M,
-    reducer: &R,
-    splits: &[InputSplit<M::Input>],
-) -> JobRun<R::Output>
-where
-    M: Mapper + Sync,
-    M::Input: Sync,
-    M::Key: Send,
-    M::Value: Send,
-    R: Reducer<Key = M::Key, Value = M::Value>,
-{
-    try_run_scale_out(spec, mapper, reducer, splits)
-        .unwrap_or_else(|e| panic!("unrecoverable fault: {e}"))
-}
-
-/// [`run_scale_out`] with fault-recovery failures surfaced as typed
-/// errors: retries exhausted or the fail-fast wasted-work budget blown
-/// ([`ClusterError`]). With the default (disabled) fault model this
-/// never errs.
-///
 /// When the fault model is enabled, nominal task durations are passed
 /// through [`ipso_cluster::resolve_faults`] before scheduling: recovery latency
 /// (failed attempts, restarts, backoff, crash recomputation) lengthens
@@ -104,13 +76,10 @@ where
 ///
 /// # Errors
 ///
-/// Returns [`ClusterError::RetriesExhausted`] or
-/// [`ClusterError::WastedWorkExceeded`] from fault resolution.
-///
-/// # Panics
-///
-/// Panics if `splits` is empty, the split count exceeds the cluster's
-/// slots, or the spec fails validation.
+/// Returns [`ClusterError::InvalidParameter`] if `splits` is empty, the
+/// split count exceeds the cluster's slots, or the spec fails
+/// validation; with faults enabled, [`ClusterError::RetriesExhausted`]
+/// or [`ClusterError::WastedWorkExceeded`] from fault resolution.
 pub fn try_run_scale_out<M, R>(
     spec: &JobSpec,
     mapper: &M,
@@ -143,15 +112,20 @@ where
     M::Value: Send,
     R: Reducer<Key = M::Key, Value = M::Value>,
 {
-    assert!(!splits.is_empty(), "scale-out run needs at least one split");
-    spec.validate().expect("invalid job spec");
+    if splits.is_empty() {
+        return Err(ClusterError::invalid("splits", "need at least one split"));
+    }
+    spec.validate()?;
     let slots = spec.cluster.total_slots() as usize;
-    assert!(
-        splits.len() <= slots,
-        "one container per unit: {} splits exceed {} slots",
-        splits.len(),
-        slots
-    );
+    if splits.len() > slots {
+        return Err(ClusterError::invalid(
+            "splits",
+            format!(
+                "one container per unit: {} splits exceed {slots} slots",
+                splits.len()
+            ),
+        ));
+    }
     let n = splits.len() as u32;
     let mut rng = SimRng::seed_from(spec.seed ^ u64::from(n));
 
@@ -316,7 +290,8 @@ fn record_scale_out_trace(
 ///
 /// # Panics
 ///
-/// Panics if `splits` is empty or the spec fails validation.
+/// Panics if `splits` is empty or the spec fails validation. It stays
+/// panicking because `perfbench/src/mr.rs:160` uses its plain return.
 pub fn run_sequential<M, R>(
     spec: &JobSpec,
     mapper: &M,
@@ -456,7 +431,7 @@ mod tests {
     #[test]
     fn identity_job_outputs_sorted_multiset() {
         let spec = JobSpec::emr("sort", 4);
-        let run = run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100));
+        let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100)).unwrap();
         assert_eq!(run.output.len(), 400);
         assert!(
             run.output.windows(2).all(|w| w[0] <= w[1]),
@@ -471,7 +446,7 @@ mod tests {
     #[test]
     fn sequential_and_parallel_produce_identical_output() {
         let spec = JobSpec::emr("count", 3);
-        let par = run_scale_out(&spec, &CountMap, &SumReduce, &splits(3, 500));
+        let par = try_run_scale_out(&spec, &CountMap, &SumReduce, &splits(3, 500)).unwrap();
         let seq = run_sequential(&spec, &CountMap, &SumReduce, &splits(3, 500));
         assert_eq!(par.output, seq.output);
         // All 10 residue classes, each with 150 total.
@@ -483,7 +458,7 @@ mod tests {
     fn speedup_numerator_exceeds_denominator() {
         let spec = JobSpec::emr("sort", 8);
         let s = splits(8, 200);
-        let par = run_scale_out(&spec, &IdMap, &IdReduce, &s);
+        let par = try_run_scale_out(&spec, &IdMap, &IdReduce, &s).unwrap();
         let seq = run_sequential(&spec, &IdMap, &IdReduce, &s);
         // Sequential map is the sum; parallel map is roughly one task.
         assert!(seq.trace.phases.map > 6.0 * par.trace.phases.map);
@@ -494,7 +469,7 @@ mod tests {
     fn proportional_scaling_amplifies_intermediate_bytes() {
         let spec = JobSpec::emr("sort", 2);
         let s = splits(2, 100);
-        let run = run_scale_out(&spec, &IdMap, &IdReduce, &s);
+        let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &s).unwrap();
         // Sample is 1/1000 of nominal: intermediate must scale up ~1000×.
         let sample: u64 = 2 * 100 * 16;
         assert!(run.reduce_input_bytes > 900 * sample / 2);
@@ -503,7 +478,7 @@ mod tests {
     #[test]
     fn saturating_scaling_keeps_intermediate_small() {
         let spec = JobSpec::emr("count", 2);
-        let run = run_scale_out(&spec, &CountMap, &SumReduce, &splits(2, 1000));
+        let run = try_run_scale_out(&spec, &CountMap, &SumReduce, &splits(2, 1000)).unwrap();
         // Post-combine: ≤ 10 keys per task, 16 bytes each.
         assert!(run.reduce_input_bytes <= 2 * 10 * 16);
     }
@@ -511,7 +486,7 @@ mod tests {
     #[test]
     fn scale_out_overhead_is_recorded() {
         let spec = JobSpec::emr("sort", 8);
-        let run = run_scale_out(&spec, &IdMap, &IdReduce, &splits(8, 50));
+        let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(8, 50)).unwrap();
         assert!(run.trace.scale_out_overhead > 0.0);
         let seq = run_sequential(&spec, &IdMap, &IdReduce, &splits(8, 50));
         assert_eq!(seq.trace.scale_out_overhead, 0.0);
@@ -520,17 +495,17 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let spec = JobSpec::emr("sort", 4);
-        let a = run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100));
-        let b = run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100));
+        let a = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100)).unwrap();
+        let b = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100)).unwrap();
         assert_eq!(a.trace, b.trace);
     }
 
     #[test]
     fn different_seeds_change_stragglers() {
         let mut spec = JobSpec::emr("sort", 4);
-        let a = run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100));
+        let a = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100)).unwrap();
         spec.seed = 7;
-        let b = run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100));
+        let b = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100)).unwrap();
         assert_ne!(a.trace.phases.map, b.trace.phases.map);
     }
 
@@ -538,11 +513,11 @@ mod tests {
     fn thread_count_never_changes_results() {
         let s = splits(6, 300);
         let mut spec = JobSpec::emr("count", 6);
-        let baseline = run_scale_out(&spec, &CountMap, &SumReduce, &s);
+        let baseline = try_run_scale_out(&spec, &CountMap, &SumReduce, &s).unwrap();
         let baseline_seq = run_sequential(&spec, &CountMap, &SumReduce, &s);
         for threads in [0, 2, 3, 8] {
             spec.engine.threads = threads;
-            let par = run_scale_out(&spec, &CountMap, &SumReduce, &s);
+            let par = try_run_scale_out(&spec, &CountMap, &SumReduce, &s).unwrap();
             assert_eq!(par.output, baseline.output, "threads = {threads}");
             assert_eq!(par.trace, baseline.trace, "threads = {threads}");
             assert_eq!(par.reduce_input_bytes, baseline.reduce_input_bytes);
@@ -556,7 +531,8 @@ mod tests {
     fn traces_satisfy_structural_invariants() {
         let spec = JobSpec::emr("sort", 8);
         let s = splits(8, 100);
-        run_scale_out(&spec, &IdMap, &IdReduce, &s)
+        try_run_scale_out(&spec, &IdMap, &IdReduce, &s)
+            .unwrap()
             .trace
             .check_invariants()
             .unwrap();
@@ -569,22 +545,25 @@ mod tests {
     #[test]
     fn disabled_faults_never_touch_the_trace() {
         let spec = JobSpec::emr("sort", 4);
-        let run = run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100));
+        let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100)).unwrap();
         assert!(run.trace.faults.is_none());
         assert_eq!(
             run.trace,
-            run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100)).trace
+            try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 100))
+                .unwrap()
+                .trace
         );
     }
 
     #[test]
     fn fault_injection_is_deterministic_and_charged_into_overhead() {
-        let baseline = run_scale_out(&JobSpec::emr("sort", 8), &IdMap, &IdReduce, &splits(8, 50));
+        let baseline =
+            try_run_scale_out(&JobSpec::emr("sort", 8), &IdMap, &IdReduce, &splits(8, 50)).unwrap();
         let mut spec = JobSpec::emr("sort", 8);
         spec.faults = ipso_cluster::FaultModel::flaky(0.3);
         spec.recovery.max_attempts = 8;
-        let a = run_scale_out(&spec, &IdMap, &IdReduce, &splits(8, 50));
-        let b = run_scale_out(&spec, &IdMap, &IdReduce, &splits(8, 50));
+        let a = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(8, 50)).unwrap();
+        let b = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(8, 50)).unwrap();
         assert_eq!(a.trace, b.trace);
         a.trace.check_invariants().unwrap();
         let summary = a.trace.faults.as_ref().expect("faults enabled");
@@ -610,10 +589,10 @@ mod tests {
         spec.faults = ipso_cluster::FaultModel::flaky(0.25);
         spec.recovery.max_attempts = 8;
         spec.recovery.speculation = true;
-        let baseline = run_scale_out(&spec, &IdMap, &IdReduce, &s);
+        let baseline = try_run_scale_out(&spec, &IdMap, &IdReduce, &s).unwrap();
         for threads in [0, 2, 5] {
             spec.engine.threads = threads;
-            let run = run_scale_out(&spec, &IdMap, &IdReduce, &s);
+            let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &s).unwrap();
             assert_eq!(run.trace, baseline.trace, "threads = {threads}");
             assert_eq!(run.output, baseline.output, "threads = {threads}");
         }
@@ -632,14 +611,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unrecoverable fault")]
-    fn panicking_wrapper_reports_unrecoverable_faults() {
-        let mut spec = JobSpec::emr("sort", 2);
-        spec.faults = ipso_cluster::FaultModel::flaky(1.0);
-        let _ = run_scale_out(&spec, &IdMap, &IdReduce, &splits(2, 10));
-    }
-
-    #[test]
     fn fail_fast_budget_aborts_the_run() {
         let mut spec = JobSpec::emr("sort", 4);
         spec.faults = ipso_cluster::FaultModel::flaky(0.5);
@@ -651,17 +622,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed")]
     fn more_splits_than_slots_rejected() {
         let spec = JobSpec::emr("sort", 2);
-        let _ = run_scale_out(&spec, &IdMap, &IdReduce, &splits(3, 10));
+        let err = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(3, 10)).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::InvalidParameter { what: "splits", .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("3 splits exceed 2 slots"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "at least one split")]
     fn empty_splits_rejected() {
         let spec = JobSpec::emr("sort", 2);
-        let _ = run_scale_out(&spec, &IdMap, &IdReduce, &[]);
+        let err = try_run_scale_out(&spec, &IdMap, &IdReduce, &[]).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::InvalidParameter { what: "splits", .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn invalid_spec_rejected() {
+        let mut spec = JobSpec::emr("sort", 2);
+        spec.cost.map_rate = 0.0;
+        let err = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(2, 10)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClusterError::InvalidParameter {
+                    what: "map_rate",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 }
 
@@ -707,8 +702,8 @@ mod pipelined_shuffle_tests {
         let mut piped = plain.clone();
         piped.pipelined_shuffle = true;
         let s = splits(16);
-        let a = run_scale_out(&plain, &IdMap, &IdReduce, &s);
-        let b = run_scale_out(&piped, &IdMap, &IdReduce, &s);
+        let a = try_run_scale_out(&plain, &IdMap, &IdReduce, &s).unwrap();
+        let b = try_run_scale_out(&piped, &IdMap, &IdReduce, &s).unwrap();
         assert!(
             b.trace.phases.shuffle < a.trace.phases.shuffle,
             "pipelined {} vs barrier {}",
@@ -723,7 +718,7 @@ mod pipelined_shuffle_tests {
     fn pipelined_shuffle_never_negative_and_bounded_by_total() {
         let mut spec = JobSpec::emr("sort", 8);
         spec.pipelined_shuffle = true;
-        let run = run_scale_out(&spec, &IdMap, &IdReduce, &splits(8));
+        let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(8)).unwrap();
         let total = spec.cost.shuffle_time(run.reduce_input_bytes);
         assert!(run.trace.phases.shuffle >= 0.0);
         assert!(run.trace.phases.shuffle <= total + 1e-9);
@@ -736,7 +731,7 @@ mod pipelined_shuffle_tests {
         let mut spec = JobSpec::emr("sort", 8);
         spec.pipelined_shuffle = true;
         spec.cost.shuffle_rate = 1.0e6; // 1 MB/s reducer ingest
-        let run = run_scale_out(&spec, &IdMap, &IdReduce, &splits(8));
+        let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(8)).unwrap();
         let total = spec.cost.shuffle_time(run.reduce_input_bytes);
         // Nearly nothing could be hidden behind the (short) map phase.
         assert!(run.trace.phases.shuffle > 0.9 * total - run.trace.phases.map - 1.0);

@@ -16,7 +16,7 @@
 //!   executing smaller samples of real records (see
 //!   [`split::InputSplit::sample_fraction`]);
 //! * both execution modes of the paper are provided: the scale-out run
-//!   ([`engine::run_scale_out`]) and the sequential-execution reference
+//!   ([`engine::try_run_scale_out`]) and the sequential-execution reference
 //!   model defining the speedup numerator ([`engine::run_sequential`]);
 //! * [`measure`] converts paired runs into the `RunMeasurement`
 //!   decomposition the IPSO analysis consumes.
@@ -38,7 +38,7 @@ pub mod split;
 pub use api::{Mapper, OutputScaling, Reducer, Sizeable};
 pub use config::JobSpec;
 pub use cost::JobCostModel;
-pub use engine::{run_scale_out, run_sequential, try_run_scale_out, JobRun};
+pub use engine::{run_sequential, try_run_scale_out, JobRun};
 pub use measure::{measurement_from_runs, ScalingSweep};
 pub use plan::plan_scale_out;
 pub use split::InputSplit;

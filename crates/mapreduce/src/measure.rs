@@ -62,7 +62,11 @@ pub struct ScalingSweep {
 impl SweepPoint {
     /// Runs one point with a single data path run: bit for bit what
     /// [`crate::try_run_scale_out`] and [`crate::run_sequential`] give
-    /// over the same splits, with the same errors and panics.
+    /// over the same splits.
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`crate::try_run_scale_out`].
     pub fn run<M, R>(
         spec: &JobSpec,
         mapper: &M,
@@ -92,7 +96,9 @@ impl ScalingSweep {
     ///
     /// # Panics
     ///
-    /// Panics on an unrecoverable fault, and as [`SweepPoint::run`] does.
+    /// Panics on any [`SweepPoint::run`] error. It stays panicking
+    /// because `perfbench/src/mr.rs:338` pins the workloads' sweeps as
+    /// `fn(&[u32]) -> ScalingSweep`.
     pub fn run<M, R>(
         ns: &[u32],
         mapper: &M,
@@ -111,7 +117,7 @@ impl ScalingSweep {
             .iter()
             .map(|&n| {
                 SweepPoint::run(&make_spec(n), mapper, reducer, &make_splits(n))
-                    .unwrap_or_else(|e| panic!("unrecoverable fault: {e}"))
+                    .unwrap_or_else(|e| panic!("sweep point n = {n}: {e}"))
             })
             .collect();
         points.sort_by_key(|p| p.n);
@@ -238,5 +244,23 @@ mod tests {
         assert!((curve.points()[0].speedup - 1.0).abs() < 0.2);
         let ms = sweep.measurements();
         assert!(ms.windows(2).all(|w| w[0].n < w[1].n));
+    }
+
+    #[test]
+    fn point_rejects_bad_input_with_a_typed_error() {
+        let spec = JobSpec::emr("sort", 2);
+        let mut bad_spec = spec.clone();
+        bad_spec.straggler = ipso_cluster::StragglerModel::Pareto { shape: 0.5 };
+        for (spec, splits) in [
+            (&spec, vec![]),
+            (&spec, mk_splits(3)),
+            (&bad_spec, mk_splits(2)),
+        ] {
+            let err = SweepPoint::run(spec, &IdMap, &IdReduce, &splits).unwrap_err();
+            assert!(
+                matches!(err, ClusterError::InvalidParameter { .. }),
+                "{err}"
+            );
+        }
     }
 }

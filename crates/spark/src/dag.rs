@@ -1,6 +1,6 @@
 //! General stage DAGs (Dryad-style).
 //!
-//! [`run_job`](crate::engine::run_job) executes stages strictly in
+//! [`try_run_job`](crate::engine::try_run_job) executes stages strictly in
 //! sequence — the common Spark shape where each stage consumes its
 //! predecessor's shuffle. Frameworks like Dryad (the paper's reference
 //! \[3\]) schedule general DAGs where *independent* stages run
@@ -21,7 +21,7 @@
 //!   one lump, without the separate straggler-tail share.
 
 use ipso_cluster::runtime::RuntimeConfig;
-use ipso_cluster::{FaultSummary, SchedulerPolicy};
+use ipso_cluster::{ClusterError, FaultSummary, SchedulerPolicy};
 use ipso_sim::SimRng;
 
 use crate::engine::SparkRun;
@@ -37,16 +37,21 @@ use crate::lower::lower_levels;
 ///
 /// # Errors
 ///
-/// Rejects out-of-range indices, self-edges and cycles.
-pub fn assign_levels(num_stages: usize, edges: &[(usize, usize)]) -> Result<Vec<usize>, String> {
+/// Returns [`ClusterError::InvalidParameter`] for out-of-range indices,
+/// self-edges and cycles.
+pub fn assign_levels(
+    num_stages: usize,
+    edges: &[(usize, usize)],
+) -> Result<Vec<usize>, ClusterError> {
+    let invalid = |message: String| ClusterError::invalid("stage dependency graph", message);
     for &(a, b) in edges {
         if a >= num_stages || b >= num_stages {
-            return Err(format!(
+            return Err(invalid(format!(
                 "edge ({a}, {b}) out of range for {num_stages} stages"
-            ));
+            )));
         }
         if a == b {
-            return Err(format!("self-edge on stage {a}"));
+            return Err(invalid(format!("self-edge on stage {a}")));
         }
     }
     // Longest-path levels via Kahn's algorithm.
@@ -70,7 +75,7 @@ pub fn assign_levels(num_stages: usize, edges: &[(usize, usize)]) -> Result<Vec<
         }
     }
     if visited != num_stages {
-        return Err("stage dependency graph contains a cycle".into());
+        return Err(invalid("contains a cycle".into()));
     }
     Ok(level)
 }
@@ -79,29 +84,34 @@ pub fn assign_levels(num_stages: usize, edges: &[(usize, usize)]) -> Result<Vec<
 ///
 /// # Errors
 ///
-/// Returns the message of the first error met: `spec`'s own validation
-/// error, a DAG validation error from [`assign_levels`], or the
-/// runtime's `ClusterError` (for example `task 3 failed all 4 attempts`
-/// when a task exhausts its retries).
+/// Returns the message of the first [`ClusterError`] met: `spec`'s own
+/// validation error, a DAG validation error from [`assign_levels`], or
+/// the runtime's error (for example `task 3 failed all 4 attempts` when
+/// a task exhausts its retries). The error stays a `String` because
+/// `perfbench/src/spark.rs:104-107` matches on it as one.
 ///
 /// # Example
 ///
 /// ```
-/// use ipso_spark::{run_dag, run_job, SparkJobSpec, StageSpec};
+/// use ipso_spark::{run_dag, try_run_job, SparkJobSpec, StageSpec};
 ///
-/// # fn main() -> Result<(), String> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // A diamond: two independent 8-task stages feed an aggregation.
 /// let job = SparkJobSpec::emr("diamond", 8, 8)
 ///     .stage(StageSpec::new("left", 8).with_task_compute(1.0))
 ///     .stage(StageSpec::new("right", 8).with_task_compute(1.0))
 ///     .stage(StageSpec::new("join", 4).with_task_compute(0.2));
 /// let dag = run_dag(&job, &[(0, 2), (1, 2)])?;
-/// let chain = run_job(&job); // same stages, forced sequential
+/// let chain = try_run_job(&job)?; // same stages, forced sequential
 /// assert!(dag.total_time <= chain.total_time);
 /// # Ok(())
 /// # }
 /// ```
 pub fn run_dag(spec: &SparkJobSpec, edges: &[(usize, usize)]) -> Result<SparkRun, String> {
+    run_levels(spec, edges).map_err(|e| e.to_string())
+}
+
+fn run_levels(spec: &SparkJobSpec, edges: &[(usize, usize)]) -> Result<SparkRun, ClusterError> {
     spec.validate()?;
     let (graph, members_per_level) = lower_levels(spec, edges)?;
     let m = spec.parallelism;
@@ -116,7 +126,7 @@ pub fn run_dag(spec: &SparkJobSpec, edges: &[(usize, usize)]) -> Result<SparkRun
         recovery: spec.recovery,
         threads: spec.engine.threads,
     };
-    let outcome = ipso_cluster::execute(&graph, &runtime, &mut rng).map_err(|e| e.to_string())?;
+    let outcome = ipso_cluster::execute(&graph, &runtime, &mut rng)?;
 
     let mut clock = 0.0f64;
     let mut overhead = 0.0f64;
@@ -204,7 +214,7 @@ pub fn run_dag(spec: &SparkJobSpec, edges: &[(usize, usize)]) -> Result<SparkRun
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_job;
+    use crate::engine::try_run_job;
     use crate::stage::StageSpec;
     use ipso_cluster::StragglerModel;
 
@@ -228,16 +238,25 @@ mod tests {
 
     #[test]
     fn cycles_and_bad_edges_rejected() {
-        assert!(assign_levels(2, &[(0, 1), (1, 0)]).is_err());
-        assert!(assign_levels(2, &[(0, 5)]).is_err());
-        assert!(assign_levels(2, &[(1, 1)]).is_err());
+        for edges in [&[(0, 1), (1, 0)][..], &[(0, 5)], &[(1, 1)]] {
+            assert!(
+                matches!(
+                    assign_levels(2, edges),
+                    Err(ClusterError::InvalidParameter {
+                        what: "stage dependency graph",
+                        ..
+                    })
+                ),
+                "{edges:?}"
+            );
+        }
     }
 
     #[test]
     fn chain_dag_matches_sequential_engine() {
         let j = job3();
         let chain = run_dag(&j, &[(0, 1), (1, 2)]).unwrap();
-        let seq = run_job(&j);
+        let seq = try_run_job(&j).unwrap();
         assert!(
             (chain.total_time - seq.total_time).abs() < 0.05 * seq.total_time,
             "chain {} vs sequential {}",
@@ -291,7 +310,7 @@ mod tests {
         j.parallelism = 0;
         assert_eq!(
             run_dag(&j, &[(0, 2)]).unwrap_err(),
-            "parallel degree m must be positive"
+            "invalid parallel degree: m must be positive"
         );
     }
 
@@ -299,7 +318,7 @@ mod tests {
     fn cycle_is_an_error() {
         assert_eq!(
             run_dag(&job3(), &[(0, 1), (1, 0)]).unwrap_err(),
-            "stage dependency graph contains a cycle"
+            "invalid stage dependency graph: contains a cycle"
         );
     }
 

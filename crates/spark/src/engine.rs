@@ -1,7 +1,7 @@
 //! Stage-DAG execution.
 //!
-//! Since the unified-runtime refactor [`run_job`] is plan → execute →
-//! walk:
+//! Since the unified-runtime refactor [`try_run_job`] is plan → execute
+//! → walk:
 //!
 //! 1. **Plan**: [`crate::lower::lower_chain`] translates the job into
 //!    the framework-agnostic task-graph IR — one stage per DAG stage
@@ -73,17 +73,6 @@ impl SparkRun {
 /// 4. the stage's shuffle output is redistributed m-to-m with the incast
 ///    goodput penalty at each receiver.
 ///
-/// # Panics
-///
-/// Panics if the spec fails validation or — with faults enabled — the
-/// run hits an unrecoverable fault ([`try_run_job`] returns those as
-/// typed errors instead).
-pub fn run_job(spec: &SparkJobSpec) -> SparkRun {
-    try_run_job(spec).unwrap_or_else(|e| panic!("unrecoverable fault: {e}"))
-}
-
-/// [`run_job`] with fault-recovery failures surfaced as typed errors.
-///
 /// With `spec.faults` enabled, each stage's planned durations pass
 /// through [`ipso_cluster::resolve_faults`] (in the sequential plan
 /// phase, so the RNG stream stays byte-deterministic for any thread
@@ -96,14 +85,11 @@ pub fn run_job(spec: &SparkJobSpec) -> SparkRun {
 ///
 /// # Errors
 ///
-/// Returns [`ClusterError::RetriesExhausted`] or
-/// [`ClusterError::WastedWorkExceeded`] from any stage's resolution.
-///
-/// # Panics
-///
-/// Panics if the spec fails validation.
+/// Returns [`ClusterError::InvalidParameter`] if the spec fails
+/// validation; with faults enabled, [`ClusterError::RetriesExhausted`]
+/// or [`ClusterError::WastedWorkExceeded`] from any stage's resolution.
 pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
-    spec.validate().expect("invalid spark job spec");
+    spec.validate()?;
     let m = spec.parallelism;
     let mut rng =
         SimRng::seed_from(spec.seed ^ (u64::from(m) << 32) ^ u64::from(spec.problem_size));
@@ -283,7 +269,8 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
 ///
 /// # Panics
 ///
-/// Panics if the spec fails validation.
+/// Panics if the spec fails validation. It stays panicking because
+/// `perfbench/src/spark.rs:118` uses its plain return.
 pub fn run_sequential_reference(spec: &SparkJobSpec) -> f64 {
     spec.validate().expect("invalid spark job spec");
     let mean_mult = spec.straggler.mean_multiplier();
@@ -317,7 +304,7 @@ mod tests {
         job.straggler = StragglerModel::None;
         job.first_wave_cost = 0.0;
         job.executor_launch_cost = 0.0;
-        let run = run_job(&job);
+        let run = try_run_job(&job).unwrap();
         // Two waves of 1 s tasks plus small dispatch.
         assert!(
             (2.0..2.3).contains(&run.total_time),
@@ -342,7 +329,7 @@ mod tests {
                 .with_broadcast(50 * 1024 * 1024),
         );
         job.straggler = StragglerModel::None;
-        let run = run_job(&job);
+        let run = try_run_job(&job).unwrap();
         // 4 serialized 50 MB unicasts at 250 MB/s ≈ 0.8 s.
         assert!(run.overhead_time > 0.7, "overhead = {}", run.overhead_time);
         assert!(run.overhead_fraction() > 0.3);
@@ -360,8 +347,8 @@ mod tests {
             j.first_wave_cost = 0.0;
             j
         };
-        let o10 = run_job(&mk(10)).overhead_time;
-        let o40 = run_job(&mk(40)).overhead_time;
+        let o10 = try_run_job(&mk(10)).unwrap().overhead_time;
+        let o40 = try_run_job(&mk(40)).unwrap().overhead_time;
         assert!(
             o40 > 3.5 * o10 && o40 < 4.5 * o10,
             "o10 = {o10}, o40 = {o40}"
@@ -385,8 +372,8 @@ mod tests {
         };
         // Load 2: 2 GiB cached per executor — fits in 4 GiB. Load 8: 8 GiB
         // — spills.
-        let fit = run_job(&mk(2));
-        let spill = run_job(&mk(8));
+        let fit = try_run_job(&mk(2)).unwrap();
+        let spill = try_run_job(&mk(8)).unwrap();
         let per_task_fit = fit.total_time / 2.0;
         let per_task_spill = spill.total_time / 8.0;
         assert!(per_task_spill > 1.4 * per_task_fit);
@@ -396,7 +383,7 @@ mod tests {
     fn event_log_reflects_stages() {
         let mut job = simple_job(4, 2).stage(StageSpec::new("agg", 2).with_task_compute(0.2));
         job.executor_launch_cost = 0.0;
-        let run = run_job(&job);
+        let run = try_run_job(&job).unwrap();
         let (stages, duration) = parse_event_log(&run.log).unwrap();
         assert_eq!(stages.len(), 2);
         assert_eq!(stages[0].stage_name, "map");
@@ -414,8 +401,8 @@ mod tests {
             j.first_wave_cost = 0.0;
             j
         };
-        let o8 = run_job(&mk(8)).overhead_time;
-        let o64 = run_job(&mk(64)).overhead_time;
+        let o8 = try_run_job(&mk(8)).unwrap().overhead_time;
+        let o64 = try_run_job(&mk(64)).unwrap().overhead_time;
         assert!(
             o64 > 6.0 * o8,
             "launch overhead should grow ~linearly: {o8} -> {o64}"
@@ -425,7 +412,7 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let job = simple_job(16, 4);
-        assert_eq!(run_job(&job), run_job(&job));
+        assert_eq!(try_run_job(&job).unwrap(), try_run_job(&job).unwrap());
     }
 
     fn multi_stage_job() -> SparkJobSpec {
@@ -447,10 +434,10 @@ mod tests {
     #[test]
     fn thread_count_never_changes_results() {
         let mut job = multi_stage_job();
-        let baseline = run_job(&job);
+        let baseline = try_run_job(&job).unwrap();
         for threads in [0, 2, 3, 8] {
             job.engine.threads = threads;
-            assert_eq!(run_job(&job), baseline, "threads = {threads}");
+            assert_eq!(try_run_job(&job).unwrap(), baseline, "threads = {threads}");
         }
     }
 
@@ -461,7 +448,7 @@ mod tests {
             ipso_obs::reset();
             let mut job = multi_stage_job();
             job.engine.threads = threads;
-            let run = run_job(&job);
+            let run = try_run_job(&job).unwrap();
             let events = ipso_obs::take_events();
             let metrics = ipso_obs::snapshot();
             ipso_obs::set_enabled(false);
@@ -478,19 +465,19 @@ mod tests {
     #[test]
     fn disabled_faults_leave_runs_untouched() {
         let job = multi_stage_job();
-        let run = run_job(&job);
+        let run = try_run_job(&job).unwrap();
         assert!(run.fault_summaries.is_empty());
-        assert_eq!(run, run_job(&job));
+        assert_eq!(run, try_run_job(&job).unwrap());
     }
 
     #[test]
     fn fault_injection_is_deterministic_and_grows_overhead() {
-        let baseline = run_job(&multi_stage_job());
+        let baseline = try_run_job(&multi_stage_job()).unwrap();
         let mut job = multi_stage_job();
         job.faults = ipso_cluster::FaultModel::flaky(0.3);
         job.recovery.max_attempts = 8;
-        let a = run_job(&job);
-        let b = run_job(&job);
+        let a = try_run_job(&job).unwrap();
+        let b = try_run_job(&job).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.fault_summaries.len(), job.stages.len());
         let wasted: f64 = a.fault_summaries.iter().map(|s| s.wasted_total()).sum();
@@ -506,7 +493,7 @@ mod tests {
             node_crash_prob: 1.0,
             ..ipso_cluster::FaultModel::none()
         };
-        let crash = run_job(&job);
+        let crash = try_run_job(&job).unwrap();
         // Every node crashes in every stage: stages 1 and 2 must replay
         // their predecessors' partitions from lineage on top of the
         // directly lost outputs.
@@ -517,7 +504,7 @@ mod tests {
             crash.overhead_time,
             crash_wasted
         );
-        let baseline = run_job(&multi_stage_job());
+        let baseline = try_run_job(&multi_stage_job()).unwrap();
         assert!(crash.total_time > baseline.total_time);
     }
 
@@ -533,15 +520,32 @@ mod tests {
     }
 
     #[test]
+    fn invalid_spec_is_a_typed_error() {
+        let mut job = simple_job(4, 2);
+        job.parallelism = 0;
+        let err = try_run_job(&job).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClusterError::InvalidParameter {
+                    what: "parallel degree",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn fault_injection_is_thread_count_invariant() {
         let mut job = multi_stage_job();
         job.faults = ipso_cluster::FaultModel::flaky(0.25);
         job.recovery.max_attempts = 8;
         job.recovery.speculation = true;
-        let baseline = run_job(&job);
+        let baseline = try_run_job(&job).unwrap();
         for threads in [0, 2, 4] {
             job.engine.threads = threads;
-            assert_eq!(run_job(&job), baseline, "threads = {threads}");
+            assert_eq!(try_run_job(&job).unwrap(), baseline, "threads = {threads}");
         }
     }
 
@@ -556,6 +560,9 @@ mod tests {
         let mut without =
             SparkJobSpec::emr("s", 8, 4).stage(StageSpec::new("map", 8).with_task_compute(0.5));
         without.straggler = StragglerModel::None;
-        assert!(run_job(&with).total_time > run_job(&without).total_time + 0.5);
+        assert!(
+            try_run_job(&with).unwrap().total_time
+                > try_run_job(&without).unwrap().total_time + 0.5
+        );
     }
 }

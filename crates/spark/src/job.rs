@@ -1,8 +1,8 @@
 //! Spark job configuration.
 
 use ipso_cluster::{
-    CentralScheduler, ClusterSpec, EngineOptions, FaultModel, NetworkModel, RecoveryPolicy,
-    StragglerModel,
+    CentralScheduler, ClusterError, ClusterSpec, EngineOptions, FaultModel, NetworkModel,
+    RecoveryPolicy, StragglerModel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -107,34 +107,44 @@ impl SparkJobSpec {
     ///
     /// # Errors
     ///
-    /// Returns the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ClusterError::InvalidParameter`] on the first violated
+    /// constraint.
+    pub fn validate(&self) -> Result<(), ClusterError> {
         if self.problem_size == 0 {
-            return Err("problem size N must be positive".into());
+            return Err(ClusterError::invalid("problem size", "N must be positive"));
         }
         if self.parallelism == 0 {
-            return Err("parallel degree m must be positive".into());
+            return Err(ClusterError::invalid(
+                "parallel degree",
+                "m must be positive",
+            ));
         }
         if self.stages.is_empty() {
-            return Err("job needs at least one stage".into());
+            return Err(ClusterError::invalid("job", "needs at least one stage"));
         }
         if self.executor_memory == 0 {
-            return Err("executor memory must be positive".into());
+            return Err(ClusterError::invalid("executor memory", "must be positive"));
         }
         if !self.spill_slowdown.is_finite() || self.spill_slowdown < 1.0 {
-            return Err("spill slowdown must be >= 1".into());
+            return Err(ClusterError::invalid("spill slowdown", "must be >= 1"));
         }
         if !self.first_wave_cost.is_finite() || self.first_wave_cost < 0.0 {
-            return Err("first wave cost must be finite and >= 0".into());
+            return Err(ClusterError::invalid(
+                "first wave cost",
+                "must be finite and >= 0",
+            ));
         }
         if !self.executor_launch_cost.is_finite() || self.executor_launch_cost < 0.0 {
-            return Err("executor launch cost must be finite and >= 0".into());
+            return Err(ClusterError::invalid(
+                "executor launch cost",
+                "must be finite and >= 0",
+            ));
         }
         self.cluster.validate()?;
         self.scheduler.validate()?;
         self.straggler.validate()?;
-        self.faults.validate().map_err(|e| e.to_string())?;
-        self.recovery.validate().map_err(|e| e.to_string())?;
+        self.faults.validate()?;
+        self.recovery.validate()?;
         for s in &self.stages {
             s.validate()?;
         }
@@ -154,16 +164,28 @@ mod tests {
         assert_eq!(job.load_level(), 4.0);
     }
 
+    fn rejected(job: &SparkJobSpec) -> &'static str {
+        match job.validate() {
+            Err(ClusterError::InvalidParameter { what, .. }) => what,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
     #[test]
     fn validation_catches_problems() {
         let no_stages = SparkJobSpec::emr("x", 4, 2);
-        assert!(no_stages.validate().is_err());
+        assert_eq!(rejected(&no_stages), "job");
         let mut bad = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 4));
         bad.problem_size = 0;
-        assert!(bad.validate().is_err());
+        assert_eq!(rejected(&bad), "problem size");
         bad = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 4));
         bad.spill_slowdown = 0.5;
-        assert!(bad.validate().is_err());
+        assert_eq!(rejected(&bad), "spill slowdown");
+        bad = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 0));
+        assert_eq!(rejected(&bad), "stage");
+        bad = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 4));
+        bad.recovery.max_attempts = 0;
+        assert_eq!(rejected(&bad), "max attempts");
     }
 
     #[test]

@@ -32,9 +32,9 @@ pub mod measure;
 pub mod stage;
 
 pub use dag::{assign_levels, run_dag};
-pub use engine::{run_job, run_sequential_reference, try_run_job, SparkRun};
+pub use engine::{run_sequential_reference, try_run_job, SparkRun};
 pub use eventlog::{parse_event_log, write_event_log, SparkEvent};
 pub use job::SparkJobSpec;
 pub use lower::{lower_chain, lower_levels};
-pub use measure::{speedup, sweep_fixed_size, sweep_fixed_time, SparkSweepPoint};
+pub use measure::{sweep_fixed_size, sweep_fixed_time, SparkSweepPoint};
 pub use stage::StageSpec;

@@ -8,7 +8,7 @@
 //! Two lowerings exist, matching the two execution shapes:
 //!
 //! * [`lower_chain`] — the sequential stage chain of
-//!   [`crate::engine::run_job`]: one graph stage per DAG stage, each
+//!   [`crate::engine::try_run_job`]: one graph stage per DAG stage, each
 //!   depending on its predecessor, with uniform ideal tasks
 //!   (`base × mem_mult`), first-wave costs as fixed extras, and
 //!   [`LineageMode::RecomputeParents`] so a node crash replays the
@@ -27,7 +27,7 @@
 //! *individually* — floating-point association is part of the
 //! byte-compatibility contract.
 
-use ipso_cluster::{IdealReference, LineageMode, StageNode, TaskGraph};
+use ipso_cluster::{ClusterError, IdealReference, LineageMode, StageNode, TaskGraph};
 
 use crate::dag::assign_levels;
 use crate::engine::INPUT_READ_RATE;
@@ -104,11 +104,12 @@ pub fn lower_chain(spec: &SparkJobSpec) -> TaskGraph {
 ///
 /// # Errors
 ///
-/// Returns DAG validation errors from [`assign_levels`].
+/// Returns [`ClusterError::InvalidParameter`] from
+/// [`assign_levels`] for an invalid edge list.
 pub fn lower_levels(
     spec: &SparkJobSpec,
     edges: &[(usize, usize)],
-) -> Result<(TaskGraph, Vec<Vec<usize>>), String> {
+) -> Result<(TaskGraph, Vec<Vec<usize>>), ClusterError> {
     let levels = assign_levels(spec.stages.len(), edges)?;
     let max_level = levels.iter().copied().max().unwrap_or(0);
     let m = spec.parallelism;

@@ -7,7 +7,7 @@
 //!   (Fig. 9);
 //! * **fixed-size** — the problem size `N` is held constant (Fig. 10).
 
-use crate::engine::{run_job, run_sequential_reference};
+use crate::engine::{run_sequential_reference, try_run_job};
 use crate::job::SparkJobSpec;
 
 /// One point of a Spark scaling sweep.
@@ -25,18 +25,14 @@ pub struct SparkSweepPoint {
     pub overhead_time: f64,
 }
 
-/// Measures the speedup of one configuration: sequential reference over
-/// parallel execution.
-pub fn speedup(spec: &SparkJobSpec) -> f64 {
-    let par = run_job(spec);
-    let seq = run_sequential_reference(spec);
-    seq / par.total_time
-}
-
 /// Sweeps the fixed-time dimension: `N = load_level · m` for each `m`.
 ///
 /// `make_job(problem_size, parallelism)` builds the fully-staged job —
 /// the workload crates provide these constructors.
+///
+/// # Panics
+///
+/// Panics if `load_level` is zero or any point's [`try_run_job`] errs.
 pub fn sweep_fixed_time(
     mut make_job: impl FnMut(u32, u32) -> SparkJobSpec,
     load_level: u32,
@@ -52,6 +48,10 @@ pub fn sweep_fixed_time(
 }
 
 /// Sweeps the fixed-size dimension: `N` constant for each `m`.
+///
+/// # Panics
+///
+/// Panics if `problem_size` is zero or any point's [`try_run_job`] errs.
 pub fn sweep_fixed_size(
     mut make_job: impl FnMut(u32, u32) -> SparkJobSpec,
     problem_size: u32,
@@ -67,7 +67,7 @@ pub fn sweep_fixed_size(
 }
 
 fn point(spec: &SparkJobSpec, m: u32) -> SparkSweepPoint {
-    let par = run_job(spec);
+    let par = try_run_job(spec).unwrap_or_else(|e| panic!("sweep point m = {m}: {e}"));
     let seq = run_sequential_reference(spec);
     SparkSweepPoint {
         m,
@@ -143,8 +143,8 @@ mod tests {
     #[test]
     fn speedup_matches_manual_ratio() {
         let spec = ml_job(8, 4);
-        let s = speedup(&spec);
-        let manual = run_sequential_reference(&spec) / run_job(&spec).total_time;
+        let s = point(&spec, 4).speedup;
+        let manual = run_sequential_reference(&spec) / try_run_job(&spec).unwrap().total_time;
         assert!((s - manual).abs() < 1e-12);
     }
 

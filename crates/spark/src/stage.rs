@@ -1,5 +1,6 @@
 //! Stage specifications.
 
+use ipso_cluster::ClusterError;
 use serde::{Deserialize, Serialize};
 
 /// One stage of a Spark-like job.
@@ -107,15 +108,19 @@ impl StageSpec {
     ///
     /// # Errors
     ///
-    /// Returns the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ClusterError::InvalidParameter`] on the first violated
+    /// constraint.
+    pub fn validate(&self) -> Result<(), ClusterError> {
         if self.tasks == 0 {
-            return Err(format!("stage '{}' must have at least one task", self.name));
+            return Err(ClusterError::invalid(
+                "stage",
+                format!("'{}' must have at least one task", self.name),
+            ));
         }
         if !self.task_compute.is_finite() || self.task_compute < 0.0 {
-            return Err(format!(
-                "stage '{}' compute must be finite and >= 0",
-                self.name
+            return Err(ClusterError::invalid(
+                "stage",
+                format!("'{}' compute must be finite and >= 0", self.name),
             ));
         }
         Ok(())
@@ -146,10 +151,17 @@ mod tests {
     #[test]
     fn validation() {
         assert!(StageSpec::new("ok", 1).validate().is_ok());
-        assert!(StageSpec::new("zero", 0).validate().is_err());
+        let err = StageSpec::new("zero", 0).validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid stage: 'zero' must have at least one task"
+        );
         let mut s = StageSpec::new("neg", 1);
         s.task_compute = -1.0;
-        assert!(s.validate().is_err());
+        assert!(matches!(
+            s.validate(),
+            Err(ClusterError::InvalidParameter { what: "stage", .. })
+        ));
     }
 
     #[test]

@@ -149,7 +149,7 @@ mod tests {
     use crate::datagen::random_ratings;
     use ipso::predict::FixedSizePredictor;
     use ipso_sim::SimRng;
-    use ipso_spark::{run_job, sweep_fixed_size};
+    use ipso_spark::{sweep_fixed_size, try_run_job};
 
     #[test]
     fn als_reduces_rmse() {
@@ -202,14 +202,14 @@ mod tests {
     #[test]
     fn simulated_job_reproduces_table1_shape() {
         // E[max Tp,i(n)] ≈ a/n: split-phase time at m = 10 near 209 s.
-        let run10 = run_job(&job(CF_TASKS, 10));
+        let run10 = try_run_job(&job(CF_TASKS, 10)).unwrap();
         let compute10 = run10.total_time - run10.overhead_time;
         assert!(
             (160.0..260.0).contains(&compute10),
             "split time at m = 10: {compute10}"
         );
         // Wo ≈ 0.55·n: overhead at m = 60 near 36 s.
-        let run60 = run_job(&job(CF_TASKS, 60));
+        let run60 = try_run_job(&job(CF_TASKS, 60)).unwrap();
         assert!(
             (25.0..50.0).contains(&run60.overhead_time),
             "Wo(60) = {}",

@@ -77,7 +77,7 @@ pub fn job_edges() -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use ipso_sim::SimRng;
-    use ipso_spark::{run_dag, run_job};
+    use ipso_spark::{run_dag, try_run_job};
 
     #[test]
     fn join_matches_nested_loop_reference() {
@@ -118,7 +118,7 @@ mod tests {
     fn dag_execution_beats_forced_chain() {
         let j = job(16, 8);
         let dag = run_dag(&j, &job_edges()).unwrap();
-        let chain = run_job(&j); // stages forced sequential
+        let chain = try_run_job(&j).unwrap(); // stages forced sequential
         assert!(dag.total_time <= chain.total_time + 1e-9);
         // The dims branch is strictly shorter than the facts branch, so
         // running them concurrently must save real time, not just ties.

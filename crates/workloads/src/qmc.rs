@@ -371,8 +371,9 @@ mod tests {
 
     #[test]
     fn pi_estimate_is_accurate() {
-        use ipso_mapreduce::run_scale_out;
-        let run = run_scale_out(&job_spec(4), &QmcMapper, &QmcReducer, &make_splits(4));
+        use ipso_mapreduce::try_run_scale_out;
+        let run =
+            try_run_scale_out(&job_spec(4), &QmcMapper, &QmcReducer, &make_splits(4)).unwrap();
         assert_eq!(run.output.len(), 1);
         let pi = run.output[0];
         assert!(

@@ -101,9 +101,9 @@ mod tests {
 
     #[test]
     fn output_is_a_sorted_permutation_of_the_input() {
-        use ipso_mapreduce::run_scale_out;
+        use ipso_mapreduce::try_run_scale_out;
         let splits = make_splits(3, 9);
-        let run = run_scale_out(&job_spec(3), &SortMapper, &SortReducer, &splits);
+        let run = try_run_scale_out(&job_spec(3), &SortMapper, &SortReducer, &splits).unwrap();
         let mut expected: Vec<String> = splits.into_iter().flat_map(|s| s.records).collect();
         assert!(run.output.windows(2).all(|w| w[0] <= w[1]), "not sorted");
         expected.sort();
@@ -112,9 +112,11 @@ mod tests {
 
     #[test]
     fn intermediate_data_is_proportional_to_input() {
-        use ipso_mapreduce::run_scale_out;
-        let r2 = run_scale_out(&job_spec(2), &SortMapper, &SortReducer, &make_splits(2, 1));
-        let r8 = run_scale_out(&job_spec(8), &SortMapper, &SortReducer, &make_splits(8, 1));
+        use ipso_mapreduce::try_run_scale_out;
+        let r2 =
+            try_run_scale_out(&job_spec(2), &SortMapper, &SortReducer, &make_splits(2, 1)).unwrap();
+        let r8 =
+            try_run_scale_out(&job_spec(8), &SortMapper, &SortReducer, &make_splits(8, 1)).unwrap();
         let ratio = r8.reduce_input_bytes as f64 / r2.reduce_input_bytes as f64;
         assert!((3.5..4.5).contains(&ratio), "ratio = {ratio}");
     }

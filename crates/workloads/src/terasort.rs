@@ -112,13 +112,14 @@ mod tests {
 
     #[test]
     fn output_is_sorted_by_key() {
-        use ipso_mapreduce::run_scale_out;
-        let run = run_scale_out(
+        use ipso_mapreduce::try_run_scale_out;
+        let run = try_run_scale_out(
             &job_spec(2),
             &TeraSortMapper,
             &TeraSortReducer,
             &make_splits(2, 5),
-        );
+        )
+        .unwrap();
         assert_eq!(run.output.len(), 2 * SAMPLE_RECORDS);
         assert!(
             run.output.windows(2).all(|w| w[0].0 <= w[1].0),

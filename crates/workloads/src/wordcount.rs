@@ -507,10 +507,10 @@ mod tests {
         M::Value: Send,
         R: Reducer<Key = M::Key, Value = M::Value>,
     {
-        use ipso_mapreduce::{run_scale_out, run_sequential};
+        use ipso_mapreduce::{run_sequential, try_run_scale_out};
         let spec = job_spec(splits.len() as u32);
         vec![
-            run_scale_out(&spec, mapper, reducer, splits),
+            try_run_scale_out(&spec, mapper, reducer, splits).unwrap(),
             run_sequential(&spec, mapper, reducer, splits),
         ]
     }
@@ -642,10 +642,12 @@ mod tests {
 
     #[test]
     fn intermediate_data_saturates() {
-        use ipso_mapreduce::run_scale_out;
+        use ipso_mapreduce::try_run_scale_out;
         let mapper = WordCountMapper::new();
-        let r4 = run_scale_out(&job_spec(4), &mapper, &WordCountReducer, &make_splits(4, 1));
-        let r8 = run_scale_out(&job_spec(8), &mapper, &WordCountReducer, &make_splits(8, 1));
+        let r4 = try_run_scale_out(&job_spec(4), &mapper, &WordCountReducer, &make_splits(4, 1))
+            .unwrap();
+        let r8 = try_run_scale_out(&job_spec(8), &mapper, &WordCountReducer, &make_splits(8, 1))
+            .unwrap();
         // Reduce input grows at most linearly in tasks with a tiny
         // per-task bound (1000 dictionary entries).
         assert!(r8.reduce_input_bytes < 2 * r4.reduce_input_bytes + 1024);

@@ -9,13 +9,13 @@
 use ipso::measurement::SpeedupCurve;
 use ipso::taxonomy::WorkloadType;
 use ipso::Diagnostician;
-use ipso_spark::{parse_event_log, run_job, sweep_fixed_size, sweep_fixed_time};
+use ipso_spark::{parse_event_log, sweep_fixed_size, sweep_fixed_time, try_run_job};
 use ipso_workloads::bayes;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Inspect one run through its event log ───────────────────────────
     let job = bayes::job(64, 16);
-    let run = run_job(&job);
+    let run = try_run_job(&job)?;
     let (stages, duration) = parse_event_log(&run.log)?;
     println!("bayes N = 64, m = 16 — stage latencies from the JSON event log:");
     for s in &stages {

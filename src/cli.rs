@@ -114,6 +114,22 @@ impl Args {
         }
     }
 
+    /// An optional count, size or seed flag with default. Only the
+    /// digits of a non-negative integer parse: `2.9` and `-1` are
+    /// errors, not truncated or wrapped.
+    ///
+    /// # Errors
+    ///
+    /// A value that is not a non-negative integer of type `T`.
+    pub fn int_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        match self.flags.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| CliError(format!("flag --{name} must be a non-negative integer"))),
+        }
+    }
+
     /// The workload type: `--fixed-size` selects fixed-size, default is
     /// fixed-time.
     pub fn workload(&self) -> WorkloadType {
@@ -260,7 +276,7 @@ pub fn cmd_diagnose(args: &Args, csv: &str) -> Result<String, CliError> {
 /// Parse, fit or evaluation failures.
 pub fn cmd_predict(args: &Args, csv: &str) -> Result<String, CliError> {
     let runs = parse_runs_csv(csv)?;
-    let window = args.f64_or("window", 16.0)? as u32;
+    let window = args.int_or("window", 16u32)?;
     let predictor = ScalingPredictor::fit(&runs, window)?;
     let est = predictor.estimates();
 
@@ -334,8 +350,8 @@ pub fn cmd_predict(args: &Args, csv: &str) -> Result<String, CliError> {
 /// Parse, fit or evaluation failures.
 pub fn cmd_provision(args: &Args, csv: &str) -> Result<String, CliError> {
     let runs = parse_runs_csv(csv)?;
-    let window = args.f64_or("window", 16.0)? as u32;
-    let n_max = args.f64_or("n-max", 200.0)? as u32;
+    let window = args.int_or("window", 16u32)?;
+    let n_max = args.int_or("n-max", 200u32)?;
     let cost = CostModel::new(
         args.f64_or("worker-cost", 0.10)?,
         args.f64_or("master-cost", 0.80)?,
@@ -420,8 +436,8 @@ pub fn cmd_report(args: &Args, csv: &str) -> Result<String, CliError> {
     let runs = parse_runs_csv(csv)?;
     let opts = ReportOptions {
         workload: args.workload(),
-        fit_window: args.f64_or("window", 16.0)? as u32,
-        n_max: args.f64_or("n-max", 200.0)? as u32,
+        fit_window: args.int_or("window", 16u32)?,
+        n_max: args.int_or("n-max", 200u32)?,
         cost: CostModel::new(
             args.f64_or("worker-cost", 0.10)?,
             args.f64_or("master-cost", 0.80)?,
@@ -462,7 +478,7 @@ fn parse_fault_flags(
     };
     faults.node_crash_prob = args.f64_or("node-crash-prob", 0.0)?;
     let mut recovery = ipso_cluster::RecoveryPolicy::hadoop_like();
-    recovery.max_attempts = args.f64_or("max-attempts", 4.0)? as u32;
+    recovery.max_attempts = args.int_or("max-attempts", 4u32)?;
     recovery.speculation = args.flags.contains_key("speculate");
     recovery.max_wasted_fraction = args.f64_or("fail-fast", 0.0)?;
     faults.validate().map_err(|e| CliError(e.to_string()))?;
@@ -492,51 +508,37 @@ fn run_traced_workload(
     }
     let (faults, recovery) = parse_fault_flags(args)?;
     let policy = parse_scheduler_flag(args)?;
+    let configure = |mut spec: ipso_mapreduce::JobSpec| {
+        spec.engine.threads = threads;
+        spec.faults = faults;
+        spec.recovery = recovery;
+        spec.policy = policy;
+        spec
+    };
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
     let run = match name {
-        "terasort" => {
-            let mut spec = terasort::job_spec(n);
-            spec.engine.threads = threads;
-            spec.faults = faults;
-            spec.recovery = recovery;
-            spec.policy = policy;
-            try_run_scale_out(
-                &spec,
-                &terasort::TeraSortMapper,
-                &terasort::TeraSortReducer,
-                &terasort::make_splits(n, seed),
-            )
-            .map(|run| run.trace)
-        }
-        "sort" => {
-            let mut spec = sort::job_spec(n);
-            spec.engine.threads = threads;
-            spec.faults = faults;
-            spec.recovery = recovery;
-            spec.policy = policy;
-            try_run_scale_out(
-                &spec,
-                &sort::SortMapper,
-                &sort::SortReducer,
-                &sort::make_splits(n, seed),
-            )
-            .map(|run| run.trace)
-        }
-        "wordcount" => {
-            let mut spec = wordcount::job_spec(n);
-            spec.engine.threads = threads;
-            spec.faults = faults;
-            spec.recovery = recovery;
-            spec.policy = policy;
-            try_run_scale_out(
-                &spec,
-                &wordcount::WordCountMapper::new(),
-                &wordcount::WordCountReducer,
-                &wordcount::make_splits(n, seed),
-            )
-            .map(|run| run.trace)
-        }
+        "terasort" => try_run_scale_out(
+            &configure(terasort::job_spec(n)),
+            &terasort::TeraSortMapper,
+            &terasort::TeraSortReducer,
+            &terasort::make_splits(n, seed),
+        )
+        .map(|run| run.trace),
+        "sort" => try_run_scale_out(
+            &configure(sort::job_spec(n)),
+            &sort::SortMapper,
+            &sort::SortReducer,
+            &sort::make_splits(n, seed),
+        )
+        .map(|run| run.trace),
+        "wordcount" => try_run_scale_out(
+            &configure(wordcount::job_spec(n)),
+            &wordcount::WordCountMapper::new(),
+            &wordcount::WordCountReducer,
+            &wordcount::make_splits(n, seed),
+        )
+        .map(|run| run.trace),
         other => {
             ipso_obs::set_enabled(false);
             ipso_obs::reset();
@@ -579,9 +581,9 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError(format!("missing workload (one of: {TRACEABLE_WORKLOADS})")))?
         .clone();
-    let n = args.f64_or("n", 8.0)? as u32;
-    let seed = args.f64_or("seed", 3.0)? as u64;
-    let threads = args.f64_or("threads", 1.0)? as usize;
+    let n = args.int_or("n", 8u32)?;
+    let seed = args.int_or("seed", 3u64)?;
+    let threads = args.int_or("threads", 1usize)?;
     let out = args
         .flags
         .get("out")
@@ -627,9 +629,9 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError(format!("missing workload (one of: {TRACEABLE_WORKLOADS})")))?
         .clone();
-    let n = args.f64_or("n", 8.0)? as u32;
-    let seed = args.f64_or("seed", 3.0)? as u64;
-    let threads = args.f64_or("threads", 1.0)? as usize;
+    let n = args.int_or("n", 8u32)?;
+    let seed = args.int_or("seed", 3u64)?;
+    let threads = args.int_or("threads", 1usize)?;
     let trace = run_traced_workload(&workload, n, seed, threads, args)?;
     let snapshot = ipso_obs::snapshot();
     ipso_obs::set_enabled(false);

@@ -289,3 +289,38 @@ fn unknown_scheduler_is_a_typed_error_not_a_panic() {
     assert!(err.0.contains("invalid scheduler policy"), "got: {err}");
     assert!(err.0.contains("fifo, fair or locality"), "got: {err}");
 }
+
+#[test]
+fn integer_flags_reject_fractions_and_negatives() {
+    let csv = runs_csv();
+    let expected = |flag: &str| format!("flag --{flag} must be a non-negative integer");
+    for value in ["16.5", "-16"] {
+        let a = parse_args(&args(&["--window", value])).unwrap();
+        assert_eq!(cmd_predict(&a, &csv).unwrap_err().0, expected("window"));
+    }
+    for (flag, value) in [("--n-max", "200.5"), ("--window", "8.9")] {
+        let a = parse_args(&args(&[flag, value])).unwrap();
+        assert_eq!(cmd_provision(&a, &csv).unwrap_err().0, expected(&flag[2..]));
+        assert_eq!(cmd_report(&a, &csv).unwrap_err().0, expected(&flag[2..]));
+    }
+    for (flag, value) in [
+        ("n", "2.9"),
+        ("n", "-4"),
+        ("seed", "1.5"),
+        ("threads", "-1"),
+        ("max-attempts", "2.5"),
+    ] {
+        for command in ["metrics", "trace"] {
+            let err = run(&args(&[
+                command,
+                "sort",
+                &format!("--{flag}"),
+                value,
+                "--out",
+                "unused.trace.json",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.0, expected(flag), "{command} --{flag} {value}");
+        }
+    }
+}

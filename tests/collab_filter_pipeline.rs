@@ -6,7 +6,7 @@ use ipso::predict::FixedSizePredictor;
 use ipso::stochastic::fixed_size_speedup;
 use ipso::taxonomy::{classify, FixedSizeClass, ScalingClass, WorkloadType};
 use ipso::AsymptoticParams;
-use ipso_spark::{run_job, sweep_fixed_size};
+use ipso_spark::{sweep_fixed_size, try_run_job};
 use ipso_workloads::collab_filter::{job, table1_samples, CF_TASKS, TABLE_I};
 
 #[test]
@@ -62,7 +62,7 @@ fn simulated_cf_reproduces_the_paper_shape() {
 
     // Overheads at the Table I points are within 2× of the paper's.
     for &(n, _, paper_wo) in &TABLE_I {
-        let run = run_job(&job(CF_TASKS, n));
+        let run = try_run_job(&job(CF_TASKS, n)).unwrap();
         let ratio = run.overhead_time / paper_wo;
         assert!(
             (0.5..2.0).contains(&ratio),

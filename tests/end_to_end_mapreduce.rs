@@ -98,12 +98,13 @@ fn outputs_are_correct_across_the_sweep() {
     // The engines really compute: verify Sort output order and WordCount
     // totals at a mid-size scale.
     let splits = sort::make_splits(8, 123);
-    let run = ipso_mapreduce::run_scale_out(
+    let run = ipso_mapreduce::try_run_scale_out(
         &sort::job_spec(8),
         &sort::SortMapper,
         &sort::SortReducer,
         &splits,
-    );
+    )
+    .unwrap();
     assert!(run.output.windows(2).all(|w| w[0] <= w[1]));
     assert_eq!(
         run.output.len(),

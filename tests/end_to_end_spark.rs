@@ -4,7 +4,7 @@
 use ipso::measurement::SpeedupCurve;
 use ipso::taxonomy::{FixedSizeClass, ScalingClass, WorkloadType};
 use ipso::Diagnostician;
-use ipso_spark::{parse_event_log, run_job, sweep_fixed_size, sweep_fixed_time, SparkJobSpec};
+use ipso_spark::{parse_event_log, sweep_fixed_size, sweep_fixed_time, try_run_job, SparkJobSpec};
 use ipso_workloads::{bayes, nweight, random_forest, svm};
 
 type JobFn = fn(u32, u32) -> SparkJobSpec;
@@ -19,7 +19,7 @@ const APPS: [(&str, JobFn); 4] = [
 #[test]
 fn event_logs_reconstruct_total_latency() {
     for (name, job) in APPS {
-        let run = run_job(&job(32, 8));
+        let run = try_run_job(&job(32, 8)).unwrap();
         let (stages, duration) = parse_event_log(&run.log).unwrap();
         assert!(!stages.is_empty(), "{name} produced no stages");
         let total = duration.unwrap();
@@ -87,8 +87,8 @@ fn fixed_size_dimension_is_type_ivs_for_all_apps() {
 #[test]
 fn overhead_fraction_grows_with_parallelism() {
     for (name, job) in APPS {
-        let small = run_job(&job(64, 4));
-        let large = run_job(&job(64, 64));
+        let small = try_run_job(&job(64, 4)).unwrap();
+        let large = try_run_job(&job(64, 64)).unwrap();
         assert!(
             large.overhead_fraction() > small.overhead_fraction(),
             "{name}: overhead fraction should grow: {:.3} -> {:.3}",
@@ -101,6 +101,9 @@ fn overhead_fraction_grows_with_parallelism() {
 #[test]
 fn spark_runs_are_deterministic() {
     for (_, job) in APPS {
-        assert_eq!(run_job(&job(16, 8)), run_job(&job(16, 8)));
+        assert_eq!(
+            try_run_job(&job(16, 8)).unwrap(),
+            try_run_job(&job(16, 8)).unwrap()
+        );
     }
 }

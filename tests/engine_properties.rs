@@ -1,9 +1,9 @@
 //! Property-based tests of the simulation substrate and the two engines.
 
 use ipso_cluster::{run_wave_schedule, CentralScheduler, SchedulerPolicy};
-use ipso_mapreduce::{run_scale_out, run_sequential, InputSplit, JobSpec, Mapper, Reducer};
+use ipso_mapreduce::{run_sequential, try_run_scale_out, InputSplit, JobSpec, Mapper, Reducer};
 use ipso_sim::{ServerPool, SimTime};
-use ipso_spark::{run_job, SparkJobSpec, StageSpec};
+use ipso_spark::{try_run_job, SparkJobSpec, StageSpec};
 use proptest::prelude::*;
 
 // ── MapReduce: a sort job over arbitrary records ────────────────────────
@@ -53,7 +53,7 @@ proptest! {
     ) {
         let splits = splits_from(&records);
         let spec = JobSpec::emr("prop-sort", splits.len() as u32);
-        let run = run_scale_out(&spec, &IdMap, &IdReduce, &splits);
+        let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits).unwrap();
         let mut expected: Vec<u64> = records.into_iter().flatten().collect();
         expected.sort_unstable();
         prop_assert_eq!(run.output, expected);
@@ -70,7 +70,7 @@ proptest! {
     ) {
         let splits = splits_from(&records);
         let spec = JobSpec::emr("prop-agree", splits.len() as u32);
-        let par = run_scale_out(&spec, &IdMap, &IdReduce, &splits);
+        let par = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits).unwrap();
         let seq = run_sequential(&spec, &IdMap, &IdReduce, &splits);
         prop_assert_eq!(&par.output, &seq.output);
         prop_assert_eq!(par.reduce_input_bytes, seq.reduce_input_bytes);
@@ -131,8 +131,8 @@ proptest! {
             j.straggler = ipso_cluster::StragglerModel::None;
             j
         };
-        let small = run_job(&mk(base_tasks)).total_time;
-        let large = run_job(&mk(base_tasks * 2)).total_time;
+        let small = try_run_job(&mk(base_tasks)).unwrap().total_time;
+        let large = try_run_job(&mk(base_tasks * 2)).unwrap().total_time;
         prop_assert!(large >= small - 1e-9, "{large} < {small}");
     }
 
@@ -148,8 +148,8 @@ proptest! {
             j.straggler = ipso_cluster::StragglerModel::None;
             j
         };
-        let small = run_job(&mk(bytes)).overhead_time;
-        let large = run_job(&mk(bytes + 8_000_000)).overhead_time;
+        let small = try_run_job(&mk(bytes)).unwrap().overhead_time;
+        let large = try_run_job(&mk(bytes + 8_000_000)).unwrap().overhead_time;
         prop_assert!(large > small, "{large} <= {small}");
     }
 }

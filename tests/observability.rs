@@ -5,7 +5,7 @@
 
 use ipso::overhead_breakdown;
 use ipso_obs::SpanKind;
-use ipso_spark::{parse_event_log, run_job};
+use ipso_spark::{parse_event_log, try_run_job};
 use ipso_workloads::{bayes, terasort};
 
 fn breakdown_from_gauges(total: f64) -> ipso::OverheadBreakdown {
@@ -23,7 +23,7 @@ fn instrumented_spark_event_log_still_roundtrips() {
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
     let job = bayes::job(64, 16);
-    let run = run_job(&job);
+    let run = try_run_job(&job).unwrap();
     let events = ipso_obs::take_events();
     ipso_obs::set_enabled(false);
     ipso_obs::reset();
@@ -56,10 +56,10 @@ fn uninstrumented_run_matches_instrumented_run() {
     ipso_obs::set_enabled(false);
     ipso_obs::reset();
     let job = bayes::job(64, 16);
-    let plain = run_job(&job);
+    let plain = try_run_job(&job).unwrap();
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
-    let traced = run_job(&job);
+    let traced = try_run_job(&job).unwrap();
     ipso_obs::set_enabled(false);
     ipso_obs::reset();
     assert_eq!(plain, traced, "tracing must not perturb the simulation");
@@ -69,7 +69,7 @@ fn uninstrumented_run_matches_instrumented_run() {
 fn spark_overhead_gauges_sum_to_measured_overhead() {
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
-    let run = run_job(&bayes::job(128, 32));
+    let run = try_run_job(&bayes::job(128, 32)).unwrap();
     let b = breakdown_from_gauges(run.overhead_time);
     ipso_obs::set_enabled(false);
     ipso_obs::reset();
@@ -95,12 +95,13 @@ fn mapreduce_overhead_gauges_sum_to_trace_overhead() {
     ipso_obs::set_enabled(true);
     ipso_obs::reset();
     let n = 8;
-    let trace = ipso_mapreduce::run_scale_out(
+    let trace = ipso_mapreduce::try_run_scale_out(
         &terasort::job_spec(n),
         &terasort::TeraSortMapper,
         &terasort::TeraSortReducer,
         &terasort::make_splits(n, 3),
     )
+    .unwrap()
     .trace;
     let b = breakdown_from_gauges(trace.scale_out_overhead);
     let events = ipso_obs::take_events();
