@@ -20,6 +20,12 @@ impl Sizeable for &str {
     }
 }
 
+impl Sizeable for std::sync::Arc<str> {
+    fn size_bytes(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
 impl Sizeable for u64 {
     fn size_bytes(&self) -> u64 {
         8

@@ -8,6 +8,14 @@
 //! HiBench's Sort configures a large reducer heap, so unlike
 //! [`crate::terasort`] no spill regime appears in the measured range; we
 //! model that with an unlimited reducer memory.
+//!
+//! Lines are shared `Arc<str>`s from [`make_splits`] through map, merge
+//! and reduce: the mapper keys each record by its own line and the
+//! reducer emits that key once per occurrence, so both bump a reference
+//! count instead of copying the line. Volumes are accounted from the
+//! line lengths, as for `String`.
+
+use std::sync::Arc;
 
 use ipso_cluster::MemoryModel;
 use ipso_mapreduce::{InputSplit, JobCostModel, JobSpec, Mapper, Reducer, ScalingSweep};
@@ -26,13 +34,13 @@ const WORDS_PER_LINE: usize = 8;
 pub struct SortMapper;
 
 impl Mapper for SortMapper {
-    type Input = String;
-    type Key = String;
+    type Input = Arc<str>;
+    type Key = Arc<str>;
     type Value = u32;
 
-    fn map(&self, line: &String, emit: &mut dyn FnMut(String, u32)) {
+    fn map(&self, line: &Arc<str>, emit: &mut dyn FnMut(Arc<str>, u32)) {
         // The value carries a multiplicity of one; duplicate lines stack.
-        emit(line.clone(), 1);
+        emit(Arc::clone(line), 1);
     }
 }
 
@@ -41,14 +49,14 @@ impl Mapper for SortMapper {
 pub struct SortReducer;
 
 impl Reducer for SortReducer {
-    type Key = String;
+    type Key = Arc<str>;
     type Value = u32;
-    type Output = String;
+    type Output = Arc<str>;
 
-    fn reduce(&self, key: &String, values: &[u32], emit: &mut dyn FnMut(String)) {
+    fn reduce(&self, key: &Arc<str>, values: &[u32], emit: &mut dyn FnMut(Arc<str>)) {
         let count: u32 = values.iter().sum();
         for _ in 0..count {
-            emit(key.clone());
+            emit(Arc::clone(key));
         }
     }
 }
@@ -77,11 +85,14 @@ pub fn job_spec(n: u32) -> JobSpec {
 }
 
 /// The `n` fixed-time splits of dictionary text.
-pub fn make_splits(n: u32, seed: u64) -> Vec<InputSplit<String>> {
+pub fn make_splits(n: u32, seed: u64) -> Vec<InputSplit<Arc<str>>> {
     (0..n)
         .map(|task| {
             let mut rng = SimRng::seed_from(seed ^ (u64::from(task) << 20) ^ 0x5027);
-            let lines = random_lines(SAMPLE_LINES, WORDS_PER_LINE, &mut rng);
+            let lines: Vec<Arc<str>> = random_lines(SAMPLE_LINES, WORDS_PER_LINE, &mut rng)
+                .into_iter()
+                .map(Arc::from)
+                .collect();
             let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
             InputSplit::new(lines, bytes, SHARD_BYTES)
         })
@@ -104,10 +115,28 @@ mod tests {
         use ipso_mapreduce::try_run_scale_out;
         let splits = make_splits(3, 9);
         let run = try_run_scale_out(&job_spec(3), &SortMapper, &SortReducer, &splits).unwrap();
-        let mut expected: Vec<String> = splits.into_iter().flat_map(|s| s.records).collect();
+        let mut expected: Vec<Arc<str>> = splits.into_iter().flat_map(|s| s.records).collect();
         assert!(run.output.windows(2).all(|w| w[0] <= w[1]), "not sorted");
         expected.sort();
         assert_eq!(run.output, expected, "not a permutation");
+    }
+
+    #[test]
+    fn output_lines_share_the_input_lines() {
+        use ipso_mapreduce::{run_sequential, try_run_scale_out};
+        let splits = make_splits(3, 9);
+        let input: Vec<&Arc<str>> = splits.iter().flat_map(|s| &s.records).collect();
+        let par = try_run_scale_out(&job_spec(3), &SortMapper, &SortReducer, &splits).unwrap();
+        let seq = run_sequential(&job_spec(3), &SortMapper, &SortReducer, &splits);
+        for output in [par.output, seq.output] {
+            assert_eq!(output.len(), input.len());
+            for line in &output {
+                assert!(
+                    input.iter().any(|l| Arc::ptr_eq(l, line)),
+                    "{line:?} was copied"
+                );
+            }
+        }
     }
 
     #[test]

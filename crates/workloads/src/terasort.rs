@@ -8,7 +8,7 @@
 //! step-wise `IN(n)` of Fig. 5, visible as a dip in the measured speedup
 //! around the same `n`.
 
-use ipso_mapreduce::{InputSplit, JobCostModel, JobSpec, Mapper, Reducer, ScalingSweep};
+use ipso_mapreduce::{InputSplit, JobCostModel, JobSpec, Mapper, Reducer, ScalingSweep, Sizeable};
 use ipso_sim::SimRng;
 
 use crate::datagen::{teragen_records, TeraRecord, TERA_RECORD_BYTES};
@@ -18,28 +18,39 @@ pub const SHARD_BYTES: u64 = 128 * 1024 * 1024;
 /// Records executed per task sample.
 const SAMPLE_RECORDS: usize = 400;
 
-/// Extracts the 10-byte TeraGen key; the value carries the row id plus
-/// the record's 82-byte payload so the full 100-byte record transits the
-/// reducer (that volume is what overflows its memory).
+/// Extracts the 10-byte TeraGen key and carries the row id as the value.
 ///
-/// Keys and payloads are fixed-size inline arrays, and so are the
-/// reducer's outputs — emitting, grouping, merging and reducing a record
-/// never touches the heap; sizes (10 + 90 bytes) match the previous
-/// `Vec<u8>` representation exactly, so volume accounting is unchanged.
+/// The full 100-byte record transits the reducer, and that volume is what
+/// overflows its memory. It is accounted through `size_bytes` (10 key
+/// bytes plus [`TeraPayload`]'s 90) rather than carried as filler bytes:
+/// as with [`TeraRecord::row`], the payload content never affects the
+/// computation. Keys, values and the reducer's outputs are fixed-size
+/// inline types, so emitting, grouping, merging and reducing a record
+/// never touches the heap.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TeraSortMapper;
 
-/// Payload bytes carried per record besides the key and row id.
-const PAYLOAD_BYTES: usize = 82;
+/// A record's 90 bytes after its key, carried as the row id alone.
+#[derive(Debug, Clone, Copy)]
+pub struct TeraPayload {
+    /// Row id of the record (see [`TeraRecord::row`]).
+    pub row: u64,
+}
+
+impl Sizeable for TeraPayload {
+    /// The record's bytes minus its 10-byte key.
+    fn size_bytes(&self) -> u64 {
+        TERA_RECORD_BYTES - 10
+    }
+}
 
 impl Mapper for TeraSortMapper {
     type Input = TeraRecord;
     type Key = [u8; 10];
-    type Value = (u64, [u8; PAYLOAD_BYTES]);
+    type Value = TeraPayload;
 
-    fn map(&self, record: &TeraRecord, emit: &mut dyn FnMut([u8; 10], (u64, [u8; PAYLOAD_BYTES]))) {
-        let payload = [record.row as u8; PAYLOAD_BYTES];
-        emit(record.key, (record.row, payload));
+    fn map(&self, record: &TeraRecord, emit: &mut dyn FnMut([u8; 10], TeraPayload)) {
+        emit(record.key, TeraPayload { row: record.row });
     }
 }
 
@@ -49,17 +60,17 @@ pub struct TeraSortReducer;
 
 impl Reducer for TeraSortReducer {
     type Key = [u8; 10];
-    type Value = (u64, [u8; PAYLOAD_BYTES]);
+    type Value = TeraPayload;
     type Output = ([u8; 10], u64);
 
     fn reduce(
         &self,
         key: &[u8; 10],
-        values: &[(u64, [u8; PAYLOAD_BYTES])],
+        values: &[TeraPayload],
         emit: &mut dyn FnMut(([u8; 10], u64)),
     ) {
-        for (row, _) in values {
-            emit((*key, *row));
+        for value in values {
+            emit((*key, value.row));
         }
     }
 }
@@ -140,6 +151,30 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(rows, expected);
+    }
+
+    #[test]
+    fn key_and_value_account_for_the_full_record() {
+        let record = &make_splits(1, 1)[0].records[0];
+        let mut sizes = Vec::new();
+        TeraSortMapper.map(record, &mut |key, value| {
+            sizes.push(key.size_bytes() + value.size_bytes())
+        });
+        assert_eq!(sizes, [TERA_RECORD_BYTES]);
+    }
+
+    #[test]
+    fn reduce_input_bytes_are_pinned() {
+        use ipso_mapreduce::{run_sequential, try_run_scale_out};
+        // Every record passes through, so the reducer reads the three
+        // 128 MB shards' nominal volume.
+        const PINNED: u64 = 402_653_184;
+        let splits = make_splits(3, 6);
+        let spec = job_spec(3);
+        let par = try_run_scale_out(&spec, &TeraSortMapper, &TeraSortReducer, &splits).unwrap();
+        let seq = run_sequential(&spec, &TeraSortMapper, &TeraSortReducer, &splits);
+        assert_eq!(par.reduce_input_bytes, PINNED);
+        assert_eq!(seq.reduce_input_bytes, PINNED);
     }
 
     #[test]
