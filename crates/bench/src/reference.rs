@@ -1,7 +1,8 @@
 //! The seed's MapReduce grouping, kept verbatim as a reference.
 //!
 //! `ipso-mapreduce` groups through a sort-merge shuffle: a stable sort
-//! per map task and a loser-tree k-way merge on the reduce side. The
+//! per map task and one stable sort over all tasks' runs on the reduce
+//! side, through `Reducer::reduce_runs`. The
 //! seed grouped through ordered maps instead, and that path lives on
 //! here, outside the engine. The engines bench times it as the baseline
 //! (`btree_seq`), and the oracle tests check that the engine's outputs
@@ -19,7 +20,9 @@ use ipso_mapreduce::{InputSplit, Mapper, OutputScaling, Reducer, Sizeable};
 /// Each map task pushes its pairs into an unsized buffer, groups them in
 /// a `BTreeMap`, and combines every group into a second, rebuilt map. The
 /// reduce side merges all tasks' maps into one `BTreeMap`, in task order,
-/// and reduces it in key order.
+/// and reduces it in key order, one [`Reducer::reduce`] call per group:
+/// it never calls [`Reducer::reduce_runs`], so it checks overrides of
+/// that hook too.
 ///
 /// Returns the reducer's outputs and, per split, the task's nominal
 /// post-combine output bytes: sample bytes scaled up by the split's
