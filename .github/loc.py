@@ -3,33 +3,43 @@
 Usage: python3 .github/loc.py [REPO_ROOT]
 
 A file's non-test lines are the lines before its first `#[cfg(test)]`
-line (all of them when it has none). Counted files: `crates/*/src/**/*.rs`
-and `src/**/*.rs`. Prints one line per crate (the root package as `.`),
-then the total.
+line (all of them when it has none). Its code lines are the non-test
+lines that are neither blank nor `//` comments (which takes in `///`
+and `//!` docs). Counted files: `crates/*/src/**/*.rs` and
+`src/**/*.rs`. Prints one line per crate (the root package as `.`),
+then the total, each as non-test lines then code lines.
 """
 import sys
 from pathlib import Path
 
 
-def non_test_lines(path):
-    count = 0
+def count_lines(path):
+    """Returns (non-test lines, code lines) of one file."""
+    lines = code = 0
     with open(path, encoding="utf-8") as f:
         for line in f:
-            if line.strip() == "#[cfg(test)]":
+            stripped = line.strip()
+            if stripped == "#[cfg(test)]":
                 break
-            count += 1
-    return count
+            lines += 1
+            if stripped and not stripped.startswith("//"):
+                code += 1
+    return lines, code
 
 
 def main(root="."):
     root = Path(root)
     packages = sorted(p.parent for p in root.glob("crates/*/src")) + [root]
-    total = 0
+    total = total_code = 0
+    print(f"{'lines':>7} {'code':>7}")
     for package in packages:
-        lines = sum(non_test_lines(f) for f in sorted((package / "src").rglob("*.rs")))
+        counts = [count_lines(f) for f in sorted((package / "src").rglob("*.rs"))]
+        lines = sum(c[0] for c in counts)
+        code = sum(c[1] for c in counts)
         total += lines
-        print(f"{lines:7} {package.relative_to(root)}")
-    print(f"{total:7} total")
+        total_code += code
+        print(f"{lines:7} {code:7} {package.relative_to(root)}")
+    print(f"{total:7} {total_code:7} total")
 
 
 if __name__ == "__main__":

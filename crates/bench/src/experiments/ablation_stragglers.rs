@@ -8,37 +8,32 @@
 //! heavy-tailed Pareto regime of [Zaharia et al., OSDI '08].
 
 use crate::{Context, Table};
-use ipso::stochastic::{StochasticIpso, TaskTimeDistribution};
+use ipso::stochastic::StochasticIpso;
 use ipso::ScalingFactor;
+use ipso_sim::Distribution;
 
 pub(super) fn emit(ctx: &mut Context) {
-    let dists: Vec<(&str, TaskTimeDistribution)> = vec![
-        (
-            "deterministic",
-            TaskTimeDistribution::Deterministic { value: 10.0 },
-        ),
-        (
-            "uniform_5pct",
-            TaskTimeDistribution::Uniform { lo: 9.5, hi: 10.5 },
-        ),
-        (
-            "uniform_30pct",
-            TaskTimeDistribution::Uniform { lo: 7.0, hi: 13.0 },
-        ),
+    let dists: Vec<(&str, Distribution)> = vec![
+        ("deterministic", Distribution::Fixed { value: 10.0 }),
+        ("uniform_5pct", Distribution::Uniform { lo: 9.5, hi: 10.5 }),
+        ("uniform_30pct", Distribution::Uniform { lo: 7.0, hi: 13.0 }),
         (
             "exponential",
-            TaskTimeDistribution::Exponential { mean: 10.0 },
+            Distribution::Exponential {
+                shift: 0.0,
+                mean: 10.0,
+            },
         ),
         (
             "shifted_exp",
-            TaskTimeDistribution::ShiftedExponential {
+            Distribution::Exponential {
                 shift: 8.0,
                 mean: 2.0,
             },
         ),
         (
             "pareto_2_5",
-            TaskTimeDistribution::Pareto {
+            Distribution::Pareto {
                 scale: 6.0,
                 shape: 2.5,
             },
@@ -97,5 +92,9 @@ pub(super) fn emit(ctx: &mut Context) {
     assert!(
         last[3] > last[4],
         "exponential tails cost more than bounded jitter"
+    );
+    assert!(
+        last[1..6].iter().all(|&s| s > last[6]),
+        "the heavy Pareto tail costs the most at n = 256"
     );
 }

@@ -5,32 +5,32 @@
 //! exactly. These are the properties every figure binary's `--jobs N`
 //! flag rests on.
 
-use ipso::stochastic::TaskTimeDistribution;
 use ipso_bench::experiments::{Workload, QMC, SORT, TERASORT, WORDCOUNT};
 use ipso_bench::{Context, SweepRunner};
 use ipso_mapreduce::ScalingSweep;
-use ipso_sim::stream_seed;
+use ipso_sim::{stream_seed, Distribution, SimRng};
 use ipso_workloads::{qmc, sort};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A sweep whose points consume private RNG streams seeded from
 /// `stream_seed(base_seed, index)`: for each n, a Monte-Carlo estimate
-/// of E[max of n] plus a few raw draws.
+/// of E[max of n] over 16 replications.
 fn stochastic_sweep(jobs: usize, base_seed: u64, ns: &[u32]) -> Vec<u64> {
-    let dist = TaskTimeDistribution::Exponential { mean: 10.0 };
+    let dist = Distribution::Exponential {
+        shift: 0.0,
+        mean: 10.0,
+    };
     let items = ns
         .iter()
         .enumerate()
         .map(|(i, &n)| (n, stream_seed(base_seed, i as u64)))
         .collect();
     SweepRunner::new(jobs).map(items, |(n, seed)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mc = dist
-            .monte_carlo_expected_max(n, 16, seed)
-            .expect("valid distribution");
-        (mc + dist.sample_max(n, &mut rng)).to_bits()
+        let mut rng = SimRng::seed_from(seed);
+        let maxima: f64 = (0..16)
+            .map(|_| (0..n).map(|_| dist.sample(&mut rng)).fold(0.0, f64::max))
+            .sum();
+        (maxima / 16.0).to_bits()
     })
 }
 

@@ -8,7 +8,7 @@
 //! them under a recovery policy, deterministically:
 //!
 //! * [`FaultModel`] — per-attempt failure probability, a time-to-failure
-//!   distribution ([`TimeToFailure`]: exponential or Weibull) deciding how
+//!   [`Distribution`] (exponential or Weibull in practice) deciding how
 //!   much of the attempt was wasted, and correlated node crashes that
 //!   lose every task resident on the crashed executor;
 //! * [`RecoveryPolicy`] — retry with capped exponential backoff and
@@ -26,72 +26,20 @@
 //! consumes zero draws — so runs stay byte-deterministic for any host
 //! thread count and byte-identical to pre-fault builds when disabled.
 
-use ipso_sim::SimRng;
+use ipso_sim::{Distribution, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ClusterError;
-
-/// Distribution of the time into an attempt at which a failure strikes.
-///
-/// The sampled value is clamped to the attempt's duration: a failure
-/// cannot waste more work than the attempt had performed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum TimeToFailure {
-    /// Memoryless failures at a constant hazard rate.
-    Exponential {
-        /// Mean time to failure, seconds.
-        mean: f64,
-    },
-    /// Weibull failures: `shape < 1` models infant mortality (crashes
-    /// early in the attempt — bad container placements, cold JVMs),
-    /// `shape > 1` models wear-out.
-    Weibull {
-        /// Weibull shape parameter, `> 0`.
-        shape: f64,
-        /// Weibull scale parameter, seconds, `> 0`.
-        scale: f64,
-    },
-}
-
-impl TimeToFailure {
-    /// Draws a failure time (seconds into the attempt).
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        match *self {
-            TimeToFailure::Exponential { mean } => rng.exponential(mean),
-            TimeToFailure::Weibull { shape, scale } => rng.weibull(shape, scale),
-        }
-    }
-
-    /// Validates parameter ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidParameter`] on a violated range.
-    pub fn validate(&self) -> Result<(), ClusterError> {
-        let ok = match *self {
-            TimeToFailure::Exponential { mean } => mean.is_finite() && mean > 0.0,
-            TimeToFailure::Weibull { shape, scale } => {
-                shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0
-            }
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(ClusterError::invalid(
-                "time-to-failure",
-                format!("parameters must be positive and finite, got {self:?}"),
-            ))
-        }
-    }
-}
 
 /// The fault-injection model for one task wave.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultModel {
     /// Probability that any single task attempt fails.
     pub task_fail_prob: f64,
-    /// How far into a failing attempt the failure strikes.
-    pub ttf: TimeToFailure,
+    /// How far into a failing attempt the failure strikes. The draw is
+    /// clamped to the attempt's duration: a failure cannot waste more
+    /// work than the attempt had performed.
+    pub ttf: Distribution,
     /// Probability that a node (executor) crashes during the wave,
     /// losing the outputs of *all* tasks resident on it — the correlated
     /// failure mode that motivates Spark's lineage re-execution.
@@ -106,7 +54,10 @@ impl FaultModel {
     pub fn none() -> FaultModel {
         FaultModel {
             task_fail_prob: 0.0,
-            ttf: TimeToFailure::Exponential { mean: 1.0 },
+            ttf: Distribution::Exponential {
+                shift: 0.0,
+                mean: 1.0,
+            },
             node_crash_prob: 0.0,
             restart_cost: 0.0,
         }
@@ -119,7 +70,7 @@ impl FaultModel {
     pub fn flaky(p: f64) -> FaultModel {
         FaultModel {
             task_fail_prob: p,
-            ttf: TimeToFailure::Weibull {
+            ttf: Distribution::Weibull {
                 shape: 0.7,
                 scale: 1.0,
             },
@@ -159,7 +110,9 @@ impl FaultModel {
                 format!("must be finite and >= 0, got {}", self.restart_cost),
             ));
         }
-        self.ttf.validate()
+        self.ttf
+            .validate()
+            .map_err(|rule| ClusterError::invalid("time-to-failure", rule))
     }
 }
 
@@ -805,13 +758,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(TimeToFailure::Weibull {
-            shape: 0.0,
-            scale: 1.0
-        }
-        .validate()
-        .is_err());
-        assert!(TimeToFailure::Exponential { mean: 0.0 }.validate().is_err());
         let mut r = RecoveryPolicy::hadoop_like();
         r.max_attempts = 0;
         assert!(r.validate().is_err());

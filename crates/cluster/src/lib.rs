@@ -15,8 +15,6 @@
 //!   grows with cluster size (the Hadoop/Spark scheduling bottleneck);
 //! * [`memory`] — working-set versus capacity with spill-to-disk slowdown
 //!   (the TeraSort `IN(n)` burst of paper Fig. 5);
-//! * [`straggler`] — task-time noise models (barrier synchronization makes
-//!   the slowest task the one that matters);
 //! * [`fault`] — fault injection (task failures, correlated node crashes)
 //!   and recovery (retry with backoff, speculation, lineage recompute
 //!   accounting) — re-executed work is charged into `Wo(n)`;
@@ -24,8 +22,11 @@
 //! * [`graph`] — the framework-agnostic task-graph IR both engines lower
 //!   their jobs into;
 //! * [`runtime`] — the single executor that runs a [`TaskGraph`]:
-//!   straggler sampling, policy-driven wave scheduling, fault resolution,
-//!   lineage recompute and Ws/Wp/Wo attribution in one place;
+//!   straggler sampling (each task's time times a draw from an
+//!   [`ipso_sim::Distribution`]; barrier synchronization makes the
+//!   slowest task the one that matters), policy-driven wave scheduling,
+//!   fault resolution, lineage recompute and Ws/Wp/Wo attribution in one
+//!   place;
 //! * [`metrics`] — phase breakdowns and task traces shared by the engines;
 //! * [`error`] — the typed [`ClusterError`]: every `validate()` here and
 //!   in both engines rejects with [`ClusterError::InvalidParameter`], and
@@ -44,13 +45,12 @@ pub mod network;
 pub mod runtime;
 pub mod scheduler;
 pub mod spec;
-pub mod straggler;
 
 pub use error::ClusterError;
 pub use exec::{run_wave_schedule, uniform_wave_makespan, EngineOptions, TaskSchedule};
 pub use fault::{
     resolve_faults, FaultModel, FaultOutcome, FaultSummary, RecoveryEvent, RecoveryEventKind,
-    RecoveryPolicy, TimeToFailure,
+    RecoveryPolicy,
 };
 pub use graph::{IdealReference, LineageMode, StageNode, TaskGraph};
 pub use memory::MemoryModel;
@@ -59,4 +59,3 @@ pub use network::NetworkModel;
 pub use runtime::{execute, LineageRecompute, RunOutcome, RuntimeConfig, StageOutcome};
 pub use scheduler::{CentralScheduler, SchedulerPolicy};
 pub use spec::{ClusterSpec, NodeSpec};
-pub use straggler::StragglerModel;

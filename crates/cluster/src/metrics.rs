@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultSummary;
 use crate::scheduler::CentralScheduler;
-use crate::straggler::StragglerModel;
+use ipso_sim::Distribution;
 
 /// Engine configuration recorded alongside a trace so a run can be
 /// reproduced from its serialized form alone.
@@ -12,8 +12,8 @@ use crate::straggler::StragglerModel;
 pub struct RunConfig {
     /// Scheduler cost parameters in effect.
     pub scheduler: CentralScheduler,
-    /// Straggler model in effect.
-    pub straggler: StragglerModel,
+    /// Straggler multiplier in effect.
+    pub straggler: Distribution,
     /// The RNG seed of the run.
     pub seed: u64,
 }
@@ -228,7 +228,7 @@ mod tests {
             scale_out_overhead: 0.5,
             config: Some(RunConfig {
                 scheduler: CentralScheduler::hadoop_like(),
-                straggler: StragglerModel::mild(),
+                straggler: Distribution::jitter(0.05),
                 seed: 42,
             }),
             faults: None,
@@ -394,6 +394,6 @@ mod tests {
         let cfg = back.config.expect("config present");
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.scheduler, CentralScheduler::hadoop_like());
-        assert_eq!(cfg.straggler, StragglerModel::mild());
+        assert_eq!(cfg.straggler, Distribution::jitter(0.05));
     }
 }

@@ -29,8 +29,11 @@ use crate::fault::{resolve_faults, FaultModel, FaultOutcome, RecoveryPolicy};
 use crate::graph::{IdealReference, LineageMode, StageNode, TaskGraph};
 use crate::metrics::TaskRecord;
 use crate::scheduler::{CentralScheduler, SchedulerPolicy};
-use crate::straggler::StragglerModel;
-use ipso_sim::SimRng;
+use ipso_sim::{Distribution, SimRng};
+
+/// Straggler multiplier at or above which a draw counts as a severe
+/// straggler in the metrics registry and the task span view.
+pub const SEVERE_MULTIPLIER: f64 = 1.5;
 
 /// Everything the executor needs besides the graph itself: cluster
 /// shape, scheduling, noise and fault models, host threading.
@@ -42,8 +45,8 @@ pub struct RuntimeConfig {
     pub scheduler: CentralScheduler,
     /// Dispatch-order policy.
     pub policy: SchedulerPolicy,
-    /// Straggler noise applied to each task's `noisy_base`.
-    pub straggler: StragglerModel,
+    /// Straggler multiplier applied to each task's `noisy_base`.
+    pub straggler: Distribution,
     /// Fault injection model (disabled consumes zero RNG draws).
     pub faults: FaultModel,
     /// Recovery policy for injected faults.
@@ -118,7 +121,7 @@ impl StageOutcome {
     /// Emits the per-task spans and severe-straggler instants for this
     /// stage onto the executor tracks, with the stage's wave starting at
     /// virtual time `t0`. A task is a severe straggler when its
-    /// effective duration reached [`StragglerModel::SEVERE_MULTIPLIER`]×
+    /// effective duration reached [`SEVERE_MULTIPLIER`]×
     /// its nominal (`noisy_base + fixed`) duration.
     pub fn record_task_spans(&self, stage: &StageNode, category: &str, t0: f64) {
         for record in &self.schedule.records {
@@ -132,7 +135,7 @@ impl StageOutcome {
             );
             let id = record.task_id as usize;
             let nominal = stage.nominal(id);
-            if nominal > 0.0 && self.effective[id] / nominal >= StragglerModel::SEVERE_MULTIPLIER {
+            if nominal > 0.0 && self.effective[id] / nominal >= SEVERE_MULTIPLIER {
                 ipso_obs::record_instant(&track, "straggler", category, t0 + record.end);
             }
         }
@@ -229,7 +232,16 @@ pub fn execute(
     let mut samples: Vec<StageSample> = Vec::with_capacity(graph.stages.len());
     for stage in &graph.stages {
         let mut effective: Vec<f64> = (0..stage.tasks())
-            .map(|i| stage.noisy_base[i] * config.straggler.multiplier(rng) + stage.fixed(i))
+            .map(|i| {
+                let m = config.straggler.sample(rng);
+                if ipso_obs::enabled() {
+                    ipso_obs::counter_add("straggler.draws", 1);
+                    if m >= SEVERE_MULTIPLIER {
+                        ipso_obs::counter_add("straggler.severe_draws", 1);
+                    }
+                }
+                stage.noisy_base[i] * m + stage.fixed(i)
+            })
             .collect();
         let fault: Option<FaultOutcome> = if config.faults.enabled() {
             Some(resolve_faults(
@@ -362,7 +374,7 @@ mod tests {
             executors,
             scheduler: CentralScheduler::idealized(),
             policy: SchedulerPolicy::Fifo,
-            straggler: StragglerModel::None,
+            straggler: Distribution::Fixed { value: 1.0 },
             faults: FaultModel::none(),
             recovery: RecoveryPolicy::hadoop_like(),
             threads: 1,
@@ -416,14 +428,14 @@ mod tests {
         // Same seed, two paths: manual draws vs execute. Streams match.
         let g = single_stage(5);
         let cfg = RuntimeConfig {
-            straggler: StragglerModel::mild(),
+            straggler: Distribution::jitter(0.05),
             ..config(5)
         };
         let mut rng = SimRng::seed_from(42);
         let out = execute(&g, &cfg, &mut rng).unwrap();
         let mut rng2 = SimRng::seed_from(42);
         let manual: Vec<f64> = (0..5)
-            .map(|_| 1.0 * cfg.straggler.multiplier(&mut rng2) + 0.0)
+            .map(|_| 1.0 * cfg.straggler.sample(&mut rng2) + 0.0)
             .collect();
         assert_eq!(out.stages[0].effective, manual);
     }
@@ -441,7 +453,7 @@ mod tests {
             lineage: LineageMode::RecomputeParents,
         });
         let cfg = RuntimeConfig {
-            straggler: StragglerModel::mild(),
+            straggler: Distribution::jitter(0.05),
             faults: FaultModel::flaky(0.2),
             recovery: RecoveryPolicy::hadoop_like().with_speculation(),
             ..config(4)

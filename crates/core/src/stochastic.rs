@@ -12,195 +12,14 @@
 //!        E[max Tp,i(n)]/(E[Tp,1(1)]+E[Ts(1)]) + (1−η)·IN(n) + η·EX(n)·q(n)/n
 //! ```
 //!
-//! [`TaskTimeDistribution`] provides the task-time models (including
-//! heavy-tailed stragglers) with analytic `E[max]` where available and
-//! seeded Monte-Carlo otherwise.
+//! The task-time distribution is [`ipso_sim::Distribution`], the same type
+//! the simulator samples its stragglers from; its analytic
+//! [`Distribution::expected_max`] supplies `E[max]`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ipso_sim::Distribution;
 
-use crate::error::check_scale_out;
 use crate::factors::ScalingFactor;
 use crate::ModelError;
-
-/// Distribution of a single parallel task's processing time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TaskTimeDistribution {
-    /// Every task takes exactly `value` seconds — reduces the statistic
-    /// model to the deterministic one.
-    Deterministic {
-        /// The fixed task time (s).
-        value: f64,
-    },
-    /// Uniform on `[lo, hi]`.
-    Uniform {
-        /// Lower bound (s).
-        lo: f64,
-        /// Upper bound (s).
-        hi: f64,
-    },
-    /// Exponential with the given mean — a classic model for task times
-    /// with occasional stragglers.
-    Exponential {
-        /// Mean task time (s).
-        mean: f64,
-    },
-    /// `shift + Exponential(mean)`: a minimum service time plus an
-    /// exponential tail.
-    ShiftedExponential {
-        /// Minimum task time (s).
-        shift: f64,
-        /// Mean of the exponential tail (s).
-        mean: f64,
-    },
-    /// Pareto with scale `x_m` and shape `a > 1` — a heavy-tailed
-    /// straggler model ([Zaharia et al., OSDI '08]).
-    Pareto {
-        /// Scale (minimum value, s).
-        scale: f64,
-        /// Tail index; must exceed 1 for a finite mean.
-        shape: f64,
-    },
-}
-
-impl TaskTimeDistribution {
-    /// Mean of the distribution. A Pareto tail with `shape <= 1` has no
-    /// finite mean: this returns `+inf` rather than the negative garbage
-    /// the naive formula produces (such distributions are rejected by
-    /// [`TaskTimeDistribution::validate`] anyway).
-    pub fn mean(&self) -> f64 {
-        match *self {
-            TaskTimeDistribution::Deterministic { value } => value,
-            TaskTimeDistribution::Uniform { lo, hi } => 0.5 * (lo + hi),
-            TaskTimeDistribution::Exponential { mean } => mean,
-            TaskTimeDistribution::ShiftedExponential { shift, mean } => shift + mean,
-            TaskTimeDistribution::Pareto { scale, shape } => {
-                if shape > 1.0 {
-                    scale * shape / (shape - 1.0)
-                } else {
-                    f64::INFINITY
-                }
-            }
-        }
-    }
-
-    /// Draws one sample using the provided RNG.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match *self {
-            TaskTimeDistribution::Deterministic { value } => value,
-            TaskTimeDistribution::Uniform { lo, hi } => rng.gen_range(lo..=hi),
-            TaskTimeDistribution::Exponential { mean } => {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                -mean * u.ln()
-            }
-            TaskTimeDistribution::ShiftedExponential { shift, mean } => {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                shift - mean * u.ln()
-            }
-            TaskTimeDistribution::Pareto { scale, shape } => {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                scale / u.powf(1.0 / shape)
-            }
-        }
-    }
-
-    /// Expected maximum of `n` i.i.d. draws, `E[max_{i≤n} X_i]` — fully
-    /// analytic: deterministic (value), uniform (`lo + (hi−lo)·n/(n+1)`),
-    /// (shifted) exponential (`mean·H_n`) and Pareto
-    /// (`scale·n·B(n, 1−1/shape)` via the Lanczos log-gamma in
-    /// [`ipso_sim::special`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidScaleOut`] for `n = 0` and
-    /// [`ModelError::InvalidFactor`] for out-of-range parameters (e.g. a
-    /// Pareto tail with `shape <= 1`, whose expectation diverges).
-    pub fn expected_max(&self, n: u32) -> Result<f64, ModelError> {
-        self.validate()?;
-        if n == 0 {
-            return Err(ModelError::InvalidScaleOut(0.0));
-        }
-        let nf = n as f64;
-        Ok(match *self {
-            TaskTimeDistribution::Deterministic { value } => value,
-            TaskTimeDistribution::Uniform { lo, hi } => lo + (hi - lo) * nf / (nf + 1.0),
-            TaskTimeDistribution::Exponential { mean } => mean * harmonic(n),
-            TaskTimeDistribution::ShiftedExponential { shift, mean } => shift + mean * harmonic(n),
-            TaskTimeDistribution::Pareto { scale, shape } => {
-                ipso_sim::pareto_expected_max(scale, shape, n)
-            }
-        })
-    }
-
-    /// Maximum of `n` i.i.d. draws using the provided RNG.
-    pub fn sample_max<R: Rng + ?Sized>(&self, n: u32, rng: &mut R) -> f64 {
-        (0..n)
-            .map(|_| self.sample(rng))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Monte-Carlo estimate of `E[max_{i≤n} X_i]` over `replications`
-    /// independent maxima.
-    ///
-    /// Replication `r` draws from its own RNG seeded with
-    /// [`ipso_sim::stream_seed`]`(seed, r)`, so the estimate depends only
-    /// on `(n, replications, seed)` — never on evaluation order — and
-    /// replications can safely be distributed across threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidScaleOut`] for `n = 0` or zero
-    /// replications and propagates validation errors.
-    pub fn monte_carlo_expected_max(
-        &self,
-        n: u32,
-        replications: u32,
-        seed: u64,
-    ) -> Result<f64, ModelError> {
-        self.validate()?;
-        if n == 0 || replications == 0 {
-            return Err(ModelError::InvalidScaleOut(0.0));
-        }
-        let total: f64 = (0..replications)
-            .map(|r| {
-                let mut rng = StdRng::seed_from_u64(ipso_sim::stream_seed(seed, u64::from(r)));
-                self.sample_max(n, &mut rng)
-            })
-            .sum();
-        Ok(total / f64::from(replications))
-    }
-
-    /// Validates distribution parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidFactor`] for out-of-range parameters.
-    pub fn validate(&self) -> Result<(), ModelError> {
-        let ok = match *self {
-            TaskTimeDistribution::Deterministic { value } => value.is_finite() && value > 0.0,
-            TaskTimeDistribution::Uniform { lo, hi } => {
-                lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi && hi > 0.0
-            }
-            TaskTimeDistribution::Exponential { mean } => mean.is_finite() && mean > 0.0,
-            TaskTimeDistribution::ShiftedExponential { shift, mean } => {
-                shift.is_finite() && mean.is_finite() && shift >= 0.0 && mean > 0.0
-            }
-            TaskTimeDistribution::Pareto { scale, shape } => {
-                scale.is_finite() && shape.is_finite() && scale > 0.0 && shape > 1.0
-            }
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(ModelError::InvalidFactor {
-                factor: "task-time distribution",
-                reason: "parameters out of range",
-            })
-        }
-    }
-}
-
-use ipso_sim::harmonic;
 
 /// The statistic IPSO model.
 ///
@@ -211,16 +30,17 @@ use ipso_sim::harmonic;
 /// # Example
 ///
 /// ```
-/// use ipso::stochastic::{StochasticIpso, TaskTimeDistribution};
+/// use ipso::stochastic::StochasticIpso;
 /// use ipso::ScalingFactor;
+/// use ipso_sim::Distribution;
 ///
 /// # fn main() -> Result<(), ipso::ModelError> {
 /// let model = StochasticIpso::new(
-///     TaskTimeDistribution::Exponential { mean: 10.0 }, // Tp,1(1)
-///     2.0,                                              // E[Ts(1)]
-///     ScalingFactor::linear(),                          // EX(n) = n
-///     ScalingFactor::one(),                             // IN(n) = 1
-///     ScalingFactor::zero(),                            // q(n) = 0
+///     Distribution::Exponential { shift: 0.0, mean: 10.0 }, // Tp,1(1)
+///     2.0,                                                  // E[Ts(1)]
+///     ScalingFactor::linear(),                              // EX(n) = n
+///     ScalingFactor::one(),                                 // IN(n) = 1
+///     ScalingFactor::zero(),                                // q(n) = 0
 /// )?;
 /// // Stragglers make the stochastic speedup lower than Gustafson's.
 /// let s = model.speedup(16)?;
@@ -231,7 +51,7 @@ use ipso_sim::harmonic;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StochasticIpso {
-    base_task: TaskTimeDistribution,
+    base_task: Distribution,
     ws1: f64,
     external: ScalingFactor,
     internal: ScalingFactor,
@@ -249,15 +69,21 @@ impl StochasticIpso {
     ///
     /// # Errors
     ///
-    /// Propagates distribution and factor validation errors.
+    /// Returns [`ModelError::InvalidFactor`] with the violated rule for
+    /// an invalid `base_task`, and propagates factor validation errors.
     pub fn new(
-        base_task: TaskTimeDistribution,
+        base_task: Distribution,
         ws1: f64,
         external: ScalingFactor,
         internal: ScalingFactor,
         induced: ScalingFactor,
     ) -> Result<Self, ModelError> {
-        base_task.validate()?;
+        base_task
+            .validate()
+            .map_err(|reason| ModelError::InvalidFactor {
+                factor: "task-time distribution",
+                reason,
+            })?;
         if !ws1.is_finite() || ws1 < 0.0 {
             return Err(ModelError::NonFinite("serial merge time Ws(1)"));
         }
@@ -296,13 +122,24 @@ impl StochasticIpso {
     ///
     /// # Errors
     ///
-    /// Propagates [`TaskTimeDistribution::expected_max`] errors.
+    /// Returns [`ModelError::InvalidScaleOut`] for `n = 0` and
+    /// [`ModelError::InvalidFactor`] when the distribution has no
+    /// closed-form `E[max]` (Weibull at `n > 1`).
     pub fn expected_max_task_time(&self, n: u32) -> Result<f64, ModelError> {
-        check_scale_out(n.max(1) as f64)?;
+        if n == 0 {
+            return Err(ModelError::InvalidScaleOut(0.0));
+        }
+        let e_max = self
+            .base_task
+            .expected_max(n)
+            .ok_or(ModelError::InvalidFactor {
+                factor: "task-time distribution",
+                reason: "no closed-form E[max]",
+            })?;
         // Per-task mean workload scales with EX(n)/n; the distribution's
         // *shape* is preserved, only its scale changes.
         let scale = self.external.eval(n as f64) / n as f64;
-        Ok(self.base_task.expected_max(n)? * scale)
+        Ok(e_max * scale)
     }
 
     /// The statistic speedup `S(n)` (paper Eq. 8).
@@ -367,99 +204,20 @@ pub fn fixed_size_speedup(tp1: f64, e_max: f64, wo: f64) -> Result<f64, ModelErr
 mod tests {
     use super::*;
 
-    #[test]
-    fn means_are_correct() {
-        assert_eq!(
-            TaskTimeDistribution::Deterministic { value: 3.0 }.mean(),
-            3.0
-        );
-        assert_eq!(
-            TaskTimeDistribution::Uniform { lo: 2.0, hi: 4.0 }.mean(),
-            3.0
-        );
-        assert_eq!(TaskTimeDistribution::Exponential { mean: 5.0 }.mean(), 5.0);
-        assert_eq!(
-            TaskTimeDistribution::ShiftedExponential {
-                shift: 1.0,
-                mean: 2.0
-            }
-            .mean(),
-            3.0
-        );
-        let p = TaskTimeDistribution::Pareto {
-            scale: 1.0,
-            shape: 2.0,
-        };
-        assert_eq!(p.mean(), 2.0);
-    }
-
-    #[test]
-    fn expected_max_analytic_forms() {
-        let d = TaskTimeDistribution::Deterministic { value: 2.0 };
-        assert_eq!(d.expected_max(100).unwrap(), 2.0);
-        let u = TaskTimeDistribution::Uniform { lo: 0.0, hi: 1.0 };
-        assert!((u.expected_max(3).unwrap() - 0.75).abs() < 1e-12);
-        let e = TaskTimeDistribution::Exponential { mean: 1.0 };
-        assert!((e.expected_max(2).unwrap() - 1.5).abs() < 1e-12);
-        assert!((e.expected_max(4).unwrap() - (1.0 + 0.5 + 1.0 / 3.0 + 0.25)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn harmonic_is_the_shared_sim_implementation() {
-        // The harmonic helper lives in ipso-sim (special.rs); the model
-        // must use it rather than a private re-derivation.
-        let e = TaskTimeDistribution::Exponential { mean: 2.0 };
-        for n in [1u32, 7, 511, 513, 4096] {
-            assert_eq!(e.expected_max(n).unwrap(), 2.0 * ipso_sim::harmonic(n));
-        }
-    }
-
-    #[test]
-    fn expected_max_is_monotone_in_n() {
-        for dist in [
-            TaskTimeDistribution::Uniform { lo: 1.0, hi: 2.0 },
-            TaskTimeDistribution::Exponential { mean: 1.0 },
-            TaskTimeDistribution::Pareto {
-                scale: 1.0,
-                shape: 2.5,
-            },
-        ] {
-            let mut prev = 0.0;
-            for n in [1, 2, 4, 8, 16] {
-                let m = dist.expected_max(n).unwrap();
-                assert!(m >= prev, "{dist:?} at n = {n}");
-                prev = m;
-            }
-        }
-    }
-
-    #[test]
-    fn pareto_expected_max_is_exact() {
-        // E[max of 1] = the mean, now to machine precision (analytic).
-        let p = TaskTimeDistribution::Pareto {
-            scale: 1.0,
-            shape: 3.0,
-        };
-        let e1 = p.expected_max(1).unwrap();
-        assert!((e1 - p.mean()).abs() < 1e-10, "E[max of 1] = {e1}");
-        // E[max of 2] for shape 2: 2·B(2, 0.5) = 2·(Γ(2)Γ(0.5)/Γ(2.5)) = 8/3.
-        let p2 = TaskTimeDistribution::Pareto {
-            scale: 1.0,
-            shape: 2.0,
-        };
-        assert!((p2.expected_max(2).unwrap() - 8.0 / 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn deterministic_model_matches_deterministic_ipso() {
-        let det = StochasticIpso::new(
-            TaskTimeDistribution::Deterministic { value: 9.0 },
-            1.0,
+    fn gustafson_like(base_task: Distribution, ws1: f64) -> StochasticIpso {
+        StochasticIpso::new(
+            base_task,
+            ws1,
             ScalingFactor::linear(),
             ScalingFactor::one(),
             ScalingFactor::zero(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn deterministic_model_matches_deterministic_ipso() {
+        let det = gustafson_like(Distribution::Fixed { value: 9.0 }, 1.0);
         let eta = 0.9;
         for n in [1u32, 4, 16, 64] {
             let expected = crate::classic::gustafson(eta, n as f64).unwrap();
@@ -473,22 +231,14 @@ mod tests {
 
     #[test]
     fn stragglers_reduce_speedup() {
-        let exp = StochasticIpso::new(
-            TaskTimeDistribution::Exponential { mean: 9.0 },
+        let exp = gustafson_like(
+            Distribution::Exponential {
+                shift: 0.0,
+                mean: 9.0,
+            },
             1.0,
-            ScalingFactor::linear(),
-            ScalingFactor::one(),
-            ScalingFactor::zero(),
-        )
-        .unwrap();
-        let det = StochasticIpso::new(
-            TaskTimeDistribution::Deterministic { value: 9.0 },
-            1.0,
-            ScalingFactor::linear(),
-            ScalingFactor::one(),
-            ScalingFactor::zero(),
-        )
-        .unwrap();
+        );
+        let det = gustafson_like(Distribution::Fixed { value: 9.0 }, 1.0);
         for n in [2u32, 8, 32, 128] {
             assert!(exp.speedup(n).unwrap() < det.speedup(n).unwrap());
         }
@@ -498,14 +248,13 @@ mod tests {
     fn straggler_speedup_still_unbounded_for_fixed_time() {
         // E[max] for exponential grows like ln n, so the fixed-time
         // speedup remains unbounded but sublinear.
-        let exp = StochasticIpso::new(
-            TaskTimeDistribution::Exponential { mean: 10.0 },
+        let exp = gustafson_like(
+            Distribution::Exponential {
+                shift: 0.0,
+                mean: 10.0,
+            },
             0.0,
-            ScalingFactor::linear(),
-            ScalingFactor::one(),
-            ScalingFactor::zero(),
-        )
-        .unwrap();
+        );
         let s64 = exp.speedup(64).unwrap();
         let s256 = exp.speedup(256).unwrap();
         assert!(s256 > s64);
@@ -514,16 +263,61 @@ mod tests {
 
     #[test]
     fn speedup_at_one_is_unity_without_overhead() {
-        let m = StochasticIpso::new(
-            TaskTimeDistribution::Uniform { lo: 5.0, hi: 15.0 },
-            3.0,
-            ScalingFactor::linear(),
-            ScalingFactor::one(),
-            ScalingFactor::zero(),
-        )
-        .unwrap();
-        // At n = 1, E[max of 1] = mean, so S(1) = 1 exactly.
-        assert!((m.speedup(1).unwrap() - 1.0).abs() < 1e-12);
+        // At n = 1, E[max of 1] = mean, so S(1) = 1 exactly — for every
+        // distribution of the straggler ablation and a wider uniform.
+        for (base_task, ws1) in [
+            (Distribution::Uniform { lo: 5.0, hi: 15.0 }, 3.0),
+            (Distribution::Fixed { value: 10.0 }, 1.0),
+            (Distribution::Uniform { lo: 9.5, hi: 10.5 }, 1.0),
+            (Distribution::Uniform { lo: 7.0, hi: 13.0 }, 1.0),
+            (
+                Distribution::Exponential {
+                    shift: 0.0,
+                    mean: 10.0,
+                },
+                1.0,
+            ),
+            (
+                Distribution::Exponential {
+                    shift: 8.0,
+                    mean: 2.0,
+                },
+                1.0,
+            ),
+            (
+                Distribution::Pareto {
+                    scale: 6.0,
+                    shape: 2.5,
+                },
+                1.0,
+            ),
+        ] {
+            let m = gustafson_like(base_task, ws1);
+            assert_eq!(m.speedup(1).unwrap(), 1.0, "{base_task:?}");
+        }
+    }
+
+    #[test]
+    fn weibull_task_times_have_no_closed_form_max() {
+        let m = gustafson_like(
+            Distribution::Weibull {
+                shape: 0.7,
+                scale: 1.0,
+            },
+            1.0,
+        );
+        assert!(m.speedup(1).is_ok());
+        assert!(matches!(
+            m.speedup(4),
+            Err(ModelError::InvalidFactor {
+                factor: "task-time distribution",
+                ..
+            })
+        ));
+        assert!(matches!(
+            m.expected_max_task_time(0),
+            Err(ModelError::InvalidScaleOut(_))
+        ));
     }
 
     #[test]
@@ -533,47 +327,6 @@ mod tests {
         let s = fixed_size_speedup(1602.5, 209.0, 5.5).unwrap();
         assert!((s - 1602.5 / 214.5).abs() < 1e-12);
         assert!(fixed_size_speedup(1.0, 0.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn validation_rejects_bad_distributions() {
-        assert!(TaskTimeDistribution::Deterministic { value: 0.0 }
-            .validate()
-            .is_err());
-        assert!(TaskTimeDistribution::Uniform { lo: 2.0, hi: 1.0 }
-            .validate()
-            .is_err());
-        assert!(TaskTimeDistribution::Pareto {
-            scale: 1.0,
-            shape: 1.0
-        }
-        .validate()
-        .is_err());
-        assert!(TaskTimeDistribution::Exponential { mean: 1.0 }
-            .validate()
-            .is_ok());
-    }
-
-    #[test]
-    fn unvalidated_heavy_pareto_is_safe() {
-        // A Pareto tail with shape <= 1 has no finite mean. The naive
-        // closed form used to return a *negative* mean here, which
-        // silently corrupted every downstream speedup.
-        let p = TaskTimeDistribution::Pareto {
-            scale: 6.0,
-            shape: 0.8,
-        };
-        assert_eq!(p.mean(), f64::INFINITY);
-        assert!(p.expected_max(4).is_err());
-        assert!(p.monte_carlo_expected_max(4, 8, 1).is_err());
-        assert!(StochasticIpso::new(
-            p,
-            1.0,
-            ScalingFactor::linear(),
-            ScalingFactor::one(),
-            ScalingFactor::zero(),
-        )
-        .is_err());
     }
 
     #[test]
@@ -592,48 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_expected_max_agrees_with_analytic() {
-        // The seeded Monte-Carlo estimator must land within 3 standard
-        // errors of the closed forms — exponential (mean·H_n) and Pareto
-        // (scale·n·B(n, 1−1/shape)); shape = 2.5 keeps Var[max] finite.
-        let n = 16u32;
-        let reps = 4000u32;
-        let seed = 7u64;
-        for dist in [
-            TaskTimeDistribution::Exponential { mean: 10.0 },
-            TaskTimeDistribution::Pareto {
-                scale: 6.0,
-                shape: 2.5,
-            },
-        ] {
-            let analytic = dist.expected_max(n).unwrap();
-            let mc = dist.monte_carlo_expected_max(n, reps, seed).unwrap();
-            // Rebuild the per-replication maxima to estimate the
-            // standard error of the estimator itself.
-            let samples: Vec<f64> = (0..reps)
-                .map(|r| {
-                    let mut rng = StdRng::seed_from_u64(ipso_sim::stream_seed(seed, u64::from(r)));
-                    dist.sample_max(n, &mut rng)
-                })
-                .collect();
-            let mean = samples.iter().sum::<f64>() / f64::from(reps);
-            assert!((mean - mc).abs() < 1e-9, "estimator must match its samples");
-            let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / f64::from(reps - 1);
-            let se = (var / f64::from(reps)).sqrt();
-            assert!(
-                (mc - analytic).abs() < 3.0 * se,
-                "{dist:?}: MC {mc} vs analytic {analytic} (3se = {})",
-                3.0 * se
-            );
-            // And the estimate is a pure function of (n, reps, seed).
-            assert_eq!(dist.monte_carlo_expected_max(n, reps, seed).unwrap(), mc);
-        }
-    }
-
-    #[test]
     fn induced_overhead_creates_peak_in_stochastic_model() {
         let m = StochasticIpso::new(
-            TaskTimeDistribution::Deterministic { value: 10.0 },
+            Distribution::Fixed { value: 10.0 },
             0.0,
             ScalingFactor::Constant(1.0), // fixed-size
             ScalingFactor::one(),

@@ -2,8 +2,9 @@
 
 use ipso_cluster::{
     CentralScheduler, ClusterError, ClusterSpec, EngineOptions, FaultModel, MemoryModel,
-    NetworkModel, RecoveryPolicy, SchedulerPolicy, StragglerModel,
+    NetworkModel, RecoveryPolicy, SchedulerPolicy,
 };
+use ipso_sim::Distribution;
 
 use crate::cost::JobCostModel;
 
@@ -34,8 +35,8 @@ pub struct JobSpec {
     pub network: NetworkModel,
     /// Reducer-side memory model (drives the TeraSort spill burst).
     pub reducer_memory: MemoryModel,
-    /// Task-time noise.
-    pub straggler: StragglerModel,
+    /// Task-time noise: each map task's time is multiplied by a draw.
+    pub straggler: Distribution,
     /// Processing-rate calibration.
     pub cost: JobCostModel,
     /// When `true`, the reducer pulls each map task's output as soon as
@@ -72,7 +73,7 @@ impl JobSpec {
             scheduler: CentralScheduler::hadoop_like(),
             policy: SchedulerPolicy::Fifo,
             reducer_memory: MemoryModel::reducer_2gb(),
-            straggler: StragglerModel::mild(),
+            straggler: Distribution::jitter(0.05),
             cost: JobCostModel::io_bound(),
             pipelined_shuffle: false,
             engine: EngineOptions::default(),
@@ -92,7 +93,9 @@ impl JobSpec {
         self.cluster.validate()?;
         self.scheduler.validate()?;
         self.reducer_memory.validate()?;
-        self.straggler.validate()?;
+        self.straggler
+            .validate()
+            .map_err(|rule| ClusterError::invalid("straggler", rule))?;
         self.faults.validate()?;
         self.recovery.validate()?;
         self.cost.validate()

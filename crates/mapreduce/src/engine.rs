@@ -334,7 +334,7 @@ fn sequential_trace<I>(
     total_intermediate: u64,
     reduce_input_bytes: u64,
 ) -> JobTrace {
-    let mean_mult = spec.straggler.mean_multiplier();
+    let mean_mult = spec.straggler.mean();
     let map_total: f64 = splits
         .iter()
         .map(|s| spec.cost.map_time(s.nominal_bytes) * mean_mult)

@@ -250,7 +250,10 @@ mod tests {
     fn point_rejects_bad_input_with_a_typed_error() {
         let spec = JobSpec::emr("sort", 2);
         let mut bad_spec = spec.clone();
-        bad_spec.straggler = ipso_cluster::StragglerModel::Pareto { shape: 0.5 };
+        bad_spec.straggler = ipso_sim::Distribution::Pareto {
+            scale: 1.0,
+            shape: 0.5,
+        };
         for (spec, splits) in [
             (&spec, vec![]),
             (&spec, mk_splits(3)),

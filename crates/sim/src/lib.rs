@@ -12,7 +12,10 @@
 //! * [`par`] — deterministic index-ordered fan-out over host threads;
 //! * [`rng`] — seeded random-number helpers so every simulated experiment
 //!   is reproducible run-to-run;
-//! * [`special`] — special functions for the analytic straggler models.
+//! * [`distribution`] — the task-time [`Distribution`] behind stragglers,
+//!   failure times and the stochastic IPSO model, with sampling, mean and
+//!   analytic `E[max]`;
+//! * [`special`] — special functions for the analytic `E[max]`.
 //!
 //! # Example
 //!
@@ -28,14 +31,16 @@
 //! assert_eq!(slots.makespan().as_secs(), 2.0);
 //! ```
 
+pub mod distribution;
 pub mod par;
 pub mod resource;
 pub mod rng;
 pub mod special;
 pub mod time;
 
+pub use distribution::Distribution;
 pub use par::{ordered_map_indexed, resolve_threads};
 pub use resource::{FifoServer, ServerPool};
 pub use rng::{stream_seed, SimRng};
-pub use special::{harmonic, ln_beta, ln_gamma, pareto_expected_max};
+pub use special::{harmonic, ln_beta, ln_gamma};
 pub use time::SimTime;

@@ -2,9 +2,10 @@
 //!
 //! The stochastic IPSO model wants `E[max]` of heavy-tailed task times in
 //! closed form. For Pareto variables that expectation is
-//! `scale · n · B(n, 1 − 1/a)`, which needs the log-gamma function; this
-//! module provides a Lanczos approximation accurate to ~1e-13 over the
-//! positive reals.
+//! `scale · n · B(n, 1 − 1/a)` (see [`crate::Distribution::expected_max`]),
+//! which needs the log-gamma function; this module provides a Lanczos
+//! approximation accurate to ~1e-13 over the positive reals, and the
+//! harmonic numbers of the exponential's `E[max]`.
 
 /// Lanczos coefficients (g = 7, n = 9), Boost/Numerical-Recipes flavour.
 const LANCZOS_G: f64 = 7.0;
@@ -79,22 +80,6 @@ pub fn harmonic(n: u32) -> f64 {
     }
 }
 
-/// Expected maximum of `n` i.i.d. Pareto(scale, shape) draws:
-/// `scale · n · B(n, 1 − 1/shape)`, finite for `shape > 1`.
-///
-/// # Panics
-///
-/// Panics unless `n ≥ 1`, `scale > 0` and `shape > 1`.
-pub fn pareto_expected_max(scale: f64, shape: f64, n: u32) -> f64 {
-    assert!(n >= 1, "need at least one draw");
-    assert!(
-        scale > 0.0 && shape > 1.0,
-        "pareto mean requires scale > 0, shape > 1"
-    );
-    let nf = f64::from(n);
-    scale * nf * (ln_beta(nf, 1.0 - 1.0 / shape)).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,48 +115,6 @@ mod tests {
         assert!((ln_beta(2.0, 3.0) - (1.0f64 / 12.0).ln()).abs() < 1e-12);
         // B(1,x) = 1/x.
         assert!((ln_beta(1.0, 7.5) - (1.0f64 / 7.5).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pareto_max_of_one_is_the_mean() {
-        // E[max of 1] = E[X] = scale·a/(a−1).
-        for shape in [1.5, 2.0, 3.0, 10.0] {
-            let e = pareto_expected_max(2.0, shape, 1);
-            let mean = 2.0 * shape / (shape - 1.0);
-            assert!((e - mean).abs() < 1e-10, "shape {shape}: {e} vs {mean}");
-        }
-    }
-
-    #[test]
-    fn pareto_max_matches_monte_carlo() {
-        use crate::rng::SimRng;
-        let (scale, shape, n) = (1.0, 2.5, 16u32);
-        let analytic = pareto_expected_max(scale, shape, n);
-        let mut rng = SimRng::seed_from(7);
-        let reps = 60_000;
-        let mut total = 0.0;
-        for _ in 0..reps {
-            let mut m = 0.0f64;
-            for _ in 0..n {
-                m = m.max(rng.pareto(scale, shape));
-            }
-            total += m;
-        }
-        let mc = total / f64::from(reps);
-        assert!(
-            (analytic - mc).abs() / analytic < 0.02,
-            "analytic {analytic} vs MC {mc}"
-        );
-    }
-
-    #[test]
-    fn pareto_max_grows_like_n_to_inverse_shape() {
-        // E[max of n] ~ scale·Γ(1−1/a)·n^{1/a} for large n.
-        let shape = 2.0;
-        let e64 = pareto_expected_max(1.0, shape, 64);
-        let e256 = pareto_expected_max(1.0, shape, 256);
-        let ratio = e256 / e64; // ideal 4^{1/2} = 2
-        assert!((ratio - 2.0).abs() < 0.02, "ratio = {ratio}");
     }
 
     #[test]

@@ -216,14 +216,14 @@ mod tests {
     use super::*;
     use crate::engine::try_run_job;
     use crate::stage::StageSpec;
-    use ipso_cluster::StragglerModel;
+    use ipso_sim::Distribution;
 
     fn job3() -> SparkJobSpec {
         let mut j = SparkJobSpec::emr("dag", 8, 8)
             .stage(StageSpec::new("a", 8).with_task_compute(1.0))
             .stage(StageSpec::new("b", 8).with_task_compute(1.0))
             .stage(StageSpec::new("c", 4).with_task_compute(0.2));
-        j.straggler = StragglerModel::None;
+        j.straggler = Distribution::Fixed { value: 1.0 };
         j.first_wave_cost = 0.0;
         j.executor_launch_cost = 0.0;
         j
@@ -282,7 +282,7 @@ mod tests {
         let mut j = SparkJobSpec::emr("fair", 4, 8)
             .stage(StageSpec::new("x", 4).with_task_compute(1.0))
             .stage(StageSpec::new("y", 4).with_task_compute(1.0));
-        j.straggler = StragglerModel::None;
+        j.straggler = Distribution::Fixed { value: 1.0 };
         j.first_wave_cost = 0.0;
         j.executor_launch_cost = 0.0;
         let run = run_dag(&j, &[]).unwrap();

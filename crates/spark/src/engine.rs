@@ -273,7 +273,7 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
 /// `perfbench/src/spark.rs:118` uses its plain return.
 pub fn run_sequential_reference(spec: &SparkJobSpec) -> f64 {
     spec.validate().expect("invalid spark job spec");
-    let mean_mult = spec.straggler.mean_multiplier();
+    let mean_mult = spec.straggler.mean();
     let mut total = 0.0;
     for stage in &spec.stages {
         let base = stage.task_compute + stage.input_bytes_per_task as f64 / INPUT_READ_RATE;
@@ -291,7 +291,7 @@ mod tests {
     use super::*;
     use crate::eventlog::parse_event_log;
     use crate::stage::StageSpec;
-    use ipso_cluster::StragglerModel;
+    use ipso_sim::Distribution;
 
     fn simple_job(n_tasks: u32, m: u32) -> SparkJobSpec {
         SparkJobSpec::emr("test", n_tasks, m)
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn single_stage_wall_clock_is_waves() {
         let mut job = simple_job(8, 4);
-        job.straggler = StragglerModel::None;
+        job.straggler = Distribution::Fixed { value: 1.0 };
         job.first_wave_cost = 0.0;
         job.executor_launch_cost = 0.0;
         let run = try_run_job(&job).unwrap();
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn sequential_reference_sums_all_tasks() {
         let mut job = simple_job(8, 4);
-        job.straggler = StragglerModel::None;
+        job.straggler = Distribution::Fixed { value: 1.0 };
         let t = run_sequential_reference(&job);
         assert!((t - 8.0).abs() < 1e-9);
     }
@@ -328,7 +328,7 @@ mod tests {
                 .with_task_compute(0.5)
                 .with_broadcast(50 * 1024 * 1024),
         );
-        job.straggler = StragglerModel::None;
+        job.straggler = Distribution::Fixed { value: 1.0 };
         let run = try_run_job(&job).unwrap();
         // 4 serialized 50 MB unicasts at 250 MB/s ≈ 0.8 s.
         assert!(run.overhead_time > 0.7, "overhead = {}", run.overhead_time);
@@ -343,7 +343,7 @@ mod tests {
                     .with_task_compute(0.5)
                     .with_broadcast(20 * 1024 * 1024),
             );
-            j.straggler = StragglerModel::None;
+            j.straggler = Distribution::Fixed { value: 1.0 };
             j.first_wave_cost = 0.0;
             j
         };
@@ -366,7 +366,7 @@ mod tests {
                     .with_input_bytes(1024 * 1024 * 1024)
                     .with_cached_input(true),
             );
-            j.straggler = StragglerModel::None;
+            j.straggler = Distribution::Fixed { value: 1.0 };
             j.first_wave_cost = 0.0;
             j
         };
@@ -397,7 +397,7 @@ mod tests {
     fn executor_launch_is_linear_overhead() {
         let mk = |m: u32| {
             let mut j = simple_job(m, m);
-            j.straggler = StragglerModel::None;
+            j.straggler = Distribution::Fixed { value: 1.0 };
             j.first_wave_cost = 0.0;
             j
         };
@@ -556,10 +556,10 @@ mod tests {
                 .with_task_compute(0.5)
                 .with_shuffle_output(20 * 1024 * 1024),
         );
-        with.straggler = StragglerModel::None;
+        with.straggler = Distribution::Fixed { value: 1.0 };
         let mut without =
             SparkJobSpec::emr("s", 8, 4).stage(StageSpec::new("map", 8).with_task_compute(0.5));
-        without.straggler = StragglerModel::None;
+        without.straggler = Distribution::Fixed { value: 1.0 };
         assert!(
             try_run_job(&with).unwrap().total_time
                 > try_run_job(&without).unwrap().total_time + 0.5

@@ -2,8 +2,9 @@
 
 use ipso_cluster::{
     CentralScheduler, ClusterError, ClusterSpec, EngineOptions, FaultModel, NetworkModel,
-    RecoveryPolicy, StragglerModel,
+    RecoveryPolicy,
 };
+use ipso_sim::Distribution;
 use serde::{Deserialize, Serialize};
 
 use crate::stage::StageSpec;
@@ -29,8 +30,8 @@ pub struct SparkJobSpec {
     pub scheduler: CentralScheduler,
     /// Network model (broadcast, shuffle).
     pub network: NetworkModel,
-    /// Task-time noise.
-    pub straggler: StragglerModel,
+    /// Task-time noise: each task's time is multiplied by a draw.
+    pub straggler: Distribution,
     /// Per-executor memory available for cached partitions, bytes.
     pub executor_memory: u64,
     /// Slowdown multiplier applied to tasks whose executor working set
@@ -79,7 +80,7 @@ impl SparkJobSpec {
             network: NetworkModel::from_cluster(&cluster),
             cluster,
             scheduler: CentralScheduler::spark_like(),
-            straggler: StragglerModel::mild(),
+            straggler: Distribution::jitter(0.05),
             executor_memory: 4 * 1024 * 1024 * 1024, // 4 GiB usable of 8
             spill_slowdown: 1.6,
             first_wave_cost: 0.35,
@@ -142,7 +143,9 @@ impl SparkJobSpec {
         }
         self.cluster.validate()?;
         self.scheduler.validate()?;
-        self.straggler.validate()?;
+        self.straggler
+            .validate()
+            .map_err(|rule| ClusterError::invalid("straggler", rule))?;
         self.faults.validate()?;
         self.recovery.validate()?;
         for s in &self.stages {

@@ -82,7 +82,7 @@ fn point(spec: &SparkJobSpec, m: u32) -> SparkSweepPoint {
 mod tests {
     use super::*;
     use crate::stage::StageSpec;
-    use ipso_cluster::StragglerModel;
+    use ipso_sim::Distribution;
 
     /// A two-stage job shaped like the paper's ML benchmarks: a heavy
     /// training stage with a broadcast plus a small aggregation.
@@ -96,7 +96,7 @@ mod tests {
                     .with_shuffle_output(1024 * 1024),
             )
             .stage(StageSpec::new("aggregate", m.max(1)).with_task_compute(0.3));
-        job.straggler = StragglerModel::None;
+        job.straggler = Distribution::Fixed { value: 1.0 };
         job
     }
 

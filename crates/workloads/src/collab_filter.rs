@@ -22,7 +22,7 @@
 //!   the same `E[max Tp,i(n)] ≈ a/n`, `Wo(n) ≈ 0.55·n` behaviour.
 
 use ipso::predict::FixedSizeSample;
-use ipso_cluster::StragglerModel;
+use ipso_sim::Distribution;
 use ipso_spark::{SparkJobSpec, StageSpec};
 
 use crate::datagen::Rating;
@@ -127,7 +127,7 @@ const BROADCAST_BYTES: u64 = 22_900_000;
 /// degree `m` (the problem size is fixed at [`CF_TASKS`]).
 pub fn job(_problem_size: u32, parallelism: u32) -> SparkJobSpec {
     let mut spec = SparkJobSpec::emr("collab-filter", CF_TASKS, parallelism);
-    spec.straggler = StragglerModel::Uniform { spread: 0.03 };
+    spec.straggler = Distribution::jitter(0.03);
     spec.first_wave_cost = 0.1;
     for iter in 0..CF_ITERATIONS {
         // Two alternating feature-vector updates per iteration, each

@@ -128,7 +128,7 @@ proptest! {
         let mk = |n: u32| {
             let mut j = SparkJobSpec::emr("prop", n, m)
                 .stage(StageSpec::new("s", n).with_task_compute(0.5));
-            j.straggler = ipso_cluster::StragglerModel::None;
+            j.straggler = ipso_sim::Distribution::Fixed { value: 1.0 };
             j
         };
         let small = try_run_job(&mk(base_tasks)).unwrap().total_time;
@@ -145,7 +145,7 @@ proptest! {
         let mk = |b: u64| {
             let mut j = SparkJobSpec::emr("prop", m, m)
                 .stage(StageSpec::new("s", m).with_task_compute(0.5).with_broadcast(b));
-            j.straggler = ipso_cluster::StragglerModel::None;
+            j.straggler = ipso_sim::Distribution::Fixed { value: 1.0 };
             j
         };
         let small = try_run_job(&mk(bytes)).unwrap().overhead_time;

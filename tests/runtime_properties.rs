@@ -5,11 +5,10 @@
 
 use ipso_cluster::runtime::{RunOutcome, RuntimeConfig};
 use ipso_cluster::{
-    execute, CentralScheduler, FaultModel, RecoveryPolicy, SchedulerPolicy, StragglerModel,
-    TaskGraph,
+    execute, CentralScheduler, FaultModel, RecoveryPolicy, SchedulerPolicy, TaskGraph,
 };
 use ipso_mapreduce::{plan_scale_out, InputSplit, JobSpec};
-use ipso_sim::SimRng;
+use ipso_sim::{Distribution, SimRng};
 use ipso_spark::{lower_chain, lower_levels, SparkJobSpec, StageSpec};
 use proptest::prelude::*;
 
@@ -66,7 +65,7 @@ fn config(
         executors,
         scheduler: CentralScheduler::spark_like(),
         policy,
-        straggler: StragglerModel::mild(),
+        straggler: Distribution::jitter(0.05),
         faults: if faulty {
             let mut f = FaultModel::flaky(0.2);
             f.node_crash_prob = 0.05;
