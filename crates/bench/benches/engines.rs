@@ -7,8 +7,9 @@
 //!    DAG with broadcast and shuffles) and an end-to-end scaling sweep.
 //! 2. A regression harness that times the seed's ordered-map data path
 //!    ([`ipso_bench::reference`], the `btree_seq` rows) against the
-//!    engine's sort-based shuffle, sequential and with the full host —
-//!    and writes the wall-clock numbers (independent samples per bench
+//!    engine's sort-based shuffle, sequential and with the full host,
+//!    plus one QMC-Pi scale-out data path (the Halton kernel) — and
+//!    writes the wall-clock numbers (independent samples per bench
 //!    with their median and IQR) and the speedup ratios of the medians
 //!    to `BENCH_engines.json` at the repository root so CI can assert
 //!    the optimised data path never regresses.
@@ -17,7 +18,7 @@ use criterion::{black_box, criterion_group, Criterion};
 use ipso_bench::{reference, SweepRunner};
 use ipso_mapreduce::{Mapper, OutputScaling, Reducer};
 use ipso_spark::try_run_job;
-use ipso_workloads::{bayes, sort, wordcount};
+use ipso_workloads::{bayes, qmc, sort, wordcount};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -56,8 +57,8 @@ impl Reducer for SeedWordCountReducer {
     type Value = u64;
     type Output = (String, u64);
 
-    fn reduce(&self, key: &String, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
-        emit((key.clone(), values.iter().sum()));
+    fn reduce(&self, key: String, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
+        emit((key, values.iter().sum()));
     }
 }
 
@@ -263,6 +264,24 @@ fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
             timing,
         ));
     }
+
+    // QMC-Pi: one scale-out data path, on one thread. Its cost is the
+    // Halton kernel, which the reference path shares, so it has no
+    // baseline and no speedup ratio.
+    let spec = qmc::job_spec(MAP_TASKS);
+    let splits = qmc::make_splits(MAP_TASKS);
+    let timing = measure(|| {
+        ipso_mapreduce::try_run_scale_out(&spec, &qmc::QmcMapper, &qmc::QmcReducer, &splits)
+            .expect("fault-free run")
+    });
+    records.push(record(
+        format!("mapreduce_qmc_n{MAP_TASKS}_sortmerge_seq"),
+        "mapreduce",
+        "qmc",
+        "sortmerge_seq",
+        1,
+        timing,
+    ));
 
     // Spark: the Bayes stage DAG with the host-side stage executor
     // sequential and parallel (the shuffle grid does not apply).

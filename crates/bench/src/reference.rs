@@ -48,8 +48,8 @@ where
         }
     }
     let mut output = Vec::new();
-    for (k, vs) in &merged {
-        reducer.reduce(k, vs, &mut |o| output.push(o));
+    for (k, vs) in merged {
+        reducer.reduce(k, &vs, &mut |o| output.push(o));
     }
     (output, task_bytes)
 }

@@ -4,6 +4,7 @@
 //! intermediate-volume accounting, task by task.
 
 use std::fmt::Debug;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ipso_bench::reference;
 use ipso_mapreduce::{
@@ -73,9 +74,9 @@ impl Reducer for IdReduce {
     type Key = u64;
     type Value = u64;
     type Output = u64;
-    fn reduce(&self, key: &u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, key: u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
         for _ in values {
-            emit(*key);
+            emit(key);
         }
     }
 }
@@ -103,8 +104,8 @@ impl Reducer for SumReduce {
     type Key = u64;
     type Value = u64;
     type Output = (u64, u64);
-    fn reduce(&self, key: &u64, values: &[u64], emit: &mut dyn FnMut((u64, u64))) {
-        emit((*key, values.iter().sum()));
+    fn reduce(&self, key: u64, values: &[u64], emit: &mut dyn FnMut((u64, u64))) {
+        emit((key, values.iter().sum()));
     }
 }
 
@@ -155,8 +156,8 @@ impl Reducer for ArrivalOrderReduce {
     type Key = u64;
     type Value = u32;
     type Output = (u64, Vec<u32>);
-    fn reduce(&self, key: &u64, values: &[u32], emit: &mut dyn FnMut((u64, Vec<u32>))) {
-        emit((*key, values.to_vec()));
+    fn reduce(&self, key: u64, values: &[u32], emit: &mut dyn FnMut((u64, Vec<u32>))) {
+        emit((key, values.to_vec()));
     }
 }
 
@@ -177,6 +178,87 @@ fn tagged_splits(runs: &[Vec<u64>]) -> Vec<InputSplit<(u64, u32)>> {
             InputSplit::new(records, bytes, bytes * 64)
         })
         .collect()
+}
+
+// ── Keys move through the reduce side ───────────────────────────────────
+
+/// Key clones made by [`CountedKey`]; only `reduce_side_clones_no_key`
+/// uses the type.
+static KEY_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key whose `Clone` bumps [`KEY_CLONES`].
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct CountedKey(u64);
+
+impl Clone for CountedKey {
+    fn clone(&self) -> Self {
+        KEY_CLONES.fetch_add(1, Ordering::Relaxed);
+        CountedKey(self.0)
+    }
+}
+
+impl Sizeable for CountedKey {
+    fn size_bytes(&self) -> u64 {
+        8
+    }
+}
+
+/// Keys each `(key, tag)` record by a [`CountedKey`]; no combiner.
+struct CountedMap;
+impl Mapper for CountedMap {
+    type Input = (u64, u32);
+    type Key = CountedKey;
+    type Value = u32;
+    fn map(&self, input: &(u64, u32), emit: &mut dyn FnMut(CountedKey, u32)) {
+        emit(CountedKey(input.0), input.1);
+    }
+}
+
+/// Emits each group's key and values in arrival order.
+struct CountedReduce;
+impl Reducer for CountedReduce {
+    type Key = CountedKey;
+    type Value = u32;
+    type Output = (u64, Vec<u32>);
+    fn reduce(&self, key: CountedKey, values: &[u32], emit: &mut dyn FnMut((u64, Vec<u32>))) {
+        emit((key.0, values.to_vec()));
+    }
+}
+
+/// Runs one split per run of keys through the scale-out and the
+/// sequential path, asserts that each output equals the reference's, and
+/// returns each run's key clones.
+fn engine_key_clones(runs: &[Vec<u64>]) -> [usize; 2] {
+    let splits = tagged_splits(runs);
+    let spec = JobSpec::emr("counted", splits.len() as u32);
+    let (want, _) = reference::run(&CountedMap, &CountedReduce, &splits);
+    let counted = |run: &dyn Fn() -> Vec<(u64, Vec<u32>)>| {
+        KEY_CLONES.store(0, Ordering::Relaxed);
+        assert_eq!(run(), want);
+        KEY_CLONES.load(Ordering::Relaxed)
+    };
+    [
+        counted(&|| {
+            try_run_scale_out(&spec, &CountedMap, &CountedReduce, &splits)
+                .unwrap()
+                .output
+        }),
+        counted(&|| run_sequential(&spec, &CountedMap, &CountedReduce, &splits).output),
+    ]
+}
+
+#[test]
+fn reduce_side_clones_no_key() {
+    // Unique keys: every group holds one value, so nothing is cloned.
+    let keys: Vec<u64> = (0..300).map(|i| i * 7919 % 300).collect();
+    let unique: Vec<Vec<u64>> = keys.chunks(37).map(<[u64]>::to_vec).collect();
+    assert_eq!(engine_key_clones(&unique), [0, 0]);
+
+    // Shared keys: a task's group of g values keeps one key and clones
+    // it g - 1 times into its combined pairs (task 0: key 3 twice;
+    // task 2: key 1 once). The reduce side adds no clone.
+    let shared = vec![vec![3, 1, 3, 3], vec![1, 3], vec![1, 1, 2], vec![]];
+    assert_eq!(engine_key_clones(&shared), [3, 3]);
 }
 
 // ── The three real MapReduce workloads ──────────────────────────────────

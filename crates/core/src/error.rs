@@ -17,6 +17,9 @@ pub enum ModelError {
         /// Human-readable reason.
         reason: &'static str,
     },
+    /// A task-time distribution is invalid or unusable; the reason is
+    /// the violated rule.
+    InvalidDistribution(&'static str),
     /// A scaling factor must satisfy a boundary condition (e.g. `EX(1) = 1`,
     /// `q(1) = 0`) and does not.
     BoundaryCondition {
@@ -54,6 +57,9 @@ impl fmt::Display for ModelError {
             }
             ModelError::InvalidFactor { factor, reason } => {
                 write!(f, "invalid {factor} scaling factor: {reason}")
+            }
+            ModelError::InvalidDistribution(reason) => {
+                write!(f, "invalid task-time distribution: {reason}")
             }
             ModelError::BoundaryCondition {
                 factor,
@@ -128,6 +134,10 @@ mod tests {
             actual: 2.0,
         };
         assert_eq!(err.to_string(), "EX(1) must equal 1 but evaluates to 2");
+        assert_eq!(
+            ModelError::InvalidDistribution("no closed-form E[max]").to_string(),
+            "invalid task-time distribution: no closed-form E[max]"
+        );
     }
 
     #[test]

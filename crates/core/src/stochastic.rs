@@ -69,8 +69,9 @@ impl StochasticIpso {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidFactor`] with the violated rule for
-    /// an invalid `base_task`, and propagates factor validation errors.
+    /// Returns [`ModelError::InvalidDistribution`] with the violated rule
+    /// for an invalid `base_task`, and propagates factor validation
+    /// errors.
     pub fn new(
         base_task: Distribution,
         ws1: f64,
@@ -80,10 +81,7 @@ impl StochasticIpso {
     ) -> Result<Self, ModelError> {
         base_task
             .validate()
-            .map_err(|reason| ModelError::InvalidFactor {
-                factor: "task-time distribution",
-                reason,
-            })?;
+            .map_err(ModelError::InvalidDistribution)?;
         if !ws1.is_finite() || ws1 < 0.0 {
             return Err(ModelError::NonFinite("serial merge time Ws(1)"));
         }
@@ -123,7 +121,7 @@ impl StochasticIpso {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidScaleOut`] for `n = 0` and
-    /// [`ModelError::InvalidFactor`] when the distribution has no
+    /// [`ModelError::InvalidDistribution`] when the distribution has no
     /// closed-form `E[max]` (Weibull at `n > 1`).
     pub fn expected_max_task_time(&self, n: u32) -> Result<f64, ModelError> {
         if n == 0 {
@@ -132,10 +130,7 @@ impl StochasticIpso {
         let e_max = self
             .base_task
             .expected_max(n)
-            .ok_or(ModelError::InvalidFactor {
-                factor: "task-time distribution",
-                reason: "no closed-form E[max]",
-            })?;
+            .ok_or(ModelError::InvalidDistribution("no closed-form E[max]"))?;
         // Per-task mean workload scales with EX(n)/n; the distribution's
         // *shape* is preserved, only its scale changes.
         let scale = self.external.eval(n as f64) / n as f64;
@@ -309,10 +304,7 @@ mod tests {
         assert!(m.speedup(1).is_ok());
         assert!(matches!(
             m.speedup(4),
-            Err(ModelError::InvalidFactor {
-                factor: "task-time distribution",
-                ..
-            })
+            Err(ModelError::InvalidDistribution("no closed-form E[max]"))
         ));
         assert!(matches!(
             m.expected_max_task_time(0),

@@ -381,9 +381,9 @@ mod tests {
         type Key = u64;
         type Value = u64;
         type Output = u64;
-        fn reduce(&self, key: &u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, key: u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
             for _ in values {
-                emit(*key);
+                emit(key);
             }
         }
     }
@@ -411,8 +411,8 @@ mod tests {
         type Key = u64;
         type Value = u64;
         type Output = (u64, u64);
-        fn reduce(&self, key: &u64, values: &[u64], emit: &mut dyn FnMut((u64, u64))) {
-            emit((*key, values.iter().sum()));
+        fn reduce(&self, key: u64, values: &[u64], emit: &mut dyn FnMut((u64, u64))) {
+            emit((key, values.iter().sum()));
         }
     }
 
@@ -679,9 +679,9 @@ mod pipelined_shuffle_tests {
         type Key = u64;
         type Value = u64;
         type Output = u64;
-        fn reduce(&self, key: &u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, key: u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
             for _ in values {
-                emit(*key);
+                emit(key);
             }
         }
     }

@@ -211,9 +211,9 @@ mod tests {
         type Key = u64;
         type Value = u64;
         type Output = u64;
-        fn reduce(&self, key: &u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, key: u64, values: &[u64], emit: &mut dyn FnMut(u64)) {
             for _ in values {
-                emit(*key);
+                emit(key);
             }
         }
     }

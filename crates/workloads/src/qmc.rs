@@ -13,12 +13,23 @@
 //! `van_der_corput` itself over the low digits (4096 base-2 and 2187
 //! base-3 entries). A chunk never crosses a multiple of 4096 or of 2187,
 //! so its remaining high digits are the same for every point in it: the
-//! coordinate buffers start from the table entries, and each high-digit
-//! term (digit times the weight from the same `f /= base` chain) is
-//! added to the whole buffer, one term at a time, least-significant
-//! digit first. Every float operation is one `van_der_corput` performs,
-//! in its order, so the coordinates are bit-identical to it, not
-//! approximations; the per-chunk loops have fixed trip counts.
+//! coordinate buffers start from the table entries, and the high digits
+//! are added to the whole buffer. The result is bit-identical to
+//! `van_der_corput`, not an approximation:
+//!
+//! * base 2: every partial sum through binary digit 52 is a multiple of
+//!   2^-53 below 1, which an `f64` holds exactly, so those adds never
+//!   round and their order does not matter. Digits 12 through 52 are
+//!   therefore summed into one term, added in one pass; any digit from
+//!   53 up is added term by term, least-significant first, as
+//!   `van_der_corput` adds it;
+//! * base 3: each nonzero high digit's term (digit times the weight from
+//!   the same `f /= base` chain) is added in one pass, least-significant
+//!   digit first, as `van_der_corput` adds it. A zero digit would add
+//!   `+0.0` to a non-negative sum, which changes no bit, so it is
+//!   skipped.
+//!
+//! The per-chunk loops have fixed trip counts.
 
 use ipso_mapreduce::{
     InputSplit, JobCostModel, JobSpec, Mapper, OutputScaling, Reducer, ScalingSweep,
@@ -98,14 +109,28 @@ const LOW_BLOCK_3: u64 = 3u64.pow(LOW_DIGITS_3);
 /// Longest chunk: one base-3 block, the shorter of the two.
 const CHUNK: usize = LOW_BLOCK_3 as usize;
 
+/// Binary digits whose partial sums an `f64` holds exactly: through
+/// digit 52 each is a multiple of 2^-53 below 1.
+const EXACT_DIGITS_2: u32 = 53;
+/// Bits 12 through 52 of an index: the digits whose terms
+/// [`halton_chunk`] sums into one.
+const EXACT_HIGH_2: u64 = (1 << EXACT_DIGITS_2) - LOW_BLOCK_2;
+
+/// Adds `term` to every element of `buf`.
+fn add_to_all(buf: &mut [f64], term: f64) {
+    for v in buf {
+        *v += term;
+    }
+}
+
 /// Fills `x[j]` with `van_der_corput(first + j, 2)` and `y[j]` with
 /// `van_der_corput(first + j, 3)`, bit for bit.
 ///
-/// The buffers start from the low-digit tables; then each high-digit
-/// term is added to every element, least-significant digit first, as
-/// `van_der_corput` adds it. Base-2 digits are 0 or 1: `w * 1.0 == w`,
-/// and a zero digit adds `+0.0` to a non-negative sum, which leaves it
-/// unchanged, so only the set bits are visited.
+/// The buffers start from the low-digit tables. Base 2 then adds its
+/// high digits below [`EXACT_DIGITS_2`] as one exact term and each set
+/// digit from there up as its own; base 3 adds each nonzero digit's
+/// term. Every term is added to all elements, least-significant digit
+/// first (see the module doc for why the result is exact).
 ///
 /// # Panics
 ///
@@ -118,21 +143,27 @@ fn halton_chunk(first: u64, x: &mut [f64], y: &mut [f64]) {
     x.copy_from_slice(&LOW_SUMS_2[low_2..low_2 + len]);
     y.copy_from_slice(&LOW_SUMS_3[low_3..low_3 + len]);
 
-    let mut high = first >> LOW_DIGITS_2;
+    // Base-2 digits are 0 or 1, so each set bit adds its weight.
+    let mut exact = 0.0;
+    let mut bits = first & EXACT_HIGH_2;
+    while bits != 0 {
+        exact += WEIGHTS_2[bits.trailing_zeros() as usize];
+        bits &= bits - 1;
+    }
+    add_to_all(x, exact);
+    let mut high = first >> EXACT_DIGITS_2;
     while high != 0 {
-        let term = WEIGHTS_2[(LOW_DIGITS_2 + high.trailing_zeros()) as usize];
-        for v in x.iter_mut() {
-            *v += term;
-        }
+        let term = WEIGHTS_2[(EXACT_DIGITS_2 + high.trailing_zeros()) as usize];
+        add_to_all(x, term);
         high &= high - 1;
     }
 
     let mut high = first / LOW_BLOCK_3;
     let mut k = LOW_DIGITS_3 as usize;
     while high > 0 {
-        let term = WEIGHTS_3[k] * (high % 3) as f64;
-        for v in y.iter_mut() {
-            *v += term;
+        let digit = high % 3;
+        if digit != 0 {
+            add_to_all(y, WEIGHTS_3[k] * digit as f64);
         }
         high /= 3;
         k += 1;
@@ -206,7 +237,7 @@ impl Reducer for QmcReducer {
     type Value = (u64, u64);
     type Output = f64;
 
-    fn reduce(&self, _key: &u32, values: &[(u64, u64)], emit: &mut dyn FnMut(f64)) {
+    fn reduce(&self, _key: u32, values: &[(u64, u64)], emit: &mut dyn FnMut(f64)) {
         let inside: u64 = values.iter().map(|v| v.0).sum();
         let total: u64 = values.iter().map(|v| v.1).sum();
         emit(4.0 * inside as f64 / total as f64);
@@ -352,6 +383,24 @@ mod tests {
         assert_chunk_bits(&window((1u64 << 40) - 50_000, (1u64 << 40) + 49_999));
         assert_chunk_bits(&window(u64::MAX / 2 - 5000, u64::MAX / 2 + 5000));
         assert_chunk_bits(&window(u64::MAX - 30_000, u64::MAX));
+
+        // 2^53 is where the first digit outside the one-term sum sets:
+        // windows across it and its nearest multiples of 4096 and 2187.
+        const TWO_53: u64 = 1 << 53;
+        let below_3 = TWO_53 / LOW_BLOCK_3 * LOW_BLOCK_3;
+        for edge in [
+            TWO_53 - LOW_BLOCK_2,
+            TWO_53,
+            TWO_53 + LOW_BLOCK_2,
+            below_3,
+            below_3 + LOW_BLOCK_3,
+        ] {
+            assert_chunk_bits(&window(edge - 3000, edge + 3000));
+        }
+        // Digits 53 and 54 set over a clear digit 52: the second add
+        // rounds differently if both digits join the one-term sum.
+        let both = 3 * TWO_53;
+        assert_chunk_bits(&window(both - 3000, both + 3000));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! model that with an unlimited reducer memory.
 //!
 //! Lines are shared `Arc<str>`s from [`make_splits`] through map, merge
-//! and reduce: the mapper keys each record by its own line and the
-//! reducer emits that key once per occurrence, so both bump a reference
-//! count instead of copying the line. Volumes are accounted from the
-//! line lengths, as for `String`.
+//! and reduce: the mapper keys each record by a clone of its line's
+//! `Arc`, and the reducer emits that key's line once per occurrence,
+//! moving the key's own `Arc` out for the last one. No line is copied,
+//! and a line that occurs once costs one reference-count bump in all.
+//! Volumes are accounted from the line lengths, as for `String`.
 //!
 //! The key is a [`SortKey`]: the line behind its first 16 bytes as two
 //! big-endian, zero-padded integers. They order keys as their lines and
@@ -92,11 +93,16 @@ impl Reducer for SortReducer {
     type Value = u32;
     type Output = Arc<str>;
 
-    fn reduce(&self, key: &SortKey, values: &[u32], emit: &mut dyn FnMut(Arc<str>)) {
+    /// Emits `count - 1` clones of the line, then the key's own `Arc`.
+    fn reduce(&self, key: SortKey, values: &[u32], emit: &mut dyn FnMut(Arc<str>)) {
         let count: u32 = values.iter().sum();
-        for _ in 0..count {
+        if count == 0 {
+            return;
+        }
+        for _ in 1..count {
             emit(Arc::clone(&key.line));
         }
+        emit(key.line);
     }
 }
 

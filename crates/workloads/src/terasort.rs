@@ -63,14 +63,9 @@ impl Reducer for TeraSortReducer {
     type Value = TeraPayload;
     type Output = ([u8; 10], u64);
 
-    fn reduce(
-        &self,
-        key: &[u8; 10],
-        values: &[TeraPayload],
-        emit: &mut dyn FnMut(([u8; 10], u64)),
-    ) {
+    fn reduce(&self, key: [u8; 10], values: &[TeraPayload], emit: &mut dyn FnMut(([u8; 10], u64))) {
         for value in values {
-            emit((*key, value.row));
+            emit((key, value.row));
         }
     }
 }

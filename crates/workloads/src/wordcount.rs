@@ -326,7 +326,7 @@ impl Reducer for WordCountReducer {
     type Value = u64;
     type Output = (String, u64);
 
-    fn reduce(&self, key: &Word, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
+    fn reduce(&self, key: Word, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
         emit((key.as_str().to_string(), values.iter().sum()));
     }
 
@@ -350,7 +350,7 @@ impl Reducer for WordCountReducer {
             .zip(ranked)
             .filter_map(|(rank, sum)| Some((rank, sum?)));
         for_each_in_text_order(index, ranked, others, &mut |word, sum| {
-            self.reduce(&word, &[sum], emit);
+            self.reduce(word, &[sum], emit);
         });
     }
 }
@@ -504,8 +504,8 @@ mod tests {
         type Value = u64;
         type Output = (String, u64);
 
-        fn reduce(&self, key: &String, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
-            emit((key.clone(), values.iter().sum()));
+        fn reduce(&self, key: String, values: &[u64], emit: &mut dyn FnMut((String, u64))) {
+            emit((key, values.iter().sum()));
         }
     }
 

@@ -40,10 +40,7 @@ fn rejections(dist: Distribution) -> [Option<String>; 4] {
     );
     let model = match model {
         Ok(_) => None,
-        Err(ModelError::InvalidFactor {
-            factor: "task-time distribution",
-            reason,
-        }) => Some(reason.to_string()),
+        Err(ModelError::InvalidDistribution(reason)) => Some(reason.to_string()),
         Err(other) => panic!("{dist:?}: unexpected error {other:?}"),
     };
     [

@@ -22,9 +22,9 @@ impl Reducer for IdReduce {
     type Key = u64;
     type Value = u32;
     type Output = u64;
-    fn reduce(&self, key: &u64, values: &[u32], emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, key: u64, values: &[u32], emit: &mut dyn FnMut(u64)) {
         for _ in 0..values.iter().sum::<u32>() {
-            emit(*key);
+            emit(key);
         }
     }
 }
