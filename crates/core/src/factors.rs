@@ -11,8 +11,8 @@
 //!   `Wo(n) = (Wp(n)/n)·q(n)`, with `q(1) = 0` and `q` non-decreasing.
 //!
 //! [`ScalingFactor`] is a small function language covering every shape the
-//! paper uses: constants, lines, power laws, polynomials, the two-segment
-//! step of TeraSort's `IN(n)` (Fig. 5) and tabulated measurements.
+//! paper uses: constants, lines, power laws, the two-segment step of
+//! TeraSort's `IN(n)` (Fig. 5) and tabulated measurements.
 
 use crate::ModelError;
 
@@ -55,8 +55,6 @@ pub enum ScalingFactor {
         /// Exponent of `n` (the paper's γ).
         exponent: f64,
     },
-    /// `f(n) = Σ coefficients[k] · n^k` (ascending powers).
-    Polynomial(Vec<f64>),
     /// Two linear regimes switching at `breakpoint` (TeraSort's step-wise
     /// internal scaling, paper Fig. 5).
     TwoSegment {
@@ -134,9 +132,6 @@ impl ScalingFactor {
                 coefficient,
                 exponent,
             } => coefficient * (n.powf(*exponent) - 1.0),
-            ScalingFactor::Polynomial(coeffs) => {
-                coeffs.iter().rev().fold(0.0, |acc, &c| acc * n + c)
-            }
             ScalingFactor::TwoSegment {
                 breakpoint,
                 left,
@@ -201,9 +196,6 @@ impl ScalingFactor {
                 coefficient: coefficient * k,
                 exponent: *exponent,
             },
-            ScalingFactor::Polynomial(coeffs) => {
-                ScalingFactor::Polynomial(coeffs.iter().map(|c| c * k).collect())
-            }
             ScalingFactor::TwoSegment {
                 breakpoint,
                 left,
@@ -240,14 +232,6 @@ impl ScalingFactor {
                 coefficient,
                 exponent,
             } => (*coefficient, *exponent),
-            ScalingFactor::Polynomial(coeffs) => {
-                for (k, &c) in coeffs.iter().enumerate().rev() {
-                    if c != 0.0 {
-                        return (c, k as f64);
-                    }
-                }
-                (0.0, 0.0)
-            }
             ScalingFactor::TwoSegment { right, .. } => {
                 if right.0 != 0.0 {
                     (right.0, 1.0)
@@ -322,13 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn polynomial_uses_horner() {
-        let f = ScalingFactor::Polynomial(vec![1.0, -2.0, 3.0]);
-        // 1 - 2·2 + 3·4 = 9
-        assert!((f.eval(2.0) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn two_segment_switches_at_breakpoint() {
         let f = ScalingFactor::TwoSegment {
             breakpoint: 15.0,
@@ -384,10 +361,6 @@ mod tests {
         assert_eq!(ScalingFactor::one().leading_term(), (1.0, 0.0));
         assert_eq!(ScalingFactor::linear().leading_term(), (1.0, 1.0));
         assert_eq!(ScalingFactor::power(2.0, 0.5).leading_term(), (2.0, 0.5));
-        assert_eq!(
-            ScalingFactor::Polynomial(vec![1.0, 2.0, 0.0]).leading_term(),
-            (2.0, 1.0)
-        );
         let t = ScalingFactor::Table(vec![(1.0, 1.0), (2.0, 1.0)]);
         assert_eq!(t.leading_term(), (1.0, 0.0));
     }

@@ -87,8 +87,7 @@ pub use diagnose::{DiagnosisReport, Diagnostician};
 pub use error::ModelError;
 pub use factors::ScalingFactor;
 pub use measurement::{
-    overhead_breakdown, OverheadBreakdown, PhaseBreakdown, RunMeasurement, SpeedupCurve,
-    SpeedupPoint,
+    overhead_breakdown, OverheadBreakdown, RunMeasurement, SpeedupCurve, SpeedupPoint,
 };
 pub use model::IpsoModel;
 pub use taxonomy::{FixedSizeClass, FixedTimeClass, ScalingClass, WorkloadType};

@@ -141,40 +141,6 @@ impl FromIterator<SpeedupPoint> for SpeedupCurve {
     }
 }
 
-/// Per-phase time breakdown of a MapReduce-style job (paper Section V).
-///
-/// The paper breaks a job into (a) initialization and job scheduling,
-/// (b) the map/split phase, (c) map→reduce communication, and (d) the
-/// reduce/merge phase (shuffle + merge + reduce stages).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct PhaseBreakdown {
-    /// Execution-environment initialization and job-scheduling time (s).
-    pub init: f64,
-    /// Map (split) phase wall-clock time (s). In a scale-out run this is
-    /// the slowest task, `max Tp,i(n)`.
-    pub map: f64,
-    /// Map→reduce communication time (s).
-    pub shuffle: f64,
-    /// Merge stage of the reduce phase (s).
-    pub merge: f64,
-    /// Final reduce stage (s).
-    pub reduce: f64,
-}
-
-impl PhaseBreakdown {
-    /// Total wall-clock time across all phases.
-    pub fn total(&self) -> f64 {
-        self.init + self.map + self.shuffle + self.merge + self.reduce
-    }
-
-    /// The serial (merge-side) portion: everything after the map phase.
-    /// The paper attributes the map phase to parallel processing "and the
-    /// rest ... to the sequential merging phase".
-    pub fn serial_portion(&self) -> f64 {
-        self.shuffle + self.merge + self.reduce
-    }
-}
-
 /// The decomposed measurements for one scale-out degree, combining the
 /// sequential-execution reference run with the scale-out run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -386,19 +352,6 @@ mod tests {
         let p = c.peak().unwrap();
         assert_eq!(p.n, 60);
         assert!((p.speedup - 21.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_breakdown_accounting() {
-        let b = PhaseBreakdown {
-            init: 1.0,
-            map: 10.0,
-            shuffle: 2.0,
-            merge: 3.0,
-            reduce: 4.0,
-        };
-        assert!((b.total() - 20.0).abs() < 1e-12);
-        assert!((b.serial_portion() - 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,94 +1,11 @@
 //! Bayes Classifier (HiBench Spark ML benchmark; paper Figs. 9–10).
 //!
-//! A real miniature naive-Bayes kernel ([`train_naive_bayes`],
-//! [`classify`]) establishes what each task computes; [`job`] is the
-//! calibrated two-stage Spark job (feature counting over cached
-//! partitions plus a model-aggregation stage) the sweeps execute.
+//! [`job`] is the calibrated two-stage Spark job the sweeps execute:
+//! naive-Bayes feature counting over cached partitions, then a
+//! model-aggregation stage. It is a stage spec (task counts, per-task
+//! seconds, bytes); no records are generated or classified.
 
 use ipso_spark::{SparkJobSpec, StageSpec};
-
-use crate::datagen::LabeledPoint;
-
-/// A trained Gaussian-free naive-Bayes model over binarized features
-/// (feature present when > 0), with Laplace smoothing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NaiveBayesModel {
-    /// Log prior per class.
-    pub log_prior: [f64; 2],
-    /// `log_likelihood[class][feature]` of the feature being positive.
-    pub log_likelihood: Vec<[f64; 2]>,
-    /// Complement log likelihood (feature non-positive).
-    pub log_complement: Vec<[f64; 2]>,
-}
-
-/// Trains the model by counting positive features per class — the same
-/// count-and-aggregate structure as the distributed benchmark.
-///
-/// # Panics
-///
-/// Panics if `points` is empty or labels are not in `{0, 1}`.
-pub fn train_naive_bayes(points: &[LabeledPoint]) -> NaiveBayesModel {
-    assert!(!points.is_empty(), "training set must be non-empty");
-    let dims = points[0].features.len();
-    let mut class_counts = [0u64; 2];
-    let mut feature_counts = vec![[0u64; 2]; dims];
-    for p in points {
-        assert!(p.label < 2, "binary labels required");
-        class_counts[p.label as usize] += 1;
-        for (f, &v) in p.features.iter().enumerate() {
-            if v > 0.0 {
-                feature_counts[f][p.label as usize] += 1;
-            }
-        }
-    }
-    let total = points.len() as f64;
-    let log_prior = [
-        ((class_counts[0] as f64 + 1.0) / (total + 2.0)).ln(),
-        ((class_counts[1] as f64 + 1.0) / (total + 2.0)).ln(),
-    ];
-    let mut log_likelihood = Vec::with_capacity(dims);
-    let mut log_complement = Vec::with_capacity(dims);
-    for counts in feature_counts.iter().take(dims) {
-        let mut ll = [0.0f64; 2];
-        let mut lc = [0.0f64; 2];
-        for c in 0..2 {
-            let p = (counts[c] as f64 + 1.0) / (class_counts[c] as f64 + 2.0);
-            ll[c] = p.ln();
-            lc[c] = (1.0 - p).ln();
-        }
-        log_likelihood.push(ll);
-        log_complement.push(lc);
-    }
-    NaiveBayesModel {
-        log_prior,
-        log_likelihood,
-        log_complement,
-    }
-}
-
-/// Classifies one point.
-pub fn classify(model: &NaiveBayesModel, point: &LabeledPoint) -> u32 {
-    let mut scores = model.log_prior;
-    for (f, &v) in point.features.iter().enumerate() {
-        for (c, score) in scores.iter_mut().enumerate() {
-            *score += if v > 0.0 {
-                model.log_likelihood[f][c]
-            } else {
-                model.log_complement[f][c]
-            };
-        }
-    }
-    u32::from(scores[1] > scores[0])
-}
-
-/// Training-set accuracy of a model.
-pub fn accuracy(model: &NaiveBayesModel, points: &[LabeledPoint]) -> f64 {
-    let correct = points
-        .iter()
-        .filter(|p| classify(model, p) == p.label)
-        .count();
-    correct as f64 / points.len() as f64
-}
 
 /// Partition size cached per task: 640 MB, so a per-executor load of
 /// `N/m = 8` (5 GB) overflows the 4 GB executor memory while `N/m ≤ 4`
@@ -114,42 +31,6 @@ pub fn job(problem_size: u32, parallelism: u32) -> SparkJobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datagen::random_points;
-    use ipso_sim::SimRng;
-
-    #[test]
-    fn model_separates_the_blobs() {
-        let mut rng = SimRng::seed_from(50);
-        let points = random_points(2000, 10, &mut rng);
-        let model = train_naive_bayes(&points);
-        let acc = accuracy(&model, &points);
-        assert!(acc > 0.9, "accuracy = {acc}");
-    }
-
-    #[test]
-    fn priors_reflect_class_balance() {
-        let mut rng = SimRng::seed_from(51);
-        let points = random_points(1000, 4, &mut rng);
-        let model = train_naive_bayes(&points);
-        assert!((model.log_prior[0] - model.log_prior[1]).abs() < 0.01);
-    }
-
-    #[test]
-    fn classify_prefers_matching_blob() {
-        let mut rng = SimRng::seed_from(52);
-        let points = random_points(1000, 6, &mut rng);
-        let model = train_naive_bayes(&points);
-        let strongly_negative = LabeledPoint {
-            label: 0,
-            features: vec![-1.5; 6],
-        };
-        let strongly_positive = LabeledPoint {
-            label: 1,
-            features: vec![1.5; 6],
-        };
-        assert_eq!(classify(&model, &strongly_negative), 0);
-        assert_eq!(classify(&model, &strongly_positive), 1);
-    }
 
     #[test]
     fn job_has_two_stages_and_validates() {

@@ -11,21 +11,17 @@
 //! IVs type whose speedup peaks near `n = 60` at a dismal ≈ 21 and then
 //! decays.
 //!
-//! This module provides three layers:
+//! This module provides two layers:
 //!
 //! * [`TABLE_I`] — the paper's measured data, used directly by the
 //!   Fig. 8 reproduction;
-//! * [`als_factorize`] — a real miniature ALS kernel (rank-1 alternating
-//!   least squares over generated ratings), demonstrating the actual
-//!   computation whose scaling the model describes;
-//! * [`job`] — a calibrated Spark job whose simulated execution exhibits
-//!   the same `E[max Tp,i(n)] ≈ a/n`, `Wo(n) ≈ 0.55·n` behaviour.
+//! * [`job`] — a calibrated stage spec whose simulated execution exhibits
+//!   the same `E[max Tp,i(n)] ≈ a/n`, `Wo(n) ≈ 0.55·n` behaviour. No
+//!   ratings are generated or factorized.
 
 use ipso::predict::FixedSizeSample;
 use ipso_sim::Distribution;
 use ipso_spark::{SparkJobSpec, StageSpec};
-
-use crate::datagen::Rating;
 
 /// The paper's Table I: `(n, E[max Tp,i(n)], Wo(n))` in seconds.
 pub const TABLE_I: [(u32, f64, f64); 4] = [
@@ -45,70 +41,6 @@ pub fn table1_samples() -> Vec<FixedSizeSample> {
             overhead,
         })
         .collect()
-}
-
-/// Rank-1 ALS: alternately solves for user and item factors minimizing
-/// squared rating error. Returns `(user_factors, item_factors)`.
-///
-/// # Panics
-///
-/// Panics if `ratings` is empty or an index exceeds the given dimensions.
-pub fn als_factorize(
-    ratings: &[Rating],
-    users: u32,
-    items: u32,
-    iterations: u32,
-) -> (Vec<f64>, Vec<f64>) {
-    assert!(!ratings.is_empty(), "ALS needs at least one rating");
-    let mut x = vec![1.0f64; users as usize];
-    let mut y = vec![1.0f64; items as usize];
-    for r in ratings {
-        assert!(
-            r.user < users && r.item < items,
-            "rating index out of bounds"
-        );
-    }
-    // Small ridge term keeps unobserved rows finite.
-    let lambda = 1e-6;
-    for _ in 0..iterations {
-        // Solve x given y: x_u = Σ r·y_i / (Σ y_i² + λ).
-        let mut num = vec![0.0f64; users as usize];
-        let mut den = vec![lambda; users as usize];
-        for r in ratings {
-            num[r.user as usize] += r.value * y[r.item as usize];
-            den[r.user as usize] += y[r.item as usize] * y[r.item as usize];
-        }
-        for u in 0..users as usize {
-            if den[u] > lambda {
-                x[u] = num[u] / den[u];
-            }
-        }
-        // Solve y given x.
-        let mut num = vec![0.0f64; items as usize];
-        let mut den = vec![lambda; items as usize];
-        for r in ratings {
-            num[r.item as usize] += r.value * x[r.user as usize];
-            den[r.item as usize] += x[r.user as usize] * x[r.user as usize];
-        }
-        for i in 0..items as usize {
-            if den[i] > lambda {
-                y[i] = num[i] / den[i];
-            }
-        }
-    }
-    (x, y)
-}
-
-/// Root-mean-square rating-prediction error of a factorization.
-pub fn rmse(ratings: &[Rating], x: &[f64], y: &[f64]) -> f64 {
-    let se: f64 = ratings
-        .iter()
-        .map(|r| {
-            let p = x[r.user as usize] * y[r.item as usize];
-            (p - r.value).powi(2)
-        })
-        .sum();
-    (se / ratings.len() as f64).sqrt()
 }
 
 /// Number of tasks of the fixed-size job (divisible by every `m` the
@@ -146,41 +78,8 @@ pub fn job(_problem_size: u32, parallelism: u32) -> SparkJobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datagen::random_ratings;
     use ipso::predict::FixedSizePredictor;
-    use ipso_sim::SimRng;
     use ipso_spark::{sweep_fixed_size, try_run_job};
-
-    #[test]
-    fn als_reduces_rmse() {
-        let mut rng = SimRng::seed_from(77);
-        let ratings = random_ratings(60, 80, 3000, &mut rng);
-        let (x0, y0) = (vec![1.0; 60], vec![1.0; 80]);
-        let before = rmse(&ratings, &x0, &y0);
-        let (x, y) = als_factorize(&ratings, 60, 80, 8);
-        let after = rmse(&ratings, &x, &y);
-        assert!(after < 0.6 * before, "rmse {before} -> {after}");
-        assert!(after < 1.0, "absolute rmse {after}");
-    }
-
-    #[test]
-    fn als_recovers_exact_rank1_matrix() {
-        // Ratings generated exactly from u·v have a perfect rank-1 fit.
-        let mut ratings = Vec::new();
-        let u_true = [1.0, 2.0, 3.0];
-        let v_true = [0.5, 1.5];
-        for (ui, &uv) in u_true.iter().enumerate() {
-            for (vi, &vv) in v_true.iter().enumerate() {
-                ratings.push(Rating {
-                    user: ui as u32,
-                    item: vi as u32,
-                    value: uv * vv,
-                });
-            }
-        }
-        let (x, y) = als_factorize(&ratings, 3, 2, 20);
-        assert!(rmse(&ratings, &x, &y) < 1e-6);
-    }
 
     #[test]
     fn table1_matches_paper() {

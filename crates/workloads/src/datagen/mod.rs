@@ -1,20 +1,15 @@
-//! Synthetic data generators matching the paper's inputs.
+//! Synthetic inputs for the MapReduce jobs, the only workloads that
+//! execute records.
 //!
 //! * [`dictionary`] — random text drawn from a 1000-word UNIX-style
 //!   dictionary (WordCount / Sort working sets);
-//! * [`teragen`] — TeraGen-style 100-byte records with 10-byte keys;
-//! * [`ratings`] — user×item rating triples (Collaborative Filtering);
-//! * [`points`] — labeled feature vectors (Bayes, SVM, Random Forest);
-//! * [`graph`] — random directed graphs (NWeight).
+//! * [`teragen`] — TeraGen-style 100-byte records with 10-byte keys.
+//!
+//! The Spark cases are calibrated stage specs and take no generated
+//! input.
 
 pub mod dictionary;
-pub mod graph;
-pub mod points;
-pub mod ratings;
 pub mod teragen;
 
 pub use dictionary::{random_lines, unix_dictionary, DICTIONARY_SIZE};
-pub use graph::{random_graph, Edge};
-pub use points::{random_points, LabeledPoint};
-pub use ratings::{random_ratings, Rating};
 pub use teragen::{teragen_records, TeraRecord, TERA_RECORD_BYTES};

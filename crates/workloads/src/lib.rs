@@ -25,14 +25,14 @@
 //!
 //! plus a Dryad-style extension beyond the paper's nine:
 //!
-//! * [`join`] — a two-branch hash join exercising the general stage DAG
-//!   of [`ipso_spark::run_dag`].
+//! * [`join`] — a two-branch join exercising the general stage DAG of
+//!   [`ipso_spark::run_dag`].
 //!
-//! Every workload really computes: the MapReduce jobs sort/count real
-//! records and the Spark jobs run real miniature kernels (naive Bayes
-//! counting, gradient steps, tree building, n-hop graph expansion) whose
-//! measured logical volumes parameterize the stage DAGs. [`datagen`]
-//! provides the synthetic datasets matching the paper's generators.
+//! Only the MapReduce jobs execute records: they map, sort, count and
+//! reduce real inputs from [`datagen`]. Each Spark case is a calibrated
+//! stage spec (`job()`: task counts, per-task seconds, bytes per task),
+//! the per-stage view the paper reads from Spark's stage timestamps;
+//! `ipso-spark` times it without touching a record.
 
 pub mod bayes;
 pub mod collab_filter;

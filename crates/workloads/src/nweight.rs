@@ -2,63 +2,11 @@
 //!
 //! NWeight computes, for each vertex, the aggregated weights of its
 //! n-hop neighbourhood (weights multiply along paths and sum across
-//! paths). The real kernel ([`nweight_hop`], [`nweight`]) performs the
-//! exact computation on generated graphs; [`job`] mirrors the benchmark's
-//! shuffle-heavy per-hop stage structure.
-
-use std::collections::BTreeMap;
+//! paths). [`job`] is a calibrated stage spec with the benchmark's
+//! shuffle-heavy per-hop stage structure; no graph is generated or
+//! expanded.
 
 use ipso_spark::{SparkJobSpec, StageSpec};
-
-use crate::datagen::Edge;
-
-/// Per-vertex weighted neighbourhood: `weights[v]` maps each reachable
-/// vertex to its accumulated path weight.
-pub type Neighbourhoods = BTreeMap<u32, BTreeMap<u32, f64>>;
-
-/// The 1-hop neighbourhoods directly induced by the edge list.
-pub fn one_hop(edges: &[Edge]) -> Neighbourhoods {
-    let mut hoods: Neighbourhoods = BTreeMap::new();
-    for e in edges {
-        *hoods.entry(e.src).or_default().entry(e.dst).or_insert(0.0) += e.weight;
-    }
-    hoods
-}
-
-/// Expands neighbourhoods by one hop: path weights multiply, parallel
-/// paths sum, and paths returning to the source are dropped (as in the
-/// benchmark's definition).
-pub fn nweight_hop(current: &Neighbourhoods, base: &Neighbourhoods) -> Neighbourhoods {
-    let mut next: Neighbourhoods = BTreeMap::new();
-    for (&src, reachable) in current {
-        let out = next.entry(src).or_default();
-        for (&mid, &w1) in reachable {
-            if let Some(mids) = base.get(&mid) {
-                for (&dst, &w2) in mids {
-                    if dst != src {
-                        *out.entry(dst).or_insert(0.0) += w1 * w2;
-                    }
-                }
-            }
-        }
-    }
-    next
-}
-
-/// The full `hops`-hop NWeight computation.
-///
-/// # Panics
-///
-/// Panics if `hops` is zero.
-pub fn nweight(edges: &[Edge], hops: u32) -> Neighbourhoods {
-    assert!(hops > 0, "need at least one hop");
-    let base = one_hop(edges);
-    let mut current = base.clone();
-    for _ in 1..hops {
-        current = nweight_hop(&current, &base);
-    }
-    current
-}
 
 /// Shuffle volume per task per hop: the graph expands each hop, making
 /// NWeight the most shuffle-bound of the four Spark cases.
@@ -89,53 +37,6 @@ pub fn job(problem_size: u32, parallelism: u32) -> SparkJobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datagen::random_graph;
-    use ipso_sim::SimRng;
-
-    fn edge(src: u32, dst: u32, weight: f64) -> Edge {
-        Edge { src, dst, weight }
-    }
-
-    #[test]
-    fn one_hop_sums_parallel_edges() {
-        let hoods = one_hop(&[edge(0, 1, 0.5), edge(0, 1, 0.25), edge(1, 2, 1.0)]);
-        assert_eq!(hoods[&0][&1], 0.75);
-        assert_eq!(hoods[&1][&2], 1.0);
-    }
-
-    #[test]
-    fn two_hop_multiplies_along_paths() {
-        // 0 →(0.5) 1 →(0.4) 2, and 0 →(0.2) 3 →(0.1) 2.
-        let edges = [
-            edge(0, 1, 0.5),
-            edge(1, 2, 0.4),
-            edge(0, 3, 0.2),
-            edge(3, 2, 0.1),
-        ];
-        let two = nweight(&edges, 2);
-        // Paths sum: 0.5·0.4 + 0.2·0.1 = 0.22.
-        assert!((two[&0][&2] - 0.22).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cycles_back_to_source_are_dropped() {
-        let edges = [edge(0, 1, 0.5), edge(1, 0, 0.5)];
-        let two = nweight(&edges, 2);
-        assert!(!two[&0].contains_key(&0), "self-path must be dropped");
-        assert!(!two[&1].contains_key(&1));
-    }
-
-    #[test]
-    fn neighbourhoods_grow_with_hops_on_random_graphs() {
-        let mut rng = SimRng::seed_from(80);
-        let edges = random_graph(60, 3, &mut rng);
-        let size = |h: &Neighbourhoods| -> usize { h.values().map(|m| m.len()).sum() };
-        let h1 = nweight(&edges, 1);
-        let h2 = nweight(&edges, 2);
-        let h3 = nweight(&edges, 3);
-        assert!(size(&h2) > size(&h1));
-        assert!(size(&h3) >= size(&h2));
-    }
 
     #[test]
     fn job_is_shuffle_heavy_per_hop() {

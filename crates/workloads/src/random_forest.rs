@@ -1,140 +1,10 @@
 //! Random Forest (HiBench Spark ML benchmark; paper Figs. 9–10).
 //!
-//! The real kernel builds decision stumps on bootstrap resamples with
-//! random feature subsets and classifies by majority vote — the
-//! per-tree independence that makes the benchmark compute-heavy and
-//! shuffle-light, which [`job`] mirrors.
+//! [`job`] is a calibrated stage spec: trees are built independently,
+//! which makes the benchmark compute-heavy and shuffle-light. No records
+//! are generated and no trees are built.
 
-use ipso_sim::SimRng;
 use ipso_spark::{SparkJobSpec, StageSpec};
-
-use crate::datagen::LabeledPoint;
-
-/// A depth-1 decision tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stump {
-    /// Feature index tested.
-    pub feature: usize,
-    /// Split threshold.
-    pub threshold: f64,
-    /// Label predicted when `x[feature] <= threshold`.
-    pub left_label: u32,
-    /// Label predicted otherwise.
-    pub right_label: u32,
-}
-
-impl Stump {
-    /// Predicts a label.
-    pub fn predict(&self, features: &[f64]) -> u32 {
-        if features[self.feature] <= self.threshold {
-            self.left_label
-        } else {
-            self.right_label
-        }
-    }
-}
-
-/// Gini impurity of a two-class split.
-fn gini(counts: [u64; 2]) -> f64 {
-    let total = (counts[0] + counts[1]) as f64;
-    if total == 0.0 {
-        return 0.0;
-    }
-    let p0 = counts[0] as f64 / total;
-    let p1 = counts[1] as f64 / total;
-    1.0 - p0 * p0 - p1 * p1
-}
-
-/// Fits the best stump on `points` considering only `features`.
-///
-/// # Panics
-///
-/// Panics if `points` or `features` is empty.
-pub fn fit_stump(points: &[LabeledPoint], features: &[usize]) -> Stump {
-    assert!(
-        !points.is_empty() && !features.is_empty(),
-        "need data and features"
-    );
-    let mut best = Stump {
-        feature: features[0],
-        threshold: 0.0,
-        left_label: 0,
-        right_label: 1,
-    };
-    let mut best_score = f64::INFINITY;
-    for &f in features {
-        // Candidate thresholds: feature quartiles over a coarse grid.
-        for t in [-1.0, -0.5, 0.0, 0.5, 1.0] {
-            let mut left = [0u64; 2];
-            let mut right = [0u64; 2];
-            for p in points {
-                if p.features[f] <= t {
-                    left[p.label as usize] += 1;
-                } else {
-                    right[p.label as usize] += 1;
-                }
-            }
-            let total = points.len() as f64;
-            let score = (left[0] + left[1]) as f64 / total * gini(left)
-                + (right[0] + right[1]) as f64 / total * gini(right);
-            if score < best_score {
-                best_score = score;
-                best = Stump {
-                    feature: f,
-                    threshold: t,
-                    left_label: u32::from(left[1] > left[0]),
-                    right_label: u32::from(right[1] > right[0]),
-                };
-            }
-        }
-    }
-    best
-}
-
-/// Trains `trees` stumps on bootstrap resamples with √d random features
-/// each.
-///
-/// # Panics
-///
-/// Panics if `points` is empty or `trees` is zero.
-pub fn train_forest(points: &[LabeledPoint], trees: u32, rng: &mut SimRng) -> Vec<Stump> {
-    assert!(
-        !points.is_empty() && trees > 0,
-        "need data and at least one tree"
-    );
-    let dims = points[0].features.len();
-    let subset = ((dims as f64).sqrt().ceil() as usize).max(1);
-    (0..trees)
-        .map(|_| {
-            let sample: Vec<LabeledPoint> = (0..points.len())
-                .map(|_| points[rng.index(points.len())].clone())
-                .collect();
-            let mut features: Vec<usize> = Vec::with_capacity(subset);
-            while features.len() < subset {
-                let f = rng.index(dims);
-                if !features.contains(&f) {
-                    features.push(f);
-                }
-            }
-            fit_stump(&sample, &features)
-        })
-        .collect()
-}
-
-/// Majority-vote prediction.
-pub fn predict_forest(forest: &[Stump], features: &[f64]) -> u32 {
-    let votes: u32 = forest.iter().map(|s| s.predict(features)).sum();
-    u32::from(votes * 2 > forest.len() as u32)
-}
-
-/// Forest accuracy on a labeled set.
-pub fn accuracy(forest: &[Stump], points: &[LabeledPoint]) -> f64 {
-    let correct = points
-        .iter()
-        .filter(|p| predict_forest(forest, &p.features) == p.label)
-        .count();
-    correct as f64 / points.len() as f64
-}
 
 /// Cached partition per task.
 pub const PARTITION_BYTES: u64 = 640 * 1024 * 1024;
@@ -158,51 +28,6 @@ pub fn job(problem_size: u32, parallelism: u32) -> SparkJobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datagen::random_points;
-
-    #[test]
-    fn forest_separates_the_blobs() {
-        let mut rng = SimRng::seed_from(70);
-        let points = random_points(1200, 9, &mut rng);
-        let forest = train_forest(&points, 25, &mut rng);
-        let acc = accuracy(&forest, &points);
-        assert!(acc > 0.85, "accuracy = {acc}");
-    }
-
-    #[test]
-    fn single_stump_is_weaker_than_forest() {
-        let mut rng = SimRng::seed_from(71);
-        let points = random_points(1500, 9, &mut rng);
-        let stump_acc = accuracy(&train_forest(&points, 1, &mut rng), &points);
-        let forest_acc = accuracy(&train_forest(&points, 31, &mut rng), &points);
-        assert!(
-            forest_acc + 0.02 >= stump_acc,
-            "forest {forest_acc} vs stump {stump_acc}"
-        );
-    }
-
-    #[test]
-    fn stump_picks_a_separating_threshold() {
-        let mut rng = SimRng::seed_from(72);
-        let points = random_points(1000, 4, &mut rng);
-        let stump = fit_stump(&points, &[0, 1, 2, 3]);
-        // Blobs centred at ±1: any separating threshold lies near 0 and
-        // assigns the positive side label 1.
-        assert!(
-            (-0.6..=0.6).contains(&stump.threshold),
-            "threshold {}",
-            stump.threshold
-        );
-        assert_eq!(stump.right_label, 1);
-        assert_eq!(stump.left_label, 0);
-    }
-
-    #[test]
-    fn gini_extremes() {
-        assert_eq!(gini([10, 0]), 0.0);
-        assert!((gini([5, 5]) - 0.5).abs() < 1e-12);
-        assert_eq!(gini([0, 0]), 0.0);
-    }
 
     #[test]
     fn job_is_compute_heavy() {

@@ -1,92 +1,11 @@
 //! Support Vector Machine (HiBench Spark ML benchmark; paper Figs. 9–10).
 //!
-//! The real kernel ([`train_svm`]) runs hinge-loss subgradient descent —
-//! the same computation Spark's `SVMWithSGD` distributes: each iteration
-//! broadcasts the weight vector, computes partial gradients over cached
-//! partitions, and aggregates them. [`job`] mirrors that structure.
+//! [`job`] is a calibrated stage spec with the structure of Spark's
+//! `SVMWithSGD`: each iteration broadcasts the weight vector, computes
+//! partial gradients over cached partitions, and aggregates them. No
+//! records are generated or trained on.
 
 use ipso_spark::{SparkJobSpec, StageSpec};
-
-use crate::datagen::LabeledPoint;
-
-/// A linear model `sign(w·x + b)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearModel {
-    /// Weight vector.
-    pub weights: Vec<f64>,
-    /// Bias term.
-    pub bias: f64,
-}
-
-impl LinearModel {
-    /// Decision value for a point.
-    pub fn decision(&self, features: &[f64]) -> f64 {
-        self.weights
-            .iter()
-            .zip(features)
-            .map(|(w, x)| w * x)
-            .sum::<f64>()
-            + self.bias
-    }
-
-    /// Predicted label (0 or 1).
-    pub fn predict(&self, features: &[f64]) -> u32 {
-        u32::from(self.decision(features) > 0.0)
-    }
-}
-
-/// Trains a linear SVM by hinge-loss subgradient descent with L2
-/// regularization.
-///
-/// # Panics
-///
-/// Panics if `points` is empty or `epochs` is zero.
-pub fn train_svm(points: &[LabeledPoint], epochs: u32, lr: f64, reg: f64) -> LinearModel {
-    assert!(!points.is_empty(), "training set must be non-empty");
-    assert!(epochs > 0, "need at least one epoch");
-    let dims = points[0].features.len();
-    let mut w = vec![0.0f64; dims];
-    let mut b = 0.0f64;
-    for epoch in 0..epochs {
-        let step = lr / (1.0 + epoch as f64);
-        // Full-batch subgradient, as the distributed version aggregates.
-        let mut grad_w = vec![0.0f64; dims];
-        let mut grad_b = 0.0f64;
-        for p in points {
-            let y = if p.label == 1 { 1.0 } else { -1.0 };
-            let margin = y
-                * (w.iter()
-                    .zip(&p.features)
-                    .map(|(wi, xi)| wi * xi)
-                    .sum::<f64>()
-                    + b);
-            if margin < 1.0 {
-                for (g, x) in grad_w.iter_mut().zip(&p.features) {
-                    *g -= y * x;
-                }
-                grad_b -= y;
-            }
-        }
-        let scale = 1.0 / points.len() as f64;
-        for (wi, g) in w.iter_mut().zip(&grad_w) {
-            *wi -= step * (g * scale + reg * *wi);
-        }
-        b -= step * grad_b * scale;
-    }
-    LinearModel {
-        weights: w,
-        bias: b,
-    }
-}
-
-/// Training-set accuracy.
-pub fn accuracy(model: &LinearModel, points: &[LabeledPoint]) -> f64 {
-    let correct = points
-        .iter()
-        .filter(|p| model.predict(&p.features) == p.label)
-        .count();
-    correct as f64 / points.len() as f64
-}
 
 /// Gradient-descent iterations reflected as stage triples in the job.
 pub const SVM_ITERATIONS: u32 = 3;
@@ -119,39 +38,6 @@ pub fn job(problem_size: u32, parallelism: u32) -> SparkJobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datagen::random_points;
-    use ipso_sim::SimRng;
-
-    #[test]
-    fn svm_separates_the_blobs() {
-        let mut rng = SimRng::seed_from(60);
-        let points = random_points(1500, 8, &mut rng);
-        let model = train_svm(&points, 40, 0.5, 1e-3);
-        let acc = accuracy(&model, &points);
-        assert!(acc > 0.9, "accuracy = {acc}");
-    }
-
-    #[test]
-    fn weights_point_towards_the_positive_blob() {
-        let mut rng = SimRng::seed_from(61);
-        let points = random_points(1000, 5, &mut rng);
-        let model = train_svm(&points, 30, 0.5, 1e-3);
-        // Positive blob is centred at +1 in every coordinate.
-        assert!(
-            model.weights.iter().all(|&w| w > 0.0),
-            "{:?}",
-            model.weights
-        );
-    }
-
-    #[test]
-    fn more_epochs_do_not_hurt() {
-        let mut rng = SimRng::seed_from(62);
-        let points = random_points(800, 6, &mut rng);
-        let short = accuracy(&train_svm(&points, 3, 0.5, 1e-3), &points);
-        let long = accuracy(&train_svm(&points, 50, 0.5, 1e-3), &points);
-        assert!(long >= short - 0.02, "short = {short}, long = {long}");
-    }
 
     #[test]
     fn job_has_iteration_structure() {

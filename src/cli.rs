@@ -148,24 +148,17 @@ impl Args {
 /// Malformed rows or an unusable curve.
 pub fn parse_curve_csv(content: &str) -> Result<SpeedupCurve, CliError> {
     let mut pairs = Vec::new();
-    for (lineno, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || is_header(line) {
-            continue;
-        }
+    for (lineno, line) in data_lines(content) {
         let cols: Vec<&str> = line.split(',').map(str::trim).collect();
         if cols.len() < 2 {
-            return Err(CliError(format!(
-                "line {}: expected 'n,speedup'",
-                lineno + 1
-            )));
+            return Err(CliError(format!("line {lineno}: expected 'n,speedup'")));
         }
         let n: u32 = cols[0]
             .parse()
-            .map_err(|_| CliError(format!("line {}: bad n {:?}", lineno + 1, cols[0])))?;
+            .map_err(|_| CliError(format!("line {lineno}: bad n {:?}", cols[0])))?;
         let s: f64 = cols[1]
             .parse()
-            .map_err(|_| CliError(format!("line {}: bad speedup {:?}", lineno + 1, cols[1])))?;
+            .map_err(|_| CliError(format!("line {lineno}: bad speedup {:?}", cols[1])))?;
         pairs.push((n, s));
     }
     if pairs.is_empty() {
@@ -182,27 +175,22 @@ pub fn parse_curve_csv(content: &str) -> Result<SpeedupCurve, CliError> {
 /// Malformed rows.
 pub fn parse_runs_csv(content: &str) -> Result<Vec<RunMeasurement>, CliError> {
     let mut runs = Vec::new();
-    for (lineno, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || is_header(line) {
-            continue;
-        }
+    for (lineno, line) in data_lines(content) {
         let cols: Vec<&str> = line.split(',').map(str::trim).collect();
         if cols.len() < 6 {
             return Err(CliError(format!(
-                "line {}: expected 6 columns (n,seq_parallel,seq_serial,par_map,par_serial,par_overhead)",
-                lineno + 1
+                "line {lineno}: expected 6 columns (n,seq_parallel,seq_serial,par_map,par_serial,par_overhead)"
             )));
         }
         let parse = |idx: usize| -> Result<f64, CliError> {
             cols[idx]
                 .parse()
-                .map_err(|_| CliError(format!("line {}: bad number {:?}", lineno + 1, cols[idx])))
+                .map_err(|_| CliError(format!("line {lineno}: bad number {:?}", cols[idx])))
         };
         let run = RunMeasurement {
             n: cols[0]
                 .parse()
-                .map_err(|_| CliError(format!("line {}: bad n {:?}", lineno + 1, cols[0])))?,
+                .map_err(|_| CliError(format!("line {lineno}: bad n {:?}", cols[0])))?,
             seq_parallel_work: parse(1)?,
             seq_serial_work: parse(2)?,
             par_map_time: parse(3)?,
@@ -218,10 +206,24 @@ pub fn parse_runs_csv(content: &str) -> Result<Vec<RunMeasurement>, CliError> {
     Ok(runs)
 }
 
-fn is_header(line: &str) -> bool {
-    line.split(',')
-        .next()
-        .is_some_and(|c| c.trim().parse::<f64>().is_err())
+/// The trimmed non-empty lines of a CSV with their 1-based line numbers.
+/// Only the first of them may be a header (a first column that is not a
+/// number); every later line is a data row, so a bad one is an error
+/// rather than a skipped row.
+fn data_lines(content: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut lines = content
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.trim()))
+        .filter(|(_, line)| !line.is_empty())
+        .peekable();
+    lines.next_if(|(_, first)| {
+        first
+            .split(',')
+            .next()
+            .is_some_and(|c| c.trim().parse::<f64>().is_err())
+    });
+    lines
 }
 
 /// `ipso classify` — classify asymptotic parameters.

@@ -65,6 +65,30 @@ fn runs_csv_roundtrip() {
 }
 
 #[test]
+fn curve_csv_rejects_a_non_numeric_row_after_the_first_line() {
+    let err = parse_curve_csv("n,speedup\n1,1.0\nx4,3.7\n8,6.5\n").unwrap_err();
+    assert_eq!(err.0, "line 3: bad n \"x4\"");
+    // Blank lines keep their numbers and do not make a later row a header.
+    let err = parse_curve_csv("\n1,1.0\n\nspeedup,n\n").unwrap_err();
+    assert_eq!(err.0, "line 4: bad n \"speedup\"");
+}
+
+#[test]
+fn runs_csv_rejects_a_repeated_header_row() {
+    let mut csv = runs_csv();
+    csv.push_str("n,seq_parallel,seq_serial,par_map,par_serial,par_overhead\n");
+    let err = parse_runs_csv(&csv).unwrap_err();
+    assert_eq!(err.0, "line 10: bad n \"n\"");
+    // A header is still accepted after leading blank lines.
+    assert_eq!(
+        parse_runs_csv(&format!("\n\n{}", runs_csv()))
+            .unwrap()
+            .len(),
+        8
+    );
+}
+
+#[test]
 fn classify_command_formats_report() {
     let a = parse_args(&args(&["--eta", "0.9", "--alpha", "2.8"])).unwrap();
     let out = cmd_classify(&a).unwrap();
