@@ -1,10 +1,10 @@
 //! The seed's MapReduce grouping, kept verbatim as a reference.
 //!
-//! `ipso-mapreduce` groups through a sort-merge shuffle: a stable sort
-//! per map task and one stable sort over all tasks' runs on the reduce
-//! side, through `Reducer::reduce_runs`. The
-//! seed grouped through ordered maps instead, and that path lives on
-//! here, outside the engine. The engines bench times it as the baseline
+//! `ipso-mapreduce` groups through a sort-merge shuffle: each map task's
+//! sorted, combined run from `Mapper::map_split` and one stable sort
+//! over all tasks' runs on the reduce side, through
+//! `Reducer::reduce_runs`. The seed grouped through ordered maps
+//! instead, and that path lives on here, outside the engine. The engines bench times it as the baseline
 //! (`btree_seq`), and the oracle tests check that the engine's outputs
 //! and intermediate-volume accounting equal its own.
 //!
@@ -17,12 +17,13 @@ use ipso_mapreduce::{InputSplit, Mapper, OutputScaling, Reducer, Sizeable};
 /// Runs `mapper` over every split and `reducer` over the merged groups
 /// the way the seed engine did.
 ///
-/// Each map task pushes its pairs into an unsized buffer, groups them in
-/// a `BTreeMap`, and combines every group into a second, rebuilt map. The
-/// reduce side merges all tasks' maps into one `BTreeMap`, in task order,
-/// and reduces it in key order, one [`Reducer::reduce`] call per group:
-/// it never calls [`Reducer::reduce_runs`], so it checks overrides of
-/// that hook too.
+/// Each map task maps its records one by one with [`Mapper::map`] into
+/// an unsized buffer, groups them in a `BTreeMap`, and combines every
+/// group into a second, rebuilt map. The reduce side merges all tasks'
+/// maps into one `BTreeMap`, in task order, and reduces it in key order,
+/// one [`Reducer::reduce`] call per group. It never calls
+/// [`Mapper::map_split`] or [`Reducer::reduce_runs`], so it checks
+/// overrides of those hooks too.
 ///
 /// Returns the reducer's outputs and, per split, the task's nominal
 /// post-combine output bytes: sample bytes scaled up by the split's

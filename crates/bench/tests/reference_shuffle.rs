@@ -5,12 +5,14 @@
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ipso_bench::reference;
 use ipso_mapreduce::{
     run_sequential, try_run_scale_out, InputSplit, JobSpec, Mapper, OutputScaling, Reducer,
     Sizeable,
 };
+use ipso_workloads::datagen::TeraRecord;
 use ipso_workloads::{sort, terasort, wordcount};
 use proptest::prelude::*;
 
@@ -291,6 +293,66 @@ fn workload_matches_reference(workload: &str, n: u32, seed: u64, threads: usize)
         }
         other => panic!("unknown workload {other}"),
     }
+}
+
+/// Sort and TeraSort have no combiner and sort their own runs, which
+/// must keep equal keys in emission order. Their generated splits
+/// repeat no key, so these splits do: Sort lines recur within and across
+/// tasks, each occurrence its own `Arc`, and TeraSort keys recur with a
+/// distinct row each.
+#[test]
+fn no_combiner_runs_keep_equal_keys_in_emission_order() {
+    let texts: Vec<String> = (0..9)
+        .map(|k| match k % 2 {
+            0 => format!("lines that share one long prefix {k}"),
+            _ => format!("w{k}"),
+        })
+        .collect();
+    let lines: Vec<InputSplit<Arc<str>>> = (0..3)
+        .map(|t| {
+            let records: Vec<Arc<str>> = (0..120)
+                .map(|i| Arc::from(texts[(i * 7 + t * 3) % texts.len()].as_str()))
+                .collect();
+            let bytes = records.iter().map(|l| l.len() as u64 + 1).sum();
+            InputSplit::new(records, bytes, sort::SHARD_BYTES)
+        })
+        .collect();
+    let spec = sort::job_spec(3);
+    assert_matches_reference(&spec, &sort::SortMapper, &sort::SortReducer, &lines);
+    // Equal lines make equal pairs, so only the `Arc`s show their order:
+    // the reference emits each line's first occurrence, in task order.
+    let (want, _) = reference::run(&sort::SortMapper, &sort::SortReducer, &lines);
+    for output in [
+        try_run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &lines)
+            .unwrap()
+            .output,
+        run_sequential(&spec, &sort::SortMapper, &sort::SortReducer, &lines).output,
+    ] {
+        assert_eq!(output.len(), want.len());
+        assert!(output.iter().zip(&want).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    let mut row = 0;
+    let records: Vec<InputSplit<TeraRecord>> = (0..3u8)
+        .map(|t| {
+            let records: Vec<TeraRecord> = (0..150u8)
+                .map(|i| {
+                    row += 1;
+                    let mut key = [b'k'; 10];
+                    key[(i % 2) as usize] = i.wrapping_mul(5).wrapping_add(t) % 6;
+                    TeraRecord { key, row }
+                })
+                .collect();
+            let bytes = records.len() as u64 * 100;
+            InputSplit::new(records, bytes, terasort::SHARD_BYTES)
+        })
+        .collect();
+    assert_matches_reference(
+        &terasort::job_spec(3),
+        &terasort::TeraSortMapper,
+        &terasort::TeraSortReducer,
+        &records,
+    );
 }
 
 proptest! {

@@ -124,27 +124,29 @@ pub trait Mapper {
     /// Maps one record, emitting zero or more key/value pairs.
     fn map(&self, input: &Self::Input, emit: &mut dyn FnMut(Self::Key, Self::Value));
 
-    /// Maps a whole split: every record of one map task, in order,
-    /// emitting into one buffer. The default maps each record with
-    /// [`Mapper::map`].
+    /// Maps a whole split: every record of one map task, in order, and
+    /// returns the task's post-combine run, sorted by key. The engine
+    /// calls this once per task and takes the run as it is.
     ///
-    /// The engine calls this once per task, then stably sorts the
-    /// emitted pairs by key and runs [`Mapper::combine`] on each key's
-    /// group. An override may emit different pairs than mapping each
-    /// record would, but after that sort and combine it must give the
-    /// same groups: the same keys, and per key the same combined values
-    /// in the same order. Emitting already-combined pairs is therefore
-    /// valid exactly when the combiner is insensitive to that regrouping
-    /// — a summing combiner, as in WordCount, is the typical case. This
-    /// is Hadoop's in-mapper combining (`Mapper.run` overridden to keep
+    /// The default maps each record with [`Mapper::map`] into one
+    /// buffer, stably sorts it by key, so a key's values stay in
+    /// emission order, and runs [`Mapper::combine`] on every key's
+    /// group, a single-value group too. The run holds each group's
+    /// combined values under its key, groups in key order.
+    ///
+    /// An override may compute the run another way, but it must return
+    /// exactly what the default would: the same pairs in the same order.
+    /// A mapper without a combiner can sort its mapped pairs itself,
+    /// with a stable sort; one whose combiner sums can count the split
+    /// first and return one pre-summed pair per key. The latter is
+    /// Hadoop's in-mapper combining (`Mapper.run` overridden to keep
     /// state across a split's records).
     ///
     /// # Example
     ///
     /// In-mapper counting for a word count whose combiner sums: count
-    /// the split's tokens first and emit one pre-summed pair per distinct
-    /// token, in key order, so the engine's sort sees a sorted run and
-    /// the combiner sums one value per key.
+    /// the split's tokens, then return one summed pair per distinct
+    /// token, in key order, which is the default's sorted, combined run.
     ///
     /// ```
     /// use std::collections::BTreeMap;
@@ -164,14 +166,15 @@ pub trait Mapper {
     ///         }
     ///     }
     ///
-    ///     fn map_split(&self, lines: &[String], emit: &mut dyn FnMut(String, u64)) {
+    ///     fn map_split(&self, lines: &[String]) -> Vec<(String, u64)> {
     ///         let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
     ///         for word in lines.iter().flat_map(|line| line.split_whitespace()) {
     ///             *counts.entry(word).or_insert(0) += 1;
     ///         }
-    ///         for (word, count) in counts {
-    ///             emit(word.to_string(), count);
-    ///         }
+    ///         counts
+    ///             .into_iter()
+    ///             .map(|(word, count)| (word.to_string(), count))
+    ///             .collect()
     ///     }
     ///
     ///     fn combine(&self, _key: &String, values: &mut Vec<u64>) {
@@ -186,21 +189,32 @@ pub trait Mapper {
     /// }
     ///
     /// let lines = vec!["to be or".to_string(), "not to be".to_string()];
-    /// let mut pairs = Vec::new();
-    /// CountWords.map_split(&lines, &mut |k, v| pairs.push((k, v)));
-    /// assert_eq!(pairs[0], ("be".to_string(), 2));
-    /// assert_eq!(pairs.len(), 4);
+    /// let run = CountWords.map_split(&lines);
+    /// assert_eq!(run[0], ("be".to_string(), 2));
+    /// assert_eq!(run.len(), 4);
     /// ```
-    fn map_split(&self, records: &[Self::Input], emit: &mut dyn FnMut(Self::Key, Self::Value)) {
+    fn map_split(&self, records: &[Self::Input]) -> Vec<(Self::Key, Self::Value)> {
+        let mut pairs = Vec::with_capacity(records.len());
         for record in records {
-            self.map(record, emit);
+            self.map(record, &mut |k, v| pairs.push((k, v)));
         }
+        let mut run = Vec::with_capacity(pairs.len());
+        crate::datapath::sort_and_group(pairs, |key, group| {
+            self.combine(&key, group);
+            // The last value takes the key itself; the others a clone.
+            if let Some(last) = group.pop() {
+                run.extend(group.drain(..).map(|v| (key.clone(), v)));
+                run.push((key, last));
+            }
+        });
+        run
     }
 
-    /// Optional map-side combiner applied per task and key, rewriting
-    /// the group's values in place (so a summing combiner reuses the
-    /// group's buffer instead of allocating a fresh one per key). The
-    /// default leaves the values unchanged.
+    /// Map-side combiner, run per task on each key's group by the
+    /// default [`Mapper::map_split`]. It rewrites the group's values in
+    /// place, so a summing combiner reuses the group's buffer instead
+    /// of allocating a fresh one per key. The default leaves the values
+    /// unchanged.
     fn combine(&self, _key: &Self::Key, _values: &mut Vec<Self::Value>) {}
 
     /// How this mapper's output volume extrapolates to nominal shard
@@ -325,29 +339,42 @@ mod tests {
     }
 
     #[test]
-    fn default_map_split_maps_each_record_in_order() {
-        struct Repeat;
-        impl Mapper for Repeat {
+    fn default_map_split_sorts_and_combines_every_group() {
+        /// Emits `(r % 5, r)` and, for odd `r`, `(r % 3, r + 100)`. Its
+        /// combiner prefixes each group with 1000 plus the group's
+        /// length, so a skipped combine shows.
+        struct Marked;
+        impl Mapper for Marked {
             type Input = u64;
             type Key = u64;
             type Value = u64;
             fn map(&self, input: &u64, emit: &mut dyn FnMut(u64, u64)) {
-                for i in 0..*input {
-                    emit(*input, i);
+                emit(input % 5, *input);
+                if input % 2 == 1 {
+                    emit(input % 3, input + 100);
                 }
             }
+            fn combine(&self, _key: &u64, values: &mut Vec<u64>) {
+                values.insert(0, 1000 + values.len() as u64);
+            }
         }
-        let records = [3, 0, 1, 3, 2];
-        let mut per_record = Vec::new();
-        for r in &records {
-            Repeat.map(r, &mut |k, v| per_record.push((k, v)));
+        let records = [9, 3, 14, 0, 7, 5, 4, 12];
+        // Stably sorted by key, each key's values stay in emission
+        // order: 0 → [109, 103, 0, 5], 1 → [107], 2 → [7, 105, 12],
+        // 3 → [3], 4 → [9, 14, 4]. Every group is combined, the
+        // single-value groups of keys 1 and 3 too.
+        let mut want = Vec::new();
+        for (k, values) in [
+            (0, vec![1004, 109, 103, 0, 5]),
+            (1, vec![1001, 107]),
+            (2, vec![1003, 7, 105, 12]),
+            (3, vec![1001, 3]),
+            (4, vec![1003, 9, 14, 4]),
+        ] {
+            want.extend(values.into_iter().map(|v| (k, v)));
         }
-        let mut split = Vec::new();
-        Repeat.map_split(&records, &mut |k, v| split.push((k, v)));
-        assert_eq!(split, per_record);
-        let mut empty = Vec::new();
-        Repeat.map_split(&[], &mut |k, v| empty.push((k, v)));
-        assert!(empty.is_empty());
+        assert_eq!(Marked.map_split(&records), want);
+        assert!(Marked.map_split(&[]).is_empty());
     }
 
     #[test]

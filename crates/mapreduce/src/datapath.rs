@@ -15,21 +15,24 @@
 //!   threads ([`ipso_sim::par::ordered_map_indexed`]), with results
 //!   collected in task order so outputs and traces are byte-identical
 //!   to the sequential path for any thread count;
-//! * a task maps its whole split through one [`Mapper::map_split`] call
-//!   into a single flat pair buffer pre-sized from the split, which is
-//!   stably sorted by key, with the combiner streamed over the sorted
-//!   runs through one reused scratch buffer. A mapper that combines
-//!   in-mapper (WordCount counts its split and emits one pair per
-//!   distinct token, in key order) hands the sort an already-sorted run,
-//!   which the stable sort detects in one linear scan. The task's result
-//!   is its post-combine pairs, one sorted `Vec`;
+//! * a task's whole split goes through one [`Mapper::map_split`] call,
+//!   which returns the task's post-combine run, sorted by key. The
+//!   trait's default maps each record into one flat buffer pre-sized
+//!   from the split, stably sorts it by key and streams the combiner
+//!   over the sorted groups through one reused scratch buffer. A mapper
+//!   can return that run more cheaply: WordCount counts its split
+//!   in-mapper and returns one pair per distinct token, in key order;
+//!   Sort and TeraSort, which have no combiner, stably sort their
+//!   mapped pairs once. The engine only checks, in debug builds, that
+//!   the run is sorted, and sums its bytes;
 //! * the reduce side hands the tasks' runs, in task order, to
 //!   [`Reducer::reduce_runs`]. Its default concatenates them and stably
 //!   sorts the whole buffer once: the sort detects the pre-sorted runs
 //!   and merges them, and stability keeps equal keys in task order, then
 //!   emission order, as the seed's grouping appended them. No k-way
-//!   merge structure is needed. The same grouping walk as the map side
-//!   then moves each group's first key into [`Reducer::reduce`].
+//!   merge structure is needed. The grouping walk of the default
+//!   `map_split` then moves each group's first key into
+//!   [`Reducer::reduce`].
 //!
 //! The seed's ordered-map grouping lives on outside the engine, as
 //! `ipso_bench::reference`: the engines bench times it as the baseline
@@ -55,32 +58,21 @@ pub(crate) fn execute_map_task<M>(
 where
     M: Mapper,
 {
-    let mut pairs: Vec<(M::Key, M::Value)> = Vec::with_capacity(split.records.len());
-    mapper.map_split(&split.records, &mut |k, v| pairs.push((k, v)));
-
-    // The map-side sort (stable, so order-sensitive reducers see values
-    // in emission order), then combine per group through one reused
-    // scratch buffer.
-    let mut combined: Vec<(M::Key, M::Value)> = Vec::with_capacity(pairs.len());
-    let mut sample_out_bytes: u64 = 0;
-    sort_and_group(pairs, |key, group| {
-        mapper.combine(&key, group);
-        for v in group.iter() {
-            sample_out_bytes += key.size_bytes() + v.size_bytes();
-        }
-        // The last value takes the key itself; the others a clone.
-        if let Some(last) = group.pop() {
-            combined.extend(group.drain(..).map(|v| (key.clone(), v)));
-            combined.push((key, last));
-        }
-    });
-
+    let pairs = mapper.map_split(&split.records);
+    debug_assert!(
+        pairs.is_sorted_by_key(|(k, _)| k),
+        "Mapper::map_split returned a run not sorted by key"
+    );
+    let sample_out_bytes: u64 = pairs
+        .iter()
+        .map(|(k, v)| k.size_bytes() + v.size_bytes())
+        .sum();
     let nominal_out_bytes = match mapper.output_scaling() {
         OutputScaling::Proportional => (sample_out_bytes as f64 * split.scale_up()).round() as u64,
         OutputScaling::Saturating => sample_out_bytes,
     };
     MappedTask {
-        pairs: combined,
+        pairs,
         nominal_out_bytes,
     }
 }
@@ -144,4 +136,32 @@ where
     let mut output = Vec::new();
     reducer.reduce_runs(runs, &mut |o| output.push(o));
     (output, reduce_input_bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    /// The sortedness check is a `debug_assert!`, so this test needs a
+    /// debug build.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not sorted by key")]
+    fn an_unsorted_run_trips_the_debug_check() {
+        use super::*;
+
+        /// Returns its records as they come, keyed by themselves: a
+        /// `map_split` override that breaks the sorted-run contract.
+        struct Unsorted;
+        impl Mapper for Unsorted {
+            type Input = u64;
+            type Key = u64;
+            type Value = u64;
+            fn map(&self, input: &u64, emit: &mut dyn FnMut(u64, u64)) {
+                emit(*input, 1);
+            }
+            fn map_split(&self, records: &[u64]) -> Vec<(u64, u64)> {
+                records.iter().map(|&r| (r, 1)).collect()
+            }
+        }
+        execute_map_task(&Unsorted, &InputSplit::new(vec![2, 1, 3], 24, 24));
+    }
 }

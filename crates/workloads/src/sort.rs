@@ -82,6 +82,17 @@ impl Mapper for SortMapper {
         // The value carries a multiplicity of one; duplicate lines stack.
         emit(SortKey::new(Arc::clone(line)), 1);
     }
+
+    /// Keys every line, then stably sorts the pairs once: with no
+    /// combiner, that is the default's run.
+    fn map_split(&self, lines: &[Arc<str>]) -> Vec<(SortKey, u32)> {
+        let mut run: Vec<(SortKey, u32)> = lines
+            .iter()
+            .map(|line| (SortKey::new(Arc::clone(line)), 1))
+            .collect();
+        run.sort_by(|a, b| a.0.cmp(&b.0));
+        run
+    }
 }
 
 /// Emits each line once per occurrence, in key order.

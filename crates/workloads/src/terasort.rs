@@ -52,6 +52,17 @@ impl Mapper for TeraSortMapper {
     fn map(&self, record: &TeraRecord, emit: &mut dyn FnMut([u8; 10], TeraPayload)) {
         emit(record.key, TeraPayload { row: record.row });
     }
+
+    /// Maps every record, then stably sorts the pairs once: with no
+    /// combiner, that is the default's run.
+    fn map_split(&self, records: &[TeraRecord]) -> Vec<([u8; 10], TeraPayload)> {
+        let mut run: Vec<([u8; 10], TeraPayload)> = records
+            .iter()
+            .map(|record| (record.key, TeraPayload { row: record.row }))
+            .collect();
+        run.sort_by_key(|&(key, _)| key);
+        run
+    }
 }
 
 /// Emits `(key, row)` pairs in key order.

@@ -8,19 +8,18 @@
 //! scaling type.
 //!
 //! Keys are [`Word`]s: a dictionary token is carried as its rank in the
-//! sorted dictionary, so the map-side sort and the reduce-side merge
-//! compare integers, and emitting a token costs one lookup and no
-//! allocation or reference count. Rank order is string order, so output
-//! order and byte accounting are those of plain string keys.
+//! sorted dictionary, so two dictionary words compare as integers, and
+//! keying a token costs one lookup and no allocation or reference
+//! count. Rank order is string order, so output order and byte
+//! accounting are those of plain string keys.
 //!
 //! The mapper combines in-mapper: [`WordCountMapper`]'s
 //! [`Mapper::map_split`] splits each line in one pass, 8 bytes a step,
 //! looks each token up once in an open-addressing dictionary index,
 //! counts dictionary words in a dense per-rank array and other tokens in
-//! a sorted map, and emits one `(Word, count)` per distinct token in
-//! [`Word`] order. The engine's sort then sees a sorted run and the
-//! summing combiner one value per key, so every task's output is the one
-//! [`Mapper::map`] per line would give.
+//! a sorted map, and returns one `(Word, count)` per distinct token in
+//! [`Word`] order: the sorted, combined run that [`Mapper::map`] per
+//! line, a sort and the summing combiner would give.
 //!
 //! The reducer sums the same way: [`WordCountReducer`]'s
 //! [`Reducer::reduce_runs`] adds every task's run into a dense per-rank
@@ -283,11 +282,11 @@ impl Mapper for WordCountMapper {
         }
     }
 
-    /// Counts the whole split, then emits one `(Word, count)` per
-    /// distinct token in [`Word`] order: the groups mapping each line
-    /// and summing would give. Pure-ASCII lines are split by byte; any
-    /// other line falls back to `split_whitespace`.
-    fn map_split(&self, lines: &[String], emit: &mut dyn FnMut(Word, u64)) {
+    /// Counts the whole split, then returns one `(Word, count)` per
+    /// distinct token in [`Word`] order: the run mapping each line and
+    /// summing gives. Pure-ASCII lines are split by byte; any other
+    /// line falls back to `split_whitespace`.
+    fn map_split(&self, lines: &[String]) -> Vec<(Word, u64)> {
         let index = &*INDEX;
         let mut ranked = vec![0u64; index.words.len()];
         let mut others: BTreeMap<&str, u64> = BTreeMap::new();
@@ -302,8 +301,11 @@ impl Mapper for WordCountMapper {
                 line.split_whitespace().for_each(&mut count);
             }
         }
+        let distinct = ranked.iter().filter(|&&n| n > 0).count() + others.len();
+        let mut run = Vec::with_capacity(distinct);
         let ranked = (0..).zip(ranked).filter(|&(_, n)| n > 0);
-        for_each_in_text_order(index, ranked, others, emit);
+        for_each_in_text_order(index, ranked, others, &mut |w, n| run.push((w, n)));
+        run
     }
 
     fn combine(&self, _key: &Word, values: &mut Vec<u64>) {
@@ -509,8 +511,9 @@ mod tests {
         }
     }
 
-    /// [`WordCountMapper`] without its `map_split`: the engine maps each
-    /// line through [`Mapper::map`], the per-record definition.
+    /// [`WordCountMapper`] without its `map_split`: the trait's default
+    /// maps each line through [`Mapper::map`], the per-record
+    /// definition, then sorts and combines.
     struct PerLine(WordCountMapper);
 
     impl Mapper for PerLine {
@@ -670,10 +673,9 @@ mod tests {
     }
 
     #[test]
-    fn map_split_emits_each_token_once_in_order() {
+    fn map_split_returns_each_token_once_in_order() {
         for split in mixed_text_splits(3, 4) {
-            let mut pairs = Vec::new();
-            WordCountMapper.map_split(&split.records, &mut |w, n| pairs.push((w, n)));
+            let pairs = WordCountMapper.map_split(&split.records);
             assert!(pairs.windows(2).all(|p| p[0].0 < p[1].0));
             let tokens: usize = split
                 .records
