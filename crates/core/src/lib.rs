@@ -80,7 +80,6 @@ pub mod report;
 pub mod sensitivity;
 pub mod stochastic;
 pub mod taxonomy;
-pub mod whatif;
 
 pub use asymptotic::AsymptoticParams;
 pub use diagnose::{DiagnosisReport, Diagnostician};

@@ -2,7 +2,7 @@
 
 use ipso_cluster::{
     CentralScheduler, ClusterError, ClusterSpec, EngineOptions, FaultModel, MemoryModel,
-    NetworkModel, RecoveryPolicy, SchedulerPolicy,
+    RecoveryPolicy, SchedulerPolicy,
 };
 use ipso_sim::Distribution;
 
@@ -31,8 +31,6 @@ pub struct JobSpec {
     /// (the default) reproduces the classic Hadoop order and every
     /// committed artifact.
     pub policy: SchedulerPolicy,
-    /// Network transfer model.
-    pub network: NetworkModel,
     /// Reducer-side memory model (drives the TeraSort spill burst).
     pub reducer_memory: MemoryModel,
     /// Task-time noise: each map task's time is multiplied by a draw.
@@ -65,11 +63,9 @@ impl JobSpec {
     /// The paper's EMR setup with `n` workers and sensible defaults:
     /// Hadoop-like scheduler, 2 GB reducer memory, mild stragglers.
     pub fn emr(name: &str, n: u32) -> JobSpec {
-        let cluster = ClusterSpec::emr(n);
         JobSpec {
             name: name.to_string(),
-            network: NetworkModel::from_cluster(&cluster),
-            cluster,
+            cluster: ClusterSpec::emr(n),
             scheduler: CentralScheduler::hadoop_like(),
             policy: SchedulerPolicy::Fifo,
             reducer_memory: MemoryModel::reducer_2gb(),

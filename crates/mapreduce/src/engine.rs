@@ -59,9 +59,12 @@ pub struct JobRun<O> {
 /// The trace records:
 ///
 /// * `phases.map` — the slowest task (barrier synchronization);
-/// * `phases.shuffle/merge/reduce` — the serial merging portion, with the
-///   shuffle paying the network incast penalty and the merge paying the
-///   memory spill multiplier;
+/// * `phases.shuffle/merge/reduce` — the serial merging portion, charged
+///   as in the sequential execution: the shuffle moves all intermediate
+///   bytes at the reducer's shuffle rate (no incast), and the merge and
+///   the reduce both pay the reducer's memory slowdown. With
+///   [`JobSpec::pipelined_shuffle`] only the shuffle that outlasts the map
+///   barrier is charged;
 /// * `scale_out_overhead` — job setup, dispatch serialization, barrier
 ///   skew beyond the slowest task, and (with faults enabled) wasted
 ///   recovery work: the measured `Wo(n)`.

@@ -17,7 +17,7 @@ use crate::split::InputSplit;
 /// * `max Tp,i(n)` — the scale-out run's map phase (slowest task);
 /// * `Wo(n)` — overheads present only in the scale-out run: the recorded
 ///   scale-out overhead plus any excess of the scale-out serial phases
-///   over their sequential counterparts (e.g. incast-stretched shuffle).
+///   over their sequential counterparts (none in this engine's traces).
 ///
 /// # Panics
 ///

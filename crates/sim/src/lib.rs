@@ -5,7 +5,8 @@
 //! The paper's measurements come from Amazon EC2/EMR clusters; this crate
 //! is the foundation of the simulated substitute. It provides:
 //!
-//! * [`time`] — a virtual-clock time type with total ordering;
+//! * [`time`] — a virtual-clock time type with the total order
+//!   [`ServerPool`]'s min-heap of next-free times needs;
 //! * [`resource`] — FIFO single/multi-server resources for modelling
 //!   serialization points (master NIC, centralized scheduler, executor
 //!   slots);

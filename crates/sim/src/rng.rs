@@ -5,7 +5,7 @@
 //! identical CSV output run-to-run.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// Derives a stable per-stream seed from a base seed and a stream index.
 ///
@@ -62,14 +62,6 @@ impl SimRng {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Derives an independent child generator, e.g. one per task, so the
-    /// randomness consumed by one component does not shift another's.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        // Mix the stream id into fresh entropy drawn from this generator.
-        let base = self.inner.next_u64();
-        SimRng::seed_from(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Uniform sample in `[lo, hi)` (or exactly `lo` when `lo == hi`).
@@ -201,15 +193,6 @@ mod tests {
             .filter(|_| a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0))
             .count();
         assert!(same < 4);
-    }
-
-    #[test]
-    fn forked_streams_are_deterministic() {
-        let mut parent1 = SimRng::seed_from(99);
-        let mut parent2 = SimRng::seed_from(99);
-        let mut c1 = parent1.fork(5);
-        let mut c2 = parent2.fork(5);
-        assert_eq!(c1.exponential(2.0), c2.exponential(2.0));
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::ops::{Add, AddAssign, Sub};
 /// A point in virtual time, in seconds since simulation start.
 ///
 /// `SimTime` wraps a finite, non-negative `f64` and therefore implements
-/// `Ord` — event queues require a total order.
+/// `Ord`: [`crate::ServerPool`] keeps its servers' next-free times in a
+/// min-heap, which needs a total order.
 ///
 /// # Example
 ///

@@ -8,7 +8,6 @@
 
 use ipso::estimate::estimate_factors;
 use ipso::taxonomy::WorkloadType;
-use ipso::whatif::{rank_scenarios, Scenario};
 use ipso::Diagnostician;
 use ipso_workloads::{sort, terasort};
 
@@ -48,30 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  in-proportion ratio epsilon(128) = {:.2}",
             estimates.epsilon(128.0)
         );
-
-        // What-if: which fix would buy the most at n = 128?
-        let model = estimates.to_model()?;
-        let ranked = rank_scenarios(
-            &model,
-            &[
-                Scenario::ScaleInternalGrowth { factor: 0.5 },
-                Scenario::EliminateInternalScaling,
-                Scenario::EliminateInduced,
-            ],
-            128.0,
-        )?;
-        println!(
-            "\nwhat-if analysis at n = 128 (S = {:.2} today):",
-            ranked[0].baseline
-        );
-        for o in &ranked {
-            println!(
-                "  {:<32} -> S = {:7.2}  ({:+.0}%)",
-                o.scenario.to_string(),
-                o.improved,
-                100.0 * o.gain()
-            );
-        }
         println!();
     }
     Ok(())

@@ -6,6 +6,7 @@ use ipso::estimate::{estimate_factors, FactorShape};
 use ipso::predict::ScalingPredictor;
 use ipso::taxonomy::{FixedTimeClass, ScalingClass, WorkloadType};
 use ipso::Diagnostician;
+use ipso_mapreduce::measure::SweepPoint;
 use ipso_workloads::{qmc, sort, terasort, wordcount};
 
 const SWEEP: &[u32] = &[1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128];
@@ -132,4 +133,51 @@ fn sweeps_are_deterministic() {
     let a = sort::sweep(&[1, 4, 16]);
     let b = sort::sweep(&[1, 4, 16]);
     assert_eq!(a, b);
+}
+
+#[test]
+fn scale_out_serial_phases_are_charged_as_in_the_sequential_run() {
+    // The single reducer's shuffle, merge and reduce cost the same in the
+    // scale-out run as in the sequential one (no incast, same memory
+    // slowdown), so no serial excess is attributed to Wo(n). TeraSort's
+    // reducer spills from n = 17 on.
+    fn check(name: &str, point: &SweepPoint) {
+        let (par, seq) = (&point.par.phases, &point.seq.phases);
+        for (phase, p, s) in [
+            ("shuffle", par.shuffle, seq.shuffle),
+            ("merge", par.merge, seq.merge),
+            ("reduce", par.reduce, seq.reduce),
+        ] {
+            assert_eq!(
+                p.to_bits(),
+                s.to_bits(),
+                "{name} n = {}: scale-out {phase} {p} vs sequential {s}",
+                point.n
+            );
+        }
+        assert_eq!(
+            point.measurement.par_overhead.to_bits(),
+            point.par.scale_out_overhead.to_bits(),
+            "{name} n = {}: serial excess attributed to Wo",
+            point.n
+        );
+    }
+    for n in [1, 3, 8, 16, 17] {
+        let point = SweepPoint::run(
+            &sort::job_spec(n),
+            &sort::SortMapper,
+            &sort::SortReducer,
+            &sort::make_splits(n, 2),
+        )
+        .unwrap();
+        check("sort", &point);
+        let point = SweepPoint::run(
+            &terasort::job_spec(n),
+            &terasort::TeraSortMapper,
+            &terasort::TeraSortReducer,
+            &terasort::make_splits(n, 3),
+        )
+        .unwrap();
+        check("terasort", &point);
+    }
 }
