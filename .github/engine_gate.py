@@ -2,46 +2,45 @@
 
 Usage: python3 engine_gate.py COMMITTED.json FRESH.json
 
-Each MapReduce speedup is a ratio of two bench medians (baseline over
-optimized). A ratio fails only when it drops: when the fresh ratio is
-below the committed one by more than
+The bench times each MapReduce workload's reference data path
+(`btree_seq`) and the engine's (`sortmerge_seq`) in alternating rounds,
+and records each round's ratio (baseline over optimized) and the median
+and IQR of those ratios. A workload fails only when its median ratio
+drops: when the fresh median is below the committed one by more than
 
-    max(0.10, relIQR(baseline) + relIQR(optimized)),
+    max(0.10, relIQR),
 
-where relIQR = iqr_ns / median_ns of a bench, taking the larger of the
-committed and the fresh value. A ratio that rises never fails.
+where relIQR = ratio_iqr / ratio of the paired ratios, taking the
+larger of the committed and the fresh value. A ratio that rises never
+fails.
 """
 import json
 import sys
 
 FLOOR = 0.10
+SCHEMA = "ipso-bench-engines/v2"
 
 
 def load(path):
     report = json.load(open(path))
-    benches = {(b["engine"], b["workload"], b["config"]): b for b in report["benches"]}
-    ratios = {(s["engine"], s["workload"], s["baseline"], s["optimized"]): s["ratio"]
-              for s in report["speedups"]
-              if s["engine"] == "mapreduce" and s["workload"] in ("sort", "wordcount")}
-    return benches, ratios
+    assert report["schema"] == SCHEMA, (path, report["schema"])
+    return {(s["engine"], s["workload"], s["baseline"], s["optimized"]): s
+            for s in report["speedups"]}
 
 
-def rel_iqr(bench):
-    return bench["iqr_ns"] / bench["median_ns"]
+def rel_iqr(speedup):
+    return speedup["ratio_iqr"] / speedup["ratio"]
 
 
 def main(committed_path, fresh_path):
-    committed, want = load(committed_path)
-    fresh, got = load(fresh_path)
-    assert want.keys() == got.keys(), (want, got)
+    want = load(committed_path)
+    got = load(fresh_path)
+    assert want.keys() == got.keys(), (want.keys(), got.keys())
     failures = []
-    for key, before in sorted(want.items()):
-        engine, workload, baseline, optimized = key
-        noise = sum(max(rel_iqr(committed[(engine, workload, config)]),
-                        rel_iqr(fresh[(engine, workload, config)]))
-                    for config in (baseline, optimized))
-        threshold = max(FLOOR, noise)
-        after = got[key]
+    for key in sorted(want):
+        _, workload, baseline, optimized = key
+        before, after = want[key]["ratio"], got[key]["ratio"]
+        threshold = max(FLOOR, rel_iqr(want[key]), rel_iqr(got[key]))
         drop = (before - after) / before
         verdict = "FAIL" if drop > threshold else "ok"
         print(f"{verdict:4} {workload} {baseline}->{optimized}: {before:.3f} -> {after:.3f} "

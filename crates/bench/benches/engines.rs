@@ -7,12 +7,12 @@
 //!    DAG with broadcast and shuffles) and an end-to-end scaling sweep.
 //! 2. A regression harness that times the seed's ordered-map data path
 //!    ([`ipso_bench::reference`], the `btree_seq` rows) against the
-//!    engine's sort-based shuffle, sequential and with the full host,
-//!    plus one QMC-Pi scale-out data path (the Halton kernel) — and
-//!    writes the wall-clock numbers (independent samples per bench
-//!    with their median and IQR) and the speedup ratios of the medians
-//!    to `BENCH_engines.json` at the repository root so CI can assert
-//!    the optimised data path never regresses.
+//!    engine's (`sortmerge_seq`) in alternating rounds, plus one QMC-Pi
+//!    scale-out data path (the Halton kernel) — and writes the
+//!    wall-clock samples with their median and IQR, and each workload's
+//!    per-round speedup ratios with their median and IQR, to
+//!    `BENCH_engines.json` at the repository root so CI can assert the
+//!    optimised data path never regresses.
 
 use criterion::{black_box, criterion_group, Criterion};
 use ipso_bench::{reference, SweepRunner};
@@ -77,8 +77,7 @@ struct BenchRecord {
     engine: &'static str,
     workload: &'static str,
     config: &'static str,
-    threads: usize,
-    /// Total sampled time over total iterations.
+    /// Mean of the per-sample ns per iteration.
     mean_ns: f64,
     /// Median of the per-sample ns per iteration.
     median_ns: f64,
@@ -96,8 +95,13 @@ struct SpeedupRecord {
     workload: &'static str,
     baseline: &'static str,
     optimized: &'static str,
-    /// Baseline median over optimized median.
+    /// Median of the per-round ratios.
     ratio: f64,
+    /// Interquartile range of the per-round ratios.
+    ratio_iqr: f64,
+    /// Each round's baseline ns per iteration over its optimized ns per
+    /// iteration, both timed back to back.
+    ratios: Vec<f64>,
 }
 
 #[derive(Debug, Serialize)]
@@ -109,9 +113,11 @@ struct BenchReport {
     speedups: Vec<SpeedupRecord>,
 }
 
-/// Independent timing samples per bench.
+/// Independent timing samples per unpaired bench.
 const SAMPLES: usize = 7;
-/// Wall-clock time one sample aims for.
+/// Rounds of a paired bench: each times one batch of either side.
+const ROUNDS: usize = 15;
+/// Wall-clock time one batch aims for.
 const SAMPLE_TIME: Duration = Duration::from_millis(90);
 
 /// The timing fields of one [`BenchRecord`].
@@ -131,10 +137,19 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
-/// Times `f`: a warm-up that doubles the batch until one batch takes a
-/// quarter of [`SAMPLE_TIME`] sizes the batch to fill a sample, then
-/// [`SAMPLES`] batches are timed independently.
-fn measure<T, F: FnMut() -> T>(mut f: F) -> Timing {
+/// The median and interquartile range of `values`.
+fn median_iqr(values: &[f64]) -> (f64, f64) {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    (
+        quantile(&sorted, 0.5),
+        quantile(&sorted, 0.75) - quantile(&sorted, 0.25),
+    )
+}
+
+/// Sizes a batch of `f` to fill one [`SAMPLE_TIME`]: a warm-up doubles
+/// the batch until one batch takes a quarter of it.
+fn calibrate<T>(f: &mut impl FnMut() -> T) -> u64 {
     let mut batch: u64 = 1;
     loop {
         let start = Instant::now();
@@ -144,59 +159,91 @@ fn measure<T, F: FnMut() -> T>(mut f: F) -> Timing {
         let elapsed = start.elapsed();
         if elapsed >= SAMPLE_TIME / 4 || batch >= 1 << 20 {
             let scale = SAMPLE_TIME.as_secs_f64() / elapsed.as_secs_f64().max(1e-9);
-            batch = ((batch as f64 * scale).ceil() as u64).max(1);
-            break;
+            return ((batch as f64 * scale).ceil() as u64).max(1);
         }
         batch *= 2;
     }
-    let mut total = Duration::ZERO;
-    let samples_ns: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let elapsed = start.elapsed();
-            total += elapsed;
-            elapsed.as_secs_f64() * 1e9 / batch as f64
-        })
-        .collect();
-    let mut sorted = samples_ns.clone();
-    sorted.sort_by(f64::total_cmp);
-    let iters = batch * SAMPLES as u64;
+}
+
+/// Times one batch of `f`, in ns per iteration.
+fn time_batch<T>(f: &mut impl FnMut() -> T, batch: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..batch {
+        black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e9 / batch as f64
+}
+
+/// The record fields of `samples_ns`, each a batch of `batch` iterations.
+fn timing(samples_ns: Vec<f64>, batch: u64) -> Timing {
+    let (median_ns, iqr_ns) = median_iqr(&samples_ns);
     Timing {
-        mean_ns: total.as_secs_f64() * 1e9 / iters as f64,
-        median_ns: quantile(&sorted, 0.5),
-        iqr_ns: quantile(&sorted, 0.75) - quantile(&sorted, 0.25),
+        mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
+        median_ns,
+        iqr_ns,
+        iters: batch * samples_ns.len() as u64,
         samples_ns,
-        iters,
     }
 }
 
-/// The regression grid: (config label, threads). `btree_seq` times the
-/// reference data path on one thread; the others time the engine, and
-/// `threads = 0` means every hardware thread.
-const CONFIGS: [(&str, usize); 3] = [("btree_seq", 1), ("sortmerge_seq", 1), ("sortmerge_par", 0)];
+/// Times `f` in [`SAMPLES`] independent batches.
+fn measure<T>(mut f: impl FnMut() -> T) -> Timing {
+    let batch = calibrate(&mut f);
+    let samples = (0..SAMPLES).map(|_| time_batch(&mut f, batch)).collect();
+    timing(samples, batch)
+}
+
+/// Times `base` and `opt` in [`ROUNDS`] rounds of one batch each, back
+/// to back, and returns both timings and each round's ratio of the
+/// baseline's time to the optimized one's. A host that slows down for
+/// a while slows both sides of the rounds it hits, so the ratios
+/// spread far less than the times do.
+fn measure_pair<A, B>(
+    mut base: impl FnMut() -> A,
+    mut opt: impl FnMut() -> B,
+) -> (Timing, Timing, Vec<f64>) {
+    let (base_batch, opt_batch) = (calibrate(&mut base), calibrate(&mut opt));
+    let mut base_ns = Vec::with_capacity(ROUNDS);
+    let mut opt_ns = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        // Alternate which side goes first, so that neither always runs
+        // on the cache state or clock speed the other left behind.
+        if round % 2 == 0 {
+            base_ns.push(time_batch(&mut base, base_batch));
+            opt_ns.push(time_batch(&mut opt, opt_batch));
+        } else {
+            opt_ns.push(time_batch(&mut opt, opt_batch));
+            base_ns.push(time_batch(&mut base, base_batch));
+        }
+    }
+    let ratios = base_ns.iter().zip(&opt_ns).map(|(b, o)| b / o).collect();
+    (
+        timing(base_ns, base_batch),
+        timing(opt_ns, opt_batch),
+        ratios,
+    )
+}
 
 /// Prints one bench's timing and wraps it in its record.
 fn record(
-    name: String,
     engine: &'static str,
     workload: &'static str,
     config: &'static str,
-    threads: usize,
     t: Timing,
 ) -> BenchRecord {
+    let name = format!("{engine}_{workload}_n{MAP_TASKS}_{config}");
     println!(
-        "bench {name:<40} {:>12.1} ns/iter median, IQR {:.1} ({SAMPLES} samples, {} iters)",
-        t.median_ns, t.iqr_ns, t.iters
+        "bench {name:<40} {:>12.1} ns/iter median, IQR {:.1} ({} samples, {} iters)",
+        t.median_ns,
+        t.iqr_ns,
+        t.samples_ns.len(),
+        t.iters
     );
     BenchRecord {
         name,
         engine,
         workload,
         config,
-        threads,
         mean_ns: t.mean_ns,
         median_ns: t.median_ns,
         iqr_ns: t.iqr_ns,
@@ -205,147 +252,91 @@ fn record(
     }
 }
 
-fn bench_regression_grid(records: &mut Vec<BenchRecord>) {
-    // MapReduce: sort and wordcount at MAP_TASKS map tasks, running the
-    // real record path through each configuration.
-    for (config, threads) in CONFIGS {
-        let seed_path = config == "btree_seq";
-        let mut spec = sort::job_spec(MAP_TASKS);
-        spec.engine.threads = threads;
-        let splits = sort::make_splits(MAP_TASKS, 1);
-        let timing = if seed_path {
-            measure(|| reference::run(&sort::SortMapper, &sort::SortReducer, &splits))
-        } else {
-            measure(|| {
-                ipso_mapreduce::try_run_scale_out(
-                    &spec,
-                    &sort::SortMapper,
-                    &sort::SortReducer,
-                    &splits,
-                )
-                .expect("fault-free run")
-            })
-        };
-        records.push(record(
-            format!("mapreduce_sort_n{MAP_TASKS}_{config}"),
-            "mapreduce",
-            "sort",
-            config,
-            threads,
-            timing,
-        ));
+/// Times the reference data path (`btree_seq`) against the engine
+/// (`sortmerge_seq`) in paired rounds, records both and their speedup.
+fn paired<A, B>(
+    workload: &'static str,
+    base: impl FnMut() -> A,
+    opt: impl FnMut() -> B,
+    records: &mut Vec<BenchRecord>,
+    speedups: &mut Vec<SpeedupRecord>,
+) {
+    let (base, opt, ratios) = measure_pair(base, opt);
+    records.push(record("mapreduce", workload, "btree_seq", base));
+    records.push(record("mapreduce", workload, "sortmerge_seq", opt));
+    let (ratio, ratio_iqr) = median_iqr(&ratios);
+    speedups.push(SpeedupRecord {
+        engine: "mapreduce",
+        workload,
+        baseline: "btree_seq",
+        optimized: "sortmerge_seq",
+        ratio,
+        ratio_iqr,
+        ratios,
+    });
+}
 
-        let mut wc_spec = wordcount::job_spec(MAP_TASKS);
-        wc_spec.engine.threads = threads;
-        let wc_splits = wordcount::make_splits(MAP_TASKS, 1);
-        // The baseline configuration pairs the reference data path with
-        // the seed's allocating mapper — the true pre-optimization path;
-        // the optimized configurations use the shipping rank-keyed mapper.
-        let mapper = wordcount::WordCountMapper::new();
-        let timing = if seed_path {
-            measure(|| reference::run(&SeedWordCountMapper, &SeedWordCountReducer, &wc_splits))
-        } else {
-            measure(|| {
-                ipso_mapreduce::try_run_scale_out(
-                    &wc_spec,
-                    &mapper,
-                    &wordcount::WordCountReducer,
-                    &wc_splits,
-                )
+fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
+    let mut records = Vec::new();
+    let mut speedups = Vec::new();
+    // MapReduce: sort and wordcount at MAP_TASKS map tasks, the seed's
+    // data path against the engine's.
+    let spec = sort::job_spec(MAP_TASKS);
+    let splits = sort::make_splits(MAP_TASKS, 1);
+    paired(
+        "sort",
+        || reference::run(&sort::SortMapper, &sort::SortReducer, &splits),
+        || {
+            ipso_mapreduce::try_run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits)
                 .expect("fault-free run")
-            })
-        };
-        records.push(record(
-            format!("mapreduce_wordcount_n{MAP_TASKS}_{config}"),
-            "mapreduce",
-            "wordcount",
-            config,
-            threads,
-            timing,
-        ));
-    }
+        },
+        &mut records,
+        &mut speedups,
+    );
 
-    // QMC-Pi: one scale-out data path, on one thread. Its cost is the
-    // Halton kernel, which the reference path shares, so it has no
-    // baseline and no speedup ratio.
+    // The baseline pairs the reference data path with the seed's
+    // allocating mapper — the true pre-optimization path; the engine
+    // runs the shipping rank-keyed mapper.
+    let spec = wordcount::job_spec(MAP_TASKS);
+    let splits = wordcount::make_splits(MAP_TASKS, 1);
+    let mapper = wordcount::WordCountMapper::new();
+    paired(
+        "wordcount",
+        || reference::run(&SeedWordCountMapper, &SeedWordCountReducer, &splits),
+        || {
+            ipso_mapreduce::try_run_scale_out(&spec, &mapper, &wordcount::WordCountReducer, &splits)
+                .expect("fault-free run")
+        },
+        &mut records,
+        &mut speedups,
+    );
+
+    // QMC-Pi: one scale-out data path. Its cost is the Halton kernel,
+    // which the reference path shares, so it has no baseline and no
+    // speedup ratio.
     let spec = qmc::job_spec(MAP_TASKS);
     let splits = qmc::make_splits(MAP_TASKS);
     let timing = measure(|| {
         ipso_mapreduce::try_run_scale_out(&spec, &qmc::QmcMapper, &qmc::QmcReducer, &splits)
             .expect("fault-free run")
     });
-    records.push(record(
-        format!("mapreduce_qmc_n{MAP_TASKS}_sortmerge_seq"),
-        "mapreduce",
-        "qmc",
-        "sortmerge_seq",
-        1,
-        timing,
-    ));
-
-    // Spark: the Bayes stage DAG with the host-side stage executor
-    // sequential and parallel (the shuffle grid does not apply).
-    for (config, threads) in [("seq", 1usize), ("par", 0)] {
-        let mut job = bayes::job(256, 64);
-        job.engine.threads = threads;
-        let timing = measure(|| try_run_job(&job).expect("fault-free run"));
-        records.push(record(
-            format!("spark_bayes_n256_m64_{config}"),
-            "spark",
-            "bayes",
-            config,
-            threads,
-            timing,
-        ));
-    }
-}
-
-/// Derives the speedup ratios the harness exists to defend, from the
-/// median timings: the reference data path on one thread vs. the optimised
-/// path per MapReduce workload, and sequential vs. parallel Spark.
-fn speedups(records: &[BenchRecord]) -> Vec<SpeedupRecord> {
-    let median = |workload: &str, config: &str| {
-        records
-            .iter()
-            .find(|r| r.workload == workload && r.config == config)
-            .map(|r| r.median_ns)
-    };
-    let pairs = [
-        ("mapreduce", "sort", "btree_seq", "sortmerge_seq"),
-        ("mapreduce", "sort", "btree_seq", "sortmerge_par"),
-        ("mapreduce", "wordcount", "btree_seq", "sortmerge_seq"),
-        ("mapreduce", "wordcount", "btree_seq", "sortmerge_par"),
-        ("spark", "bayes", "seq", "par"),
-    ];
-    pairs
-        .into_iter()
-        .filter_map(|(engine, workload, baseline, optimized)| {
-            let (base, opt) = (median(workload, baseline)?, median(workload, optimized)?);
-            Some(SpeedupRecord {
-                engine,
-                workload,
-                baseline,
-                optimized,
-                ratio: base / opt,
-            })
-        })
-        .collect()
+    records.push(record("mapreduce", "qmc", "sortmerge_seq", timing));
+    (records, speedups)
 }
 
 fn run_regression_harness() {
-    let mut records = Vec::new();
-    bench_regression_grid(&mut records);
+    let (benches, speedups) = bench_regression_grid();
     let report = BenchReport {
-        schema: "ipso-bench-engines/v1",
+        schema: "ipso-bench-engines/v2",
         map_tasks: MAP_TASKS,
         host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        speedups: speedups(&records),
-        benches: records,
+        benches,
+        speedups,
     };
     for s in &report.speedups {
         println!(
-            "speedup {}/{}: {} -> {}: {:.2}x",
-            s.engine, s.workload, s.baseline, s.optimized, s.ratio
+            "speedup {}/{}: {} -> {}: {:.2}x (IQR {:.3})",
+            s.engine, s.workload, s.baseline, s.optimized, s.ratio, s.ratio_iqr
         );
     }
     let json = serde_json::to_string_pretty(&report).expect("bench report serializes");

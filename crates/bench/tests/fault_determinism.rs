@@ -1,7 +1,7 @@
 //! Determinism under fault injection, end to end: a faulted engine
 //! sweep through [`SweepRunner`] is bit-identical for any `--jobs`
-//! value and any engine thread count, and a spec that merely *spells
-//! out* the disabled fault model reproduces the stock trace exactly.
+//! value, and a spec that merely *spells out* the disabled fault model
+//! reproduces the stock trace exactly.
 //! These are the properties the `ablation_faults` CSV and
 //! `BENCH_faults.json` regression record rest on, together with the
 //! one-data-path sweep point the figures and the ablation run.
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 /// One faulted Sort run per grid point; the whole trace is the result,
 /// so any divergence — durations, overhead, recovery events — fails the
 /// bitwise comparison.
-fn faulted_sweep(jobs: usize, fail_prob: f64, threads: usize, ns: &[u32]) -> Vec<JobTrace> {
+fn faulted_sweep(jobs: usize, fail_prob: f64, ns: &[u32]) -> Vec<JobTrace> {
     SweepRunner::new(jobs)
         .map(ns.to_vec(), |n| {
             let mut spec = sort::job_spec(n);
@@ -27,7 +27,6 @@ fn faulted_sweep(jobs: usize, fail_prob: f64, threads: usize, ns: &[u32]) -> Vec
             spec.faults = faults;
             spec.recovery = RecoveryPolicy::hadoop_like().with_speculation();
             spec.recovery.max_attempts = 12;
-            spec.engine.threads = threads;
             try_run_scale_out(
                 &spec,
                 &sort::SortMapper,
@@ -52,22 +51,9 @@ proptest! {
         fail_prob in 0.01f64..0.3,
         ns in prop::collection::vec(1u32..24, 1..6),
     ) {
-        let sequential = faulted_sweep(1, fail_prob, 0, &ns);
-        let parallel = faulted_sweep(jobs, fail_prob, 0, &ns);
+        let sequential = faulted_sweep(1, fail_prob, &ns);
+        let parallel = faulted_sweep(jobs, fail_prob, &ns);
         prop_assert_eq!(parallel, sequential);
-    }
-
-    /// The engine's own map-execution thread count never leaks into a
-    /// faulted trace: fault resolution happens on the sequential
-    /// simulation clock, not on the host threads.
-    #[test]
-    fn faulted_traces_are_engine_thread_invariant(
-        fail_prob in 0.01f64..0.3,
-        threads in 1usize..6,
-    ) {
-        let ns = [3u32, 7];
-        let baseline = faulted_sweep(1, fail_prob, 0, &ns);
-        prop_assert_eq!(faulted_sweep(1, fail_prob, threads, &ns), baseline);
     }
 }
 
@@ -109,10 +95,7 @@ fn assert_one_data_path_matches<M, R>(
     splits: &[InputSplit<M::Input>],
 ) -> (SweepPoint, u64)
 where
-    M: Mapper + Sync,
-    M::Input: Sync,
-    M::Key: Send,
-    M::Value: Send,
+    M: Mapper,
     R: Reducer<Key = M::Key, Value = M::Value>,
 {
     let point = SweepPoint::run(spec, mapper, reducer, splits).expect("recoverable");

@@ -28,10 +28,7 @@ fn assert_matches_reference<M, R>(
     reducer: &R,
     splits: &[InputSplit<M::Input>],
 ) where
-    M: Mapper + Sync,
-    M::Input: Sync,
-    M::Key: Send,
-    M::Value: Send,
+    M: Mapper,
     R: Reducer<Key = M::Key, Value = M::Value>,
     R::Output: PartialEq + Debug,
 {
@@ -265,24 +262,21 @@ fn reduce_side_clones_no_key() {
 
 // ── The three real MapReduce workloads ──────────────────────────────────
 
-fn workload_matches_reference(workload: &str, n: u32, seed: u64, threads: usize) {
+fn workload_matches_reference(workload: &str, n: u32, seed: u64) {
     match workload {
         "sort" => {
-            let mut spec = sort::job_spec(n);
-            spec.engine.threads = threads;
+            let spec = sort::job_spec(n);
             let splits = sort::make_splits(n, seed);
             assert_matches_reference(&spec, &sort::SortMapper, &sort::SortReducer, &splits);
         }
         "wordcount" => {
-            let mut spec = wordcount::job_spec(n);
-            spec.engine.threads = threads;
+            let spec = wordcount::job_spec(n);
             let splits = wordcount::make_splits(n, seed);
             let mapper = wordcount::WordCountMapper::new();
             assert_matches_reference(&spec, &mapper, &wordcount::WordCountReducer, &splits);
         }
         "terasort" => {
-            let mut spec = terasort::job_spec(n);
-            spec.engine.threads = threads;
+            let spec = terasort::job_spec(n);
             let splits = terasort::make_splits(n, seed);
             assert_matches_reference(
                 &spec,
@@ -378,15 +372,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sort, WordCount and TeraSort match the reference, threaded or
-    /// not.
+    /// Sort, WordCount and TeraSort match the reference.
     #[test]
     fn workloads_match_the_reference(
-        threads in 1usize..5,
         n in 1u32..7,
         seed in any::<u64>(),
         which in 0usize..3,
     ) {
-        workload_matches_reference(["sort", "wordcount", "terasort"][which], n, seed, threads);
+        workload_matches_reference(["sort", "wordcount", "terasort"][which], n, seed);
     }
 }

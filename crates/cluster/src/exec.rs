@@ -13,31 +13,21 @@ use serde::{Deserialize, Serialize};
 use crate::metrics::TaskRecord;
 use crate::scheduler::{CentralScheduler, SchedulerPolicy};
 
-/// Host-side execution knobs shared by the MapReduce and Spark engines.
+/// Host-side options shared by the MapReduce and Spark engines.
 ///
-/// These control how the engines use the *host* machine to execute real
-/// user code and compute schedules; they never affect simulated time,
-/// traces, or outputs — the engines guarantee byte-identical results for
-/// every `threads` value.
+/// Every job runs on its caller's thread; sweeps get their parallelism
+/// across points instead. The one field is kept only because the
+/// benchmark package assigns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineOptions {
-    /// Host threads used for map-task waves (MapReduce) and stage
-    /// scheduling (Spark): `1` runs sequentially (the default), `0` uses
-    /// one worker per available hardware thread.
+    /// Must be 1, the default: the engines pass it to
+    /// [`crate::execute`], which rejects any other value.
     pub threads: usize,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions { threads: 1 }
-    }
-}
-
-impl EngineOptions {
-    /// Options running on `threads` host threads (`0` = all hardware
-    /// threads).
-    pub fn with_threads(threads: usize) -> Self {
-        EngineOptions { threads }
     }
 }
 
@@ -129,10 +119,14 @@ pub fn run_wave_schedule(
 /// the allocation-free fast path for idealized reference schedules.
 ///
 /// Equivalent to `run_wave_schedule(&vec![duration; tasks], …).makespan`
-/// but without materializing the duration vector, the per-task records,
-/// or the scheduler-level instrumentation: reference schedules are
-/// hypothetical runs, so they skip the `cluster.*` counters and
-/// queue-delay histograms a real schedule emits.
+/// but without materializing the duration vector or the per-task
+/// records. It skips the `cluster.*` counters and the queue-delay
+/// histogram that [`run_wave_schedule`] emits, but each dispatch still
+/// counts in `scheduler.dispatches`. The other reference schedules (the
+/// no-straggler reference and [`IdealReference::Tasks`]) run through
+/// [`run_wave_schedule`] and count like a real schedule.
+///
+/// [`IdealReference::Tasks`]: crate::IdealReference::Tasks
 ///
 /// # Panics
 ///
@@ -291,7 +285,6 @@ mod tests {
     #[test]
     fn engine_options_default_to_sequential() {
         assert_eq!(EngineOptions::default().threads, 1);
-        assert_eq!(EngineOptions::with_threads(8).threads, 8);
         let json = serde_json::to_string(&EngineOptions::default()).unwrap();
         let back: EngineOptions = serde_json::from_str(&json).unwrap();
         assert_eq!(back, EngineOptions::default());

@@ -23,8 +23,8 @@
 //!
 //! All randomness flows through the caller's [`SimRng`] in a fixed task
 //! order, and a disabled model ([`FaultModel::enabled`] = `false`)
-//! consumes zero draws — so runs stay byte-deterministic for any host
-//! thread count and byte-identical to pre-fault builds when disabled.
+//! consumes zero draws — so runs stay byte-deterministic, and
+//! byte-identical to pre-fault builds when disabled.
 
 use ipso_sim::{Distribution, SimRng};
 use serde::{Deserialize, Serialize};
@@ -292,7 +292,7 @@ pub struct FaultSummary {
     /// Losing-copy work from speculative execution, seconds.
     pub speculation_wasted_s: f64,
     /// Per-task recovery events, in resolution order (task order within
-    /// each resolution phase) — thread-count-invariant by construction.
+    /// each resolution phase).
     pub events: Vec<RecoveryEvent>,
 }
 

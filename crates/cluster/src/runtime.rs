@@ -1,23 +1,20 @@
 //! The unified cluster runtime: one executor for every engine.
 //!
-//! [`execute`] runs a [`TaskGraph`] in the same three phases the Spark
-//! engine pioneered, now shared by all frameworks:
+//! [`execute`] runs a [`TaskGraph`] on the calling thread, in the same
+//! three phases the Spark engine pioneered, now shared by all
+//! frameworks:
 //!
-//! 1. **Sample** (sequential): per-stage straggler draws and fault
-//!    resolution, in stage order, so the RNG stream — and therefore
-//!    every output byte — is independent of host threading;
-//! 2. **Schedule** (parallel wave over stages via
-//!    [`ipso_sim::par::ordered_map_indexed`]): the actual wave schedule
-//!    under the configured [`SchedulerPolicy`], the idealized reference
+//! 1. **Sample**: per-stage straggler draws and fault resolution, in
+//!    stage order, so the RNG stream — and therefore every output byte
+//!    — depends only on the graph, the config and the seed;
+//! 2. **Schedule**, stage by stage: the actual wave schedule under the
+//!    configured [`SchedulerPolicy`], the idealized reference
 //!    ([`IdealReference`]) and, when requested and observability is on,
-//!    the no-straggler reference — all instrumentation captured
-//!    thread-locally ([`ipso_obs::capture`]);
+//!    the no-straggler reference;
 //! 3. **Attribute**: the per-stage [`StageOutcome`]s carry the Ws/Wp/Wo
 //!    components — schedule overhead beyond the ideal, wasted recovery
 //!    work, lineage recomputation — which the engines accumulate during
-//!    their sequential clock walk, merging each stage's captured records
-//!    at the walk point so the global observability stream is
-//!    byte-identical to a sequential run for any thread count.
+//!    their clock walk.
 //!
 //! Placement is implicit and deterministic: task `t` of a stage lives on
 //! node `t % executors`, which is both the wave-schedule executor label
@@ -36,7 +33,7 @@ use ipso_sim::{Distribution, SimRng};
 pub const SEVERE_MULTIPLIER: f64 = 1.5;
 
 /// Everything the executor needs besides the graph itself: cluster
-/// shape, scheduling, noise and fault models, host threading.
+/// shape, scheduling, noise and fault models.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Executor slots available to every stage's wave.
@@ -51,8 +48,9 @@ pub struct RuntimeConfig {
     pub faults: FaultModel,
     /// Recovery policy for injected faults.
     pub recovery: RecoveryPolicy,
-    /// Host threads for the schedule phase (`1` sequential, `0` all
-    /// hardware threads). Never affects results.
+    /// Must be 1: [`execute`] runs on the calling thread and rejects
+    /// any other value. The field stays only because the benchmark
+    /// package assigns it.
     pub threads: usize,
 }
 
@@ -68,8 +66,8 @@ pub struct LineageRecompute {
     pub nodes: u64,
 }
 
-/// One stage's execution result: effective durations, schedules,
-/// fault/lineage outcomes and the captured instrumentation.
+/// One stage's execution result: effective durations, schedules and
+/// fault/lineage outcomes.
 #[derive(Debug)]
 pub struct StageOutcome {
     /// Post-noise, post-fault task durations (what the wave ran).
@@ -86,9 +84,6 @@ pub struct StageOutcome {
     pub fault: Option<FaultOutcome>,
     /// Lineage recomputation caused by this stage's node crashes.
     pub lineage: Option<LineageRecompute>,
-    /// Instrumentation captured while scheduling; engines merge it at
-    /// the stage's position in their clock walk.
-    pub records: ipso_obs::LocalRecords,
 }
 
 impl StageOutcome {
@@ -206,13 +201,14 @@ struct StageSample {
 /// per-task straggler multipliers (in task order), then, when the fault
 /// model is enabled, [`resolve_faults`] — exactly the draw order the
 /// engines used before the runtime existed, so seeded streams are
-/// preserved byte for byte. Phase 2 computes every stage's schedules as
-/// a parallel wave with instrumentation captured per stage.
+/// preserved byte for byte. Phase 2 then computes every stage's
+/// schedules, in stage order.
 ///
 /// # Errors
 ///
 /// Returns [`ClusterError::InvalidParameter`] for an invalid graph or
-/// config, and propagates [`ClusterError::RetriesExhausted`] /
+/// config, including any `config.threads` other than 1, and propagates
+/// [`ClusterError::RetriesExhausted`] /
 /// [`ClusterError::WastedWorkExceeded`] from fault resolution.
 pub fn execute(
     graph: &TaskGraph,
@@ -225,6 +221,10 @@ pub fn execute(
             "runtime config",
             "need at least one executor",
         ));
+    }
+    if config.threads != 1 {
+        let message = format!("threads must be 1, got {}", config.threads);
+        return Err(ClusterError::invalid("runtime config", message));
     }
 
     // Phase 1 — sample. All RNG consumption happens here, sequentially
@@ -296,67 +296,57 @@ pub fn execute(
         });
     }
 
-    // Phase 2 — schedule, as a parallel wave over stages. Instrumentation
-    // is captured per stage and handed to the caller for in-order merge.
-    let mut outcomes: Vec<StageOutcome> =
-        ipso_sim::par::ordered_map_indexed(config.threads, graph.stages.len(), |k| {
-            let stage = &graph.stages[k];
-            let sample = &samples[k];
-            let ((schedule, ideal_makespan, no_straggler), records) = ipso_obs::capture(|| {
-                let schedule = run_wave_schedule(
-                    &sample.effective,
+    // Phase 2 — schedule, stage by stage.
+    let outcomes = graph
+        .stages
+        .iter()
+        .zip(samples)
+        .map(|(stage, sample)| {
+            let schedule = run_wave_schedule(
+                &sample.effective,
+                config.executors,
+                &config.scheduler,
+                config.policy,
+            );
+            let ideal_makespan = match &stage.ideal {
+                IdealReference::SlowestTask => schedule.max_task_duration(),
+                IdealReference::Uniform { duration } => uniform_wave_makespan(
+                    *duration,
+                    sample.effective.len(),
                     config.executors,
-                    &config.scheduler,
-                    config.policy,
-                );
-                let ideal_makespan = match &stage.ideal {
-                    IdealReference::SlowestTask => schedule.max_task_duration(),
-                    IdealReference::Uniform { duration } => uniform_wave_makespan(
-                        *duration,
-                        sample.effective.len(),
+                    &CentralScheduler::idealized(),
+                ),
+                IdealReference::Tasks(ideal) => {
+                    run_wave_schedule(
+                        ideal,
                         config.executors,
                         &CentralScheduler::idealized(),
-                    ),
-                    IdealReference::Tasks(ideal) => {
-                        run_wave_schedule(
-                            ideal,
-                            config.executors,
-                            &CentralScheduler::idealized(),
-                            SchedulerPolicy::Fifo,
-                        )
-                        .makespan
-                    }
-                };
-                // No-straggler schedule under the *same* scheduler, used
-                // to split overhead into tail and scheduling shares.
-                let no_straggler = if graph.no_straggler_reference && ipso_obs::enabled() {
-                    let ns: Vec<f64> = (0..stage.tasks()).map(|t| stage.nominal(t)).collect();
-                    let ns_makespan =
-                        run_wave_schedule(&ns, config.executors, &config.scheduler, config.policy)
-                            .makespan;
-                    Some((ns, ns_makespan))
-                } else {
-                    None
-                };
-                (schedule, ideal_makespan, no_straggler)
-            });
+                        SchedulerPolicy::Fifo,
+                    )
+                    .makespan
+                }
+            };
+            // No-straggler schedule under the *same* scheduler, used to
+            // split overhead into tail and scheduling shares.
+            let no_straggler = if graph.no_straggler_reference && ipso_obs::enabled() {
+                let ns: Vec<f64> = (0..stage.tasks()).map(|t| stage.nominal(t)).collect();
+                let ns_makespan =
+                    run_wave_schedule(&ns, config.executors, &config.scheduler, config.policy)
+                        .makespan;
+                Some((ns, ns_makespan))
+            } else {
+                None
+            };
             StageOutcome {
-                effective: Vec::new(), // filled below, once per stage
+                effective: sample.effective,
                 schedule,
                 ideal_makespan,
                 no_straggler,
-                fault: None,
-                lineage: None,
-                records,
+                fault: sample.fault,
+                lineage: sample.lineage,
             }
-        });
-
-    // Attach the phase-1 results (moved, not cloned) to the outcomes.
-    for (outcome, sample) in outcomes.iter_mut().zip(samples) {
-        outcome.effective = sample.effective;
-        outcome.fault = sample.fault;
-        outcome.lineage = sample.lineage;
-    }
+        })
+        .collect();
 
     Ok(RunOutcome {
         stages: outcomes,
@@ -438,42 +428,6 @@ mod tests {
             .map(|_| 1.0 * cfg.straggler.sample(&mut rng2) + 0.0)
             .collect();
         assert_eq!(out.stages[0].effective, manual);
-    }
-
-    #[test]
-    fn thread_count_never_changes_outcomes() {
-        let mut g = single_stage(6);
-        g.stages.push(StageNode {
-            name: "reduce".into(),
-            noisy_base: vec![0.5; 12],
-            fixed_extra: Vec::new(),
-            deps: vec![0],
-            pre_overhead: 0.1,
-            ideal: IdealReference::Uniform { duration: 0.5 },
-            lineage: LineageMode::RecomputeParents,
-        });
-        let cfg = RuntimeConfig {
-            straggler: Distribution::jitter(0.05),
-            faults: FaultModel::flaky(0.2),
-            recovery: RecoveryPolicy::hadoop_like().with_speculation(),
-            ..config(4)
-        };
-        let mut rng = SimRng::seed_from(9);
-        let base = execute(&g, &cfg, &mut rng).unwrap();
-        for threads in [0, 2, 3] {
-            let cfg_t = RuntimeConfig {
-                threads,
-                ..cfg.clone()
-            };
-            let mut rng = SimRng::seed_from(9);
-            let out = execute(&g, &cfg_t, &mut rng).unwrap();
-            for (a, b) in base.stages.iter().zip(&out.stages) {
-                assert_eq!(a.effective, b.effective, "threads = {threads}");
-                assert_eq!(a.schedule, b.schedule, "threads = {threads}");
-                assert_eq!(a.ideal_makespan, b.ideal_makespan);
-                assert_eq!(a.lineage, b.lineage);
-            }
-        }
     }
 
     #[test]

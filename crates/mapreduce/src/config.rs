@@ -45,8 +45,8 @@ pub struct JobSpec {
     /// server. `false` (the default) charges the shuffle strictly after
     /// the barrier, as the paper's phase decomposition assumes.
     pub pipelined_shuffle: bool,
-    /// Host-side execution knobs (map-wave thread count). Never affects
-    /// outputs or traces, only how fast the host executes them.
+    /// Host-side options; `engine.threads` must be 1 (see
+    /// [`EngineOptions`]).
     pub engine: EngineOptions,
     /// Fault injection model. Disabled by default; when disabled the run
     /// consumes zero extra RNG draws, so traces match fault-free builds

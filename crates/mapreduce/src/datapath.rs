@@ -6,15 +6,11 @@
 //! everything that touches *time* lives in [`crate::plan`] (lowering to
 //! the task-graph IR) and [`ipso_cluster::runtime`] (execution). The data
 //! path consumes no randomness and is independent of the timing model,
-//! which is what makes outputs identical across thread counts, scheduler
-//! policies and fault settings.
+//! which is what makes outputs identical across scheduler policies and
+//! fault settings.
 //!
 //! Built for throughput:
 //!
-//! * map tasks run as a parallel wave over `spec.engine.threads` host
-//!   threads ([`ipso_sim::par::ordered_map_indexed`]), with results
-//!   collected in task order so outputs and traces are byte-identical
-//!   to the sequential path for any thread count;
 //! * a task's whole split goes through one [`Mapper::map_split`] call,
 //!   which returns the task's post-combine run, sorted by key. The
 //!   trait's default maps each record into one flat buffer pre-sized
@@ -39,7 +35,6 @@
 //! and the oracle tests check this path against it.
 
 use crate::api::{Mapper, OutputScaling, Reducer, Sizeable};
-use crate::config::JobSpec;
 use crate::split::InputSplit;
 
 /// The per-task result of the (real) map-side computation.
@@ -96,23 +91,15 @@ pub(crate) fn sort_and_group<K: Ord, V>(mut pairs: Vec<(K, V)>, mut f: impl FnMu
     f(key, &mut group);
 }
 
-/// Runs the map + combine side of every task, as a parallel wave over
-/// the host threads configured in `spec.engine`. Results come back in
-/// task order, so downstream accounting is independent of thread count.
-pub(crate) fn execute_map_tasks<M>(
+/// Runs the map + combine side of every task, in task order.
+pub(crate) fn execute_map_tasks<M: Mapper>(
     mapper: &M,
     splits: &[InputSplit<M::Input>],
-    spec: &JobSpec,
-) -> Vec<MappedTask<M::Key, M::Value>>
-where
-    M: Mapper + Sync,
-    M::Input: Sync,
-    M::Key: Send,
-    M::Value: Send,
-{
-    ipso_sim::par::ordered_map_indexed(spec.engine.threads, splits.len(), |i| {
-        execute_map_task(mapper, &splits[i])
-    })
+) -> Vec<MappedTask<M::Key, M::Value>> {
+    splits
+        .iter()
+        .map(|split| execute_map_task(mapper, split))
+        .collect()
 }
 
 /// Runs the reducer for real over all tasks' sorted runs, in task order,

@@ -15,8 +15,8 @@
 //! The engine is a thin composition:
 //!
 //! 1. **data path** (the crate-private `datapath` module) — the real
-//!    map/combine/shuffle-group/reduce over sample records, run as a
-//!    parallel wave over host threads; consumes no randomness;
+//!    map/combine/shuffle-group/reduce over sample records, run on the
+//!    calling thread; consumes no randomness;
 //! 2. **plan** ([`crate::plan`]) — lower the job to the framework-
 //!    agnostic task-graph IR ([`ipso_cluster::TaskGraph`]): one stage of
 //!    map tasks, slowest-task ideal, no lineage;
@@ -90,17 +90,14 @@ pub fn try_run_scale_out<M, R>(
     splits: &[InputSplit<M::Input>],
 ) -> Result<JobRun<R::Output>, ClusterError>
 where
-    M: Mapper + Sync,
-    M::Input: Sync,
-    M::Key: Send,
-    M::Value: Send,
+    M: Mapper,
     R: Reducer<Key = M::Key, Value = M::Value>,
 {
     run_point(spec, mapper, reducer, splits).map(|(run, _)| run)
 }
 
 /// The scale-out run and, from the same data path, the sequential
-/// model's trace ([`sequential_trace`]): the map wave and the reduce run
+/// model's trace ([`sequential_trace`]): the map tasks and the reduce run
 /// once, and both execution models charge time from their volumes.
 pub(crate) fn run_point<M, R>(
     spec: &JobSpec,
@@ -109,10 +106,7 @@ pub(crate) fn run_point<M, R>(
     splits: &[InputSplit<M::Input>],
 ) -> Result<(JobRun<R::Output>, JobTrace), ClusterError>
 where
-    M: Mapper + Sync,
-    M::Input: Sync,
-    M::Key: Send,
-    M::Value: Send,
+    M: Mapper,
     R: Reducer<Key = M::Key, Value = M::Value>,
 {
     if splits.is_empty() {
@@ -132,8 +126,8 @@ where
     let n = splits.len() as u32;
     let mut rng = SimRng::seed_from(spec.seed ^ u64::from(n));
 
-    // Real map-side computation, executed as a parallel wave.
-    let mapped: Vec<MappedTask<M::Key, M::Value>> = execute_map_tasks(mapper, splits, spec);
+    // Real map-side computation.
+    let mapped: Vec<MappedTask<M::Key, M::Value>> = execute_map_tasks(mapper, splits);
 
     // Lower to the task-graph IR and hand the timing side to the unified
     // runtime: straggler sampling, fault resolution (disabled consumes
@@ -152,10 +146,7 @@ where
         threads: spec.engine.threads,
     };
     let mut outcome = ipso_cluster::execute(&graph, &runtime, &mut rng)?;
-    let mut stage = outcome.stages.pop().expect("single-stage graph");
-    // Replay the captured scheduling instrumentation at its place in the
-    // global stream: after sampling, before the shuffle model below.
-    ipso_obs::merge(std::mem::take(&mut stage.records));
+    let stage = outcome.stages.pop().expect("single-stage graph");
     let max_task = stage.schedule.max_task_duration();
 
     // Serial merging portion. The shuffle is charged at the reducer's
@@ -302,10 +293,7 @@ pub fn run_sequential<M, R>(
     splits: &[InputSplit<M::Input>],
 ) -> JobRun<R::Output>
 where
-    M: Mapper + Sync,
-    M::Input: Sync,
-    M::Key: Send,
-    M::Value: Send,
+    M: Mapper,
     R: Reducer<Key = M::Key, Value = M::Value>,
 {
     assert!(
@@ -313,9 +301,7 @@ where
         "sequential run needs at least one split"
     );
     spec.validate().expect("invalid job spec");
-    // "Sequential" refers to the simulated execution model, not the
-    // host: the real record processing still uses the map wave.
-    let mapped = execute_map_tasks(mapper, splits, spec);
+    let mapped = execute_map_tasks(mapper, splits);
     let total_intermediate = mapped.iter().map(|t| t.nominal_out_bytes).sum();
     let (output, reduce_input_bytes) = execute_reduce(reducer, mapped);
     JobRun {
@@ -513,24 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_results() {
-        let s = splits(6, 300);
-        let mut spec = JobSpec::emr("count", 6);
-        let baseline = try_run_scale_out(&spec, &CountMap, &SumReduce, &s).unwrap();
-        let baseline_seq = run_sequential(&spec, &CountMap, &SumReduce, &s);
-        for threads in [0, 2, 3, 8] {
-            spec.engine.threads = threads;
-            let par = try_run_scale_out(&spec, &CountMap, &SumReduce, &s).unwrap();
-            assert_eq!(par.output, baseline.output, "threads = {threads}");
-            assert_eq!(par.trace, baseline.trace, "threads = {threads}");
-            assert_eq!(par.reduce_input_bytes, baseline.reduce_input_bytes);
-            let seq = run_sequential(&spec, &CountMap, &SumReduce, &s);
-            assert_eq!(seq.output, baseline_seq.output, "threads = {threads}");
-            assert_eq!(seq.trace, baseline_seq.trace, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn traces_satisfy_structural_invariants() {
         let spec = JobSpec::emr("sort", 8);
         let s = splits(8, 100);
@@ -583,22 +551,6 @@ mod tests {
         // Outputs are the real computation and never depend on injected
         // faults — only timing does.
         assert_eq!(a.output, baseline.output);
-    }
-
-    #[test]
-    fn fault_injection_is_thread_count_invariant() {
-        let s = splits(6, 100);
-        let mut spec = JobSpec::emr("sort", 6);
-        spec.faults = ipso_cluster::FaultModel::flaky(0.25);
-        spec.recovery.max_attempts = 8;
-        spec.recovery.speculation = true;
-        let baseline = try_run_scale_out(&spec, &IdMap, &IdReduce, &s).unwrap();
-        for threads in [0, 2, 5] {
-            spec.engine.threads = threads;
-            let run = try_run_scale_out(&spec, &IdMap, &IdReduce, &s).unwrap();
-            assert_eq!(run.trace, baseline.trace, "threads = {threads}");
-            assert_eq!(run.output, baseline.output, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -74,10 +74,7 @@ impl SweepPoint {
         splits: &[InputSplit<M::Input>],
     ) -> Result<SweepPoint, ClusterError>
     where
-        M: Mapper + Sync,
-        M::Input: Sync,
-        M::Key: Send,
-        M::Value: Send,
+        M: Mapper,
         R: Reducer<Key = M::Key, Value = M::Value>,
     {
         let (par, seq) = run_point(spec, mapper, reducer, splits)?;
@@ -107,10 +104,7 @@ impl ScalingSweep {
         mut make_splits: impl FnMut(u32) -> Vec<InputSplit<M::Input>>,
     ) -> ScalingSweep
     where
-        M: Mapper + Sync,
-        M::Input: Sync,
-        M::Key: Send,
-        M::Value: Send,
+        M: Mapper,
         R: Reducer<Key = M::Key, Value = M::Value>,
     {
         let mut points: Vec<SweepPoint> = ns

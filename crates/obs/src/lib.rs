@@ -15,9 +15,10 @@
 //! starts disabled; when the switch is off (the default) every
 //! instrumentation call reduces to one thread-local load, so the engines
 //! pay essentially nothing; see the `obs_overhead` bench in
-//! `crates/bench`. Work fanned out to other threads records inside
-//! [`capture`] and hands the records back to the spawning thread, which
-//! [`merge`]s them in a deterministic order.
+//! `crates/bench`. The engines record on their caller's thread; the
+//! sweep runner in `ipso-bench`, which fans sweep points out to other
+//! threads, runs each point inside [`capture`] and hands the records
+//! back to the spawning thread, which [`merge`]s them in point order.
 //!
 //! # Example
 //!

@@ -10,7 +10,6 @@
 //! * [`resource`] — FIFO single/multi-server resources for modelling
 //!   serialization points (master NIC, centralized scheduler, executor
 //!   slots);
-//! * [`par`] — deterministic index-ordered fan-out over host threads;
 //! * [`rng`] — seeded random-number helpers so every simulated experiment
 //!   is reproducible run-to-run;
 //! * [`distribution`] — the task-time [`Distribution`] behind stragglers,
@@ -33,14 +32,12 @@
 //! ```
 
 pub mod distribution;
-pub mod par;
 pub mod resource;
 pub mod rng;
 pub mod special;
 pub mod time;
 
 pub use distribution::Distribution;
-pub use par::{ordered_map_indexed, resolve_threads};
 pub use resource::{FifoServer, ServerPool};
 pub use rng::{stream_seed, SimRng};
 pub use special::{harmonic, ln_beta, ln_gamma};

@@ -45,10 +45,9 @@ pub struct SparkJobSpec {
     /// time is `m × executor_launch_cost` — a scale-out-induced overhead
     /// linear in the parallel degree.
     pub executor_launch_cost: f64,
-    /// Host-side execution knobs (stage-schedule thread count). Never
-    /// affects simulated time, traces or event logs, only how fast the
-    /// host computes them. Defaults to sequential so specs serialized
-    /// before this field existed still deserialize.
+    /// Host-side options; `engine.threads` must be 1 (see
+    /// [`EngineOptions`]). Defaulted so specs serialized before this
+    /// field existed still deserialize.
     #[serde(default)]
     pub engine: EngineOptions,
     /// Fault injection model, applied per stage. Disabled by default;

@@ -541,9 +541,7 @@ mod tests {
         splits: &[InputSplit<String>],
     ) -> Vec<JobRun<R::Output>>
     where
-        M: Mapper<Input = String> + Sync,
-        M::Key: Send,
-        M::Value: Send,
+        M: Mapper<Input = String>,
         R: Reducer<Key = M::Key, Value = M::Value>,
     {
         use ipso_mapreduce::{run_sequential, try_run_scale_out};

@@ -10,8 +10,8 @@
 //! ipso predict   runs.csv --window 16 --at 64,128,200 [--confidence 0.9]
 //! ipso provision runs.csv --window 16 --n-max 200 [--worker-cost 0.10 --master-cost 0.80]
 //! ipso report    runs.csv --window 16 --n-max 200 [--fixed-size]
-//! ipso trace     terasort --n 8 [--threads 1] [--scheduler fifo] --out run.trace.json
-//! ipso metrics   terasort --n 8 [--threads 1] [--scheduler fifo]
+//! ipso trace     terasort --n 8 [--scheduler fifo] --out run.trace.json
+//! ipso metrics   terasort --n 8 [--scheduler fifo]
 //! ```
 //!
 //! `runs.csv` columns: `n,seq_parallel,seq_serial,par_map,par_serial,par_overhead`
@@ -87,6 +87,23 @@ pub fn parse_args(raw: &[String]) -> Result<Args, CliError> {
 }
 
 impl Args {
+    /// Checks that every flag is one of the space-separated names in
+    /// `accepted`, so that a misspelled or retired flag fails instead of
+    /// being ignored.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown flag in name order.
+    pub fn only(&self, command: &str, accepted: &str) -> Result<(), CliError> {
+        let known = |name: &&String| accepted.split(' ').any(|a| a == name.as_str());
+        match self.flags.keys().filter(|name| !known(name)).min() {
+            None => Ok(()),
+            Some(name) => Err(CliError(format!(
+                "unknown flag --{name} for {command}; `ipso help` lists its flags"
+            ))),
+        }
+    }
+
     /// A required numeric flag.
     ///
     /// # Errors
@@ -491,16 +508,13 @@ fn parse_fault_flags(
 /// Runs one named workload at scale-out degree `n` with the
 /// observability layer enabled and returns its job trace; the global
 /// span buffer and metrics registry hold the instrumentation afterwards.
-/// `threads` sets the host-side map wave width (`0` = all hardware
-/// threads, `1` = sequential); outputs and traces are identical for any
-/// value. Unrecoverable faults (retries exhausted, fail-fast budget
+/// Unrecoverable faults (retries exhausted, fail-fast budget
 /// blown) surface as errors — and a non-zero process exit — after
 /// resetting the observability layer.
 fn run_traced_workload(
     name: &str,
     n: u32,
     seed: u64,
-    threads: usize,
     args: &Args,
 ) -> Result<ipso_cluster::JobTrace, CliError> {
     use ipso_mapreduce::try_run_scale_out;
@@ -511,7 +525,6 @@ fn run_traced_workload(
     let (faults, recovery) = parse_fault_flags(args)?;
     let policy = parse_scheduler_flag(args)?;
     let configure = |mut spec: ipso_mapreduce::JobSpec| {
-        spec.engine.threads = threads;
         spec.faults = faults;
         spec.recovery = recovery;
         spec.policy = policy;
@@ -585,14 +598,13 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .clone();
     let n = args.int_or("n", 8u32)?;
     let seed = args.int_or("seed", 3u64)?;
-    let threads = args.int_or("threads", 1usize)?;
     let out = args
         .flags
         .get("out")
         .filter(|p| !p.is_empty())
         .ok_or_else(|| CliError("missing required flag --out FILE".into()))?
         .clone();
-    let trace = run_traced_workload(&workload, n, seed, threads, args)?;
+    let trace = run_traced_workload(&workload, n, seed, args)?;
     let events = ipso_obs::take_events();
     ipso_obs::set_enabled(false);
     ipso_obs::write_chrome_trace(std::path::Path::new(&out), &events)
@@ -633,8 +645,7 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
         .clone();
     let n = args.int_or("n", 8u32)?;
     let seed = args.int_or("seed", 3u64)?;
-    let threads = args.int_or("threads", 1usize)?;
-    let trace = run_traced_workload(&workload, n, seed, threads, args)?;
+    let trace = run_traced_workload(&workload, n, seed, args)?;
     let snapshot = ipso_obs::snapshot();
     ipso_obs::set_enabled(false);
     let mut text = String::new();
@@ -656,10 +667,9 @@ USAGE:
   ipso provision <runs.csv> [--window 16] [--n-max 200]
                  [--worker-cost 0.10] [--master-cost 0.80] [--deadline SECS]
   ipso report    <runs.csv> [--window 16] [--n-max 200] [--fixed-size]
-  ipso trace     <workload> [--n 8] [--seed 3] [--threads 1]
-                 [--scheduler fifo] [FAULTS] --out run.trace.json
-  ipso metrics   <workload> [--n 8] [--seed 3] [--threads 1]
-                 [--scheduler fifo] [FAULTS]
+  ipso trace     <workload> [--n 8] [--seed 3] [--scheduler fifo] [FAULTS]
+                 --out run.trace.json
+  ipso metrics   <workload> [--n 8] [--seed 3] [--scheduler fifo] [FAULTS]
 
 FILES:
   curve.csv : n,speedup
@@ -668,10 +678,10 @@ FILES:
 WORKLOADS (trace / metrics): terasort, sort, wordcount
   trace   writes a Chrome trace-event (Perfetto) timeline of the run
   metrics prints the metrics-registry snapshot and overhead breakdown
-  --threads sets the host-side map wave width (0 = all hardware
-  threads); outputs and traces are identical for any value
   --scheduler picks the runtime's dispatch order: fifo (default),
   fair (shortest-first) or locality (executor-affine)
+
+Any other flag is an error.
 
 FAULTS (trace / metrics; all off by default):
   --fail-prob P        per-attempt task failure probability in [0, 1)
@@ -692,6 +702,26 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
         return Ok(usage().to_string());
     };
     let args = parse_args(rest)?;
+    // The flags each command reads; `help` and unknown commands read none.
+    let faults = "fail-prob node-crash-prob max-attempts speculate fail-fast";
+    let (trace, metrics) = (
+        format!("out n seed scheduler {faults}"),
+        format!("n seed scheduler {faults}"),
+    );
+    let accepted = match cmd.as_str() {
+        "classify" => Some("eta alpha delta beta gamma fixed-size"),
+        "diagnose" => Some("fixed-size"),
+        "estimate" => Some(""),
+        "predict" => Some("window at confidence"),
+        "provision" => Some("window n-max worker-cost master-cost deadline"),
+        "report" => Some("window n-max worker-cost master-cost fixed-size"),
+        "trace" => Some(trace.as_str()),
+        "metrics" => Some(metrics.as_str()),
+        _ => None,
+    };
+    if let Some(accepted) = accepted {
+        args.only(cmd, accepted)?;
+    }
     let read_file = |args: &Args| -> Result<String, CliError> {
         let path = args
             .positional

@@ -331,20 +331,72 @@ fn integer_flags_reject_fractions_and_negatives() {
         ("n", "2.9"),
         ("n", "-4"),
         ("seed", "1.5"),
-        ("threads", "-1"),
         ("max-attempts", "2.5"),
     ] {
-        for command in ["metrics", "trace"] {
-            let err = run(&args(&[
-                command,
+        let flag_arg = format!("--{flag}");
+        for command in [
+            &["metrics", "sort", &flag_arg, value][..],
+            &[
+                "trace",
                 "sort",
-                &format!("--{flag}"),
+                &flag_arg,
                 value,
                 "--out",
                 "unused.trace.json",
-            ]))
-            .unwrap_err();
-            assert_eq!(err.0, expected(flag), "{command} --{flag} {value}");
+            ],
+        ] {
+            let err = run(&args(command)).unwrap_err();
+            assert_eq!(err.0, expected(flag), "{command:?}");
         }
     }
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    // A typo must not fall back to the flag's default, which would
+    // classify `--gama 2` as if gamma were 0.
+    let err = run(&args(&[
+        "classify", "--eta", "0.9", "--beta", "0.01", "--gama", "2",
+    ]))
+    .unwrap_err();
+    assert_eq!(
+        err.0,
+        "unknown flag --gama for classify; `ipso help` lists its flags"
+    );
+    // `--out` belongs to `trace` only; of several unknown flags the
+    // first in name order is named.
+    let err = run(&args(&[
+        "metrics",
+        "sort",
+        "--out",
+        "x",
+        "--fail-prb",
+        "0.3",
+    ]))
+    .unwrap_err();
+    assert!(
+        err.0.starts_with("unknown flag --fail-prb for metrics"),
+        "{err}"
+    );
+    let err = run(&args(&["estimate", "runs.csv", "--window", "8"])).unwrap_err();
+    assert!(
+        err.0.starts_with("unknown flag --window for estimate"),
+        "{err}"
+    );
+}
+
+/// Jobs run on the calling thread: the retired `--threads` fails loudly
+/// instead of being ignored.
+#[test]
+fn the_retired_threads_flag_is_an_error() {
+    let err = run(&args(&[
+        "trace",
+        "sort",
+        "--threads",
+        "2",
+        "--out",
+        "unused.trace.json",
+    ]))
+    .unwrap_err();
+    assert!(err.0.contains("unknown flag --threads for trace"), "{err}");
 }

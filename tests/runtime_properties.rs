@@ -1,15 +1,16 @@
 //! Property-based tests of the unified cluster runtime: both engines'
 //! lowerings produce well-formed task graphs, and [`ipso_cluster::execute`]
-//! is bit-deterministic for any host thread count, under every scheduler
-//! policy, with faults on and off.
+//! is bit-deterministic under every scheduler policy, with faults on and
+//! off.
 
 use ipso_cluster::runtime::{RunOutcome, RuntimeConfig};
 use ipso_cluster::{
-    execute, CentralScheduler, FaultModel, RecoveryPolicy, SchedulerPolicy, TaskGraph,
+    execute, CentralScheduler, ClusterError, FaultModel, RecoveryPolicy, SchedulerPolicy, TaskGraph,
 };
-use ipso_mapreduce::{plan_scale_out, InputSplit, JobSpec};
+use ipso_mapreduce::{plan_scale_out, try_run_scale_out, InputSplit, JobSpec};
 use ipso_sim::{Distribution, SimRng};
-use ipso_spark::{lower_chain, lower_levels, SparkJobSpec, StageSpec};
+use ipso_spark::{lower_chain, lower_levels, try_run_job, SparkJobSpec, StageSpec};
+use ipso_workloads::sort;
 use proptest::prelude::*;
 
 fn mr_splits(sizes: &[u8]) -> Vec<InputSplit<u64>> {
@@ -47,20 +48,7 @@ fn forward_edges(n_stages: usize, extra: &[(u8, u8)]) -> Vec<(usize, usize)> {
     edges
 }
 
-fn policy_from(idx: u8) -> SchedulerPolicy {
-    match idx % 3 {
-        0 => SchedulerPolicy::Fifo,
-        1 => SchedulerPolicy::Fair,
-        _ => SchedulerPolicy::Locality,
-    }
-}
-
-fn config(
-    executors: usize,
-    policy: SchedulerPolicy,
-    faulty: bool,
-    threads: usize,
-) -> RuntimeConfig {
+fn config(executors: usize, policy: SchedulerPolicy, faulty: bool) -> RuntimeConfig {
     RuntimeConfig {
         executors,
         scheduler: CentralScheduler::spark_like(),
@@ -78,7 +66,7 @@ fn config(
             r.max_attempts = 16;
             r
         },
-        threads,
+        threads: 1,
     }
 }
 
@@ -99,6 +87,34 @@ fn fingerprint(outcome: &RunOutcome) -> Vec<(Vec<u64>, u64, u64, u64, u64, u64)>
             )
         })
         .collect()
+}
+
+/// Every job runs on its caller's thread: the runtime and both engines
+/// reject a thread count other than 1 instead of ignoring it.
+#[test]
+fn thread_counts_other_than_one_are_rejected() {
+    let is_invalid = |result: Result<(), ClusterError>| {
+        matches!(result, Err(ClusterError::InvalidParameter { .. }))
+    };
+    let graph = lower_chain(&spark_job(&[4, 2], 2));
+    let two = RuntimeConfig {
+        threads: 2,
+        ..config(2, SchedulerPolicy::Fifo, false)
+    };
+    assert!(is_invalid(
+        execute(&graph, &two, &mut SimRng::seed_from(1)).map(drop)
+    ));
+
+    let mut spec = sort::job_spec(2);
+    spec.engine.threads = 0;
+    let splits = sort::make_splits(2, 1);
+    assert!(is_invalid(
+        try_run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits).map(drop)
+    ));
+
+    let mut job = spark_job(&[4, 2], 2);
+    job.engine.threads = 0;
+    assert!(is_invalid(try_run_job(&job).map(drop)));
 }
 
 fn assert_graph_well_formed(graph: &TaskGraph) {
@@ -152,39 +168,6 @@ proptest! {
         prop_assert_eq!(seen, (0..stage_tasks.len()).collect::<Vec<_>>());
     }
 
-    /// `execute` is bit-identical for any thread count, under every
-    /// scheduler policy, with faults on and off.
-    #[test]
-    fn execute_is_bit_identical_across_thread_counts(
-        stage_tasks in prop::collection::vec(1u8..24, 1..4),
-        m in 1u8..12,
-        policy_idx in any::<u8>(),
-        faulty in any::<bool>(),
-        seed in any::<u64>(),
-        threads in 2usize..6,
-    ) {
-        let graph = lower_chain(&spark_job(&stage_tasks, m));
-        let policy = policy_from(policy_idx);
-        let executors = usize::from(m).max(1);
-
-        let sequential = config(executors, policy, faulty, 1);
-        let parallel = RuntimeConfig { threads, ..config(executors, policy, faulty, 1) };
-        let mut rng_a = SimRng::seed_from(seed);
-        let mut rng_b = SimRng::seed_from(seed);
-        let a = execute(&graph, &sequential, &mut rng_a).unwrap();
-        let b = execute(&graph, &parallel, &mut rng_b).unwrap();
-
-        prop_assert_eq!(fingerprint(&a), fingerprint(&b));
-        prop_assert_eq!(a.setup_overhead.to_bits(), b.setup_overhead.to_bits());
-        prop_assert_eq!(a.overhead_total().to_bits(), b.overhead_total().to_bits());
-        // The RNG streams advanced in lockstep: both runs drew the same
-        // number of samples in the same order.
-        prop_assert_eq!(
-            rng_a.uniform(0.0, 1.0).to_bits(),
-            rng_b.uniform(0.0, 1.0).to_bits()
-        );
-    }
-
     /// Replaying `execute` with the same seed reproduces the run exactly
     /// under every policy — the policies permute dispatch order without
     /// perturbing the straggler or fault sample streams.
@@ -199,7 +182,7 @@ proptest! {
         let executors = usize::from(m).max(1);
         let mut baseline: Option<Vec<u64>> = None;
         for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Fair, SchedulerPolicy::Locality] {
-            let cfg = config(executors, policy, faulty, 1);
+            let cfg = config(executors, policy, faulty);
             let mut rng_a = SimRng::seed_from(seed);
             let mut rng_b = SimRng::seed_from(seed);
             let a = execute(&graph, &cfg, &mut rng_a).unwrap();
