@@ -78,20 +78,21 @@ const TRACED: [&str; 4] = [
 
 /// The `main` of the binary `name`: runs the experiment with a fresh
 /// [`Context`] and, for a traced figure given `--trace-out FILE`, writes
-/// the run as a Chrome trace-event (Perfetto) file. Fails loudly.
+/// the run as a Chrome trace-event (Perfetto) file. Fails loudly, also
+/// on `--trace-out` to a binary that is not traced.
 pub fn main(name: &str) {
     let flags = Flags::from_env();
     let (_, emit) = EXPERIMENTS
         .iter()
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("no experiment named {name:?}"));
-    let trace_out = flags.trace_out.filter(|_| TRACED.contains(&name));
-    if trace_out.is_some() {
+    if flags.trace_out.is_some() {
+        assert!(TRACED.contains(&name), "{name} does not accept --trace-out");
         ipso_obs::set_enabled(true);
         ipso_obs::reset();
     }
     emit(&mut Context::new(flags.jobs));
-    if let Some(path) = trace_out {
+    if let Some(path) = flags.trace_out {
         let events = ipso_obs::take_events();
         ipso_obs::set_enabled(false);
         ipso_obs::write_chrome_trace(&path, &events).expect("cannot write --trace-out file");
@@ -105,9 +106,15 @@ pub fn main(name: &str) {
 
 /// The `main` of `all_experiments`: every experiment in order, in one
 /// process, sharing one [`Context`]. A failing experiment does not stop
-/// the rest; the process then exits with status 1.
+/// the rest; the process then exits with status 1. `--trace-out` is
+/// refused: the traced figures take it one at a time.
 pub fn run_all() {
-    let mut ctx = Context::new(Flags::from_env().jobs);
+    let flags = Flags::from_env();
+    assert!(
+        flags.trace_out.is_none(),
+        "all_experiments does not accept --trace-out"
+    );
+    let mut ctx = Context::new(flags.jobs);
     let mut failures = Vec::new();
     for (name, emit) in EXPERIMENTS {
         println!("──────────────────────────────────────────────────────");

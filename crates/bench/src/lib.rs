@@ -164,8 +164,8 @@ impl Table {
     }
 }
 
-/// The flags every experiment binary shares, each also spelled
-/// `--flag=value`.
+/// The flags of the experiment binaries, each also spelled
+/// `--flag=value`; only the traced figures take `--trace-out`.
 #[derive(Debug, Default, PartialEq)]
 pub struct Flags {
     /// `--jobs N`: sweep workers; `0` (the default) means one per
@@ -182,13 +182,12 @@ impl Flags {
         Flags::parse(std::env::args().skip(1))
     }
 
-    /// Parses an argument list, ignoring unknown arguments; the last
-    /// occurrence of a flag wins.
+    /// Parses an argument list; the last occurrence of a flag wins.
     ///
     /// # Panics
     ///
-    /// Panics on a flag without a value and on a malformed `--jobs`
-    /// value — experiment binaries want loud failures.
+    /// Panics on any other argument, on a flag without a value and on a
+    /// malformed `--jobs` value — experiment binaries want loud failures.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Flags {
         let mut args = args.into_iter();
         let mut flags = Flags::default();
@@ -198,7 +197,7 @@ impl Flags {
                 None => (arg.as_str(), None),
             };
             if flag != "--jobs" && flag != "--trace-out" {
-                continue;
+                panic!("unknown argument {flag:?}");
             }
             let value = inline
                 .or_else(|| args.next())
@@ -283,7 +282,18 @@ mod tests {
         );
         // Last flag wins, like most CLIs.
         assert_eq!(parse(&["--jobs=2", "--jobs=5"]).jobs, 5);
-        assert_eq!(parse(&["--verbose", "x"]), Flags::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument \"--trace_out\"")]
+    fn unknown_flags_are_loud() {
+        let _ = Flags::parse(["--jobs=1".to_string(), "--trace_out=x.json".to_string()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument \"x\"")]
+    fn positional_arguments_are_loud() {
+        let _ = Flags::parse(["x".to_string()]);
     }
 
     #[test]

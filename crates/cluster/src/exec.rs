@@ -8,7 +8,6 @@
 //! [`ipso_sim::ServerPool`] to produce the full task timeline.
 
 use ipso_sim::{ServerPool, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::TaskRecord;
 use crate::scheduler::{CentralScheduler, SchedulerPolicy};
@@ -18,7 +17,7 @@ use crate::scheduler::{CentralScheduler, SchedulerPolicy};
 /// Every job runs on its caller's thread; sweeps get their parallelism
 /// across points instead. The one field is kept only because the
 /// benchmark package assigns it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Must be 1, the default: the engines pass it to
     /// [`crate::execute`], which rejects any other value.
@@ -285,8 +284,5 @@ mod tests {
     #[test]
     fn engine_options_default_to_sequential() {
         assert_eq!(EngineOptions::default().threads, 1);
-        let json = serde_json::to_string(&EngineOptions::default()).unwrap();
-        let back: EngineOptions = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, EngineOptions::default());
     }
 }

@@ -27,12 +27,11 @@
 //! byte-identical to pre-fault builds when disabled.
 
 use ipso_sim::{Distribution, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::ClusterError;
 
 /// The fault-injection model for one task wave.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Probability that any single task attempt fails.
     pub task_fail_prob: f64,
@@ -123,7 +122,7 @@ impl Default for FaultModel {
 }
 
 /// How injected faults are recovered from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Maximum attempts per task (first run included), `>= 1`. A task
     /// failing all attempts aborts the job with
@@ -232,7 +231,7 @@ impl Default for RecoveryPolicy {
 }
 
 /// What happened to one task during fault resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryEventKind {
     /// An attempt failed and was retried after a backoff.
     AttemptFailed {
@@ -260,7 +259,7 @@ pub enum RecoveryEventKind {
 }
 
 /// One recovery event, attributed to a task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryEvent {
     /// The task the event happened to.
     pub task: u32,
@@ -270,7 +269,7 @@ pub struct RecoveryEvent {
 
 /// Aggregated fault/recovery accounting of one run, recorded on the
 /// [`crate::JobTrace`] so wasted work is attributable after the fact.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSummary {
     /// Total attempts launched, speculative backups included. At least
     /// one per task.
@@ -772,22 +771,6 @@ mod tests {
         assert!(r.validate().is_err());
         assert!(FaultModel::none().validate().is_ok());
         assert!(RecoveryPolicy::hadoop_like().validate().is_ok());
-    }
-
-    #[test]
-    fn summary_roundtrips_through_serde() {
-        let d = durations(16);
-        let faults = FaultModel {
-            node_crash_prob: 0.3,
-            ..FaultModel::flaky(0.3)
-        };
-        let recovery = RecoveryPolicy::hadoop_like().with_speculation();
-        let mut rng = SimRng::seed_from(4);
-        let out = resolve_faults(&d, 4, &faults, &recovery, &mut rng).unwrap();
-        assert!(!out.summary.events.is_empty());
-        let json = serde_json::to_string(&out.summary).unwrap();
-        let back: FaultSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, out.summary);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use fault::{
 };
 pub use graph::{IdealReference, LineageMode, StageNode, TaskGraph};
 pub use memory::MemoryModel;
-pub use metrics::{JobTrace, PhaseTimes, RunConfig, TaskRecord};
+pub use metrics::{JobTrace, PhaseTimes, TaskRecord};
 pub use network::NetworkModel;
 pub use runtime::{execute, LineageRecompute, RunOutcome, RuntimeConfig, StageOutcome};
 pub use scheduler::{CentralScheduler, SchedulerPolicy};

@@ -8,8 +8,6 @@
 //! runs at memory speed; the overflow fraction pays a disk-bandwidth
 //! round-trip plus a one-time regime-switch penalty.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ClusterError;
 
 /// Working-set versus capacity model for one processing unit.
@@ -25,7 +23,7 @@ use crate::ClusterError;
 /// // Over capacity the merge slows down.
 /// assert!(m.slowdown(4 << 30) > 1.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Usable memory for the operation, bytes.
     pub capacity_bytes: u64,

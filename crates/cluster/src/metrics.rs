@@ -1,27 +1,11 @@
 //! Job traces and phase breakdowns produced by the engines.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::FaultSummary;
-use crate::scheduler::CentralScheduler;
-use ipso_sim::Distribution;
-
-/// Engine configuration recorded alongside a trace so a run can be
-/// reproduced from its serialized form alone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RunConfig {
-    /// Scheduler cost parameters in effect.
-    pub scheduler: CentralScheduler,
-    /// Straggler multiplier in effect.
-    pub straggler: Distribution,
-    /// The RNG seed of the run.
-    pub seed: u64,
-}
 
 /// Wall-clock time per job phase, mirroring the paper's four-part
 /// decomposition (with the reduce phase split into its shuffle / merge /
 /// reduce stages).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTimes {
     /// Environment initialization and job scheduling (s).
     pub init: f64,
@@ -48,7 +32,7 @@ impl PhaseTimes {
 }
 
 /// One executed task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRecord {
     /// Task index within its stage.
     pub task_id: u32,
@@ -69,7 +53,7 @@ impl TaskRecord {
 
 /// A complete job trace: phases, per-task records and bookkeeping the
 /// analysis pipeline uses to separate `Wo(n)` from useful work.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobTrace {
     /// Job label (e.g. `"terasort"`).
     pub job: String,
@@ -82,17 +66,9 @@ pub struct JobTrace {
     /// Scale-out-only overhead (dispatching, broadcast, queueing) — the
     /// measured `Wo(n)` (s).
     pub scale_out_overhead: f64,
-    /// Engine configuration and seed of the run, when recorded. Defaults
-    /// to `None` so traces serialized before this field existed still
-    /// deserialize.
-    #[serde(default)]
-    pub config: Option<RunConfig>,
     /// Fault-injection and recovery accounting, recorded only when the
-    /// run's fault model was enabled. Defaults to `None` so traces
-    /// serialized before this field existed still deserialize — and so
-    /// fault-free runs serialize `"faults":null`, keeping their traces
-    /// stable as the fault layer evolves.
-    #[serde(default)]
+    /// run's fault model was enabled; `None` for fault-free runs and for
+    /// traces built by hand.
     pub faults: Option<FaultSummary>,
 }
 
@@ -104,9 +80,9 @@ impl JobTrace {
 
     /// The slowest map task's duration, `max_i Tp,i(n)`.
     ///
-    /// Non-finite durations (as can appear in hand-edited or corrupted
-    /// trace files) are ignored rather than panicking; `None` is returned
-    /// when no finite duration exists.
+    /// The fields are public, so a caller can build a trace by hand with
+    /// non-finite times; those durations are ignored rather than
+    /// panicking, and `None` is returned when no finite duration exists.
     pub fn max_task_duration(&self) -> Option<f64> {
         self.tasks
             .iter()
@@ -226,11 +202,6 @@ mod tests {
                 },
             ],
             scale_out_overhead: 0.5,
-            config: Some(RunConfig {
-                scheduler: CentralScheduler::hadoop_like(),
-                straggler: Distribution::jitter(0.05),
-                seed: 42,
-            }),
             faults: None,
         }
     }
@@ -255,14 +226,6 @@ mod tests {
         let t = JobTrace::default();
         assert_eq!(t.max_task_duration(), None);
         assert_eq!(t.total_time(), 0.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = trace();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: JobTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 
     #[test]
@@ -293,23 +256,6 @@ mod tests {
             ..JobTrace::default()
         };
         assert_eq!(all_nan.max_task_duration(), None);
-    }
-
-    #[test]
-    fn old_traces_without_config_still_deserialize() {
-        let t = trace();
-        let json = serde_json::to_string(&t).unwrap();
-        // Strip the config field, emulating a pre-RunConfig trace file.
-        let legacy = {
-            let start = json.find(",\"config\":").expect("config serialized");
-            let mut s = json[..start].to_string();
-            s.push('}');
-            s
-        };
-        let back: JobTrace = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.config, None);
-        assert_eq!(back.phases, t.phases);
-        assert_eq!(back.tasks, t.tasks);
     }
 
     #[test]
@@ -357,9 +303,6 @@ mod tests {
             ..FaultSummary::default()
         });
         assert_eq!(t.check_invariants(), Ok(()));
-        let json = serde_json::to_string(&t).unwrap();
-        let back: JobTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
 
         // Wasted work beyond the recorded overhead is corruption: the
         // engines always charge it into Wo.
@@ -384,16 +327,5 @@ mod tests {
             ..FaultSummary::default()
         });
         assert!(t2.check_invariants().is_err());
-    }
-
-    #[test]
-    fn config_survives_roundtrip() {
-        let t = trace();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: JobTrace = serde_json::from_str(&json).unwrap();
-        let cfg = back.config.expect("config present");
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.scheduler, CentralScheduler::hadoop_like());
-        assert_eq!(cfg.straggler, Distribution::jitter(0.05));
     }
 }

@@ -10,12 +10,10 @@
 //!   bytes the receiver suffers TCP incast collapse as fan-in grows
 //!   (\[13\]), modelled as a goodput penalty increasing with `n`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::ClusterSpec;
 
 /// Transfer-time model for a master/worker cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Master NIC bandwidth, bytes/s.
     pub master_bandwidth: f64,

@@ -14,8 +14,6 @@
 //! `k·base + contention·k(k−1)/2` — linear in `k` per task and quadratic
 //! per burst, matching the reference.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ClusterError;
 
 /// Order in which the central scheduler dispatches a burst of tasks.
@@ -26,7 +24,7 @@ use crate::error::ClusterError;
 /// over many small jobs), and locality-aware scheduling groups tasks by
 /// their preferred executor so consecutive dispatches hit warm data.
 /// All policies are deterministic; ties break by task index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerPolicy {
     /// Dispatch tasks in submission (index) order — Hadoop's and Spark's
     /// default, and the order every committed artifact was produced with.
@@ -99,7 +97,7 @@ impl std::str::FromStr for SchedulerPolicy {
 /// let single = sched.dispatch_burst_time(1);
 /// assert!(burst > 100.0 * single); // superlinear in burst size
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CentralScheduler {
     /// Fixed cost to dispatch one task (serialization, RPC), seconds.
     pub base_dispatch: f64,

@@ -1,7 +1,5 @@
 //! Machine and cluster specifications.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ClusterError;
 
 /// One mebibyte in bytes.
@@ -20,7 +18,7 @@ pub const GIB: u64 = 1024 * MIB;
 /// assert_eq!(worker.cores, 2);
 /// assert!(worker.net_bandwidth > 50e6); // ≥ 450 Mb/s
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// Number of cores.
     pub cores: u32,
@@ -89,7 +87,7 @@ impl NodeSpec {
 }
 
 /// A master/worker cluster, as in the paper's EMR deployments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of worker nodes (the scale-out degree `n`).
     pub workers: u32,
@@ -194,13 +192,5 @@ mod tests {
         c = ClusterSpec::emr(1);
         c.master.memory_bytes = 0;
         assert_eq!(rejected(c.validate()), "node memory");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = ClusterSpec::emr(4);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ClusterSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -9,12 +9,10 @@
 //!   `Ws(n)` and scale-out phase times including `E[max Tp,i(n)]` and the
 //!   scale-out-only overhead `Wo(n)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// A single measured speedup point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Scale-out degree.
     pub n: u32,
@@ -36,7 +34,7 @@ pub struct SpeedupPoint {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpeedupCurve {
     points: Vec<SpeedupPoint>,
 }
@@ -143,7 +141,7 @@ impl FromIterator<SpeedupPoint> for SpeedupCurve {
 
 /// The decomposed measurements for one scale-out degree, combining the
 /// sequential-execution reference run with the scale-out run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunMeasurement {
     /// Scale-out degree `n`.
     pub n: u32,
@@ -215,7 +213,7 @@ impl RunMeasurement {
 /// residual absorbs whatever the named components do not explain, so the
 /// five components always sum to `total` *exactly* (no 1e-6 drift from
 /// re-deriving the total).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadBreakdown {
     /// The measured total `Wo(n)` (s).
     pub total: f64,
@@ -445,14 +443,11 @@ mod tests {
     }
 
     #[test]
-    fn overhead_breakdown_display_and_serde() {
+    fn overhead_breakdown_display() {
         let b = overhead_breakdown(2.0, 1.0, 0.5, 0.25, 0.25);
         let text = b.to_string();
         assert!(text.contains("Wo = 2.0000s"));
         assert!(text.contains("scheduling"));
         assert!(text.contains("50.0%"));
-        let json = serde_json::to_string(&b).unwrap();
-        let back: OverheadBreakdown = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, b);
     }
 }

@@ -167,22 +167,6 @@ impl IpsoModel {
         &self.induced
     }
 
-    /// The in-proportion scaling ratio `ε(n) = EX(n)/IN(n)` (paper Eq. 5).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidScaleOut`] for `n < 1` and
-    /// [`ModelError::NonFinite`] if `IN(n)` is zero.
-    pub fn in_proportion_ratio(&self, n: f64) -> Result<f64, ModelError> {
-        check_scale_out(n)?;
-        let inn = self.internal.eval(n);
-        let r = self.external.eval(n) / inn;
-        if !r.is_finite() {
-            return Err(ModelError::NonFinite("in-proportion ratio"));
-        }
-        Ok(r)
-    }
-
     /// Normalized parallelizable workload `Wp(n)/W(1) = η·EX(n)` where
     /// `W(1) = Wp(1) + Ws(1)`.
     pub fn parallel_workload(&self, n: f64) -> f64 {

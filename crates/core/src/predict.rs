@@ -107,33 +107,6 @@ impl ScalingPredictor {
     pub fn predict(&self, n: f64) -> Result<f64, ModelError> {
         self.model.speedup(n)
     }
-
-    /// Predicts a whole curve.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation error.
-    pub fn predict_curve(
-        &self,
-        ns: impl IntoIterator<Item = u32>,
-    ) -> Result<Vec<(u32, f64)>, ModelError> {
-        self.model.speedup_curve(ns)
-    }
-
-    /// Compares predictions against measured speedups, returning
-    /// `(n, predicted, measured)` triples.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn validate_against(
-        &self,
-        runs: &[RunMeasurement],
-    ) -> Result<Vec<(u32, f64, f64)>, ModelError> {
-        runs.iter()
-            .map(|r| Ok((r.n, self.predict(r.n as f64)?, r.speedup())))
-            .collect()
-    }
 }
 
 /// One measurement row of the fixed-size (Collaborative Filtering)
@@ -358,14 +331,5 @@ mod tests {
         let all = synth_runs(&[1, 2, 4, 8, 16, 24, 32, 48, 64]);
         let p = ScalingPredictor::fit_range(&all, 16, 64).unwrap();
         assert_eq!(p.estimates().external_samples.len(), 5);
-    }
-
-    #[test]
-    fn validate_against_reports_triples() {
-        let all = synth_runs(&[1, 2, 4, 8, 16, 64]);
-        let p = ScalingPredictor::fit(&all, 16).unwrap();
-        let rows = p.validate_against(&all).unwrap();
-        assert_eq!(rows.len(), 6);
-        assert_eq!(rows[5].0, 64);
     }
 }

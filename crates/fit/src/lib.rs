@@ -12,8 +12,8 @@
 //! * [`powerlaw`] — power-law fits `y = a·x^b` (log–log OLS).
 //! * [`segmented`] — two-segment linear regression with changepoint search,
 //!   used for the step-wise internal scaling of TeraSort (paper Fig. 5).
-//! * [`nonlinear`] — Gauss–Newton and Levenberg–Marquardt solvers with
-//!   numeric Jacobians for arbitrary parametric models.
+//! * [`nonlinear`] — a Levenberg–Marquardt solver with numeric
+//!   Jacobians for arbitrary parametric models.
 //! * [`matrix`] — the small dense linear-algebra kernel backing the solvers.
 //! * [`diagnostics`] — R², adjusted R², RMSE and residual helpers.
 //!

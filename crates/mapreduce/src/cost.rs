@@ -5,10 +5,9 @@
 //! workers processing 128 MB HDFS blocks.
 
 use ipso_cluster::ClusterError;
-use serde::{Deserialize, Serialize};
 
 /// Processing rates for one MapReduce job class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobCostModel {
     /// Map-side processing rate, input bytes/s per processing unit.
     pub map_rate: f64,

@@ -34,7 +34,7 @@
 //! and benchmarks.
 
 use ipso_cluster::runtime::{RuntimeConfig, StageOutcome};
-use ipso_cluster::{ClusterError, JobTrace, PhaseTimes, RunConfig, StageNode};
+use ipso_cluster::{ClusterError, JobTrace, PhaseTimes, StageNode};
 use ipso_sim::SimRng;
 
 use crate::api::{Mapper, Reducer};
@@ -214,11 +214,6 @@ where
         },
         tasks: stage.schedule.records,
         scale_out_overhead: setup_extra + barrier_stretch + wasted,
-        config: Some(RunConfig {
-            scheduler: spec.scheduler,
-            straggler: spec.straggler,
-            seed: spec.seed,
-        }),
         faults: stage.fault.map(|o| o.summary),
     };
     let seq = sequential_trace(spec, splits, total_intermediate, reduce_input_bytes);
@@ -341,11 +336,6 @@ fn sequential_trace<I>(
         },
         tasks: Vec::new(),
         scale_out_overhead: 0.0,
-        config: Some(RunConfig {
-            scheduler: spec.scheduler,
-            straggler: spec.straggler,
-            seed: spec.seed,
-        }),
         faults: None,
     }
 }

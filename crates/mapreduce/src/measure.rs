@@ -151,7 +151,6 @@ mod tests {
             },
             tasks: Vec::new(),
             scale_out_overhead: wo,
-            config: None,
             faults: None,
         }
     }

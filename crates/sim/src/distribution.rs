@@ -8,8 +8,6 @@
 //! type gives the expected maximum of `n` draws,
 //! [`Distribution::expected_max`], in closed form.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 use crate::special::{harmonic, ln_beta, ln_gamma};
 
@@ -28,7 +26,7 @@ use crate::special::{harmonic, ln_beta, ln_gamma};
 /// // The slowest of 4 tasks: lo + (hi − lo)·n/(n + 1).
 /// assert!((noise.expected_max(4).unwrap() - 1.03).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Distribution {
     /// Always `value`; sampling draws nothing from the RNG.
     Fixed {

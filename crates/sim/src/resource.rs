@@ -31,8 +31,6 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct FifoServer {
     next_free: SimTime,
-    busy_secs: f64,
-    served: u64,
 }
 
 /// The grant returned by a server: when service started and finished.
@@ -63,28 +61,11 @@ impl FifoServer {
         let start = self.next_free.max(now);
         let finish = start + service_secs;
         self.next_free = finish;
-        self.busy_secs += service_secs;
-        self.served += 1;
         if ipso_obs::enabled() {
             ipso_obs::counter_add("sim.fifo_submits", 1);
             ipso_obs::histogram_record("sim.fifo_queue_delay_us", ((start - now) * 1e6) as u64);
         }
         Grant { start, finish }
-    }
-
-    /// When the server next becomes idle.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
-    /// Total service time delivered.
-    pub fn busy_secs(&self) -> f64 {
-        self.busy_secs
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 }
 
@@ -183,8 +164,6 @@ mod tests {
         assert_eq!(g2.start.as_secs(), 1.0);
         // Idle gap: server free at 2, request arrives at 5.
         assert_eq!(g3.start.as_secs(), 5.0);
-        assert_eq!(s.busy_secs(), 3.0);
-        assert_eq!(s.served(), 3);
     }
 
     #[test]

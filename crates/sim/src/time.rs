@@ -45,19 +45,6 @@ impl SimTime {
         self.0
     }
 
-    /// Elapsed seconds since `earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is later than `self`.
-    pub fn duration_since(self, earlier: SimTime) -> f64 {
-        assert!(
-            earlier.0 <= self.0,
-            "duration_since requires an earlier time"
-        );
-        self.0 - earlier.0
-    }
-
     /// The later of two times.
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
@@ -140,7 +127,6 @@ mod tests {
         let t = SimTime::ZERO + 1.5 + 2.5;
         assert_eq!(t.as_secs(), 4.0);
         assert_eq!(t - SimTime::from_secs(1.0), 3.0);
-        assert_eq!(t.duration_since(SimTime::from_secs(1.0)), 3.0);
         let mut u = SimTime::ZERO;
         u += 2.0;
         assert_eq!(u.as_secs(), 2.0);
@@ -156,12 +142,6 @@ mod tests {
     #[should_panic(expected = "finite and >= 0")]
     fn nan_time_rejected() {
         let _ = SimTime::from_secs(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "earlier time")]
-    fn duration_since_later_panics() {
-        let _ = SimTime::from_secs(1.0).duration_since(SimTime::from_secs(2.0));
     }
 
     #[test]

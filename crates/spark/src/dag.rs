@@ -20,12 +20,10 @@
 //! * no straggler-tail split — a level's schedule overhead is charged as
 //!   one lump, without the separate straggler-tail share.
 
-use ipso_cluster::runtime::RuntimeConfig;
-use ipso_cluster::{ClusterError, FaultSummary, SchedulerPolicy};
-use ipso_sim::SimRng;
+use ipso_cluster::{ClusterError, FaultSummary};
 
-use crate::engine::SparkRun;
-use crate::eventlog::{write_event_log, SparkEvent};
+use crate::engine::{execute, finish_run, SparkRun};
+use crate::eventlog::SparkEvent;
 use crate::job::SparkJobSpec;
 use crate::lower::lower_levels;
 
@@ -115,27 +113,13 @@ fn run_levels(spec: &SparkJobSpec, edges: &[(usize, usize)]) -> Result<SparkRun,
     spec.validate()?;
     let (graph, members_per_level) = lower_levels(spec, edges)?;
     let m = spec.parallelism;
-    let mut rng =
-        SimRng::seed_from(spec.seed ^ (u64::from(m) << 32) ^ u64::from(spec.problem_size));
-    let runtime = RuntimeConfig {
-        executors: m as usize,
-        scheduler: spec.scheduler,
-        policy: SchedulerPolicy::Fifo,
-        straggler: spec.straggler,
-        faults: spec.faults,
-        recovery: spec.recovery,
-        threads: spec.engine.threads,
-    };
-    let outcome = ipso_cluster::execute(&graph, &runtime, &mut rng)?;
+    let outcome = execute(spec, &graph)?;
 
     let mut clock = 0.0f64;
     let mut overhead = 0.0f64;
     let mut fault_summaries: Vec<FaultSummary> = Vec::new();
     let mut stage_times = vec![0.0f64; spec.stages.len()];
-    let mut events = vec![SparkEvent::ApplicationStart {
-        app_name: spec.name.clone(),
-        timestamp: 0.0,
-    }];
+    let mut events = Vec::new();
 
     // Serialized executor launch, as in the sequential engine.
     let launch = outcome.setup_overhead;
@@ -198,15 +182,14 @@ fn run_levels(spec: &SparkJobSpec, edges: &[(usize, usize)]) -> Result<SparkRun,
         }
     }
 
-    events.push(SparkEvent::ApplicationEnd { timestamp: clock });
-    let log = write_event_log(&events).expect("event log serialization cannot fail");
-    Ok(SparkRun {
-        total_time: clock,
+    Ok(finish_run(
+        spec,
+        events,
+        clock,
+        overhead,
         stage_times,
-        overhead_time: overhead,
         fault_summaries,
-        log,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!    broadcasts, stage waves, lineage replays, incast shuffles.
 
 use ipso_cluster::runtime::RuntimeConfig;
-use ipso_cluster::{ClusterError, FaultSummary, SchedulerPolicy};
+use ipso_cluster::{ClusterError, FaultSummary, RunOutcome, SchedulerPolicy, TaskGraph};
 use ipso_sim::SimRng;
 
 use crate::eventlog::{write_event_log, SparkEvent};
@@ -85,8 +85,6 @@ impl SparkRun {
 pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
     spec.validate()?;
     let m = spec.parallelism;
-    let mut rng =
-        SimRng::seed_from(spec.seed ^ (u64::from(m) << 32) ^ u64::from(spec.problem_size));
 
     // Plan and execute. The runtime consumes the RNG sequentially in
     // stage order (straggler draws, then fault resolution — disabled
@@ -94,26 +92,14 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
     // no-straggler schedules, and attributes lineage recomputation from
     // the graph's dependency metadata.
     let graph = lower_chain(spec);
-    let runtime = RuntimeConfig {
-        executors: m as usize,
-        scheduler: spec.scheduler,
-        policy: SchedulerPolicy::Fifo,
-        straggler: spec.straggler,
-        faults: spec.faults,
-        recovery: spec.recovery,
-        threads: spec.engine.threads,
-    };
-    let outcome = ipso_cluster::execute(&graph, &runtime, &mut rng)?;
+    let outcome = execute(spec, &graph)?;
 
     // Walk the virtual clock through the stages in order.
     let mut clock = 0.0f64;
     let mut overhead = 0.0f64;
     let mut stage_times = Vec::with_capacity(spec.stages.len());
     let mut fault_summaries: Vec<FaultSummary> = Vec::new();
-    let mut events = vec![SparkEvent::ApplicationStart {
-        app_name: spec.name.clone(),
-        timestamp: 0.0,
-    }];
+    let mut events = Vec::new();
 
     // Executor launch is serialized at the driver: pure scale-out-induced
     // time linear in m (the driver registers one container at a time).
@@ -239,15 +225,64 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
         }
     }
 
-    events.push(SparkEvent::ApplicationEnd { timestamp: clock });
+    Ok(finish_run(
+        spec,
+        events,
+        clock,
+        overhead,
+        stage_times,
+        fault_summaries,
+    ))
+}
+
+/// Runs `graph`, lowered from `spec`, through the cluster runtime: FIFO
+/// over `spec.parallelism` executors, with the RNG seeded from the
+/// spec's seed, parallelism and problem size. Both clock walks start
+/// here.
+pub(crate) fn execute(spec: &SparkJobSpec, graph: &TaskGraph) -> Result<RunOutcome, ClusterError> {
+    let m = spec.parallelism;
+    let mut rng =
+        SimRng::seed_from(spec.seed ^ (u64::from(m) << 32) ^ u64::from(spec.problem_size));
+    let runtime = RuntimeConfig {
+        executors: m as usize,
+        scheduler: spec.scheduler,
+        policy: SchedulerPolicy::Fifo,
+        straggler: spec.straggler,
+        faults: spec.faults,
+        recovery: spec.recovery,
+        threads: spec.engine.threads,
+    };
+    ipso_cluster::execute(graph, &runtime, &mut rng)
+}
+
+/// Assembles a finished walk into a [`SparkRun`]: wraps the stage
+/// events in the application's start and end events (at 0 and `clock`)
+/// and writes them as the event log.
+pub(crate) fn finish_run(
+    spec: &SparkJobSpec,
+    stage_events: Vec<SparkEvent>,
+    clock: f64,
+    overhead: f64,
+    stage_times: Vec<f64>,
+    fault_summaries: Vec<FaultSummary>,
+) -> SparkRun {
+    let start = SparkEvent::ApplicationStart {
+        app_name: spec.name.clone(),
+        timestamp: 0.0,
+    };
+    let end = SparkEvent::ApplicationEnd { timestamp: clock };
+    let events: Vec<SparkEvent> = std::iter::once(start)
+        .chain(stage_events)
+        .chain(std::iter::once(end))
+        .collect();
     let log = write_event_log(&events).expect("event log serialization cannot fail");
-    Ok(SparkRun {
+    SparkRun {
         total_time: clock,
         stage_times,
         overhead_time: overhead,
         fault_summaries,
         log,
-    })
+    }
 }
 
 /// The sequential execution reference (speedup numerator): the whole

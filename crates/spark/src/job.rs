@@ -5,7 +5,6 @@ use ipso_cluster::{
     RecoveryPolicy,
 };
 use ipso_sim::Distribution;
-use serde::{Deserialize, Serialize};
 
 use crate::stage::StageSpec;
 
@@ -14,7 +13,7 @@ use crate::stage::StageSpec;
 /// The paper parameterizes every Spark case study by a problem size `N`
 /// (nominal tasks per stage) and a parallel degree `m` (executors); the
 /// scale-out degree is `n = m`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparkJobSpec {
     /// Application label.
     pub name: String,
@@ -46,21 +45,16 @@ pub struct SparkJobSpec {
     /// linear in the parallel degree.
     pub executor_launch_cost: f64,
     /// Host-side options; `engine.threads` must be 1 (see
-    /// [`EngineOptions`]). Defaulted so specs serialized before this
-    /// field existed still deserialize.
-    #[serde(default)]
+    /// [`EngineOptions`]).
     pub engine: EngineOptions,
     /// Fault injection model, applied per stage. Disabled by default;
     /// when disabled each stage consumes zero extra RNG draws, so event
-    /// logs match fault-free builds byte for byte. Defaults keep specs
-    /// serialized before this field existed deserializable.
-    #[serde(default)]
+    /// logs match fault-free builds byte for byte.
     pub faults: FaultModel,
     /// Recovery policy: retry with capped exponential backoff, optional
     /// speculation, fail-fast budget. Node crashes in stage `k > 0`
     /// additionally trigger lineage recomputation of the crashed node's
     /// stage-`k−1` partitions.
-    #[serde(default)]
     pub recovery: RecoveryPolicy,
     /// RNG seed.
     pub seed: u64,

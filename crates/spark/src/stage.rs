@@ -1,7 +1,6 @@
 //! Stage specifications.
 
 use ipso_cluster::ClusterError;
-use serde::{Deserialize, Serialize};
 
 /// One stage of a Spark-like job.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///     .with_shuffle_output(4 * 1024 * 1024);
 /// assert_eq!(map_stage.tasks, 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSpec {
     /// Stage label (appears in the event log).
     pub name: String,
@@ -162,12 +161,5 @@ mod tests {
             s.validate(),
             Err(ClusterError::InvalidParameter { what: "stage", .. })
         ));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let s = StageSpec::new("x", 3).with_task_compute(0.5);
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(serde_json::from_str::<StageSpec>(&json).unwrap(), s);
     }
 }
