@@ -17,7 +17,7 @@ use ipso_mapreduce::ScalingSweep;
 use ipso_spark::SparkJobSpec;
 use ipso_workloads::{bayes, nweight, qmc, random_forest, sort, svm, terasort, wordcount};
 
-use crate::{Flags, SweepRunner};
+use crate::{FlagError, Flags, SweepRunner};
 
 mod ablation_broadcast;
 mod ablation_faults;
@@ -76,18 +76,32 @@ const TRACED: [&str; 4] = [
     "fig10_spark_fixed_size",
 ];
 
+/// The flags of the binary `name`. On a bad command line, `--trace-out`
+/// to a binary that is not `traced` included, prints `error: …` and a
+/// usage line to stderr and exits with status 1.
+fn flags_or_exit(name: &str, traced: bool) -> Flags {
+    let flags = Flags::from_env().and_then(|flags| match flags.trace_out {
+        Some(_) if !traced => Err(FlagError(format!("{name} does not accept --trace-out"))),
+        _ => Ok(flags),
+    });
+    flags.unwrap_or_else(|e| {
+        let trace_out = if traced { " [--trace-out FILE]" } else { "" };
+        eprintln!("error: {e}\nusage: {name} [--jobs N]{trace_out}");
+        std::process::exit(1)
+    })
+}
+
 /// The `main` of the binary `name`: runs the experiment with a fresh
 /// [`Context`] and, for a traced figure given `--trace-out FILE`, writes
-/// the run as a Chrome trace-event (Perfetto) file. Fails loudly, also
-/// on `--trace-out` to a binary that is not traced.
+/// the run as a Chrome trace-event (Perfetto) file; a file it cannot
+/// write is an error with exit status 1.
 pub fn main(name: &str) {
-    let flags = Flags::from_env();
+    let flags = flags_or_exit(name, TRACED.contains(&name));
     let (_, emit) = EXPERIMENTS
         .iter()
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("no experiment named {name:?}"));
     if flags.trace_out.is_some() {
-        assert!(TRACED.contains(&name), "{name} does not accept --trace-out");
         ipso_obs::set_enabled(true);
         ipso_obs::reset();
     }
@@ -95,7 +109,10 @@ pub fn main(name: &str) {
     if let Some(path) = flags.trace_out {
         let events = ipso_obs::take_events();
         ipso_obs::set_enabled(false);
-        ipso_obs::write_chrome_trace(&path, &events).expect("cannot write --trace-out file");
+        if let Err(e) = ipso_obs::write_chrome_trace(&path, &events) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
         println!(
             "{} trace events -> {} (open in https://ui.perfetto.dev)",
             events.len(),
@@ -109,11 +126,7 @@ pub fn main(name: &str) {
 /// the rest; the process then exits with status 1. `--trace-out` is
 /// refused: the traced figures take it one at a time.
 pub fn run_all() {
-    let flags = Flags::from_env();
-    assert!(
-        flags.trace_out.is_none(),
-        "all_experiments does not accept --trace-out"
-    );
+    let flags = flags_or_exit("all_experiments", false);
     let mut ctx = Context::new(flags.jobs);
     let mut failures = Vec::new();
     for (name, emit) in EXPERIMENTS {

@@ -176,19 +176,35 @@ pub struct Flags {
     pub trace_out: Option<PathBuf>,
 }
 
+/// A bad experiment-binary command line: the message for stderr.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlagError(pub String);
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FlagError {}
+
 impl Flags {
     /// [`Flags::parse`] over the process arguments.
-    pub fn from_env() -> Flags {
+    ///
+    /// # Errors
+    ///
+    /// As [`Flags::parse`].
+    pub fn from_env() -> Result<Flags, FlagError> {
         Flags::parse(std::env::args().skip(1))
     }
 
     /// Parses an argument list; the last occurrence of a flag wins.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any other argument, on a flag without a value and on a
-    /// malformed `--jobs` value — experiment binaries want loud failures.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Flags {
+    /// Any other argument, a flag without a value and a malformed
+    /// `--jobs` value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Flags, FlagError> {
         let mut args = args.into_iter();
         let mut flags = Flags::default();
         while let Some(arg) = args.next() {
@@ -197,21 +213,21 @@ impl Flags {
                 None => (arg.as_str(), None),
             };
             if flag != "--jobs" && flag != "--trace-out" {
-                panic!("unknown argument {flag:?}");
+                return Err(FlagError(format!("unknown argument {flag:?}")));
             }
             let value = inline
                 .or_else(|| args.next())
                 .filter(|v| !v.is_empty())
-                .unwrap_or_else(|| panic!("{flag} needs a value"));
+                .ok_or_else(|| FlagError(format!("{flag} needs a value")))?;
             if flag == "--jobs" {
                 flags.jobs = value
                     .parse()
-                    .unwrap_or_else(|e| panic!("invalid --jobs value {value:?}: {e}"));
+                    .map_err(|e| FlagError(format!("invalid --jobs value {value:?}: {e}")))?;
             } else {
                 flags.trace_out = Some(PathBuf::from(value));
             }
         }
-        flags
+        Ok(flags)
     }
 }
 
@@ -267,9 +283,13 @@ mod tests {
         assert_eq!(format_number(1602.5), "1602");
     }
 
+    fn parse(args: &[&str]) -> Result<Flags, FlagError> {
+        Flags::parse(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn jobs_flag_parsing() {
-        let parse = |args: &[&str]| Flags::parse(args.iter().map(|s| s.to_string()));
+        let parse = |args: &[&str]| parse(args).unwrap();
         assert_eq!(parse(&[]).jobs, 0);
         assert_eq!(parse(&["--jobs", "4"]).jobs, 4);
         assert_eq!(parse(&["--jobs=2"]).jobs, 2);
@@ -285,27 +305,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument \"--trace_out\"")]
     fn unknown_flags_are_loud() {
-        let _ = Flags::parse(["--jobs=1".to_string(), "--trace_out=x.json".to_string()]);
+        let err = parse(&["--jobs=1", "--trace_out=x.json"]).unwrap_err();
+        assert_eq!(err.0, "unknown argument \"--trace_out\"");
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument \"x\"")]
     fn positional_arguments_are_loud() {
-        let _ = Flags::parse(["x".to_string()]);
+        assert_eq!(parse(&["x"]).unwrap_err().0, "unknown argument \"x\"");
     }
 
     #[test]
-    #[should_panic(expected = "invalid --jobs value")]
     fn malformed_jobs_flag_is_loud() {
-        let _ = Flags::parse(["--jobs".to_string(), "many".to_string()]);
+        let err = parse(&["--jobs", "many"]).unwrap_err();
+        assert!(err.0.starts_with("invalid --jobs value"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "--trace-out needs a value")]
     fn trailing_trace_out_flag_is_loud() {
-        let _ = Flags::parse(["--jobs=1".to_string(), "--trace-out".to_string()]);
+        let err = parse(&["--jobs=1", "--trace-out"]).unwrap_err();
+        assert_eq!(err.0, "--trace-out needs a value");
     }
 
     #[test]

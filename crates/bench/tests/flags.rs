@@ -1,22 +1,24 @@
 //! The experiment binaries refuse arguments they do not read: a typo or
-//! a `--trace-out` to a binary that writes no trace fails before any
-//! experiment runs, naming the argument, instead of exiting 0 without
-//! the file the caller asked for.
+//! a `--trace-out` to a binary that writes no trace fails with status 1
+//! before any experiment runs, naming the argument and printing a usage
+//! line, instead of exiting 0 without the file the caller asked for.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Runs `exe` with `args`; asserts that it fails without writing
-/// `trace` and returns its stderr.
+/// Runs `exe` with `args`; asserts that it exits with status 1 and a
+/// usage line without writing `trace`, and returns its stderr.
 fn refused(exe: &str, args: &[&str], trace: &Path) -> String {
     let _ = std::fs::remove_file(trace);
     let out = Command::new(exe)
         .args(args)
         .output()
         .expect("binary starts");
-    assert!(!out.status.success(), "{exe} {args:?} exited 0");
+    assert_eq!(out.status.code(), Some(1), "{exe} {args:?}");
     assert!(!trace.exists(), "{exe} {args:?} wrote {}", trace.display());
-    String::from_utf8_lossy(&out.stderr).into_owned()
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(stderr.contains("\nusage: "), "{stderr}");
+    stderr
 }
 
 fn trace_path(name: &str) -> PathBuf {

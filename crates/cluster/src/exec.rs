@@ -10,7 +10,7 @@
 use ipso_sim::{ServerPool, SimTime};
 
 use crate::metrics::TaskRecord;
-use crate::scheduler::{CentralScheduler, SchedulerPolicy};
+use crate::scheduler::CentralScheduler;
 
 /// Host-side options shared by the MapReduce and Spark engines.
 ///
@@ -54,11 +54,9 @@ impl TaskSchedule {
 /// Runs `durations.len()` tasks over `executors` slots.
 ///
 /// Task `i` becomes runnable once the scheduler has dispatched it
-/// (dispatches are serialized at the master in `policy`'s dispatch
-/// order) and an executor slot frees up; slots are granted
-/// earliest-available-first. [`SchedulerPolicy::Fifo`] dispatches in task
-/// order; other policies permute only the dispatch order. The returned
-/// records are always in task-id order.
+/// (dispatches are serialized at the master, in task order) and an
+/// executor slot frees up; slots are granted earliest-available-first.
+/// The returned records are in task order.
 ///
 /// # Panics
 ///
@@ -67,7 +65,6 @@ pub fn run_wave_schedule(
     durations: &[f64],
     executors: usize,
     scheduler: &CentralScheduler,
-    policy: SchedulerPolicy,
 ) -> TaskSchedule {
     assert!(executors > 0, "need at least one executor");
     for &d in durations {
@@ -76,20 +73,19 @@ pub fn run_wave_schedule(
             "task durations must be finite and >= 0"
         );
     }
-    let order = policy.dispatch_order(durations, executors);
     let mut pool = ServerPool::new(executors);
     let mut records = Vec::with_capacity(durations.len());
     let mut dispatch_clock = 0.0;
 
     let mut queued: Vec<(f64, f64)> = Vec::new();
-    for (position, &task) in order.iter().enumerate() {
-        dispatch_clock += scheduler.dispatch_time(position as u32);
-        let grant = pool.submit(SimTime::from_secs(dispatch_clock), durations[task]);
+    for (task, &duration) in durations.iter().enumerate() {
+        dispatch_clock += scheduler.dispatch_time(task as u32);
+        let grant = pool.submit(SimTime::from_secs(dispatch_clock), duration);
         // Executor id is not tracked by the pool; derive a stable label
-        // from wave position for traceability.
+        // from the task index for traceability.
         records.push(TaskRecord {
             task_id: task as u32,
-            executor: (position % executors) as u32,
+            executor: (task % executors) as u32,
             start: grant.start.as_secs(),
             end: grant.finish.as_secs(),
         });
@@ -99,7 +95,6 @@ pub fn run_wave_schedule(
             queued.push((dispatch_clock, grant.start.as_secs()));
         }
     }
-    records.sort_by_key(|r| r.task_id);
 
     if ipso_obs::enabled() {
         ipso_obs::counter_add("cluster.wave_schedules", 1);
@@ -180,7 +175,7 @@ mod tests {
     #[test]
     fn single_wave_is_max_plus_dispatch() {
         let sched = CentralScheduler::idealized();
-        let s = run_wave_schedule(&[5.0, 7.0, 6.0], 3, &sched, SchedulerPolicy::Fifo);
+        let s = run_wave_schedule(&[5.0, 7.0, 6.0], 3, &sched);
         // Dispatch is ~instant, so makespan ≈ slowest task.
         assert!((s.makespan - 7.0).abs() < 1e-3);
         assert_eq!(s.records.len(), 3);
@@ -190,7 +185,7 @@ mod tests {
     #[test]
     fn waves_stack_on_few_executors() {
         let sched = CentralScheduler::idealized();
-        let s = run_wave_schedule(&[1.0; 6], 2, &sched, SchedulerPolicy::Fifo);
+        let s = run_wave_schedule(&[1.0; 6], 2, &sched);
         // 6 unit tasks on 2 executors: 3 waves.
         assert!((s.makespan - 3.0).abs() < 1e-3);
     }
@@ -202,7 +197,7 @@ mod tests {
             contention: 0.0,
             job_setup: 0.0,
         };
-        let s = run_wave_schedule(&[10.0, 10.0], 2, &sched, SchedulerPolicy::Fifo);
+        let s = run_wave_schedule(&[10.0, 10.0], 2, &sched);
         // Task 0 dispatched at t = 1, task 1 at t = 2.
         assert!((s.records[0].start - 1.0).abs() < 1e-12);
         assert!((s.records[1].start - 2.0).abs() < 1e-12);
@@ -217,30 +212,20 @@ mod tests {
             contention: 0.001,
             job_setup: 0.0,
         };
-        let s100 = run_wave_schedule(&[0.0; 100], 100, &sched, SchedulerPolicy::Fifo);
-        let s200 = run_wave_schedule(&[0.0; 200], 200, &sched, SchedulerPolicy::Fifo);
+        let s100 = run_wave_schedule(&[0.0; 100], 100, &sched);
+        let s200 = run_wave_schedule(&[0.0; 200], 200, &sched);
         assert!(s200.dispatch_total > 2.5 * s100.dispatch_total);
     }
 
     #[test]
     #[should_panic(expected = "at least one executor")]
     fn zero_executors_rejected() {
-        run_wave_schedule(
-            &[1.0],
-            0,
-            &CentralScheduler::idealized(),
-            SchedulerPolicy::Fifo,
-        );
+        run_wave_schedule(&[1.0], 0, &CentralScheduler::idealized());
     }
 
     #[test]
     fn empty_task_set_is_trivial() {
-        let s = run_wave_schedule(
-            &[],
-            4,
-            &CentralScheduler::idealized(),
-            SchedulerPolicy::Fifo,
-        );
+        let s = run_wave_schedule(&[], 4, &CentralScheduler::idealized());
         assert_eq!(s.makespan, 0.0);
         assert!(s.records.is_empty());
     }
@@ -256,8 +241,7 @@ mod tests {
                     job_setup: 0.0,
                 },
             ] {
-                let full =
-                    run_wave_schedule(&vec![d; tasks], execs, &scheduler, SchedulerPolicy::Fifo);
+                let full = run_wave_schedule(&vec![d; tasks], execs, &scheduler);
                 let fast = uniform_wave_makespan(d, tasks, execs, &scheduler);
                 assert_eq!(
                     full.makespan, fast,

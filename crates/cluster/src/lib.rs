@@ -24,7 +24,7 @@
 //! * [`runtime`] — the single executor that runs a [`TaskGraph`]:
 //!   straggler sampling (each task's time times a draw from an
 //!   [`ipso_sim::Distribution`]; barrier synchronization makes the
-//!   slowest task the one that matters), policy-driven wave scheduling,
+//!   slowest task the one that matters), in-order wave scheduling,
 //!   fault resolution, lineage recompute and Ws/Wp/Wo attribution in one
 //!   place;
 //! * [`metrics`] — phase breakdowns and task traces shared by the engines;

@@ -7,8 +7,8 @@
 //! 1. **Sample**: per-stage straggler draws and fault resolution, in
 //!    stage order, so the RNG stream — and therefore every output byte
 //!    — depends only on the graph, the config and the seed;
-//! 2. **Schedule**, stage by stage: the actual wave schedule under the
-//!    configured [`SchedulerPolicy`], the idealized reference
+//! 2. **Schedule**, stage by stage: the actual wave schedule in task
+//!    order, the idealized reference
 //!    ([`IdealReference`]) and, when requested and observability is on,
 //!    the no-straggler reference;
 //! 3. **Attribute**: the per-stage [`StageOutcome`]s carry the Ws/Wp/Wo
@@ -40,7 +40,8 @@ pub struct RuntimeConfig {
     pub executors: usize,
     /// Dispatch-cost model of the central scheduler.
     pub scheduler: CentralScheduler,
-    /// Dispatch-order policy.
+    /// Kept only because the benchmark package assigns it: every
+    /// schedule dispatches in task order ([`SchedulerPolicy::Fifo`]).
     pub policy: SchedulerPolicy,
     /// Straggler multiplier applied to each task's `noisy_base`.
     pub straggler: Distribution,
@@ -72,7 +73,7 @@ pub struct LineageRecompute {
 pub struct StageOutcome {
     /// Post-noise, post-fault task durations (what the wave ran).
     pub effective: Vec<f64>,
-    /// The actual wave schedule under the configured policy.
+    /// The actual wave schedule.
     pub schedule: TaskSchedule,
     /// Makespan of the stage's [`IdealReference`].
     pub ideal_makespan: f64,
@@ -302,12 +303,8 @@ pub fn execute(
         .iter()
         .zip(samples)
         .map(|(stage, sample)| {
-            let schedule = run_wave_schedule(
-                &sample.effective,
-                config.executors,
-                &config.scheduler,
-                config.policy,
-            );
+            let schedule =
+                run_wave_schedule(&sample.effective, config.executors, &config.scheduler);
             let ideal_makespan = match &stage.ideal {
                 IdealReference::SlowestTask => schedule.max_task_duration(),
                 IdealReference::Uniform { duration } => uniform_wave_makespan(
@@ -317,13 +314,8 @@ pub fn execute(
                     &CentralScheduler::idealized(),
                 ),
                 IdealReference::Tasks(ideal) => {
-                    run_wave_schedule(
-                        ideal,
-                        config.executors,
-                        &CentralScheduler::idealized(),
-                        SchedulerPolicy::Fifo,
-                    )
-                    .makespan
+                    run_wave_schedule(ideal, config.executors, &CentralScheduler::idealized())
+                        .makespan
                 }
             };
             // No-straggler schedule under the *same* scheduler, used to
@@ -331,8 +323,7 @@ pub fn execute(
             let no_straggler = if graph.no_straggler_reference && ipso_obs::enabled() {
                 let ns: Vec<f64> = (0..stage.tasks()).map(|t| stage.nominal(t)).collect();
                 let ns_makespan =
-                    run_wave_schedule(&ns, config.executors, &config.scheduler, config.policy)
-                        .makespan;
+                    run_wave_schedule(&ns, config.executors, &config.scheduler).makespan;
                 Some((ns, ns_makespan))
             } else {
                 None
@@ -461,18 +452,5 @@ mod tests {
         assert!(l.makespan <= l.work);
         assert_eq!(l.nodes, 2);
         assert!(out.overhead_total() >= l.work);
-    }
-
-    #[test]
-    fn policies_are_deterministic() {
-        let durations = [3.0, 1.0, 2.0, 5.0, 0.5];
-        let sched = CentralScheduler::spark_like();
-        for policy in [SchedulerPolicy::Fair, SchedulerPolicy::Locality] {
-            let a = run_wave_schedule(&durations, 2, &sched, policy);
-            let b = run_wave_schedule(&durations, 2, &sched, policy);
-            assert_eq!(a, b, "{policy}");
-            // Records always come back in task order.
-            assert!(a.records.windows(2).all(|w| w[0].task_id < w[1].task_id));
-        }
     }
 }

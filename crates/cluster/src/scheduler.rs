@@ -18,71 +18,13 @@ use crate::error::ClusterError;
 
 /// Order in which the central scheduler dispatches a burst of tasks.
 ///
-/// The dispatch-cost model ([`CentralScheduler`]) is orthogonal to the
-/// dispatch *order*: FIFO replays submission order, fair scheduling
-/// dispatches the shortest tasks first (approximating max-min fairness
-/// over many small jobs), and locality-aware scheduling groups tasks by
-/// their preferred executor so consecutive dispatches hit warm data.
-/// All policies are deterministic; ties break by task index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The runtime dispatches every burst in submission (task index) order,
+/// Hadoop's and Spark's default. The type and its one variant are kept
+/// only because the benchmark package assigns them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerPolicy {
-    /// Dispatch tasks in submission (index) order — Hadoop's and Spark's
-    /// default, and the order every committed artifact was produced with.
-    #[default]
+    /// Dispatch tasks in submission (index) order.
     Fifo,
-    /// Shortest-duration-first, ties by index.
-    Fair,
-    /// Group by preferred executor (`task % executors`), ties by index.
-    Locality,
-}
-
-impl SchedulerPolicy {
-    /// The dispatch permutation: position `k` in the returned vector is
-    /// the index of the `k`-th task handed to the scheduler.
-    pub fn dispatch_order(&self, durations: &[f64], executors: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..durations.len()).collect();
-        match self {
-            SchedulerPolicy::Fifo => {}
-            SchedulerPolicy::Fair => {
-                order.sort_by(|&a, &b| durations[a].total_cmp(&durations[b]).then(a.cmp(&b)));
-            }
-            SchedulerPolicy::Locality => {
-                order.sort_by_key(|&i| (i % executors.max(1), i));
-            }
-        }
-        order
-    }
-
-    /// Canonical CLI name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SchedulerPolicy::Fifo => "fifo",
-            SchedulerPolicy::Fair => "fair",
-            SchedulerPolicy::Locality => "locality",
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for SchedulerPolicy {
-    type Err = ClusterError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fifo" => Ok(SchedulerPolicy::Fifo),
-            "fair" => Ok(SchedulerPolicy::Fair),
-            "locality" => Ok(SchedulerPolicy::Locality),
-            other => Err(ClusterError::invalid(
-                "scheduler policy",
-                format!("unknown policy {other:?}; expected fifo, fair or locality"),
-            )),
-        }
-    }
 }
 
 /// Dispatch-cost model of a centralized scheduler.

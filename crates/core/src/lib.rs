@@ -66,7 +66,6 @@
 
 pub mod asymptotic;
 pub mod classic;
-pub mod confidence;
 pub mod diagnose;
 pub mod error;
 pub mod estimate;

@@ -47,7 +47,6 @@ pub struct IpsoModelBuilder {
     external: ScalingFactor,
     internal: ScalingFactor,
     induced: ScalingFactor,
-    normalize: bool,
 }
 
 impl IpsoModelBuilder {
@@ -69,21 +68,15 @@ impl IpsoModelBuilder {
         self
     }
 
-    /// When enabled (the default), `EX` and `IN` are rescaled so that
-    /// `EX(1) = IN(1) = 1` instead of rejecting factors fitted from raw
-    /// measurements.
-    pub fn normalize(mut self, normalize: bool) -> Self {
-        self.normalize = normalize;
-        self
-    }
-
-    /// Validates parameters and constructs the model.
+    /// Validates parameters and constructs the model. `EX` and `IN` are
+    /// rescaled so that `EX(1) = IN(1) = 1`, which accepts factors fitted
+    /// from raw measurements.
     ///
     /// # Errors
     ///
     /// * [`ModelError::InvalidEta`] if `η ∉ (0, 1]`;
-    /// * [`ModelError::BoundaryCondition`] if `EX(1) ≠ 1` or `IN(1) ≠ 1`
-    ///   (with normalization disabled) or `q(1)` is materially non-zero;
+    /// * [`ModelError::BoundaryCondition`] if the rescaled `EX(1)` or
+    ///   `IN(1)` is not 1, or `q(1)` is materially non-zero;
     /// * [`ModelError::InvalidFactor`] for structurally invalid factors or
     ///   factors that go non-positive over a sanity probe range.
     pub fn build(self) -> Result<IpsoModel, ModelError> {
@@ -92,16 +85,8 @@ impl IpsoModelBuilder {
         self.internal.validate_structure()?;
         self.induced.validate_structure()?;
 
-        let external = if self.normalize {
-            self.external.normalized()?
-        } else {
-            self.external.clone()
-        };
-        let internal = if self.normalize {
-            self.internal.normalized()?
-        } else {
-            self.internal.clone()
-        };
+        let external = self.external.normalized()?;
+        let internal = self.internal.normalized()?;
 
         for (name, factor) in [("EX", &external), ("IN", &internal)] {
             let at_one = factor.eval(1.0);
@@ -143,7 +128,6 @@ impl IpsoModel {
             external: ScalingFactor::one(),
             internal: ScalingFactor::one(),
             induced: ScalingFactor::zero(),
-            normalize: true,
         }
     }
 
@@ -211,25 +195,6 @@ impl IpsoModel {
             return Err(ModelError::NonFinite("speedup"));
         }
         Ok(numerator / denominator)
-    }
-
-    /// Evaluates the speedup over a range of integer scale-out degrees.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation error.
-    pub fn speedup_curve(
-        &self,
-        ns: impl IntoIterator<Item = u32>,
-    ) -> Result<Vec<(u32, f64)>, ModelError> {
-        let mut out = Vec::new();
-        for n in ns {
-            if n == 0 {
-                return Err(ModelError::InvalidScaleOut(0.0));
-            }
-            out.push((n, self.speedup(n as f64)?));
-        }
-        Ok(out)
     }
 
     /// Finds the scale-out degree in `[1, n_max]` that maximizes the
@@ -360,20 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_without_normalization_rejects_unnormalized() {
-        let err = IpsoModel::builder(0.9)
-            .external(ScalingFactor::linear())
-            .internal(ScalingFactor::affine(0.36, -0.11))
-            .normalize(false)
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ModelError::BoundaryCondition { factor: "IN", .. }
-        ));
-    }
-
-    #[test]
     fn builder_rejects_nonzero_q_at_one() {
         let err = IpsoModel::builder(0.9)
             .induced(ScalingFactor::Constant(0.5))
@@ -390,22 +341,5 @@ mod tests {
         let model = IpsoModel::builder(0.9).build().unwrap();
         assert!(model.speedup(0.5).is_err());
         assert!(model.speedup(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn curve_is_dense_and_ordered() {
-        let model = IpsoModel::builder(0.9)
-            .external(ScalingFactor::linear())
-            .build()
-            .unwrap();
-        let curve = model.speedup_curve(1..=10).unwrap();
-        assert_eq!(curve.len(), 10);
-        assert!(curve.windows(2).all(|w| w[1].1 > w[0].1));
-    }
-
-    #[test]
-    fn curve_rejects_zero() {
-        let model = IpsoModel::builder(0.9).build().unwrap();
-        assert!(model.speedup_curve([0u32]).is_err());
     }
 }

@@ -163,18 +163,6 @@ impl StochasticIpso {
         }
         Ok(numerator / denominator)
     }
-
-    /// Speedup over a range of scale-out degrees.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation error.
-    pub fn speedup_curve(
-        &self,
-        ns: impl IntoIterator<Item = u32>,
-    ) -> Result<Vec<(u32, f64)>, ModelError> {
-        ns.into_iter().map(|n| Ok((n, self.speedup(n)?))).collect()
-    }
 }
 
 /// The fixed-size stochastic speedup of the Collaborative Filtering case
@@ -346,7 +334,10 @@ mod tests {
             ScalingFactor::induced(0.002, 2.0),
         )
         .unwrap();
-        let curve = m.speedup_curve([1, 10, 30, 60, 90, 150]).unwrap();
+        let curve: Vec<(u32, f64)> = [1, 10, 30, 60, 90, 150]
+            .into_iter()
+            .map(|n| (n, m.speedup(n).unwrap()))
+            .collect();
         let peak = curve
             .iter()
             .cloned()

@@ -27,9 +27,8 @@ pub struct JobSpec {
     pub cluster: ClusterSpec,
     /// Centralized scheduler cost model.
     pub scheduler: CentralScheduler,
-    /// Dispatch-order policy of the central scheduler. [`SchedulerPolicy::Fifo`]
-    /// (the default) reproduces the classic Hadoop order and every
-    /// committed artifact.
+    /// Kept only because the benchmark package reads it: every schedule
+    /// dispatches in task order ([`SchedulerPolicy::Fifo`]).
     pub policy: SchedulerPolicy,
     /// Reducer-side memory model (drives the TeraSort spill burst).
     pub reducer_memory: MemoryModel,

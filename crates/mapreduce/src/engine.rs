@@ -21,8 +21,8 @@
 //!    agnostic task-graph IR ([`ipso_cluster::TaskGraph`]): one stage of
 //!    map tasks, slowest-task ideal, no lineage;
 //! 3. **execute** ([`ipso_cluster::execute`]) — the unified runtime owns
-//!    straggler sampling, fault resolution, policy-driven wave
-//!    scheduling and Ws/Wp/Wo attribution;
+//!    straggler sampling, fault resolution, wave scheduling and
+//!    Ws/Wp/Wo attribution;
 //! 4. **account** — the serial merging portion (shuffle, merge, reduce)
 //!    is charged behind the barrier from the real intermediate volumes,
 //!    and the trace/timeline is assembled here.
@@ -132,7 +132,7 @@ where
     // Lower to the task-graph IR and hand the timing side to the unified
     // runtime: straggler sampling, fault resolution (disabled consumes
     // zero RNG draws, keeping the straggler stream — and therefore every
-    // output byte — identical to a fault-free build), policy-driven wave
+    // output byte — identical to a fault-free build), wave
     // scheduling and overhead attribution all live there now.
     let graph = plan_scale_out(spec, splits);
     let executors = slots.min(splits.len());

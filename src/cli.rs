@@ -7,11 +7,11 @@
 //! ipso classify  --eta 0.9 --alpha 2.8 --delta 0 [--beta B --gamma G] [--fixed-size]
 //! ipso diagnose  curve.csv [--fixed-size]          # CSV: n,speedup
 //! ipso estimate  runs.csv
-//! ipso predict   runs.csv --window 16 --at 64,128,200 [--confidence 0.9]
+//! ipso predict   runs.csv --window 16 --at 64,128,200
 //! ipso provision runs.csv --window 16 --n-max 200 [--worker-cost 0.10 --master-cost 0.80]
 //! ipso report    runs.csv --window 16 --n-max 200 [--fixed-size]
-//! ipso trace     terasort --n 8 [--scheduler fifo] --out run.trace.json
-//! ipso metrics   terasort --n 8 [--scheduler fifo]
+//! ipso trace     terasort --n 8 --out run.trace.json
+//! ipso metrics   terasort --n 8
 //! ```
 //!
 //! `runs.csv` columns: `n,seq_parallel,seq_serial,par_map,par_serial,par_overhead`
@@ -20,7 +20,6 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use ipso::confidence::{bootstrap_predictions, BootstrapOptions};
 use ipso::estimate::estimate_factors;
 use ipso::predict::ScalingPredictor;
 use ipso::provision::{CostModel, Provisioner};
@@ -327,36 +326,10 @@ pub fn cmd_predict(args: &Args, csv: &str) -> Result<String, CliError> {
             .collect::<Result<_, _>>()?,
         None => vec![32, 64, 128, 200],
     };
-    if let Some(conf) = args.flags.get("confidence") {
-        let confidence: f64 = conf
-            .parse()
-            .map_err(|_| CliError("flag --confidence must be in (0, 1)".into()))?;
-        let opts = BootstrapOptions {
-            fit_window: window,
-            confidence,
-            ..BootstrapOptions::default()
-        };
-        let intervals = bootstrap_predictions(&runs, &targets, &opts)?;
-        writeln!(
-            out,
-            "\npredictions ({:.0}% bootstrap intervals):",
-            confidence * 100.0
-        )
-        .expect("string write");
-        for i in intervals {
-            writeln!(
-                out,
-                "  S({:>4}) = {:.3}   [{:.3}, {:.3}]",
-                i.n, i.point, i.lower, i.upper
-            )
+    writeln!(out, "\npredictions:").expect("string write");
+    for n in targets {
+        writeln!(out, "  S({n:>4}) = {:.3}", predictor.predict(f64::from(n))?)
             .expect("string write");
-        }
-    } else {
-        writeln!(out, "\npredictions:").expect("string write");
-        for n in targets {
-            writeln!(out, "  S({n:>4}) = {:.3}", predictor.predict(f64::from(n))?)
-                .expect("string write");
-        }
     }
     Ok(out)
 }
@@ -468,20 +441,6 @@ pub fn cmd_report(args: &Args, csv: &str) -> Result<String, CliError> {
 /// Workloads runnable by `ipso trace` / `ipso metrics`.
 const TRACEABLE_WORKLOADS: &str = "terasort, sort, wordcount";
 
-/// The task dispatch policy shared by `trace` and `metrics`, parsed
-/// from `--scheduler <fifo|fair|locality>`. Defaults to FIFO, the
-/// policy every committed artifact was produced under. Unknown names
-/// surface the runtime's typed [`ipso_cluster::ClusterError::InvalidParameter`]
-/// message instead of panicking.
-fn parse_scheduler_flag(args: &Args) -> Result<ipso_cluster::SchedulerPolicy, CliError> {
-    match args.flags.get("scheduler") {
-        None => Ok(ipso_cluster::SchedulerPolicy::Fifo),
-        Some(name) => name
-            .parse::<ipso_cluster::SchedulerPolicy>()
-            .map_err(|e| CliError(e.to_string())),
-    }
-}
-
 /// Fault-injection settings shared by `trace` and `metrics`, parsed
 /// from `--fail-prob`, `--node-crash-prob`, `--max-attempts`,
 /// `--speculate` and `--fail-fast`. All default to off, which keeps the
@@ -523,11 +482,9 @@ fn run_traced_workload(
         return Err(CliError("flag --n must be at least 1".into()));
     }
     let (faults, recovery) = parse_fault_flags(args)?;
-    let policy = parse_scheduler_flag(args)?;
     let configure = |mut spec: ipso_mapreduce::JobSpec| {
         spec.faults = faults;
         spec.recovery = recovery;
-        spec.policy = policy;
         spec
     };
     ipso_obs::set_enabled(true);
@@ -663,13 +620,12 @@ USAGE:
   ipso classify  --eta E [--alpha A --delta D --beta B --gamma G] [--fixed-size]
   ipso diagnose  <curve.csv> [--fixed-size]
   ipso estimate  <runs.csv>
-  ipso predict   <runs.csv> [--window 16] [--at 64,128,200] [--confidence 0.9]
+  ipso predict   <runs.csv> [--window 16] [--at 64,128,200]
   ipso provision <runs.csv> [--window 16] [--n-max 200]
                  [--worker-cost 0.10] [--master-cost 0.80] [--deadline SECS]
   ipso report    <runs.csv> [--window 16] [--n-max 200] [--fixed-size]
-  ipso trace     <workload> [--n 8] [--seed 3] [--scheduler fifo] [FAULTS]
-                 --out run.trace.json
-  ipso metrics   <workload> [--n 8] [--seed 3] [--scheduler fifo] [FAULTS]
+  ipso trace     <workload> [--n 8] [--seed 3] [FAULTS] --out run.trace.json
+  ipso metrics   <workload> [--n 8] [--seed 3] [FAULTS]
 
 FILES:
   curve.csv : n,speedup
@@ -678,8 +634,6 @@ FILES:
 WORKLOADS (trace / metrics): terasort, sort, wordcount
   trace   writes a Chrome trace-event (Perfetto) timeline of the run
   metrics prints the metrics-registry snapshot and overhead breakdown
-  --scheduler picks the runtime's dispatch order: fifo (default),
-  fair (shortest-first) or locality (executor-affine)
 
 Any other flag is an error.
 
@@ -704,15 +658,12 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
     let args = parse_args(rest)?;
     // The flags each command reads; `help` and unknown commands read none.
     let faults = "fail-prob node-crash-prob max-attempts speculate fail-fast";
-    let (trace, metrics) = (
-        format!("out n seed scheduler {faults}"),
-        format!("n seed scheduler {faults}"),
-    );
+    let (trace, metrics) = (format!("out n seed {faults}"), format!("n seed {faults}"));
     let accepted = match cmd.as_str() {
         "classify" => Some("eta alpha delta beta gamma fixed-size"),
         "diagnose" => Some("fixed-size"),
         "estimate" => Some(""),
-        "predict" => Some("window at confidence"),
+        "predict" => Some("window at"),
         "provision" => Some("window n-max worker-cost master-cost deadline"),
         "report" => Some("window n-max worker-cost master-cost fixed-size"),
         "trace" => Some(trace.as_str()),

@@ -142,24 +142,6 @@ fn predict_command_extrapolates() {
 }
 
 #[test]
-fn predict_command_supports_bootstrap_intervals() {
-    let a = parse_args(&args(&[
-        "--window",
-        "16",
-        "--at",
-        "64",
-        "--confidence",
-        "0.9",
-    ]))
-    .unwrap();
-    let out = cmd_predict(&a, &runs_csv()).unwrap();
-    assert!(out.contains("90% bootstrap intervals"), "{out}");
-    assert!(out.contains('['), "{out}");
-    let bad = parse_args(&args(&["--confidence", "nope"])).unwrap();
-    assert!(cmd_predict(&bad, &runs_csv()).is_err());
-}
-
-#[test]
 fn provision_command_recommends() {
     let a = parse_args(&args(&[
         "--window",
@@ -212,7 +194,7 @@ fn usage_mentions_every_command() {
     ] {
         assert!(u.contains(cmd), "usage missing {cmd}");
     }
-    for flag in ["--fail-prob", "--speculate", "--fail-fast", "--scheduler"] {
+    for flag in ["--fail-prob", "--speculate", "--fail-fast"] {
         assert!(u.contains(flag), "usage missing {flag}");
     }
 }
@@ -267,51 +249,6 @@ fn invalid_fault_flags_are_rejected() {
     ]))
     .unwrap_err();
     assert!(err.0.contains("invalid"), "got: {err}");
-}
-
-#[test]
-fn scheduler_flag_selects_a_policy() {
-    let fifo = run(&args(&["metrics", "sort", "--n", "4"])).unwrap();
-    // Explicit fifo is the default.
-    let explicit = run(&args(&[
-        "metrics",
-        "sort",
-        "--n",
-        "4",
-        "--scheduler",
-        "fifo",
-    ]))
-    .unwrap();
-    assert_eq!(fifo, explicit);
-    // The other policies run; with a straggler model active the
-    // shortest-first dispatch changes the barrier stretch.
-    for policy in ["fair", "locality"] {
-        let out = run(&args(&[
-            "metrics",
-            "sort",
-            "--n",
-            "4",
-            "--scheduler",
-            policy,
-        ]))
-        .unwrap();
-        assert!(out.contains("sort @ n = 4"), "got:\n{out}");
-    }
-}
-
-#[test]
-fn unknown_scheduler_is_a_typed_error_not_a_panic() {
-    let err = run(&args(&[
-        "metrics",
-        "sort",
-        "--n",
-        "4",
-        "--scheduler",
-        "gang",
-    ]))
-    .unwrap_err();
-    assert!(err.0.contains("invalid scheduler policy"), "got: {err}");
-    assert!(err.0.contains("fifo, fair or locality"), "got: {err}");
 }
 
 #[test]
@@ -381,6 +318,17 @@ fn unknown_flags_are_rejected_by_name() {
     let err = run(&args(&["estimate", "runs.csv", "--window", "8"])).unwrap_err();
     assert!(
         err.0.starts_with("unknown flag --window for estimate"),
+        "{err}"
+    );
+    // Retired options fail by name instead of being ignored.
+    let err = run(&args(&["predict", "runs.csv", "--confidence", "0.9"])).unwrap_err();
+    assert!(
+        err.0.starts_with("unknown flag --confidence for predict"),
+        "{err}"
+    );
+    let err = run(&args(&["metrics", "sort", "--scheduler", "fifo"])).unwrap_err();
+    assert!(
+        err.0.starts_with("unknown flag --scheduler for metrics"),
         "{err}"
     );
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation substrate and the two engines.
 
-use ipso_cluster::{run_wave_schedule, CentralScheduler, SchedulerPolicy};
+use ipso_cluster::{run_wave_schedule, CentralScheduler};
 use ipso_mapreduce::{run_sequential, try_run_scale_out, InputSplit, JobSpec, Mapper, Reducer};
 use ipso_sim::{ServerPool, SimTime};
 use ipso_spark::{try_run_job, SparkJobSpec, StageSpec};
@@ -87,12 +87,7 @@ proptest! {
         durations in prop::collection::vec(0.01f64..10.0, 1..60),
         executors in 1usize..16,
     ) {
-        let s = run_wave_schedule(
-            &durations,
-            executors,
-            &CentralScheduler::idealized(),
-            SchedulerPolicy::Fifo,
-        );
+        let s = run_wave_schedule(&durations, executors, &CentralScheduler::idealized());
         let total: f64 = durations.iter().sum();
         let longest = durations.iter().cloned().fold(0.0, f64::max);
         let lower = (total / executors as f64).max(longest);
