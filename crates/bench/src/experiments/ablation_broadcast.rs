@@ -26,7 +26,9 @@ pub(super) fn emit(ctx: &mut Context) {
             spec.network.tree_broadcast = tree_broadcast;
             spec
         };
-        sweep_fixed_size(job, CF_TASKS, &[m]).remove(0)
+        sweep_fixed_size(job, CF_TASKS, &[m])
+            .unwrap_or_else(|e| panic!("tree broadcast {tree_broadcast}, m = {m}: {e}"))
+            .remove(0)
     });
     let (serial, tree) = points.split_at(ms.len());
 

@@ -43,7 +43,10 @@ pub(super) fn emit(ctx: &mut Context) {
             spec.executor_memory = mem;
             spec
         };
-        sweep_fixed_time(job, load, &[m])[0].speedup
+        sweep_fixed_time(job, load, &[m])
+            .unwrap_or_else(|e| panic!("memory {mem} B, N/m = {load}, m = {m}: {e}"))
+            .remove(0)
+            .speedup
     });
 
     println!("speedup at m = {m} by per-executor load level and executor memory:");

@@ -24,7 +24,10 @@ pub(super) fn emit(ctx: &mut Context) {
         })
         .collect();
     let points = ctx.runner.map(grid, |(a, size, m)| {
-        sweep_fixed_size(SPARK_APPS[a].1, size, &[m]).remove(0)
+        let (name, job) = SPARK_APPS[a];
+        sweep_fixed_size(job, size, &[m])
+            .unwrap_or_else(|e| panic!("fig10 {name} N = {size}, m = {m}: {e}"))
+            .remove(0)
     });
     let series: Vec<&[SparkSweepPoint]> = points.chunks(ms.len()).collect();
 

@@ -25,7 +25,10 @@ pub(super) fn emit(ctx: &mut Context) {
         })
         .collect();
     let points = ctx.runner.map(grid, |(a, load, m)| {
-        sweep_fixed_time(SPARK_APPS[a].1, load, &[m]).remove(0)
+        let (name, job) = SPARK_APPS[a];
+        sweep_fixed_time(job, load, &[m])
+            .unwrap_or_else(|e| panic!("fig9 {name} N/m = {load}, m = {m}: {e}"))
+            .remove(0)
     });
     let series: Vec<&[SparkSweepPoint]> = points.chunks(ms.len()).collect();
 

@@ -68,6 +68,46 @@ fn mapreduce_totals_match_pre_refactor_bits() {
     assert_eq!(run.scale_out_overhead.to_bits(), 0x3ff091148fd9fd38);
 }
 
+/// TeraSort at n = 32: the reducer's 4 GiB input outgrows its 2 GiB
+/// memory, so the merge and reduce times pass through the spill
+/// slowdown that the n = 8 pin above never reaches.
+#[test]
+fn mapreduce_spilling_reducer_matches_pinned_bits() {
+    let run = ipso_mapreduce::try_run_scale_out(
+        &terasort::job_spec(32),
+        &terasort::TeraSortMapper,
+        &terasort::TeraSortReducer,
+        &terasort::make_splits(32, 2),
+    )
+    .unwrap()
+    .trace;
+    assert_eq!(run.total_time().to_bits(), 0x403cad304425acd7);
+    assert_eq!(run.scale_out_overhead.to_bits(), 0x3ff2732df505d0fa);
+}
+
+/// Node crashes without task failures: the retry loop never runs, so
+/// the crash phase charges `FaultModel::none()`'s restart cost of 0.
+#[test]
+fn mapreduce_crash_only_run_matches_pinned_bits() {
+    let mut spec = sort::job_spec(12);
+    spec.faults = FaultModel {
+        node_crash_prob: 0.3,
+        ..FaultModel::none()
+    };
+    let run = ipso_mapreduce::try_run_scale_out(
+        &spec,
+        &sort::SortMapper,
+        &sort::SortReducer,
+        &sort::make_splits(12, 2),
+    )
+    .unwrap()
+    .trace;
+    let faults = run.faults.as_ref().expect("crash model is enabled");
+    assert!(faults.node_crashes > 0 && faults.retries == 0);
+    assert_eq!(run.total_time().to_bits(), 0x40310a5689d4d484);
+    assert_eq!(run.scale_out_overhead.to_bits(), 0x4015b1cc8e440150);
+}
+
 #[test]
 fn mapreduce_faulted_run_matches_pre_refactor_bits() {
     let mut spec = sort::job_spec(13);

@@ -7,15 +7,15 @@
 //! collects. This module injects faults into a task wave and resolves
 //! them under a recovery policy, deterministically:
 //!
-//! * [`FaultModel`] — per-attempt failure probability, a time-to-failure
-//!   [`Distribution`] (exponential or Weibull in practice) deciding how
-//!   much of the attempt was wasted, and correlated node crashes that
-//!   lose every task resident on the crashed executor;
+//! * [`FaultModel`] — per-attempt failure probability (the failure
+//!   strikes after a Weibull-distributed time, deciding how much of the
+//!   attempt was wasted), and correlated node crashes that lose every
+//!   task resident on the crashed executor;
 //! * [`RecoveryPolicy`] — retry with capped exponential backoff and
 //!   deterministic jitter, speculative execution (a backup copy launches
-//!   when a task exceeds `speculation_threshold ×` the running median;
-//!   first copy to finish wins, the loser's work is charged to `Wo`), and
-//!   an optional fail-fast wasted-work budget;
+//!   when a task exceeds 1.5 × the running median; first copy to finish
+//!   wins, the loser's work is charged to `Wo`), and an optional
+//!   fail-fast wasted-work budget;
 //! * [`resolve_faults`] — turns nominal task durations into *effective*
 //!   durations (recovery latency on the schedule's critical path) plus a
 //!   [`FaultSummary`] of wasted-work seconds (charged into `Wo(n)` by the
@@ -30,15 +30,35 @@ use ipso_sim::{Distribution, SimRng};
 
 use crate::error::ClusterError;
 
+/// How far into a failing attempt the failure strikes: infant mortality
+/// (Weibull, shape 0.7). The draw is clamped to the attempt's duration:
+/// a failure cannot waste more work than the attempt had performed.
+const TTF: Distribution = Distribution::Weibull {
+    shape: 0.7,
+    scale: 1.0,
+};
+
+/// Backoff before retry `k` is `min(BACKOFF_CAP, BACKOFF_BASE ·
+/// BACKOFF_FACTOR^(k−1))`, jittered. Base wait, seconds.
+const BACKOFF_BASE: f64 = 0.25;
+/// Exponential backoff growth factor.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Upper bound on any single backoff wait, seconds.
+const BACKOFF_CAP: f64 = 4.0;
+/// Multiplicative jitter half-width: the wait is scaled by a seeded
+/// uniform draw in `[1 − BACKOFF_JITTER, 1 + BACKOFF_JITTER]`, so jitter
+/// is deterministic given the run's seed.
+const BACKOFF_JITTER: f64 = 0.2;
+
+/// Slowdown multiple over the running median that triggers a
+/// speculative backup copy.
+const SPECULATION_THRESHOLD: f64 = 1.5;
+
 /// The fault-injection model for one task wave.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Probability that any single task attempt fails.
     pub task_fail_prob: f64,
-    /// How far into a failing attempt the failure strikes. The draw is
-    /// clamped to the attempt's duration: a failure cannot waste more
-    /// work than the attempt had performed.
-    pub ttf: Distribution,
     /// Probability that a node (executor) crashes during the wave,
     /// losing the outputs of *all* tasks resident on it — the correlated
     /// failure mode that motivates Spark's lineage re-execution.
@@ -53,26 +73,18 @@ impl FaultModel {
     pub fn none() -> FaultModel {
         FaultModel {
             task_fail_prob: 0.0,
-            ttf: Distribution::Exponential {
-                shift: 0.0,
-                mean: 1.0,
-            },
             node_crash_prob: 0.0,
             restart_cost: 0.0,
         }
     }
 
-    /// A flaky-cluster preset: attempts fail with probability `p`, with
-    /// infant-mortality (Weibull, shape 0.7) failure times and a 0.25 s
-    /// restart cost. Node crashes stay disabled; set
-    /// [`FaultModel::node_crash_prob`] separately.
+    /// A flaky-cluster preset: attempts fail with probability `p` and
+    /// cost a 0.25 s restart. Failure times are infant-mortality
+    /// (Weibull, shape 0.7, scale 1 s) in every model. Node crashes stay
+    /// disabled; set [`FaultModel::node_crash_prob`] separately.
     pub fn flaky(p: f64) -> FaultModel {
         FaultModel {
             task_fail_prob: p,
-            ttf: Distribution::Weibull {
-                shape: 0.7,
-                scale: 1.0,
-            },
             node_crash_prob: 0.0,
             restart_cost: 0.25,
         }
@@ -109,15 +121,7 @@ impl FaultModel {
                 format!("must be finite and >= 0, got {}", self.restart_cost),
             ));
         }
-        self.ttf
-            .validate()
-            .map_err(|rule| ClusterError::invalid("time-to-failure", rule))
-    }
-}
-
-impl Default for FaultModel {
-    fn default() -> Self {
-        FaultModel::none()
+        Ok(())
     }
 }
 
@@ -128,23 +132,10 @@ pub struct RecoveryPolicy {
     /// failing all attempts aborts the job with
     /// [`ClusterError::RetriesExhausted`].
     pub max_attempts: u32,
-    /// Backoff before retry `k` is `min(cap, base · factor^(k−1))`,
-    /// jittered. Base wait, seconds.
-    pub backoff_base: f64,
-    /// Exponential backoff growth factor, `>= 1`.
-    pub backoff_factor: f64,
-    /// Upper bound on any single backoff wait, seconds.
-    pub backoff_cap: f64,
-    /// Multiplicative jitter half-width in `[0, 1)`: the wait is scaled
-    /// by a seeded uniform draw in `[1 − jitter, 1 + jitter]`, so jitter
-    /// is deterministic given the run's seed.
-    pub backoff_jitter: f64,
     /// Launch a backup copy of a task whose effective duration exceeds
-    /// `speculation_threshold ×` the running median of earlier tasks.
-    /// First copy to finish wins; the loser's work is charged to `Wo`.
+    /// 1.5 × the running median of earlier tasks. First copy to finish
+    /// wins; the loser's work is charged to `Wo`.
     pub speculation: bool,
-    /// Slowdown multiple that triggers speculation, `> 1`.
-    pub speculation_threshold: f64,
     /// Fail-fast guard: abort with [`ClusterError::WastedWorkExceeded`]
     /// when wasted work exceeds this fraction of the wave's useful work.
     /// `0` disables the guard.
@@ -152,17 +143,14 @@ pub struct RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Hadoop-like defaults: 4 attempts, 0.25 s base backoff doubling up
-    /// to 4 s with ±20% jitter, speculation off, no fail-fast budget.
+    /// Hadoop-like defaults: 4 attempts, speculation off, no fail-fast
+    /// budget. The backoff (0.25 s doubling up to 4 s, ±20 % jitter) and
+    /// the speculation threshold (1.5 × the running median) are fixed
+    /// for every policy.
     pub fn hadoop_like() -> RecoveryPolicy {
         RecoveryPolicy {
             max_attempts: 4,
-            backoff_base: 0.25,
-            backoff_factor: 2.0,
-            backoff_cap: 4.0,
-            backoff_jitter: 0.2,
             speculation: false,
-            speculation_threshold: 1.5,
             max_wasted_fraction: 0.0,
         }
     }
@@ -171,14 +159,6 @@ impl RecoveryPolicy {
     pub fn with_speculation(mut self) -> RecoveryPolicy {
         self.speculation = true;
         self
-    }
-
-    /// The jittered wait before retry attempt `attempt + 1` (i.e. after
-    /// the `attempt`-th failure, 1-based).
-    pub fn backoff(&self, attempt: u32, rng: &mut SimRng) -> f64 {
-        let exp = self.backoff_factor.powi(attempt.saturating_sub(1) as i32);
-        let wait = (self.backoff_base * exp).min(self.backoff_cap);
-        wait * rng.jitter(self.backoff_jitter)
     }
 
     /// Validates parameter ranges.
@@ -190,44 +170,23 @@ impl RecoveryPolicy {
         if self.max_attempts == 0 {
             return Err(ClusterError::invalid("max attempts", "must be at least 1"));
         }
-        for (what, v) in [
-            ("backoff base", self.backoff_base),
-            ("backoff cap", self.backoff_cap),
-            ("max wasted fraction", self.max_wasted_fraction),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ClusterError::invalid(
-                    what,
-                    format!("must be finite and >= 0, got {v}"),
-                ));
-            }
-        }
-        if !self.backoff_factor.is_finite() || self.backoff_factor < 1.0 {
+        let v = self.max_wasted_fraction;
+        if !v.is_finite() || v < 0.0 {
             return Err(ClusterError::invalid(
-                "backoff factor",
-                format!("must be >= 1, got {}", self.backoff_factor),
-            ));
-        }
-        if !(0.0..1.0).contains(&self.backoff_jitter) {
-            return Err(ClusterError::invalid(
-                "backoff jitter",
-                format!("must be in [0, 1), got {}", self.backoff_jitter),
-            ));
-        }
-        if !self.speculation_threshold.is_finite() || self.speculation_threshold <= 1.0 {
-            return Err(ClusterError::invalid(
-                "speculation threshold",
-                format!("must exceed 1, got {}", self.speculation_threshold),
+                "max wasted fraction",
+                format!("must be finite and >= 0, got {v}"),
             ));
         }
         Ok(())
     }
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy::hadoop_like()
-    }
+/// The jittered wait before retry attempt `attempt + 1` (i.e. after the
+/// `attempt`-th failure, 1-based).
+fn backoff(attempt: u32, rng: &mut SimRng) -> f64 {
+    let exp = BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32);
+    let wait = (BACKOFF_BASE * exp).min(BACKOFF_CAP);
+    wait * rng.jitter(BACKOFF_JITTER)
 }
 
 /// What happened to one task during fault resolution.
@@ -415,8 +374,8 @@ pub fn resolve_faults(
                     attempts: attempt,
                 });
             }
-            let lost = faults.ttf.sample(rng).min(dur);
-            let backoff = recovery.backoff(attempt, rng);
+            let lost = TTF.sample(rng).min(dur);
+            let backoff = backoff(attempt, rng);
             delay += lost + faults.restart_cost + backoff;
             summary.retry_wasted_s += lost + faults.restart_cost;
             summary.retries += 1;
@@ -464,17 +423,17 @@ pub fn resolve_faults(
     }
 
     // Phase 3 — speculative execution. No randomness: a backup copy of
-    // task `i` launches once it exceeds `threshold ×` the running median
-    // of the earlier (already-final) tasks and runs a median-length
-    // copy; the first finisher wins and the loser's work is wasted.
+    // task `i` launches once it exceeds `SPECULATION_THRESHOLD ×` the
+    // running median of the earlier (already-final) tasks and runs a
+    // median-length copy; the first finisher wins and the loser's work is
+    // wasted.
     if recovery.speculation {
-        let threshold = recovery.speculation_threshold;
         for i in 1..effective.len() {
             let median = median(&effective[..i]);
-            if median <= 0.0 || effective[i] <= threshold * median {
+            if median <= 0.0 || effective[i] <= SPECULATION_THRESHOLD * median {
                 continue;
             }
-            let launch = threshold * median;
+            let launch = SPECULATION_THRESHOLD * median;
             let backup_finish = launch + median;
             summary.speculative_launches += 1;
             attempts[i] += 1;
@@ -720,17 +679,15 @@ mod tests {
 
     #[test]
     fn backoff_grows_then_caps() {
-        let policy = RecoveryPolicy {
-            backoff_jitter: 0.0,
-            ..RecoveryPolicy::hadoop_like()
-        };
         let mut rng = SimRng::seed_from(1);
-        let waits: Vec<f64> = (1..=6).map(|k| policy.backoff(k, &mut rng)).collect();
-        assert_eq!(waits[0], 0.25);
-        assert_eq!(waits[1], 0.5);
-        assert_eq!(waits[2], 1.0);
-        assert_eq!(waits[5], 4.0, "capped at backoff_cap");
-        assert!(waits.windows(2).all(|w| w[0] <= w[1]));
+        for k in 1..=8 {
+            let nominal = (0.25 * 2f64.powi(k as i32 - 1)).min(4.0);
+            let wait = backoff(k, &mut rng);
+            assert!(
+                (0.8 * nominal..=1.2 * nominal).contains(&wait),
+                "retry {k}: {wait} outside ±20 % of {nominal}"
+            );
+        }
     }
 
     #[test]
@@ -760,13 +717,7 @@ mod tests {
         r.max_attempts = 0;
         assert!(r.validate().is_err());
         let mut r = RecoveryPolicy::hadoop_like();
-        r.backoff_factor = 0.5;
-        assert!(r.validate().is_err());
-        let mut r = RecoveryPolicy::hadoop_like();
-        r.speculation_threshold = 1.0;
-        assert!(r.validate().is_err());
-        let mut r = RecoveryPolicy::hadoop_like();
-        r.backoff_jitter = 1.0;
+        r.max_wasted_fraction = -1.0;
         assert!(r.validate().is_err());
         assert!(FaultModel::none().validate().is_ok());
         assert!(RecoveryPolicy::hadoop_like().validate().is_ok());

@@ -10,6 +10,15 @@
 
 use crate::ClusterError;
 
+/// Relative cost of processing one spilled byte versus one in-memory byte
+/// (disk write + read back during external merge), calibrated to
+/// reproduce the 0.15 → 0.25 slope change.
+const SPILL_COST_FACTOR: f64 = 0.67;
+
+/// One-time fractional penalty added the moment spilling first occurs
+/// (external-sort restructuring). The paper observes a ~30% burst.
+const OVERFLOW_BURST: f64 = 0.30;
+
 /// Working-set versus capacity model for one processing unit.
 ///
 /// # Example
@@ -27,22 +36,15 @@ use crate::ClusterError;
 pub struct MemoryModel {
     /// Usable memory for the operation, bytes.
     pub capacity_bytes: u64,
-    /// Relative cost of processing one spilled byte versus one in-memory
-    /// byte (disk write + read back during external merge).
-    pub spill_cost_factor: f64,
-    /// One-time fractional penalty added the moment spilling first occurs
-    /// (external-sort restructuring). The paper observes a ~30% burst.
-    pub overflow_burst: f64,
 }
 
 impl MemoryModel {
-    /// The paper's preconfigured reducer memory (~2 GB) with a disk merge
-    /// path calibrated to reproduce the 0.15 → 0.25 slope change.
+    /// The paper's preconfigured reducer memory (~2 GB). Past it the
+    /// disk merge path costs a 30 % burst plus 0.67 per spilled byte,
+    /// calibrated to reproduce the 0.15 → 0.25 slope change.
     pub fn reducer_2gb() -> MemoryModel {
         MemoryModel {
             capacity_bytes: 2 * 1024 * 1024 * 1024,
-            spill_cost_factor: 0.67,
-            overflow_burst: 0.30,
         }
     }
 
@@ -50,8 +52,6 @@ impl MemoryModel {
     pub fn unlimited() -> MemoryModel {
         MemoryModel {
             capacity_bytes: u64::MAX,
-            spill_cost_factor: 0.0,
-            overflow_burst: 0.0,
         }
     }
 
@@ -63,18 +63,18 @@ impl MemoryModel {
     /// Multiplier on processing time for a working set of `bytes`:
     ///
     /// * `1.0` when the set fits;
-    /// * `1 + burst + spill_cost · overflow_fraction` when it does not,
-    ///   where `overflow_fraction = (bytes − capacity)/bytes`.
+    /// * `1 + OVERFLOW_BURST + SPILL_COST_FACTOR · overflow_fraction` when
+    ///   it does not, where `overflow_fraction = (bytes − capacity)/bytes`.
     ///
     /// The multiplier is continuous-from-above in the overflow fraction
-    /// but jumps by `overflow_burst` at the capacity boundary, producing
+    /// but jumps by `OVERFLOW_BURST` at the capacity boundary, producing
     /// the step-wise `IN(n)` of Fig. 5.
     pub fn slowdown(&self, bytes: u64) -> f64 {
         if !self.spills(bytes) {
             return 1.0;
         }
         let overflow = (bytes - self.capacity_bytes) as f64 / bytes as f64;
-        1.0 + self.overflow_burst + self.spill_cost_factor * overflow
+        1.0 + OVERFLOW_BURST + SPILL_COST_FACTOR * overflow
     }
 
     /// Validates parameter ranges.
@@ -86,18 +86,6 @@ impl MemoryModel {
     pub fn validate(&self) -> Result<(), ClusterError> {
         if self.capacity_bytes == 0 {
             return Err(ClusterError::invalid("memory capacity", "must be positive"));
-        }
-        if !self.spill_cost_factor.is_finite() || self.spill_cost_factor < 0.0 {
-            return Err(ClusterError::invalid(
-                "spill cost factor",
-                "must be finite and >= 0",
-            ));
-        }
-        if !self.overflow_burst.is_finite() || self.overflow_burst < 0.0 {
-            return Err(ClusterError::invalid(
-                "overflow burst",
-                "must be finite and >= 0",
-            ));
         }
         Ok(())
     }
@@ -158,25 +146,11 @@ mod tests {
     #[test]
     fn validation() {
         assert!(MemoryModel::reducer_2gb().validate().is_ok());
-        let bad = MemoryModel {
-            capacity_bytes: 0,
-            ..MemoryModel::reducer_2gb()
-        };
+        let bad = MemoryModel { capacity_bytes: 0 };
         assert!(matches!(
             bad.validate(),
             Err(ClusterError::InvalidParameter {
                 what: "memory capacity",
-                ..
-            })
-        ));
-        let bad = MemoryModel {
-            spill_cost_factor: -0.1,
-            ..MemoryModel::reducer_2gb()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(ClusterError::InvalidParameter {
-                what: "spill cost factor",
                 ..
             })
         ));

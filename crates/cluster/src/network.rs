@@ -12,6 +12,15 @@
 
 use crate::spec::ClusterSpec;
 
+/// Per-message latency floor, seconds.
+const LATENCY: f64 = 0.5e-3;
+
+/// Incast goodput degradation per additional concurrent sender
+/// (dimensionless): with fan-in `n` the effective receive goodput is
+/// `worker_bandwidth / (1 + INCAST_COEFFICIENT·(n−1))` — the paper-era
+/// mild incast.
+const INCAST_COEFFICIENT: f64 = 0.02;
+
 /// Transfer-time model for a master/worker cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
@@ -19,12 +28,6 @@ pub struct NetworkModel {
     pub master_bandwidth: f64,
     /// Worker NIC bandwidth, bytes/s.
     pub worker_bandwidth: f64,
-    /// Per-message latency floor, seconds.
-    pub latency: f64,
-    /// Incast goodput degradation per additional concurrent sender
-    /// (dimensionless; 0 disables the effect). With fan-in `n` the
-    /// effective receive goodput is `worker_bandwidth / (1 + incast·(n−1))`.
-    pub incast_coefficient: f64,
     /// `true` to broadcast over a binomial tree (cost ~ log₂ n) instead of
     /// serialized master unicasts (cost ~ n). The paper's Spark era used
     /// serialized HTTP broadcast, which is the pathological default.
@@ -38,15 +41,13 @@ impl NetworkModel {
         NetworkModel {
             master_bandwidth: spec.master.net_bandwidth,
             worker_bandwidth: spec.worker.net_bandwidth,
-            latency: 0.5e-3,
-            incast_coefficient: 0.02,
             tree_broadcast: false,
         }
     }
 
     /// Time for the master to broadcast `bytes` to `n` workers.
     ///
-    /// Serialized unicast: `n · (latency + bytes/master_bw)` — linear in
+    /// Serialized unicast: `n · (LATENCY + bytes/master_bw)` — linear in
     /// `n`. Tree broadcast: `ceil(log₂(n+1))` rounds of worker-bandwidth
     /// transfers.
     pub fn broadcast_time(&self, bytes: u64, n: u32) -> f64 {
@@ -59,15 +60,15 @@ impl NetworkModel {
         }
         if self.tree_broadcast {
             let rounds = (n as f64 + 1.0).log2().ceil();
-            rounds * (self.latency + bytes as f64 / self.worker_bandwidth)
+            rounds * (LATENCY + bytes as f64 / self.worker_bandwidth)
         } else {
-            n as f64 * (self.latency + bytes as f64 / self.master_bandwidth)
+            n as f64 * (LATENCY + bytes as f64 / self.master_bandwidth)
         }
     }
 
     /// Effective receive goodput (bytes/s) at fan-in `n`.
     pub fn incast_goodput(&self, n: u32) -> f64 {
-        self.worker_bandwidth / (1.0 + self.incast_coefficient * (n.max(1) as f64 - 1.0))
+        self.worker_bandwidth / (1.0 + INCAST_COEFFICIENT * (n.max(1) as f64 - 1.0))
     }
 }
 
@@ -112,12 +113,5 @@ mod tests {
         let m = model();
         assert!(m.incast_goodput(16) < m.incast_goodput(4));
         assert_eq!(m.incast_goodput(1), m.worker_bandwidth);
-    }
-
-    #[test]
-    fn zero_incast_coefficient_disables_penalty() {
-        let mut m = model();
-        m.incast_coefficient = 0.0;
-        assert_eq!(m.incast_goodput(16), m.incast_goodput(1));
     }
 }

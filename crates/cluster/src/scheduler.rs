@@ -113,12 +113,6 @@ impl CentralScheduler {
     }
 }
 
-impl Default for CentralScheduler {
-    fn default() -> Self {
-        CentralScheduler::hadoop_like()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +152,7 @@ mod tests {
         assert!(CentralScheduler::idealized().validate().is_ok());
         let bad = CentralScheduler {
             base_dispatch: -1.0,
-            ..CentralScheduler::default()
+            ..CentralScheduler::hadoop_like()
         };
         assert!(matches!(
             bad.validate(),

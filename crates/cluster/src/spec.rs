@@ -4,10 +4,9 @@ use crate::ClusterError;
 
 /// One mebibyte in bytes.
 pub const MIB: u64 = 1024 * 1024;
-/// One gibibyte in bytes.
-pub const GIB: u64 = 1024 * MIB;
 
-/// Hardware description of a single node.
+/// I/O description of a single node. Compute rates are not a node
+/// property here: each workload's cost model calibrates its own.
 ///
 /// # Example
 ///
@@ -15,17 +14,10 @@ pub const GIB: u64 = 1024 * MIB;
 /// use ipso_cluster::NodeSpec;
 ///
 /// let worker = NodeSpec::m4_large();
-/// assert_eq!(worker.cores, 2);
 /// assert!(worker.net_bandwidth > 50e6); // ≥ 450 Mb/s
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
-    /// Number of cores.
-    pub cores: u32,
-    /// Relative compute speed multiplier (1.0 = baseline worker core).
-    pub core_speed: f64,
-    /// RAM available to the framework, in bytes.
-    pub memory_bytes: u64,
     /// Sequential disk bandwidth, bytes/s.
     pub disk_bandwidth: f64,
     /// NIC bandwidth, bytes/s.
@@ -37,9 +29,6 @@ impl NodeSpec {
     /// ≥ 450 Mb/s network, EBS-backed disk ≈ 56 MB/s.
     pub fn m4_large() -> NodeSpec {
         NodeSpec {
-            cores: 2,
-            core_speed: 1.0,
-            memory_bytes: 8 * GIB,
             disk_bandwidth: 56.0e6,
             net_bandwidth: 56.25e6, // 450 Mb/s
         }
@@ -49,9 +38,6 @@ impl NodeSpec {
     /// faster NIC (2 Gb/s class).
     pub fn m4_4xlarge() -> NodeSpec {
         NodeSpec {
-            cores: 16,
-            core_speed: 1.0,
-            memory_bytes: 64 * GIB,
             disk_bandwidth: 250.0e6,
             net_bandwidth: 250.0e6, // 2 Gb/s
         }
@@ -64,15 +50,6 @@ impl NodeSpec {
     /// Returns [`ClusterError::InvalidParameter`] on the first violated
     /// constraint.
     pub fn validate(&self) -> Result<(), ClusterError> {
-        if self.cores == 0 {
-            return Err(ClusterError::invalid("node cores", "must be at least 1"));
-        }
-        if !(self.core_speed.is_finite() && self.core_speed > 0.0) {
-            return Err(ClusterError::invalid("core speed", "must be positive"));
-        }
-        if self.memory_bytes == 0 {
-            return Err(ClusterError::invalid("node memory", "must be positive"));
-        }
         if !(self.disk_bandwidth.is_finite() && self.disk_bandwidth > 0.0) {
             return Err(ClusterError::invalid("disk bandwidth", "must be positive"));
         }
@@ -95,9 +72,6 @@ pub struct ClusterSpec {
     pub worker: NodeSpec,
     /// Master hardware.
     pub master: NodeSpec,
-    /// Containers (executors) launched per worker. The paper configures
-    /// the resource manager to launch exactly one container per unit.
-    pub containers_per_worker: u32,
 }
 
 impl ClusterSpec {
@@ -108,13 +82,13 @@ impl ClusterSpec {
             workers,
             worker: NodeSpec::m4_large(),
             master: NodeSpec::m4_4xlarge(),
-            containers_per_worker: 1,
         }
     }
 
-    /// Total parallel processing slots.
+    /// Total parallel processing slots: the paper configures the
+    /// resource manager to launch exactly one container per worker.
     pub fn total_slots(&self) -> u32 {
-        self.workers * self.containers_per_worker
+        self.workers
     }
 
     /// Validates the configuration.
@@ -127,12 +101,6 @@ impl ClusterSpec {
         if self.workers == 0 {
             return Err(ClusterError::invalid(
                 "cluster workers",
-                "must be at least 1",
-            ));
-        }
-        if self.containers_per_worker == 0 {
-            return Err(ClusterError::invalid(
-                "worker containers",
                 "must be at least 1",
             ));
         }
@@ -156,17 +124,13 @@ mod tests {
     fn master_outclasses_worker() {
         let w = NodeSpec::m4_large();
         let m = NodeSpec::m4_4xlarge();
-        assert!(m.cores > w.cores);
-        assert!(m.memory_bytes > w.memory_bytes);
+        assert!(m.disk_bandwidth > w.disk_bandwidth);
         assert!(m.net_bandwidth > w.net_bandwidth);
     }
 
     #[test]
-    fn slots_multiply() {
-        let mut c = ClusterSpec::emr(8);
-        assert_eq!(c.total_slots(), 8);
-        c.containers_per_worker = 2;
-        assert_eq!(c.total_slots(), 16);
+    fn one_slot_per_worker() {
+        assert_eq!(ClusterSpec::emr(8).total_slots(), 8);
     }
 
     fn rejected(result: Result<(), ClusterError>) -> &'static str {
@@ -180,17 +144,11 @@ mod tests {
     fn validation_catches_zeroes() {
         let mut c = ClusterSpec::emr(0);
         assert_eq!(rejected(c.validate()), "cluster workers");
-        c = ClusterSpec::emr(1);
-        c.containers_per_worker = 0;
-        assert_eq!(rejected(c.validate()), "worker containers");
         let mut n = NodeSpec::m4_large();
-        n.cores = 0;
-        assert_eq!(rejected(n.validate()), "node cores");
-        n = NodeSpec::m4_large();
         n.net_bandwidth = 0.0;
         assert_eq!(rejected(n.validate()), "network bandwidth");
         c = ClusterSpec::emr(1);
-        c.master.memory_bytes = 0;
-        assert_eq!(rejected(c.validate()), "node memory");
+        c.master.disk_bandwidth = 0.0;
+        assert_eq!(rejected(c.validate()), "disk bandwidth");
     }
 }

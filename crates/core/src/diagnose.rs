@@ -18,7 +18,7 @@ use crate::estimate::FactorEstimates;
 use crate::measurement::SpeedupCurve;
 use crate::taxonomy::{classify, FixedSizeClass, FixedTimeClass, ScalingClass, WorkloadType};
 use crate::ModelError;
-use ipso_fit::{fit_power_law, levenberg_marquardt, NonlinearOptions};
+use ipso_fit::{fit_power_law, levenberg_marquardt};
 
 /// Fraction of the peak below which the final point must fall before we
 /// call a curve "peaked" rather than noisy-flat.
@@ -263,7 +263,6 @@ fn compare_models(ns: &[f64], speedups: &[f64]) -> Result<ModelChoice, ModelErro
         ns,
         speedups,
         &[speedups.last().copied().unwrap_or(1.0) * 1.5, 5.0],
-        &NonlinearOptions::default(),
     );
     match (power, sat) {
         (Ok(p), Ok(s)) => {
@@ -286,7 +285,6 @@ fn estimate_bound(ns: &[f64], speedups: &[f64]) -> Option<f64> {
         ns,
         speedups,
         &[speedups.last().copied()? * 1.2, 5.0],
-        &NonlinearOptions::default(),
     )
     .ok()
     .map(|f| f.params[0])

@@ -330,13 +330,7 @@ fn fit_induced_factor(samples: &[(f64, f64)]) -> Result<FittedFactor, ModelError
     let seed = fit_power_law(&xs, &ys)
         .map(|pl| vec![pl.coefficient, pl.exponent.max(0.1)])
         .unwrap_or_else(|_| vec![ys[ys.len() - 1] / xs[xs.len() - 1], 1.0]);
-    let fit = levenberg_marquardt(
-        |p, n| p[0] * (n.powf(p[1]) - 1.0),
-        &xs,
-        &ys,
-        &seed,
-        &ipso_fit::NonlinearOptions::default(),
-    )?;
+    let fit = levenberg_marquardt(|p, n| p[0] * (n.powf(p[1]) - 1.0), &xs, &ys, &seed)?;
     let beta = fit.params[0].max(0.0);
     let gamma = fit.params[1].max(0.0);
     Ok(FittedFactor {

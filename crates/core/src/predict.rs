@@ -14,12 +14,12 @@
 //!   `Wo(n) = b·n^γ` by nonlinear regression, extrapolate `E[Tp,1(1)]`
 //!   to `n = 1`, and evaluate Eq. 18.
 
-use crate::estimate::{estimate_factors, FactorEstimates};
+use crate::estimate::{estimate_factors_windowed, FactorEstimates};
 use crate::measurement::RunMeasurement;
 use crate::model::IpsoModel;
 use crate::stochastic::fixed_size_speedup;
 use crate::ModelError;
-use ipso_fit::{fit_power_law, levenberg_marquardt, NonlinearOptions};
+use ipso_fit::{fit_power_law, levenberg_marquardt};
 
 /// Predicts large-`n` speedups from small-`n` run decompositions.
 ///
@@ -47,23 +47,17 @@ pub struct ScalingPredictor {
 impl ScalingPredictor {
     /// Fits the predictor using only measurements with `n ≤ window`
     /// (the paper uses `n ≤ 16` for WordCount, Sort and QMC, and
-    /// `16 ≤ n ≤ 64` for TeraSort to skip the pre-spill regime).
+    /// `16 ≤ n ≤ 64` for TeraSort to skip the pre-spill regime):
+    /// [`ScalingPredictor::fit_range`] over `[0, window]`.
     ///
     /// # Errors
     ///
-    /// Propagates estimation and model-construction errors; returns
+    /// Propagates estimation and model-construction errors, including
+    /// validation errors of runs outside the window; returns
     /// [`ModelError::InsufficientData`] when the window holds fewer than
     /// three runs.
     pub fn fit(runs: &[RunMeasurement], window: u32) -> Result<Self, ModelError> {
-        let windowed: Vec<RunMeasurement> =
-            runs.iter().copied().filter(|r| r.n <= window).collect();
-        let estimates = estimate_factors(&windowed)?;
-        let model = estimates.to_model()?;
-        Ok(ScalingPredictor {
-            estimates,
-            model,
-            window,
-        })
+        Self::fit_range(runs, 0, window)
     }
 
     /// Fits the scaling factors using only runs in the `[lo, hi]` window
@@ -75,7 +69,7 @@ impl ScalingPredictor {
     ///
     /// Same as [`ScalingPredictor::fit`].
     pub fn fit_range(runs: &[RunMeasurement], lo: u32, hi: u32) -> Result<Self, ModelError> {
-        let estimates = crate::estimate::estimate_factors_windowed(runs, lo, hi)?;
+        let estimates = estimate_factors_windowed(runs, lo, hi)?;
         let model = estimates.to_model()?;
         Ok(ScalingPredictor {
             estimates,
@@ -159,13 +153,7 @@ impl FixedSizePredictor {
 
         // E[max Tp,i(n)] = a/n + c. Seed a from the first point.
         let seed_a = tmax[0] * ns[0];
-        let task_fit = levenberg_marquardt(
-            |p, n| p[0] / n + p[1],
-            &ns,
-            &tmax,
-            &[seed_a, 0.0],
-            &NonlinearOptions::default(),
-        )?;
+        let task_fit = levenberg_marquardt(|p, n| p[0] / n + p[1], &ns, &tmax, &[seed_a, 0.0])?;
 
         // Measured overhead Wo(n) = b·n^w; the induced factor gains one
         // power of n: q(n) = Wo(n)·n/Wp(1) ≈ β·n^(w+1), so γ = w + 1.
@@ -276,6 +264,31 @@ mod tests {
         assert!((30..=90).contains(&n_peak), "peak at n = {n_peak}");
         assert!((10.0..=35.0).contains(&s_peak), "peak speedup = {s_peak}");
         assert!(p.speedup(200.0).unwrap() < s_peak);
+    }
+
+    /// The Levenberg–Marquardt fit of Table I, bit for bit: a change to
+    /// the solver's iteration budget, tolerance, damping or
+    /// finite-difference step shows here.
+    #[test]
+    fn table1_fit_matches_pinned_bits() {
+        let p = FixedSizePredictor::fit(&table1()).unwrap();
+        let bits = [
+            p.task_coeff.to_bits(),
+            p.task_offset.to_bits(),
+            p.overhead_coeff.to_bits(),
+            p.gamma.to_bits(),
+            p.tp1.to_bits(),
+        ];
+        assert_eq!(
+            bits,
+            [
+                0x409f150cfa1a76eb,
+                0x40254dc8796a17de,
+                0x3fe013b66f5fc616,
+                0x400057a217556034,
+                0x409f3fa88b0d4b1b,
+            ]
+        );
     }
 
     #[test]

@@ -43,6 +43,6 @@ pub mod segmented;
 
 pub use error::FitError;
 pub use linear::{fit_line, LineFit};
-pub use nonlinear::{levenberg_marquardt, NonlinearFit, NonlinearOptions};
+pub use nonlinear::{levenberg_marquardt, NonlinearFit};
 pub use powerlaw::{fit_power_law, PowerLawFit};
 pub use segmented::{fit_two_segment, TwoSegmentFit};

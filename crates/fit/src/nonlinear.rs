@@ -12,33 +12,17 @@ use crate::error::validate_xy;
 use crate::matrix::Matrix;
 use crate::FitError;
 
-/// Options controlling the Levenberg–Marquardt iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NonlinearOptions {
-    /// Maximum number of outer iterations.
-    pub max_iterations: usize,
-    /// Convergence threshold on the relative reduction of the sum of
-    /// squared residuals.
-    pub tolerance: f64,
-    /// Initial damping factor λ.
-    pub initial_lambda: f64,
-    /// Multiplicative factor applied to λ on rejected / accepted steps.
-    pub lambda_factor: f64,
-    /// Relative step used for the finite-difference Jacobian.
-    pub fd_step: f64,
-}
-
-impl Default for NonlinearOptions {
-    fn default() -> Self {
-        NonlinearOptions {
-            max_iterations: 200,
-            tolerance: 1e-12,
-            initial_lambda: 1e-3,
-            lambda_factor: 10.0,
-            fd_step: 1e-6,
-        }
-    }
-}
+/// Maximum number of outer iterations.
+const MAX_ITERATIONS: usize = 200;
+/// Convergence threshold on the relative reduction of the sum of squared
+/// residuals.
+const TOLERANCE: f64 = 1e-12;
+/// Initial damping factor λ.
+const INITIAL_LAMBDA: f64 = 1e-3;
+/// Multiplicative factor applied to λ on rejected / accepted steps.
+const LAMBDA_FACTOR: f64 = 10.0;
+/// Relative step used for the finite-difference Jacobian.
+const FD_STEP: f64 = 1e-6;
 
 /// Result of a nonlinear least-squares fit.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +46,7 @@ pub struct NonlinearFit {
 /// # Example
 ///
 /// ```
-/// use ipso_fit::{levenberg_marquardt, NonlinearOptions};
+/// use ipso_fit::levenberg_marquardt;
 ///
 /// # fn main() -> Result<(), ipso_fit::FitError> {
 /// // Recover q(n) = 0.006 * n^2 from samples.
@@ -73,7 +57,6 @@ pub struct NonlinearFit {
 ///     &x,
 ///     &y,
 ///     &[0.01, 1.5],
-///     &NonlinearOptions::default(),
 /// )?;
 /// assert!((fit.params[1] - 2.0).abs() < 1e-4);
 /// # Ok(())
@@ -84,7 +67,6 @@ pub fn levenberg_marquardt<F>(
     x: &[f64],
     y: &[f64],
     initial: &[f64],
-    options: &NonlinearOptions,
 ) -> Result<NonlinearFit, FitError>
 where
     F: Fn(&[f64], f64) -> f64,
@@ -117,17 +99,17 @@ where
     let mut params = initial.to_vec();
     let mut r = residuals(&params)?;
     let mut cost = ssr(&r);
-    let mut lambda = options.initial_lambda;
+    let mut lambda = INITIAL_LAMBDA;
     let mut iterations = 0;
 
-    while iterations < options.max_iterations {
+    while iterations < MAX_ITERATIONS {
         iterations += 1;
 
         // Numeric Jacobian of the *model* (not the residual): J[i][j] =
         // ∂f(params, x_i)/∂params_j via central differences.
         let mut jac = Matrix::zeros(x.len(), p);
         for j in 0..p {
-            let h = options.fd_step * params[j].abs().max(1e-4);
+            let h = FD_STEP * params[j].abs().max(1e-4);
             let mut plus = params.clone();
             let mut minus = params.clone();
             plus[j] += h;
@@ -153,7 +135,7 @@ where
             let delta = match damped.solve(&jtr) {
                 Ok(d) => d.into_column_vec(),
                 Err(_) => {
-                    lambda *= options.lambda_factor;
+                    lambda *= LAMBDA_FACTOR;
                     continue;
                 }
             };
@@ -166,9 +148,9 @@ where
                         params = candidate;
                         r = rc;
                         cost = new_cost;
-                        lambda = (lambda / options.lambda_factor).max(1e-12);
+                        lambda = (lambda / LAMBDA_FACTOR).max(1e-12);
                         accepted = true;
-                        if improvement < options.tolerance {
+                        if improvement < TOLERANCE {
                             // Converged.
                             let predicted: Vec<f64> =
                                 x.iter().map(|&xi| model(&params, xi)).collect();
@@ -181,9 +163,9 @@ where
                         }
                         break;
                     }
-                    lambda *= options.lambda_factor;
+                    lambda *= LAMBDA_FACTOR;
                 }
-                Err(_) => lambda *= options.lambda_factor,
+                Err(_) => lambda *= LAMBDA_FACTOR,
             }
         }
         if !accepted {
@@ -220,14 +202,8 @@ mod tests {
     fn recovers_exponential_decay() {
         let x: Vec<f64> = (0..20).map(|v| v as f64 * 0.25).collect();
         let y: Vec<f64> = x.iter().map(|v| 3.0 * (-0.7 * v).exp()).collect();
-        let fit = levenberg_marquardt(
-            |p, xv| p[0] * (p[1] * xv).exp(),
-            &x,
-            &y,
-            &[1.0, -0.1],
-            &NonlinearOptions::default(),
-        )
-        .unwrap();
+        let fit =
+            levenberg_marquardt(|p, xv| p[0] * (p[1] * xv).exp(), &x, &y, &[1.0, -0.1]).unwrap();
         assert!((fit.params[0] - 3.0).abs() < 1e-6, "a = {}", fit.params[0]);
         assert!((fit.params[1] + 0.7).abs() < 1e-6, "k = {}", fit.params[1]);
     }
@@ -237,14 +213,7 @@ mod tests {
         // The Fig. 8 workload shape: W(n) = a/n + c.
         let x = [10.0, 30.0, 60.0, 90.0];
         let y: Vec<f64> = x.iter().map(|n| 1800.0 / n + 12.0).collect();
-        let fit = levenberg_marquardt(
-            |p, n| p[0] / n + p[1],
-            &x,
-            &y,
-            &[1000.0, 0.0],
-            &NonlinearOptions::default(),
-        )
-        .unwrap();
+        let fit = levenberg_marquardt(|p, n| p[0] / n + p[1], &x, &y, &[1000.0, 0.0]).unwrap();
         assert!((fit.params[0] - 1800.0).abs() < 1e-5);
         assert!((fit.params[1] - 12.0).abs() < 1e-6);
         assert!(fit.gof.r_squared > 1.0 - 1e-10);
@@ -254,41 +223,21 @@ mod tests {
     fn linear_model_matches_ols() {
         let x: Vec<f64> = (1..=12).map(|v| v as f64).collect();
         let y: Vec<f64> = x.iter().map(|v| 0.23 * v + 2.72).collect();
-        let lm = levenberg_marquardt(
-            |p, xv| p[0] * xv + p[1],
-            &x,
-            &y,
-            &[1.0, 0.0],
-            &NonlinearOptions::default(),
-        )
-        .unwrap();
+        let lm = levenberg_marquardt(|p, xv| p[0] * xv + p[1], &x, &y, &[1.0, 0.0]).unwrap();
         assert!((lm.params[0] - 0.23).abs() < 1e-8);
         assert!((lm.params[1] - 2.72).abs() < 1e-8);
     }
 
     #[test]
     fn rejects_non_finite_initial_guess() {
-        let err = levenberg_marquardt(
-            |p, xv| p[0] * xv,
-            &[1.0, 2.0],
-            &[1.0, 2.0],
-            &[f64::NAN],
-            &NonlinearOptions::default(),
-        )
-        .unwrap_err();
+        let err = levenberg_marquardt(|p, xv| p[0] * xv, &[1.0, 2.0], &[1.0, 2.0], &[f64::NAN])
+            .unwrap_err();
         assert_eq!(err, FitError::NonFinite);
     }
 
     #[test]
     fn rejects_empty_parameter_vector() {
-        let err = levenberg_marquardt(
-            |_, xv| xv,
-            &[1.0, 2.0],
-            &[1.0, 2.0],
-            &[],
-            &NonlinearOptions::default(),
-        )
-        .unwrap_err();
+        let err = levenberg_marquardt(|_, xv| xv, &[1.0, 2.0], &[1.0, 2.0], &[]).unwrap_err();
         assert!(matches!(err, FitError::TooFewPoints { .. }));
     }
 
@@ -296,14 +245,7 @@ mod tests {
     fn already_converged_start_returns_quickly() {
         let x = [1.0, 2.0, 3.0];
         let y = [2.0, 4.0, 6.0];
-        let fit = levenberg_marquardt(
-            |p, xv| p[0] * xv,
-            &x,
-            &y,
-            &[2.0],
-            &NonlinearOptions::default(),
-        )
-        .unwrap();
+        let fit = levenberg_marquardt(|p, xv| p[0] * xv, &x, &y, &[2.0]).unwrap();
         assert!((fit.params[0] - 2.0).abs() < 1e-9);
     }
 
@@ -315,14 +257,7 @@ mod tests {
             .enumerate()
             .map(|(i, v)| 0.5 * v.powf(1.8) * if i % 2 == 0 { 1.01 } else { 0.99 })
             .collect();
-        let fit = levenberg_marquardt(
-            |p, n| p[0] * n.powf(p[1]),
-            &x,
-            &y,
-            &[1.0, 1.0],
-            &NonlinearOptions::default(),
-        )
-        .unwrap();
+        let fit = levenberg_marquardt(|p, n| p[0] * n.powf(p[1]), &x, &y, &[1.0, 1.0]).unwrap();
         assert!(
             (fit.params[1] - 1.8).abs() < 0.02,
             "gamma = {}",

@@ -6,6 +6,10 @@
 
 use ipso_cluster::ClusterError;
 
+/// Fixed sequential-job initialization time (JVM startup etc.), s. Every
+/// workload's cost model charges the same 2 s.
+pub(crate) const SEQ_INIT: f64 = 2.0;
+
 /// Processing rates for one MapReduce job class.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobCostModel {
@@ -19,8 +23,6 @@ pub struct JobCostModel {
     pub merge_rate: f64,
     /// Final reduce-stage rate, bytes/s of reduce input.
     pub reduce_rate: f64,
-    /// Fixed sequential-job initialization time (JVM startup etc.), s.
-    pub seq_init: f64,
     /// Fixed reducer-side setup cost charged once per job in the merge
     /// phase (reduce container launch, sort buffers), s. For jobs with
     /// tiny intermediate data (WordCount, QMC) this constant dominates the
@@ -38,7 +40,6 @@ impl JobCostModel {
             shuffle_rate: 90.0e6,
             merge_rate: 45.0e6,
             reduce_rate: 120.0e6,
-            seq_init: 2.0,
             serial_setup: 1.0,
         }
     }
@@ -58,9 +59,6 @@ impl JobCostModel {
             if !v.is_finite() || v <= 0.0 {
                 return Err(ClusterError::invalid(what, "must be finite and positive"));
             }
-        }
-        if !self.seq_init.is_finite() || self.seq_init < 0.0 {
-            return Err(ClusterError::invalid("seq_init", "must be finite and >= 0"));
         }
         if !self.serial_setup.is_finite() || self.serial_setup < 0.0 {
             return Err(ClusterError::invalid(
@@ -91,12 +89,6 @@ impl JobCostModel {
     /// effects (the sequential execution path: local DFS reads).
     pub fn shuffle_time(&self, bytes: u64) -> f64 {
         bytes as f64 / self.shuffle_rate
-    }
-}
-
-impl Default for JobCostModel {
-    fn default() -> Self {
-        JobCostModel::io_bound()
     }
 }
 
@@ -138,11 +130,11 @@ mod tests {
             })
         ));
         c = JobCostModel::io_bound();
-        c.seq_init = -1.0;
+        c.serial_setup = -1.0;
         assert!(matches!(
             c.validate(),
             Err(ClusterError::InvalidParameter {
-                what: "seq_init",
+                what: "serial_setup",
                 ..
             })
         ));

@@ -39,6 +39,7 @@ use ipso_sim::SimRng;
 
 use crate::api::{Mapper, Reducer};
 use crate::config::JobSpec;
+use crate::cost::SEQ_INIT;
 use crate::datapath::{execute_map_tasks, execute_reduce, MappedTask};
 use crate::plan::plan_scale_out;
 use crate::split::InputSplit;
@@ -191,7 +192,6 @@ where
 
     if ipso_obs::enabled() {
         record_scale_out_trace(
-            spec,
             &graph.stages[0],
             &stage,
             total_intermediate,
@@ -206,7 +206,7 @@ where
         job: spec.name.clone(),
         n,
         phases: PhaseTimes {
-            init: spec.cost.seq_init,
+            init: SEQ_INIT,
             map: max_task,
             shuffle,
             merge,
@@ -234,9 +234,7 @@ where
 /// multiplier reached the severe threshold get an instant marker on
 /// their executor's track, and each recovery event (retry, lost output,
 /// speculative copy) an instant at its task's finish.
-#[allow(clippy::too_many_arguments)]
 fn record_scale_out_trace(
-    spec: &JobSpec,
     plan: &StageNode,
     stage: &StageOutcome,
     total_intermediate: u64,
@@ -245,7 +243,7 @@ fn record_scale_out_trace(
     reduce: f64,
     overhead: f64,
 ) {
-    let t0 = spec.cost.seq_init;
+    let t0 = SEQ_INIT;
     let makespan = stage.schedule.makespan;
     ipso_obs::record_span("driver", "init", "mapreduce", 0.0, t0);
     ipso_obs::record_span("driver", "map", "mapreduce", t0, t0 + makespan);
@@ -328,7 +326,7 @@ fn sequential_trace<I>(
         job: spec.name.clone(),
         n: splits.len() as u32,
         phases: PhaseTimes {
-            init: spec.cost.seq_init,
+            init: SEQ_INIT,
             map: map_total,
             shuffle: spec.cost.shuffle_time(total_intermediate),
             merge: spec.cost.serial_setup + spec.cost.merge_time(total_intermediate) * slowdown,

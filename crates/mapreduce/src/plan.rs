@@ -24,6 +24,7 @@
 use ipso_cluster::{IdealReference, LineageMode, StageNode, TaskGraph};
 
 use crate::config::JobSpec;
+use crate::cost::SEQ_INIT;
 use crate::split::InputSplit;
 
 /// Lowers the scale-out run of `spec` over `splits` into a single-stage
@@ -43,7 +44,7 @@ pub fn plan_scale_out<I>(spec: &JobSpec, splits: &[InputSplit<I>]) -> TaskGraph 
             ideal: IdealReference::SlowestTask,
             lineage: LineageMode::None,
         }],
-        setup_overhead: (spec.scheduler.job_setup - spec.cost.seq_init).max(0.0),
+        setup_overhead: (spec.scheduler.job_setup - SEQ_INIT).max(0.0),
         no_straggler_reference: false,
     }
 }
@@ -86,7 +87,7 @@ mod tests {
         let graph = plan_scale_out(&spec, &splits(4));
         assert_eq!(
             graph.setup_overhead,
-            (spec.scheduler.job_setup - spec.cost.seq_init).max(0.0)
+            (spec.scheduler.job_setup - SEQ_INIT).max(0.0)
         );
     }
 }

@@ -65,7 +65,7 @@ impl SparkRun {
 /// 2. tasks are dispatched centrally and run in waves; tasks of the first
 ///    wave pay the executor's one-time deserialization cost;
 /// 3. tasks whose executor working set (cached partitions × tasks per
-///    executor) exceeds executor memory run `spill_slowdown`× slower;
+///    executor) exceeds executor memory run 1.6× slower;
 /// 4. the stage's shuffle output is redistributed m-to-m with the incast
 ///    goodput penalty at each receiver.
 ///

@@ -31,11 +31,10 @@ pub struct SparkJobSpec {
     pub network: NetworkModel,
     /// Task-time noise: each task's time is multiplied by a draw.
     pub straggler: Distribution,
-    /// Per-executor memory available for cached partitions, bytes.
+    /// Per-executor memory available for cached partitions, bytes. Tasks
+    /// whose executor working set exceeds it run 1.6× slower (RDD spill
+    /// to local disk).
     pub executor_memory: u64,
-    /// Slowdown multiplier applied to tasks whose executor working set
-    /// exceeds memory (RDD spill to local disk).
-    pub spill_slowdown: f64,
     /// Per-executor one-time first-task cost (classloading, JIT,
     /// deserialization of closures) — the paper's "first wave" overhead.
     pub first_wave_cost: f64,
@@ -75,7 +74,6 @@ impl SparkJobSpec {
             scheduler: CentralScheduler::spark_like(),
             straggler: Distribution::jitter(0.05),
             executor_memory: 4 * 1024 * 1024 * 1024, // 4 GiB usable of 8
-            spill_slowdown: 1.6,
             first_wave_cost: 0.35,
             executor_launch_cost: 0.09,
             engine: EngineOptions::default(),
@@ -118,9 +116,6 @@ impl SparkJobSpec {
         }
         if self.executor_memory == 0 {
             return Err(ClusterError::invalid("executor memory", "must be positive"));
-        }
-        if !self.spill_slowdown.is_finite() || self.spill_slowdown < 1.0 {
-            return Err(ClusterError::invalid("spill slowdown", "must be >= 1"));
         }
         if !self.first_wave_cost.is_finite() || self.first_wave_cost < 0.0 {
             return Err(ClusterError::invalid(
@@ -175,8 +170,8 @@ mod tests {
         bad.problem_size = 0;
         assert_eq!(rejected(&bad), "problem size");
         bad = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 4));
-        bad.spill_slowdown = 0.5;
-        assert_eq!(rejected(&bad), "spill slowdown");
+        bad.executor_memory = 0;
+        assert_eq!(rejected(&bad), "executor memory");
         bad = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 0));
         assert_eq!(rejected(&bad), "stage");
         bad = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 4));

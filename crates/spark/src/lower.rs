@@ -34,6 +34,10 @@ use crate::engine::INPUT_READ_RATE;
 use crate::job::SparkJobSpec;
 use crate::stage::StageSpec;
 
+/// Slowdown multiplier applied to tasks whose executor working set
+/// exceeds executor memory (RDD spill to local disk).
+const SPILL_SLOWDOWN: f64 = 1.6;
+
 /// The nominal per-task time of `stage` before noise: compute plus input
 /// read, times the memory-pressure spill multiplier.
 fn nominal_task_time(spec: &SparkJobSpec, stage: &StageSpec) -> f64 {
@@ -46,7 +50,7 @@ fn nominal_task_time(spec: &SparkJobSpec, stage: &StageSpec) -> f64 {
         stage.input_bytes_per_task
     };
     let mem_mult = if working_set > spec.executor_memory {
-        spec.spill_slowdown
+        SPILL_SLOWDOWN
     } else {
         1.0
     };

@@ -7,6 +7,8 @@
 //!   (Fig. 9);
 //! * **fixed-size** — the problem size `N` is held constant (Fig. 10).
 
+use ipso_cluster::ClusterError;
+
 use crate::engine::{run_sequential_reference, try_run_job};
 use crate::job::SparkJobSpec;
 
@@ -30,52 +32,46 @@ pub struct SparkSweepPoint {
 /// `make_job(problem_size, parallelism)` builds the fully-staged job —
 /// the workload crates provide these constructors.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `load_level` is zero or any point's [`try_run_job`] errs.
+/// Returns the first point's [`try_run_job`] error, in `ms` order; a
+/// zero `load_level` is rejected as a zero problem size.
 pub fn sweep_fixed_time(
     mut make_job: impl FnMut(u32, u32) -> SparkJobSpec,
     load_level: u32,
     ms: &[u32],
-) -> Vec<SparkSweepPoint> {
-    assert!(load_level > 0, "load level N/m must be positive");
+) -> Result<Vec<SparkSweepPoint>, ClusterError> {
     ms.iter()
-        .map(|&m| {
-            let spec = make_job(load_level * m, m);
-            point(&spec, m)
-        })
+        .map(|&m| point(&make_job(load_level * m, m), m))
         .collect()
 }
 
 /// Sweeps the fixed-size dimension: `N` constant for each `m`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `problem_size` is zero or any point's [`try_run_job`] errs.
+/// Returns the first point's [`try_run_job`] error, in `ms` order; a
+/// zero `problem_size` is rejected by validation.
 pub fn sweep_fixed_size(
     mut make_job: impl FnMut(u32, u32) -> SparkJobSpec,
     problem_size: u32,
     ms: &[u32],
-) -> Vec<SparkSweepPoint> {
-    assert!(problem_size > 0, "problem size N must be positive");
+) -> Result<Vec<SparkSweepPoint>, ClusterError> {
     ms.iter()
-        .map(|&m| {
-            let spec = make_job(problem_size, m);
-            point(&spec, m)
-        })
+        .map(|&m| point(&make_job(problem_size, m), m))
         .collect()
 }
 
-fn point(spec: &SparkJobSpec, m: u32) -> SparkSweepPoint {
-    let par = try_run_job(spec).unwrap_or_else(|e| panic!("sweep point m = {m}: {e}"));
+fn point(spec: &SparkJobSpec, m: u32) -> Result<SparkSweepPoint, ClusterError> {
+    let par = try_run_job(spec)?;
     let seq = run_sequential_reference(spec);
-    SparkSweepPoint {
+    Ok(SparkSweepPoint {
         m,
         problem_size: spec.problem_size,
         speedup: seq / par.total_time,
         total_time: par.total_time,
         overhead_time: par.overhead_time,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -102,7 +98,7 @@ mod tests {
 
     #[test]
     fn fixed_time_speedup_grows_then_saturates() {
-        let pts = sweep_fixed_time(ml_job, 4, &[1, 2, 4, 8, 16, 32, 64]);
+        let pts = sweep_fixed_time(ml_job, 4, &[1, 2, 4, 8, 16, 32, 64]).unwrap();
         assert_eq!(pts.len(), 7);
         // Growing at the start.
         assert!(pts[3].speedup > pts[1].speedup);
@@ -115,8 +111,8 @@ mod tests {
     fn higher_load_level_scales_better() {
         // The paper's Fig. 9 ordering: N/m = 4 outperforms N/m = 1 because
         // first-wave overhead amortizes over more tasks.
-        let low = sweep_fixed_time(ml_job, 1, &[8, 16, 32]);
-        let high = sweep_fixed_time(ml_job, 4, &[8, 16, 32]);
+        let low = sweep_fixed_time(ml_job, 1, &[8, 16, 32]).unwrap();
+        let high = sweep_fixed_time(ml_job, 4, &[8, 16, 32]).unwrap();
         for (l, h) in low.iter().zip(&high) {
             assert!(
                 h.speedup > l.speedup,
@@ -130,7 +126,7 @@ mod tests {
 
     #[test]
     fn fixed_size_speedup_peaks_and_falls() {
-        let pts = sweep_fixed_size(ml_job, 32, &[1, 2, 4, 8, 16, 32, 64, 128]);
+        let pts = sweep_fixed_size(ml_job, 32, &[1, 2, 4, 8, 16, 32, 64, 128]).unwrap();
         let peak = pts
             .iter()
             .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
@@ -143,14 +139,27 @@ mod tests {
     #[test]
     fn speedup_matches_manual_ratio() {
         let spec = ml_job(8, 4);
-        let s = point(&spec, 4).speedup;
+        let s = point(&spec, 4).unwrap().speedup;
         let manual = run_sequential_reference(&spec) / try_run_job(&spec).unwrap().total_time;
         assert!((s - manual).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
     fn zero_load_level_rejected() {
-        let _ = sweep_fixed_time(ml_job, 0, &[1]);
+        for err in [
+            sweep_fixed_time(ml_job, 0, &[1]).unwrap_err(),
+            sweep_fixed_size(ml_job, 0, &[1]).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    ClusterError::InvalidParameter {
+                        what: "problem size",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -25,7 +25,7 @@ pub struct StageSpec {
     pub name: String,
     /// Number of tasks in this stage.
     pub tasks: u32,
-    /// Pure compute per task at unit core speed, seconds.
+    /// Pure compute per task, seconds.
     pub task_compute: f64,
     /// Input bytes read per task (from cache, DFS or the previous
     /// shuffle).

@@ -45,9 +45,9 @@ mod tests {
     fn load_level_four_beats_one_and_eight() {
         use ipso_spark::sweep_fixed_time;
         let ms = [8u32, 16, 32];
-        let l1 = sweep_fixed_time(job, 1, &ms);
-        let l4 = sweep_fixed_time(job, 4, &ms);
-        let l8 = sweep_fixed_time(job, 8, &ms);
+        let l1 = sweep_fixed_time(job, 1, &ms).unwrap();
+        let l4 = sweep_fixed_time(job, 4, &ms).unwrap();
+        let l8 = sweep_fixed_time(job, 8, &ms).unwrap();
         for i in 0..ms.len() {
             assert!(
                 l4[i].speedup > l1[i].speedup,

@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn simulated_sweep_peaks_near_60() {
-        let pts = sweep_fixed_size(job, CF_TASKS, &[10, 20, 30, 45, 60, 90, 120, 180]);
+        let pts = sweep_fixed_size(job, CF_TASKS, &[10, 20, 30, 45, 60, 90, 120, 180]).unwrap();
         let peak = pts
             .iter()
             .max_by(|a, b| a.speedup.total_cmp(&b.speedup))

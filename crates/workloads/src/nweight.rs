@@ -49,7 +49,7 @@ mod tests {
     #[test]
     fn fixed_time_speedup_saturates_from_shuffle() {
         use ipso_spark::sweep_fixed_time;
-        let pts = sweep_fixed_time(job, 2, &[4, 16, 64]);
+        let pts = sweep_fixed_time(job, 2, &[4, 16, 64]).unwrap();
         // Shuffle-bound: efficiency (S/m) degrades with m.
         let e0 = pts[0].speedup / 4.0;
         let e2 = pts[2].speedup / 64.0;

@@ -252,7 +252,6 @@ pub fn cost_model() -> JobCostModel {
         shuffle_rate: 500.0e6,
         merge_rate: 500.0e6,
         reduce_rate: 500.0e6,
-        seq_init: 2.0,
         serial_setup: 0.3,
     }
 }

@@ -127,7 +127,6 @@ pub fn cost_model() -> JobCostModel {
         shuffle_rate: 550.0e6,
         merge_rate: 1100.0e6,
         reduce_rate: 1500.0e6,
-        seq_init: 2.0,
         serial_setup: 0.6,
     }
 }

@@ -52,7 +52,7 @@ mod tests {
     #[test]
     fn fixed_size_sweep_eventually_degrades() {
         use ipso_spark::sweep_fixed_size;
-        let pts = sweep_fixed_size(job, 64, &[2, 8, 32, 64, 128, 256]);
+        let pts = sweep_fixed_size(job, 64, &[2, 8, 32, 64, 128, 256]).unwrap();
         let peak = pts
             .iter()
             .max_by(|a, b| a.speedup.total_cmp(&b.speedup))

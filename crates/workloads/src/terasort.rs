@@ -91,7 +91,6 @@ pub fn cost_model() -> JobCostModel {
         shuffle_rate: 600.0e6,
         merge_rate: 1000.0e6,
         reduce_rate: 1000.0e6,
-        seq_init: 2.0,
         serial_setup: 2.0,
     }
 }

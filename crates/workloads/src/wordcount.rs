@@ -366,7 +366,6 @@ pub fn cost_model() -> JobCostModel {
         shuffle_rate: 200.0e6,
         merge_rate: 200.0e6,
         reduce_rate: 200.0e6,
-        seq_init: 2.0,
         serial_setup: 1.0,
     }
 }

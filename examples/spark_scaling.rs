@@ -38,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>5} {:>8} {:>8} {:>8} {:>8}",
         "m", "N/m=1", "N/m=2", "N/m=4", "N/m=8"
     );
-    let by_load: Vec<_> = [1, 2, 4, 8]
+    let by_load = [1, 2, 4, 8]
         .iter()
         .map(|&l| sweep_fixed_time(bayes::job, l, &ms))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     for (i, &m) in ms.iter().enumerate() {
         println!(
             "{:>5} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Fixed-size dimension (N constant) ───────────────────────────────
     let ms_wide = [1u32, 2, 4, 8, 16, 32, 64, 128, 192, 256];
-    let pts = sweep_fixed_size(bayes::job, 64, &ms_wide);
+    let pts = sweep_fixed_size(bayes::job, 64, &ms_wide)?;
     println!("fixed-size dimension (paper Fig. 10), N = 64:");
     for p in &pts {
         println!("  m = {:4}  S = {:6.2}", p.m, p.speedup);

@@ -52,7 +52,7 @@ fn asymptotic_classification_is_ivs() {
 fn simulated_cf_reproduces_the_paper_shape() {
     // The simulated broadcast-heavy job: same 1/n task times, same linear
     // overhead, same interior peak.
-    let pts = sweep_fixed_size(job, CF_TASKS, &[10, 30, 60, 90, 120, 180]);
+    let pts = sweep_fixed_size(job, CF_TASKS, &[10, 30, 60, 90, 120, 180]).unwrap();
     let peak = pts
         .iter()
         .max_by(|a, b| a.speedup.partial_cmp(&b.speedup).unwrap())
@@ -75,7 +75,7 @@ fn simulated_cf_reproduces_the_paper_shape() {
 #[test]
 fn broadcast_is_the_root_cause() {
     // Ablation: remove the broadcasts and the pathology disappears.
-    let with = sweep_fixed_size(job, CF_TASKS, &[10, 60, 180]);
+    let with = sweep_fixed_size(job, CF_TASKS, &[10, 60, 180]).unwrap();
     let without = sweep_fixed_size(
         |n, m| {
             let mut spec = job(n, m);
@@ -86,7 +86,8 @@ fn broadcast_is_the_root_cause() {
         },
         CF_TASKS,
         &[10, 60, 180],
-    );
+    )
+    .unwrap();
     // Without broadcast the speedup at m = 180 keeps improving over 60.
     assert!(without[2].speedup > with[2].speedup * 1.5);
     assert!(without[2].speedup > without[1].speedup * 0.95);

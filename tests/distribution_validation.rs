@@ -1,12 +1,12 @@
 //! Every boundary that accepts an [`ipso_sim::Distribution`] rejects the
 //! same invalid parameter sets, each with the rule that
 //! `Distribution::validate` reports: the MapReduce and Spark job specs
-//! (as the straggler multiplier), the fault model (as the time to
-//! failure) and the stochastic IPSO model (as the task time).
+//! (as the straggler multiplier) and the stochastic IPSO model (as the
+//! task time).
 
 use ipso::stochastic::StochasticIpso;
 use ipso::{ModelError, ScalingFactor};
-use ipso_cluster::{ClusterError, FaultModel};
+use ipso_cluster::ClusterError;
 use ipso_mapreduce::JobSpec;
 use ipso_sim::Distribution;
 use ipso_spark::{SparkJobSpec, StageSpec};
@@ -16,8 +16,8 @@ fn pareto(shape: f64) -> Distribution {
 }
 
 /// The rule each boundary reports for `dist`, or `None` where it accepts
-/// it: `[JobSpec, SparkJobSpec, FaultModel, StochasticIpso]`.
-fn rejections(dist: Distribution) -> [Option<String>; 4] {
+/// it: `[JobSpec, SparkJobSpec, StochasticIpso]`.
+fn rejections(dist: Distribution) -> [Option<String>; 3] {
     let cluster = |result: Result<(), ClusterError>, field: &str| match result {
         Ok(()) => None,
         Err(ClusterError::InvalidParameter { what, message }) if what == field => Some(message),
@@ -27,10 +27,6 @@ fn rejections(dist: Distribution) -> [Option<String>; 4] {
     job.straggler = dist;
     let mut spark = SparkJobSpec::emr("x", 4, 2).stage(StageSpec::new("s", 4));
     spark.straggler = dist;
-    let faults = FaultModel {
-        ttf: dist,
-        ..FaultModel::flaky(0.1)
-    };
     let model = StochasticIpso::new(
         dist,
         1.0,
@@ -46,7 +42,6 @@ fn rejections(dist: Distribution) -> [Option<String>; 4] {
     [
         cluster(job.validate(), "straggler"),
         cluster(spark.validate(), "straggler"),
-        cluster(faults.validate(), "time-to-failure"),
         model,
     ]
 }
@@ -105,10 +100,8 @@ fn every_boundary_accepts_the_presets() {
         Distribution::jitter(0.05),
         Distribution::jitter(0.03),
         Distribution::Fixed { value: 1.0 },
-        FaultModel::flaky(0.1).ttf,
-        FaultModel::none().ttf,
         pareto(2.5),
     ] {
-        assert_eq!(rejections(dist), [None, None, None, None], "{dist:?}");
+        assert_eq!(rejections(dist), [None, None, None], "{dist:?}");
     }
 }

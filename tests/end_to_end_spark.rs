@@ -41,9 +41,9 @@ fn fixed_time_load_ordering_holds_for_all_apps() {
     // memory limit.
     let ms = [8u32, 16, 32];
     for (name, job) in APPS {
-        let l1 = sweep_fixed_time(job, 1, &ms);
-        let l4 = sweep_fixed_time(job, 4, &ms);
-        let l8 = sweep_fixed_time(job, 8, &ms);
+        let l1 = sweep_fixed_time(job, 1, &ms).unwrap();
+        let l4 = sweep_fixed_time(job, 4, &ms).unwrap();
+        let l8 = sweep_fixed_time(job, 8, &ms).unwrap();
         for i in 0..ms.len() {
             assert!(
                 l4[i].speedup > l1[i].speedup,
@@ -69,7 +69,7 @@ fn fixed_size_dimension_is_type_ivs_for_all_apps() {
     // diagnostic procedure classifies it as IVs.
     let ms = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
     for (name, job) in APPS {
-        let pts = sweep_fixed_size(job, 64, &ms);
+        let pts = sweep_fixed_size(job, 64, &ms).unwrap();
         let curve = SpeedupCurve::from_pairs(pts.iter().map(|p| (p.m, p.speedup))).unwrap();
         let report = Diagnostician::new()
             .diagnose(&curve, WorkloadType::FixedSize)
