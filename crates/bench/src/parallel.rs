@@ -252,12 +252,12 @@ mod tests {
             ipso_obs::set_enabled(true);
             ipso_obs::reset();
             SweepRunner::new(jobs).map((0..16u32).collect(), |i| {
-                ipso_obs::record_span("t", &format!("point-{i}"), "bench", f64::from(i), 1.0);
+                ipso_obs::record_span("t", format!("point-{i}"), "bench", f64::from(i), 1.0);
                 ipso_obs::counter_add("points", 1);
             });
             let names = ipso_obs::take_events()
                 .into_iter()
-                .map(|e| e.name)
+                .map(|e| e.name.into_owned())
                 .collect();
             assert_eq!(ipso_obs::counter_value("points"), 16);
             ipso_obs::set_enabled(false);

@@ -118,21 +118,28 @@ impl StageOutcome {
     /// stage onto the executor tracks, with the stage's wave starting at
     /// virtual time `t0`. A task is a severe straggler when its
     /// effective duration reached [`SEVERE_MULTIPLIER`]×
-    /// its nominal (`noisy_base + fixed`) duration.
-    pub fn record_task_spans(&self, stage: &StageNode, category: &str, t0: f64) {
+    /// its nominal (`noisy_base + fixed`) duration. No-op when
+    /// observability is off.
+    pub fn record_task_spans(&self, stage: &StageNode, category: &'static str, t0: f64) {
+        if !ipso_obs::enabled() {
+            return;
+        }
         for record in &self.schedule.records {
             let track = format!("executor-{}", record.executor);
-            ipso_obs::record_span(
-                &track,
-                &format!("task-{}", record.task_id),
-                category,
-                t0 + record.start,
-                t0 + record.end,
-            );
             let id = record.task_id as usize;
             let nominal = stage.nominal(id);
-            if nominal > 0.0 && self.effective[id] / nominal >= SEVERE_MULTIPLIER {
-                ipso_obs::record_instant(&track, "straggler", category, t0 + record.end);
+            let straggler = (nominal > 0.0 && self.effective[id] / nominal >= SEVERE_MULTIPLIER)
+                .then(|| track.clone());
+            let end = t0 + record.end;
+            ipso_obs::record_span(
+                track,
+                format!("task-{}", record.task_id),
+                category,
+                t0 + record.start,
+                end,
+            );
+            if let Some(track) = straggler {
+                ipso_obs::record_instant(track, "straggler", category, end);
             }
         }
     }
@@ -140,20 +147,24 @@ impl StageOutcome {
     /// Emits one instant per recovery event (retry, lost output,
     /// speculative copy) at the affected task's finish time, offset by
     /// `t0`. No-op when faults are disabled or observability is off.
-    pub fn record_fault_instants(&self, category: &str, t0: f64) {
+    pub fn record_fault_instants(&self, category: &'static str, t0: f64) {
         if !ipso_obs::enabled() {
             return;
         }
         if let Some(outcome) = &self.fault {
             for event in &outcome.summary.events {
                 let record: &TaskRecord = &self.schedule.records[event.task as usize];
-                let track = format!("executor-{}", record.executor);
                 let name = match event.kind {
                     crate::fault::RecoveryEventKind::AttemptFailed { .. } => "task-retry",
                     crate::fault::RecoveryEventKind::OutputLost { .. } => "output-lost",
                     crate::fault::RecoveryEventKind::Speculated { .. } => "speculative-copy",
                 };
-                ipso_obs::record_instant(&track, name, category, t0 + record.end);
+                ipso_obs::record_instant(
+                    format!("executor-{}", record.executor),
+                    name,
+                    category,
+                    t0 + record.end,
+                );
             }
         }
     }

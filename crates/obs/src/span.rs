@@ -4,8 +4,17 @@
 //! a `driver` track for phase-level spans). The engines operate on a
 //! simulated clock, so spans carry virtual times supplied by the caller.
 //!
+//! Labels are taken by value as `Cow<'static, str>`: a literal is
+//! borrowed, and a label built at run time (`format!("task-{id}")`)
+//! moves into the event without a second copy. The category is always
+//! a literal.
+//!
 //! All recording is gated on [`crate::enabled`]: when tracing is off a
-//! call is a single thread-local load and an immediate return.
+//! call is a single thread-local load and an immediate return. A caller
+//! that builds a label at run time checks [`crate::enabled`] first, so
+//! a disabled run does not build it.
+
+use std::borrow::Cow;
 
 /// The temporal shape of a recorded event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,11 +37,11 @@ pub enum SpanKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Track (timeline row) the event belongs to, e.g. `"executor-3"`.
-    pub track: String,
+    pub track: Cow<'static, str>,
     /// Event name, e.g. `"map"` or `"straggler"`.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Category tag, e.g. `"mapreduce"` — filterable in the trace viewer.
-    pub cat: String,
+    pub cat: &'static str,
     /// Duration or instant.
     pub kind: SpanKind,
 }
@@ -67,38 +76,48 @@ impl TraceEvent {
 ///
 /// No-op unless tracing is enabled. `end` is clamped to `start` so a
 /// degenerate interval never yields a negative duration.
-pub fn record_span(track: &str, name: &str, cat: &str, start: f64, end: f64) {
+pub fn record_span(
+    track: impl Into<Cow<'static, str>>,
+    name: impl Into<Cow<'static, str>>,
+    cat: &'static str,
+    start: f64,
+    end: f64,
+) {
     if !crate::enabled() {
         return;
     }
-    record(
-        track,
-        name,
+    record(TraceEvent {
+        track: track.into(),
+        name: name.into(),
         cat,
-        SpanKind::Complete {
+        kind: SpanKind::Complete {
             start,
             end: end.max(start),
         },
-    );
+    });
 }
 
 /// Records an instant marker at a caller-supplied (virtual) time.
 ///
 /// No-op unless tracing is enabled.
-pub fn record_instant(track: &str, name: &str, cat: &str, at: f64) {
+pub fn record_instant(
+    track: impl Into<Cow<'static, str>>,
+    name: impl Into<Cow<'static, str>>,
+    cat: &'static str,
+    at: f64,
+) {
     if !crate::enabled() {
         return;
     }
-    record(track, name, cat, SpanKind::Instant { at });
+    record(TraceEvent {
+        track: track.into(),
+        name: name.into(),
+        cat,
+        kind: SpanKind::Instant { at },
+    });
 }
 
-fn record(track: &str, name: &str, cat: &str, kind: SpanKind) {
-    let event = TraceEvent {
-        track: track.to_string(),
-        name: name.to_string(),
-        cat: cat.to_string(),
-        kind,
-    };
+fn record(event: TraceEvent) {
     crate::with_recorder(|r| r.event(event));
 }
 

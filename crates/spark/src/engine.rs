@@ -137,7 +137,7 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
             if broadcast > 0.0 {
                 ipso_obs::record_span(
                     "driver",
-                    &format!("broadcast-{}", stage.name),
+                    format!("broadcast-{}", stage.name),
                     "spark",
                     submitted,
                     submitted + broadcast,
@@ -176,7 +176,7 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
             if ipso_obs::enabled() && lineage.makespan > 0.0 {
                 ipso_obs::record_span(
                     "driver",
-                    &format!("lineage-recompute-{}", stage.name),
+                    format!("lineage-recompute-{}", stage.name),
                     "spark",
                     clock,
                     clock + lineage.makespan,
@@ -197,7 +197,7 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
             if ipso_obs::enabled() {
                 ipso_obs::record_span(
                     "driver",
-                    &format!("shuffle-{}", stage.name),
+                    format!("shuffle-{}", stage.name),
                     "spark",
                     clock,
                     clock + shuffle,
@@ -212,7 +212,9 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
 
         let stage_time = clock - submitted;
         stage_times.push(stage_time);
-        ipso_obs::record_span("driver", &stage.name, "spark", submitted, clock);
+        if ipso_obs::enabled() {
+            ipso_obs::record_span("driver", stage.name.clone(), "spark", submitted, clock);
+        }
         events.push(SparkEvent::StageCompleted {
             stage_id: stage_id as u32,
             stage_name: stage.name.clone(),
