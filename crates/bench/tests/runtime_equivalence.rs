@@ -85,8 +85,9 @@ fn mapreduce_spilling_reducer_matches_pinned_bits() {
     assert_eq!(run.scale_out_overhead.to_bits(), 0x3ff2732df505d0fa);
 }
 
-/// Node crashes without task failures: the retry loop never runs, so
-/// the crash phase charges `FaultModel::none()`'s restart cost of 0.
+/// Node crashes without task failures: the retry loop never runs, and
+/// each crash-lost output is charged the same 0.25 s restart as in a
+/// faulted run.
 #[test]
 fn mapreduce_crash_only_run_matches_pinned_bits() {
     let mut spec = sort::job_spec(12);
@@ -104,8 +105,8 @@ fn mapreduce_crash_only_run_matches_pinned_bits() {
     .trace;
     let faults = run.faults.as_ref().expect("crash model is enabled");
     assert!(faults.node_crashes > 0 && faults.retries == 0);
-    assert_eq!(run.total_time().to_bits(), 0x40310a5689d4d484);
-    assert_eq!(run.scale_out_overhead.to_bits(), 0x4015b1cc8e440150);
+    assert_eq!(run.total_time().to_bits(), 0x40324a5689d4d484);
+    assert_eq!(run.scale_out_overhead.to_bits(), 0x4019b1cc8e440150);
 }
 
 #[test]

@@ -54,6 +54,10 @@ const BACKOFF_JITTER: f64 = 0.2;
 /// speculative backup copy.
 const SPECULATION_THRESHOLD: f64 = 1.5;
 
+/// Fixed cost to restart a task after a failed attempt or a lost output
+/// (container re-negotiation, input re-read), seconds.
+const RESTART_COST: f64 = 0.25;
+
 /// The fault-injection model for one task wave.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
@@ -63,9 +67,6 @@ pub struct FaultModel {
     /// losing the outputs of *all* tasks resident on it — the correlated
     /// failure mode that motivates Spark's lineage re-execution.
     pub node_crash_prob: f64,
-    /// Fixed cost to restart a task after any failure (container
-    /// re-negotiation, input re-read), seconds.
-    pub restart_cost: f64,
 }
 
 impl FaultModel {
@@ -74,19 +75,18 @@ impl FaultModel {
         FaultModel {
             task_fail_prob: 0.0,
             node_crash_prob: 0.0,
-            restart_cost: 0.0,
         }
     }
 
-    /// A flaky-cluster preset: attempts fail with probability `p` and
-    /// cost a 0.25 s restart. Failure times are infant-mortality
-    /// (Weibull, shape 0.7, scale 1 s) in every model. Node crashes stay
-    /// disabled; set [`FaultModel::node_crash_prob`] separately.
+    /// A flaky-cluster preset: attempts fail with probability `p`. In
+    /// every model a failed attempt or a crash-lost output costs a
+    /// 0.25 s restart, and failure times are infant-mortality (Weibull,
+    /// shape 0.7, scale 1 s). Node crashes stay disabled; set
+    /// [`FaultModel::node_crash_prob`] separately.
     pub fn flaky(p: f64) -> FaultModel {
         FaultModel {
             task_fail_prob: p,
             node_crash_prob: 0.0,
-            restart_cost: 0.25,
         }
     }
 
@@ -113,12 +113,6 @@ impl FaultModel {
             return Err(ClusterError::invalid(
                 "node crash probability",
                 format!("must be in [0, 1], got {}", self.node_crash_prob),
-            ));
-        }
-        if !self.restart_cost.is_finite() || self.restart_cost < 0.0 {
-            return Err(ClusterError::invalid(
-                "restart cost",
-                format!("must be finite and >= 0, got {}", self.restart_cost),
             ));
         }
         Ok(())
@@ -376,8 +370,8 @@ pub fn resolve_faults(
             }
             let lost = TTF.sample(rng).min(dur);
             let backoff = backoff(attempt, rng);
-            delay += lost + faults.restart_cost + backoff;
-            summary.retry_wasted_s += lost + faults.restart_cost;
+            delay += lost + RESTART_COST + backoff;
+            summary.retry_wasted_s += lost + RESTART_COST;
             summary.retries += 1;
             summary.events.push(RecoveryEvent {
                 task: i as u32,
@@ -407,8 +401,8 @@ pub fn resolve_faults(
             summary.node_crashes += 1;
             for i in (node..durations.len()).step_by(executors) {
                 let lost = completed_fraction * durations[i];
-                effective[i] += lost + faults.restart_cost;
-                summary.crash_wasted_s += lost + faults.restart_cost;
+                effective[i] += lost + RESTART_COST;
+                summary.crash_wasted_s += lost + RESTART_COST;
                 summary.outputs_lost += 1;
                 attempts[i] += 1;
                 summary.events.push(RecoveryEvent {
@@ -585,7 +579,7 @@ mod tests {
         }
         // Wasted work excludes backoff waits (idle, not burned work), so
         // it is bounded by retries × (max possible loss + restart).
-        let bound = out.summary.retries as f64 * (10.0 + faults.restart_cost);
+        let bound = out.summary.retries as f64 * (10.0 + RESTART_COST);
         assert!(out.summary.retry_wasted_s <= bound + 1e-9);
     }
 
@@ -707,12 +701,6 @@ mod tests {
     #[test]
     fn validation_rejects_bad_parameters() {
         assert!(FaultModel::flaky(1.5).validate().is_err());
-        assert!(FaultModel {
-            restart_cost: -1.0,
-            ..FaultModel::none()
-        }
-        .validate()
-        .is_err());
         let mut r = RecoveryPolicy::hadoop_like();
         r.max_attempts = 0;
         assert!(r.validate().is_err());

@@ -448,13 +448,10 @@ const TRACEABLE_WORKLOADS: &str = "terasort, sort, wordcount";
 fn parse_fault_flags(
     args: &Args,
 ) -> Result<(ipso_cluster::FaultModel, ipso_cluster::RecoveryPolicy), CliError> {
-    let fail_prob = args.f64_or("fail-prob", 0.0)?;
-    let mut faults = if fail_prob > 0.0 {
-        ipso_cluster::FaultModel::flaky(fail_prob)
-    } else {
-        ipso_cluster::FaultModel::none()
+    let faults = ipso_cluster::FaultModel {
+        task_fail_prob: args.f64_or("fail-prob", 0.0)?,
+        node_crash_prob: args.f64_or("node-crash-prob", 0.0)?,
     };
-    faults.node_crash_prob = args.f64_or("node-crash-prob", 0.0)?;
     let mut recovery = ipso_cluster::RecoveryPolicy::hadoop_like();
     recovery.max_attempts = args.int_or("max-attempts", 4u32)?;
     recovery.speculation = args.flags.contains_key("speculate");
