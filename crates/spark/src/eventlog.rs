@@ -2,10 +2,11 @@
 //!
 //! The paper measures its Spark cases by "tracing the timestamps for each
 //! stage in the Spark Log files, which are available in the JSON format".
-//! The engine emits the same kind of newline-delimited JSON events, and
-//! [`parse_event_log`] recovers per-stage latencies from them — the
-//! analysis pipeline deliberately goes *through* the log rather than
-//! reading engine internals.
+//! Every run emits the same kind of newline-delimited JSON events into
+//! `SparkRun::log`, and [`parse_event_log`] recovers from them the same
+//! stage latencies and application duration the engine computed. The
+//! figures do not read the log: they take `SparkRun::total_time` and
+//! `SparkRun::overhead_time` directly.
 
 use serde::{Deserialize, Serialize};
 
