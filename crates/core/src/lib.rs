@@ -60,8 +60,6 @@
 //!   extrapolate to large `n`).
 //! * [`diagnose`] — the six-step diagnostic procedure of Section V.
 //! * [`provision`] — speedup-versus-cost provisioning (Section I/VI).
-//! * [`multiround`] — multi-round jobs with a shared scale-out degree
-//!   (Section III).
 //! * [`sensitivity`] — parameter elasticities of the asymptotic speedup.
 
 pub mod asymptotic;
@@ -72,7 +70,6 @@ pub mod estimate;
 pub mod factors;
 pub mod measurement;
 pub mod model;
-pub mod multiround;
 pub mod predict;
 pub mod provision;
 pub mod report;

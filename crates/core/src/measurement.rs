@@ -211,7 +211,7 @@ impl RunMeasurement {
 ///
 /// Built by [`overhead_breakdown`]; the [`OverheadBreakdown::other`]
 /// residual absorbs whatever the named components do not explain, so the
-/// five components always sum to `total` *exactly* (no 1e-6 drift from
+/// six components always sum to `total` *exactly* (no 1e-6 drift from
 /// re-deriving the total).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadBreakdown {
@@ -225,20 +225,29 @@ pub struct OverheadBreakdown {
     pub shuffle_wait: f64,
     /// Barrier stretch beyond a no-straggler schedule (s).
     pub straggler_tail: f64,
+    /// Work wasted by fault recovery: failed attempts, outputs lost to
+    /// node crashes, losing speculative copies and lineage
+    /// recomputation (s).
+    pub recovery: f64,
     /// Residual not attributed to a named mechanism (s). Negative when
     /// the named components over-explain the total.
     pub other: f64,
 }
 
 impl OverheadBreakdown {
-    /// Sum of all five components; equals `total` by construction.
+    /// Sum of all six components; equals `total` by construction.
     pub fn components_sum(&self) -> f64 {
-        self.scheduling + self.broadcast + self.shuffle_wait + self.straggler_tail + self.other
+        self.scheduling
+            + self.broadcast
+            + self.shuffle_wait
+            + self.straggler_tail
+            + self.recovery
+            + self.other
     }
 
     /// `(component name, fraction of total)` pairs, in declaration order.
     /// All fractions are zero when the total is zero.
-    pub fn shares(&self) -> [(&'static str, f64); 5] {
+    pub fn shares(&self) -> [(&'static str, f64); 6] {
         let frac = |v: f64| {
             if self.total > 0.0 {
                 v / self.total
@@ -251,6 +260,7 @@ impl OverheadBreakdown {
             ("broadcast", frac(self.broadcast)),
             ("shuffle_wait", frac(self.shuffle_wait)),
             ("straggler_tail", frac(self.straggler_tail)),
+            ("recovery", frac(self.recovery)),
             ("other", frac(self.other)),
         ]
     }
@@ -264,6 +274,7 @@ impl std::fmt::Display for OverheadBreakdown {
             self.broadcast,
             self.shuffle_wait,
             self.straggler_tail,
+            self.recovery,
             self.other,
         ];
         for ((name, share), value) in self.shares().into_iter().zip(values) {
@@ -274,14 +285,15 @@ impl std::fmt::Display for OverheadBreakdown {
 }
 
 /// Decomposes a measured `Wo(n)` into scheduling / broadcast /
-/// shuffle-wait / straggler-tail shares, with the unexplained remainder
-/// in [`OverheadBreakdown::other`].
+/// shuffle-wait / straggler-tail / recovery shares, with the unexplained
+/// remainder in [`OverheadBreakdown::other`].
 pub fn overhead_breakdown(
     total: f64,
     scheduling: f64,
     broadcast: f64,
     shuffle_wait: f64,
     straggler_tail: f64,
+    recovery: f64,
 ) -> OverheadBreakdown {
     OverheadBreakdown {
         total,
@@ -289,7 +301,8 @@ pub fn overhead_breakdown(
         broadcast,
         shuffle_wait,
         straggler_tail,
-        other: total - (scheduling + broadcast + shuffle_wait + straggler_tail),
+        recovery,
+        other: total - (scheduling + broadcast + shuffle_wait + straggler_tail + recovery),
     }
 }
 
@@ -421,33 +434,37 @@ mod tests {
 
     #[test]
     fn overhead_breakdown_sums_exactly() {
-        let b = overhead_breakdown(10.0, 3.0, 2.0, 1.0, 0.5);
+        let b = overhead_breakdown(10.0, 3.0, 2.0, 1.0, 0.5, 1.5);
         assert!((b.components_sum() - b.total).abs() < 1e-6);
-        assert!((b.other - 3.5).abs() < 1e-12);
+        assert!((b.other - 2.0).abs() < 1e-12);
         // Awkward floating-point inputs still sum exactly by residual.
-        let b = overhead_breakdown(0.3, 0.1, 0.1, 0.05, 0.025);
+        let b = overhead_breakdown(0.3, 0.1, 0.1, 0.05, 0.025, 0.0125);
         assert!((b.components_sum() - b.total).abs() < 1e-6);
     }
 
     #[test]
     fn overhead_breakdown_shares() {
-        let b = overhead_breakdown(8.0, 4.0, 2.0, 1.0, 1.0);
+        let b = overhead_breakdown(8.0, 4.0, 1.0, 1.0, 0.0, 2.0);
         let shares = b.shares();
         assert_eq!(shares[0], ("scheduling", 0.5));
-        assert_eq!(shares[1], ("broadcast", 0.25));
+        assert_eq!(shares[1], ("broadcast", 0.125));
+        assert_eq!(shares[4], ("recovery", 0.25));
+        assert_eq!(shares[5], ("other", 0.0));
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-12);
         // Zero total yields zero shares, not NaN.
-        let z = overhead_breakdown(0.0, 0.0, 0.0, 0.0, 0.0);
+        let z = overhead_breakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
         assert!(z.shares().iter().all(|&(_, s)| s == 0.0));
     }
 
     #[test]
     fn overhead_breakdown_display() {
-        let b = overhead_breakdown(2.0, 1.0, 0.5, 0.25, 0.25);
+        let b = overhead_breakdown(2.0, 1.0, 0.5, 0.0, 0.25, 0.25);
         let text = b.to_string();
         assert!(text.contains("Wo = 2.0000s"));
         assert!(text.contains("scheduling"));
         assert!(text.contains("50.0%"));
+        assert!(text.contains("recovery            0.2500s  ( 12.5%)"));
+        assert!(text.contains("other               0.0000s  (  0.0%)"));
     }
 }

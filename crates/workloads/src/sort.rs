@@ -17,8 +17,9 @@
 //! Volumes are accounted from the line lengths, as for `String`.
 //!
 //! The key is a [`SortKey`]: the line behind its first 16 bytes as two
-//! big-endian, zero-padded integers. They order keys as their lines and
-//! decide almost every comparison of the map-side sort and the
+//! big-endian, zero-padded integers, packed as [`crate::wordcount`]
+//! packs its dictionary index's keys. They order keys as their lines
+//! and decide almost every comparison of the map-side sort and the
 //! reduce-side merge without reading the line. One 8-byte word would
 //! not: neighbours in sorted dictionary text mostly share their first.
 
@@ -29,6 +30,7 @@ use ipso_mapreduce::{InputSplit, JobCostModel, JobSpec, Mapper, Reducer, Scaling
 use ipso_sim::SimRng;
 
 use crate::datagen::random_lines;
+use crate::prefix::pack_prefix;
 
 /// Nominal HDFS shard per map task.
 pub const SHARD_BYTES: u64 = 128 * 1024 * 1024;
@@ -39,9 +41,8 @@ const WORDS_PER_LINE: usize = 8;
 /// A line keyed by its first 16 bytes: `head` and `next` hold bytes
 /// 0–7 and 8–15, big-endian and zero-padded past the line's end. The
 /// derived order (`head`, `next`, then `line`) is the lines' byte order:
-/// where two padded prefixes first differ, the lesser holds a smaller
-/// byte or padding past a shorter line; equal prefixes leave it to the
-/// lines.
+/// packed prefixes order lines up to where they first differ, and equal
+/// prefixes leave it to the lines.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SortKey {
     head: u64,
@@ -52,12 +53,7 @@ pub struct SortKey {
 impl SortKey {
     /// The key of `line`, sharing it.
     fn new(line: Arc<str>) -> SortKey {
-        let mut prefix = [0u8; 16];
-        let bytes = line.as_bytes();
-        let n = bytes.len().min(16);
-        prefix[..n].copy_from_slice(&bytes[..n]);
-        let [head, next] = [&prefix[..8], &prefix[8..]]
-            .map(|word| u64::from_be_bytes(word.try_into().expect("8 bytes")));
+        let [head, next] = pack_prefix(line.as_bytes());
         SortKey { head, next, line }
     }
 }

@@ -21,9 +21,17 @@
 //! [`Word`] order: the sorted, combined run that [`Mapper::map`] per
 //! line, a sort and the summing combiner would give.
 //!
+//! The index is keyed by a token's first 16 bytes, packed into two
+//! integers as [`crate::sort`] packs its keys, and by its length. No
+//! dictionary word is longer than 16 bytes, so the pair identifies a
+//! word: a lookup hashes and compares integers and never reads a
+//! word's text, and a longer token is not looked up at all.
+//!
 //! The reducer sums the same way: [`WordCountReducer`]'s
 //! [`Reducer::reduce_runs`] adds every task's run into a dense per-rank
 //! array and a sorted map, so the reduce side never merges the runs.
+//! Text with no out-of-dictionary token, as all generated text is,
+//! skips the merge with that map on both sides.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -36,6 +44,7 @@ use ipso_sim::SimRng;
 
 use crate::datagen::dictionary::dictionary_words;
 use crate::datagen::{random_lines, DICTIONARY_SIZE};
+use crate::prefix::{pack_prefix, PREFIX_BYTES};
 
 /// Nominal HDFS shard per map task (the paper's maximal block size).
 pub const SHARD_BYTES: u64 = 128 * 1024 * 1024;
@@ -57,11 +66,14 @@ const _: () = assert!(4 * DICTIONARY_SIZE <= INDEX_SLOTS);
 static INDEX: LazyLock<DictionaryIndex> = LazyLock::new(DictionaryIndex::build);
 
 /// The sorted dictionary and an open-addressing hash index from a
-/// token's text to its rank.
+/// token's packed prefix to its rank.
 struct DictionaryIndex {
     /// Dictionary words in sorted order: a word's rank is its position.
     words: Vec<&'static str>,
-    /// Linear-probing table of ranks, slotted by [`token_slot`];
+    /// Each word's [`pack_prefix`] and length, by rank. No word is
+    /// longer than [`PREFIX_BYTES`], so the pair identifies the word.
+    keys: Vec<([u64; 2], usize)>,
+    /// Linear-probing table of ranks, slotted by [`home_slot`];
     /// [`VACANT`] where empty.
     slots: Vec<u16>,
 }
@@ -70,27 +82,36 @@ impl DictionaryIndex {
     fn build() -> DictionaryIndex {
         let mut words: Vec<&'static str> = dictionary_words().iter().map(String::as_str).collect();
         words.sort_unstable();
+        assert!(words.iter().all(|w| w.len() <= PREFIX_BYTES));
+        let keys: Vec<([u64; 2], usize)> = words
+            .iter()
+            .map(|w| (pack_prefix(w.as_bytes()), w.len()))
+            .collect();
         let mut slots = vec![VACANT; INDEX_SLOTS];
-        for (rank, word) in words.iter().enumerate() {
-            let mut slot = token_slot(word.as_bytes());
+        for (rank, &(prefix, _)) in keys.iter().enumerate() {
+            let mut slot = home_slot(prefix);
             while slots[slot] != VACANT {
                 slot = (slot + 1) % INDEX_SLOTS;
             }
             slots[slot] = rank as u16;
         }
-        DictionaryIndex { words, slots }
+        DictionaryIndex { words, keys, slots }
     }
 
     /// `token`'s rank in the sorted dictionary, if it is a dictionary
-    /// word.
+    /// word. Probes compare packed prefixes and lengths, never text.
     fn rank(&self, token: &str) -> Option<u32> {
-        let mut slot = token_slot(token.as_bytes());
+        if token.len() > PREFIX_BYTES {
+            return None;
+        }
+        let key = (pack_prefix(token.as_bytes()), token.len());
+        let mut slot = home_slot(key.0);
         loop {
             let rank = self.slots[slot];
             if rank == VACANT {
                 return None;
             }
-            if self.words[usize::from(rank)] == token {
+            if self.keys[usize::from(rank)] == key {
                 return Some(u32::from(rank));
             }
             slot = (slot + 1) % INDEX_SLOTS;
@@ -98,20 +119,10 @@ impl DictionaryIndex {
     }
 }
 
-/// The home slot of a token: a multiplicative hash of its length and
-/// its first and last (up to) 8 bytes. Tokens that collide are told
-/// apart by [`DictionaryIndex::rank`]'s full-text comparison.
-fn token_slot(token: &[u8]) -> usize {
-    let n = token.len();
-    let (head, tail) = if n >= 8 {
-        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-        (word(&token[..8]), word(&token[n - 8..]))
-    } else {
-        let mut head = [0u8; 8];
-        head[..n].copy_from_slice(token);
-        (u64::from_le_bytes(head), 0)
-    };
-    let mixed = (head ^ tail.rotate_left(32) ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// The home slot of a packed prefix: a multiplicative hash of its two
+/// words.
+fn home_slot([head, next]: [u64; 2]) -> usize {
+    let mixed = (head ^ next.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (mixed >> (64 - INDEX_BITS)) as usize
 }
 
@@ -245,8 +256,14 @@ fn for_each_in_text_order(
     index: &DictionaryIndex,
     ranked: impl Iterator<Item = (u32, u64)>,
     others: BTreeMap<&str, u64>,
-    f: &mut dyn FnMut(Word, u64),
+    mut f: impl FnMut(Word, u64),
 ) {
+    if others.is_empty() {
+        for (rank, n) in ranked {
+            f(Word::ranked(index, rank), n);
+        }
+        return;
+    }
     let mut others = others.into_iter().peekable();
     for (rank, n) in ranked {
         let word = Word::ranked(index, rank);
@@ -304,7 +321,7 @@ impl Mapper for WordCountMapper {
         let distinct = ranked.iter().filter(|&&n| n > 0).count() + others.len();
         let mut run = Vec::with_capacity(distinct);
         let ranked = (0..).zip(ranked).filter(|&(_, n)| n > 0);
-        for_each_in_text_order(index, ranked, others, &mut |w, n| run.push((w, n)));
+        for_each_in_text_order(index, ranked, others, |w, n| run.push((w, n)));
         run
     }
 
@@ -351,7 +368,7 @@ impl Reducer for WordCountReducer {
         let ranked = (0..)
             .zip(ranked)
             .filter_map(|(rank, sum)| Some((rank, sum?)));
-        for_each_in_text_order(index, ranked, others, &mut |word, sum| {
+        for_each_in_text_order(index, ranked, others, |word, sum| {
             self.reduce(word, &[sum], emit);
         });
     }
@@ -405,6 +422,7 @@ pub fn sweep(ns: &[u32]) -> ScalingSweep {
 mod tests {
     use super::*;
     use ipso_mapreduce::JobRun;
+    use proptest::prelude::*;
 
     #[test]
     fn counts_are_exact() {
@@ -667,6 +685,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Chars drawn for probe tokens: NUL and ASCII around the padding
+    /// byte, dictionary letters, and two- to four-byte UTF-8.
+    const PROBE_ALPHABET: [char; 10] = [
+        '\0',
+        '\u{1}',
+        'a',
+        'e',
+        'n',
+        'r',
+        '\u{7F}',
+        'é',
+        '日',
+        '\u{10FFFF}',
+    ];
+    /// Bytes at which [`packed_probe_is_text_equality`] edits a word:
+    /// either end of each packed word, the last byte a 12-byte
+    /// dictionary word may have, and the first byte past the prefix.
+    const EDIT_AT: [usize; 6] = [0, 7, 8, 11, 15, 16];
+    /// Replacement bytes for edited words, and fill up to an edit past
+    /// a word's end.
+    const EDIT_BYTES: [u8; 6] = [0, 1, b'a', b'n', b'z', 0x7F];
+
+    /// The text of `picks`, cut to at most `max` bytes at a char
+    /// boundary.
+    fn probe_text(picks: &[(usize, u32)], max: usize) -> String {
+        let mut text = String::new();
+        for &(pick, code) in picks {
+            let c = PROBE_ALPHABET
+                .get(pick)
+                .copied()
+                .unwrap_or_else(|| char::from_u32(code % 0x11_0000).unwrap_or('\u{FFFD}'));
+            if text.len() + c.len_utf8() > max {
+                break;
+            }
+            text.push(c);
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The index's packed `(prefix, len)` probe finds a token exactly
+        /// when `str` equality finds it in the dictionary: for 0–20-byte
+        /// tokens with NULs and non-ASCII text, dictionary words with one
+        /// byte edited (or set past their end, filled up to it), and
+        /// tokens that start with a word, some over 16 bytes.
+        #[test]
+        fn packed_probe_is_text_equality(
+            picks in prop::collection::vec((0usize..12, any::<u32>()), 0..21),
+            word in 0usize..DICTIONARY_SIZE,
+            edit in (0usize..EDIT_AT.len(), 0usize..EDIT_BYTES.len(), 0usize..EDIT_BYTES.len()),
+        ) {
+            let mut dict = crate::datagen::unix_dictionary();
+            dict.sort();
+            let word = &dict[word];
+            let (at, byte, fill) = (EDIT_AT[edit.0], EDIT_BYTES[edit.1], EDIT_BYTES[edit.2]);
+            let mut edited = word.clone().into_bytes();
+            if edited.len() <= at {
+                edited.resize(at + 1, fill);
+            }
+            edited[at] = byte;
+            let edited = String::from_utf8(edited).expect("ASCII edit");
+            let longer = format!("{word}{}", probe_text(&picks, 20 - word.len()));
+            let padded = format!("{word:\0<17}");
+            let tokens = [word.clone(), probe_text(&picks, 20), edited, longer, padded];
+            for token in &tokens {
+                let want = dict.binary_search(token).ok().map(|r| r as u32);
+                prop_assert_eq!(INDEX.rank(token), want, "{:?}", token);
+            }
+        }
+    }
+
+    #[test]
+    fn dictionary_text_maps_as_map_sort_and_combine() {
+        // Only dictionary words: the runs never merge other tokens in.
+        let splits = make_splits(3, 5);
+        for split in &splits {
+            let fast = WordCountMapper.map_split(&split.records);
+            assert!(fast
+                .iter()
+                .all(|(w, _)| matches!(w.0, WordRepr::Dictionary { .. })));
+            assert_eq!(fast, PerLine(WordCountMapper).map_split(&split.records));
+        }
+        let counted = run_both(&WordCountMapper, &WordCountReducer, &splits);
+        let strings = run_both(&StringWordCount, &StringWordCount, &splits);
+        assert_eq!(counted, strings);
     }
 
     #[test]

@@ -1,58 +1,46 @@
-//! Modeling an iterative ML job with the multi-round IPSO extension
-//! (paper Section III), plus the sensitivity analysis that tells you
-//! which scaling parameter to measure carefully.
+//! Sensitivity analysis of an iterative ML job: which scaling parameter
+//! to measure carefully.
+//!
+//! Paper Section III models a job of several rounds at one scale-out
+//! degree by summing each workload over the rounds; a measured run
+//! already reports those sums (see `ipso::RunMeasurement`). This example
+//! starts from the asymptotic parameters of such a sum.
 //!
 //! ```text
 //! cargo run --release --example iterative_ml
 //! ```
 
-use ipso::multiround::{MultiRoundJob, Round};
 use ipso::sensitivity::sensitivity;
-use ipso::{AsymptoticParams, ScalingFactor};
+use ipso::AsymptoticParams;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // An ALS-style job: each of three iterations alternates two
-    // broadcast-then-map rounds (the paper's Collaborative Filtering
-    // structure), plus a final fixed-time evaluation round with a real
-    // merge.
-    let mut rounds = Vec::new();
-    for iter in 0..3 {
-        for half in ["users", "items"] {
-            rounds.push(
-                Round::fixed_size(&format!("iter{iter}-{half}"), 260.0, 0.0)
-                    .with_induced(ScalingFactor::induced(1.0 / 3600.0, 2.0)),
-            );
+    // An ALS-style job (the paper's Collaborative Filtering structure):
+    // six fixed-size broadcast-then-map rounds of 260 s each and a
+    // 120 s evaluation pass, with 25 s of serial merge in all. The
+    // broadcasts add scale-out overhead q(n) = n²/3600 times the
+    // parallel work.
+    let eta = (6.0 * 260.0 + 120.0) / (6.0 * 260.0 + 120.0 + 25.0);
+    let params = AsymptoticParams::new(eta, 1.0, 0.0, 1.0 / 3600.0, 2.0)?;
+
+    println!("eta = {eta:.3}");
+    println!("\n{:>5} {:>10}", "n", "speedup");
+    for n in [1u32, 10, 30, 60, 90, 120, 180] {
+        println!("{n:>5} {:>10.2}", params.speedup(f64::from(n))?);
+    }
+    let mut peak = (1u32, params.speedup(1.0)?);
+    for n in 2..=300u32 {
+        let s = params.speedup(f64::from(n))?;
+        if s > peak.1 {
+            peak = (n, s);
         }
     }
-    // The final evaluation pass scores the fixed model over the fixed
-    // test set — also fixed-size, with a real serial merge.
-    rounds.push(Round::fixed_size("evaluate", 120.0, 25.0));
-    let job = MultiRoundJob::new(rounds)?;
-
-    println!("aggregate eta = {:.3}", job.eta());
+    let (n_peak, s_peak) = peak;
     println!(
-        "\n{:>5} {:>10} {:>12} {:>12}",
-        "n", "speedup", "seq time s", "par time s"
-    );
-    for n in [1u32, 10, 30, 60, 90, 120, 180] {
-        let nf = f64::from(n);
-        println!(
-            "{:>5} {:>10.2} {:>12.1} {:>12.1}",
-            n,
-            job.speedup(nf)?,
-            job.sequential_time(nf),
-            job.parallel_time(nf)?
-        );
-    }
-    let (n_peak, s_peak) = job.peak_speedup(300)?;
-    println!(
-        "\npeak: S({n_peak}) = {s_peak:.1} — past it, every broadcast round's linear\n\
+        "\npeak: S({n_peak}) = {s_peak:.1} — past it, the broadcasts' growing\n\
          cost outgrows the shrinking per-node work (type IVs)"
     );
 
-    // Which parameter controls the fate of this job? Approximate the
-    // aggregate asymptotically and ask the sensitivity analysis.
-    let params = AsymptoticParams::new(job.eta(), 1.0, 0.0, 1.0 / 3600.0, 2.0)?;
+    // Which parameter controls the fate of this job?
     let sens = sensitivity(&params, f64::from(n_peak))?;
     println!(
         "\nsensitivities at the peak: eta {:+.2}, alpha {:+.2}, delta {:+.2}, \

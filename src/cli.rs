@@ -535,6 +535,15 @@ fn breakdown_from_gauges(total: f64) -> ipso::OverheadBreakdown {
         ipso_obs::gauge_value("overhead.broadcast_s"),
         ipso_obs::gauge_value("overhead.shuffle_wait_s"),
         ipso_obs::gauge_value("overhead.straggler_tail_s"),
+        [
+            "overhead.retry_wasted_s",
+            "overhead.crash_wasted_s",
+            "overhead.speculation_wasted_s",
+            "overhead.lineage_recompute_s",
+        ]
+        .map(ipso_obs::gauge_value)
+        .iter()
+        .sum(),
     )
 }
 

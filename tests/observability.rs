@@ -4,6 +4,7 @@
 //! from the engines' gauges accounts for the measured `Wo(n)`.
 
 use ipso::overhead_breakdown;
+use ipso_cluster::{FaultModel, RecoveryPolicy};
 use ipso_obs::SpanKind;
 use ipso_spark::{parse_event_log, try_run_job};
 use ipso_workloads::{bayes, terasort};
@@ -15,6 +16,15 @@ fn breakdown_from_gauges(total: f64) -> ipso::OverheadBreakdown {
         ipso_obs::gauge_value("overhead.broadcast_s"),
         ipso_obs::gauge_value("overhead.shuffle_wait_s"),
         ipso_obs::gauge_value("overhead.straggler_tail_s"),
+        [
+            "overhead.retry_wasted_s",
+            "overhead.crash_wasted_s",
+            "overhead.speculation_wasted_s",
+            "overhead.lineage_recompute_s",
+        ]
+        .map(ipso_obs::gauge_value)
+        .iter()
+        .sum(),
     )
 }
 
@@ -129,5 +139,55 @@ fn mapreduce_overhead_gauges_sum_to_trace_overhead() {
             events.iter().any(|e| e.track == "driver" && e.name == name),
             "missing driver span {name:?}"
         );
+    }
+}
+
+/// Faulted runs: the recovery gauges (wasted attempts, crash-lost
+/// outputs, losing speculative copies, lineage recomputation) account
+/// for the wasted work, so nothing is left in `other`.
+#[test]
+fn recovery_gauges_account_for_wasted_work() {
+    let crash_only = FaultModel {
+        node_crash_prob: 0.3,
+        ..FaultModel::none()
+    };
+    let faulted = FaultModel {
+        task_fail_prob: 0.1,
+        node_crash_prob: 0.2,
+    };
+    let recovery = RecoveryPolicy {
+        max_attempts: 12,
+        ..RecoveryPolicy::hadoop_like().with_speculation()
+    };
+    ipso_obs::set_enabled(true);
+    let mut breakdowns = Vec::new();
+    for faults in [crash_only, faulted] {
+        ipso_obs::reset();
+        let mut spec = terasort::job_spec(16);
+        spec.faults = faults;
+        spec.recovery = recovery;
+        let trace = ipso_mapreduce::try_run_scale_out(
+            &spec,
+            &terasort::TeraSortMapper,
+            &terasort::TeraSortReducer,
+            &terasort::make_splits(16, 3),
+        )
+        .unwrap()
+        .trace;
+        breakdowns.push(breakdown_from_gauges(trace.scale_out_overhead));
+    }
+    ipso_obs::reset();
+    let mut job = bayes::job(256, 16);
+    job.faults = faulted;
+    job.recovery = recovery;
+    let run = try_run_job(&job).unwrap();
+    breakdowns.push(breakdown_from_gauges(run.overhead_time));
+    assert!(ipso_obs::gauge_value("overhead.lineage_recompute_s") > 0.0);
+    ipso_obs::set_enabled(false);
+    ipso_obs::reset();
+
+    for b in breakdowns {
+        assert!(b.recovery > 0.0, "{b}");
+        assert!(b.other.abs() < 1e-9, "{b}");
     }
 }
