@@ -18,7 +18,7 @@ use criterion::{black_box, criterion_group, Criterion};
 use ipso_bench::{reference, SweepRunner};
 use ipso_mapreduce::{Mapper, OutputScaling, Reducer};
 use ipso_spark::try_run_job;
-use ipso_workloads::{bayes, qmc, sort, wordcount};
+use ipso_workloads::{bayes, qmc, sort, terasort, wordcount};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -279,8 +279,8 @@ fn paired<A, B>(
 fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
     let mut records = Vec::new();
     let mut speedups = Vec::new();
-    // MapReduce: sort and wordcount at MAP_TASKS map tasks, the seed's
-    // data path against the engine's.
+    // MapReduce: sort, wordcount and terasort at MAP_TASKS map tasks, the
+    // seed's data path against the engine's.
     let spec = sort::job_spec(MAP_TASKS);
     let splits = sort::make_splits(MAP_TASKS, 1);
     paired(
@@ -306,6 +306,32 @@ fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
         || {
             ipso_mapreduce::try_run_scale_out(&spec, &mapper, &wordcount::WordCountReducer, &splits)
                 .expect("fault-free run")
+        },
+        &mut records,
+        &mut speedups,
+    );
+
+    // TeraSort's own sorts against the reference's per-record map and
+    // ordered-map grouping.
+    let spec = terasort::job_spec(MAP_TASKS);
+    let splits = terasort::make_splits(MAP_TASKS, 1);
+    paired(
+        "terasort",
+        || {
+            reference::run(
+                &terasort::TeraSortMapper,
+                &terasort::TeraSortReducer,
+                &splits,
+            )
+        },
+        || {
+            ipso_mapreduce::try_run_scale_out(
+                &spec,
+                &terasort::TeraSortMapper,
+                &terasort::TeraSortReducer,
+                &splits,
+            )
+            .expect("fault-free run")
         },
         &mut records,
         &mut speedups,

@@ -369,6 +369,14 @@ proptest! {
     }
 }
 
+/// TeraSort's reduce side bucket-sorts every task's run at once. The
+/// proptest's n < 7 stay far below its 65,536-bucket cap; the paper
+/// sweep's 200 tasks, 80,000 records, pass it.
+#[test]
+fn terasort_matches_the_reference_at_n200() {
+    workload_matches_reference("terasort", 200, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -18,9 +18,10 @@
 //!   over the sorted groups through one reused scratch buffer. A mapper
 //!   can return that run more cheaply: WordCount counts its split
 //!   in-mapper and returns one pair per distinct token, in key order;
-//!   Sort and TeraSort, which have no combiner, stably sort their
-//!   mapped pairs once. The engine only checks, in debug builds, that
-//!   the run is sorted, and sums its bytes;
+//!   Sort, which has no combiner, stably sorts its mapped pairs once,
+//!   and TeraSort, which has none either, bucket-sorts them stably by
+//!   its keys' leading bytes. The engine only checks, in debug builds,
+//!   that the run is sorted, and sums its bytes;
 //! * the reduce side hands the tasks' runs, in task order, to
 //!   [`Reducer::reduce_runs`]. Its default concatenates them and stably
 //!   sorts the whole buffer once: the sort detects the pre-sorted runs
@@ -28,7 +29,8 @@
 //!   emission order, as the seed's grouping appended them. No k-way
 //!   merge structure is needed. The grouping walk of the default
 //!   `map_split` then moves each group's first key into
-//!   [`Reducer::reduce`].
+//!   [`Reducer::reduce`]. WordCount overrides it to sum the runs by
+//!   dictionary rank, and TeraSort to bucket-sort all runs at once.
 //!
 //! The seed's ordered-map grouping lives on outside the engine, as
 //! `ipso_bench::reference`: the engines bench times it as the baseline

@@ -12,24 +12,23 @@
 //! divisions, a chunk of consecutive indices at a time. One table holds
 //! `van_der_corput` itself over the low digits (4096 base-2 and 2187
 //! base-3 entries). A chunk never crosses a multiple of 4096 or of 2187,
-//! so its remaining high digits are the same for every point in it: the
-//! coordinate buffers start from the table entries, and the high digits
-//! are added to the whole buffer. The result is bit-identical to
-//! `van_der_corput`, not an approximation:
+//! so its remaining high digits are the same for every point in it, and
+//! their terms are gathered once per chunk into two short lists. One
+//! pass over the chunk's table entries, eight points at a time, then
+//! adds each list's terms to a point's entries in order and counts the
+//! point if it lies inside the circle; no coordinate is stored. The
+//! coordinates are bit-identical to `van_der_corput`, not an
+//! approximation:
 //!
 //! * base 2: every partial sum through binary digit 52 is a multiple of
 //!   2^-53 below 1, which an `f64` holds exactly, so those adds never
 //!   round and their order does not matter. Digits 12 through 52 are
-//!   therefore summed into one term, added in one pass; any digit from
-//!   53 up is added term by term, least-significant first, as
-//!   `van_der_corput` adds it;
+//!   therefore summed into one term; any digit from 53 up is its own
+//!   term, least-significant first, as `van_der_corput` adds it;
 //! * base 3: each nonzero high digit's term (digit times the weight from
-//!   the same `f /= base` chain) is added in one pass, least-significant
-//!   digit first, as `van_der_corput` adds it. A zero digit would add
-//!   `+0.0` to a non-negative sum, which changes no bit, so it is
-//!   skipped.
-//!
-//! The per-chunk loops have fixed trip counts.
+//!   the same `f /= base` chain) is one term, least-significant digit
+//!   first, as `van_der_corput` adds it. A zero digit would add `+0.0`
+//!   to a non-negative sum, which changes no bit, so it is skipped.
 
 use ipso_mapreduce::{
     InputSplit, JobCostModel, JobSpec, Mapper, OutputScaling, Reducer, ScalingSweep,
@@ -106,76 +105,99 @@ static LOW_SUMS_3: [f64; 3usize.pow(LOW_DIGITS_3)] = low_digit_sums(3);
 const LOW_BLOCK_2: u64 = 1 << LOW_DIGITS_2;
 /// Base-3 indices per [`LOW_SUMS_3`] block.
 const LOW_BLOCK_3: u64 = 3u64.pow(LOW_DIGITS_3);
-/// Longest chunk: one base-3 block, the shorter of the two.
-const CHUNK: usize = LOW_BLOCK_3 as usize;
 
 /// Binary digits whose partial sums an `f64` holds exactly: through
 /// digit 52 each is a multiple of 2^-53 below 1.
 const EXACT_DIGITS_2: u32 = 53;
 /// Bits 12 through 52 of an index: the digits whose terms
-/// [`halton_chunk`] sums into one.
+/// [`HighTerms::new`] sums into one.
 const EXACT_HIGH_2: u64 = (1 << EXACT_DIGITS_2) - LOW_BLOCK_2;
+/// Most base-2 terms of a chunk: the one-term sum, then one per binary
+/// digit from [`EXACT_DIGITS_2`] up.
+const MAX_TERMS_2: usize = 1 + (u64::BITS - EXACT_DIGITS_2) as usize;
+/// Most base-3 terms of a chunk: one per ternary digit above the low
+/// ones.
+const MAX_TERMS_3: usize = WEIGHTS_3.len() - LOW_DIGITS_3 as usize;
 
-/// Adds `term` to every element of `buf`.
-fn add_to_all(buf: &mut [f64], term: f64) {
-    for v in buf {
-        *v += term;
-    }
+/// Points per block of the one pass over a chunk.
+const LANES: usize = 8;
+/// The table entry of a lane past a chunk's last point. The terms added
+/// to it are non-negative, so its point lies outside the circle.
+const OUTSIDE: f64 = 2.0;
+
+/// The terms a chunk's high digits add to each of its points' table
+/// entries, in [`van_der_corput`]'s order: least-significant digit
+/// first (see the module doc for why the sums are exact).
+struct HighTerms {
+    /// Base 2: the one-term sum of the digits below [`EXACT_DIGITS_2`],
+    /// then each set digit from there up.
+    x: [f64; MAX_TERMS_2],
+    x_len: usize,
+    /// Base 3: each nonzero digit's term.
+    y: [f64; MAX_TERMS_3],
+    y_len: usize,
 }
 
-/// Fills `x[j]` with `van_der_corput(first + j, 2)` and `y[j]` with
-/// `van_der_corput(first + j, 3)`, bit for bit.
-///
-/// The buffers start from the low-digit tables. Base 2 then adds its
-/// high digits below [`EXACT_DIGITS_2`] as one exact term and each set
-/// digit from there up as its own; base 3 adds each nonzero digit's
-/// term. Every term is added to all elements, least-significant digit
-/// first (see the module doc for why the result is exact).
-///
-/// # Panics
-///
-/// If `x` and `y` differ in length, or the indices cross a multiple of
-/// 4096 or of 2187.
-fn halton_chunk(first: u64, x: &mut [f64], y: &mut [f64]) {
-    let len = x.len();
-    let low_2 = (first % LOW_BLOCK_2) as usize;
-    let low_3 = (first % LOW_BLOCK_3) as usize;
-    x.copy_from_slice(&LOW_SUMS_2[low_2..low_2 + len]);
-    y.copy_from_slice(&LOW_SUMS_3[low_3..low_3 + len]);
-
-    // Base-2 digits are 0 or 1, so each set bit adds its weight.
-    let mut exact = 0.0;
-    let mut bits = first & EXACT_HIGH_2;
-    while bits != 0 {
-        exact += WEIGHTS_2[bits.trailing_zeros() as usize];
-        bits &= bits - 1;
-    }
-    add_to_all(x, exact);
-    let mut high = first >> EXACT_DIGITS_2;
-    while high != 0 {
-        let term = WEIGHTS_2[(EXACT_DIGITS_2 + high.trailing_zeros()) as usize];
-        add_to_all(x, term);
-        high &= high - 1;
-    }
-
-    let mut high = first / LOW_BLOCK_3;
-    let mut k = LOW_DIGITS_3 as usize;
-    while high > 0 {
-        let digit = high % 3;
-        if digit != 0 {
-            add_to_all(y, WEIGHTS_3[k] * digit as f64);
+impl HighTerms {
+    /// The terms of every point from index `first` to the next multiple
+    /// of 4096 or of 2187.
+    fn new(first: u64) -> Self {
+        let mut terms = HighTerms {
+            x: [0.0; MAX_TERMS_2],
+            x_len: 1,
+            y: [0.0; MAX_TERMS_3],
+            y_len: 0,
+        };
+        // Base-2 digits are 0 or 1, so each set bit adds its weight.
+        let mut bits = first & EXACT_HIGH_2;
+        while bits != 0 {
+            terms.x[0] += WEIGHTS_2[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
         }
-        high /= 3;
-        k += 1;
+        let mut high = first >> EXACT_DIGITS_2;
+        while high != 0 {
+            terms.x[terms.x_len] = WEIGHTS_2[(EXACT_DIGITS_2 + high.trailing_zeros()) as usize];
+            terms.x_len += 1;
+            high &= high - 1;
+        }
+
+        let mut high = first / LOW_BLOCK_3;
+        let mut k = LOW_DIGITS_3 as usize;
+        while high > 0 {
+            let digit = high % 3;
+            if digit != 0 {
+                terms.y[terms.y_len] = WEIGHTS_3[k] * digit as f64;
+                terms.y_len += 1;
+            }
+            high /= 3;
+            k += 1;
+        }
+        terms
+    }
+
+    /// Turns a block's table entries into its points' coordinates: adds
+    /// every term to every lane, in order.
+    fn add_to(&self, x: &mut [f64; LANES], y: &mut [f64; LANES]) {
+        for (lanes, terms) in [(x, &self.x[..self.x_len]), (y, &self.y[..self.y_len])] {
+            for &term in terms {
+                for v in lanes.iter_mut() {
+                    *v += term;
+                }
+            }
+        }
     }
 }
 
 /// Evaluates the Halton points of `slice` (indices `offset + 1` through
-/// `offset + count`) chunk by chunk, passing each chunk's first index
-/// and coordinate buffers to `visit`.
-fn for_each_chunk(slice: &QmcSlice, mut visit: impl FnMut(u64, &[f64], &[f64])) {
-    let mut x = [0.0; CHUNK];
-    let mut y = [0.0; CHUNK];
+/// `offset + count`) in one pass, [`LANES`] consecutive points at a
+/// time, passing each block's first index and coordinates to `visit`:
+/// `x[j]` is `van_der_corput(first + j, 2)` and `y[j]` is
+/// `van_der_corput(first + j, 3)`, bit for bit.
+///
+/// The slice is cut into chunks that cross no multiple of 4096 or of
+/// 2187, so one [`HighTerms`] serves a whole chunk. A chunk's last block
+/// may be short; its missing lanes hold [`OUTSIDE`].
+fn for_each_block(slice: &QmcSlice, mut visit: impl FnMut(u64, &[f64; LANES], &[f64; LANES])) {
     let end = slice.offset + slice.count;
     let mut i = slice.offset;
     while i < end {
@@ -183,19 +205,28 @@ fn for_each_chunk(slice: &QmcSlice, mut visit: impl FnMut(u64, &[f64], &[f64])) 
         let len = (end - i)
             .min(LOW_BLOCK_2 - first % LOW_BLOCK_2)
             .min(LOW_BLOCK_3 - first % LOW_BLOCK_3) as usize;
-        let (x, y) = (&mut x[..len], &mut y[..len]);
-        halton_chunk(first, x, y);
-        visit(first, x, y);
+        let terms = HighTerms::new(first);
+        let low_2 = (first % LOW_BLOCK_2) as usize;
+        let low_3 = (first % LOW_BLOCK_3) as usize;
+        let (blocks_2, tail_2) = LOW_SUMS_2[low_2..low_2 + len].as_chunks::<LANES>();
+        let (blocks_3, tail_3) = LOW_SUMS_3[low_3..low_3 + len].as_chunks::<LANES>();
+        let mut block_first = first;
+        let mut eval = |mut x: [f64; LANES], mut y: [f64; LANES]| {
+            terms.add_to(&mut x, &mut y);
+            visit(block_first, &x, &y);
+            block_first = block_first.wrapping_add(LANES as u64);
+        };
+        for (&x, &y) in blocks_2.iter().zip(blocks_3) {
+            eval(x, y);
+        }
+        if !tail_2.is_empty() {
+            let (mut x, mut y) = ([OUTSIDE; LANES], [OUTSIDE; LANES]);
+            x[..tail_2.len()].copy_from_slice(tail_2);
+            y[..tail_3.len()].copy_from_slice(tail_3);
+            eval(x, y);
+        }
         i += len as u64;
     }
-}
-
-/// Points with `x * x + y * y <= 1.0`.
-fn count_inside(x: &[f64], y: &[f64]) -> u64 {
-    x.iter()
-        .zip(y)
-        .map(|(&x, &y)| u64::from(x * x + y * y <= 1.0))
-        .sum()
 }
 
 /// One task's slice of the Halton sequence.
@@ -219,7 +250,13 @@ impl Mapper for QmcMapper {
     fn map(&self, slice: &QmcSlice, emit: &mut dyn FnMut(u32, (u64, u64))) {
         // 2D Halton: bases 2 and 3.
         let mut inside = 0u64;
-        for_each_chunk(slice, |_, x, y| inside += count_inside(x, y));
+        for_each_block(slice, |_, x, y| {
+            inside += x
+                .iter()
+                .zip(y)
+                .filter(|&(x, y)| x * x + y * y <= 1.0)
+                .count() as u64;
+        });
         emit(0, (inside, slice.count));
     }
 
@@ -322,24 +359,28 @@ mod tests {
         }
     }
 
-    /// Asserts that every coordinate the chunk kernel produces for
-    /// `slice` has the bits of `van_der_corput` at its index, and that
-    /// the chunks cover the slice's indices in order.
+    /// Asserts that every coordinate the one-pass kernel produces for
+    /// `slice` has the bits of `van_der_corput` at its index, that each
+    /// block's missing lanes lie outside the circle, and that the blocks
+    /// cover the slice's indices in order.
     fn assert_chunk_bits(slice: &QmcSlice) {
         let mut next = slice.offset + 1;
         let mut seen = 0u64;
-        for_each_chunk(slice, |first, x, y| {
-            assert_eq!(first, next, "chunks are contiguous");
-            assert_eq!(x.len(), y.len());
-            for (j, (&x, &y)) in x.iter().zip(y).enumerate() {
+        for_each_block(slice, |first, x, y| {
+            assert_eq!(first, next, "blocks are contiguous");
+            let lanes = x.iter().take_while(|&&x| x < OUTSIDE).count();
+            for j in 0..lanes {
                 let i = first + j as u64;
                 let want_x = van_der_corput(i, 2);
                 let want_y = van_der_corput(i, 3);
-                assert_eq!(x.to_bits(), want_x.to_bits(), "base 2, index {i}");
-                assert_eq!(y.to_bits(), want_y.to_bits(), "base 3, index {i}");
+                assert_eq!(x[j].to_bits(), want_x.to_bits(), "base 2, index {i}");
+                assert_eq!(y[j].to_bits(), want_y.to_bits(), "base 3, index {i}");
             }
-            seen += x.len() as u64;
-            next = first.wrapping_add(x.len() as u64);
+            for j in lanes..LANES {
+                assert!(x[j] >= OUTSIDE && y[j] >= OUTSIDE, "lane {j} past {first}");
+            }
+            seen += lanes as u64;
+            next = first.wrapping_add(lanes as u64);
         });
         assert_eq!(seen, slice.count);
     }
@@ -363,57 +404,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunk_kernel_is_bit_identical_across_block_boundaries() {
+    /// Windows across multiples of 4096, of 2187 and of both, one point,
+    /// and a window that is exactly one aligned chunk.
+    fn block_boundary_windows() -> Vec<QmcSlice> {
         const BOTH: u64 = LOW_BLOCK_2 * LOW_BLOCK_3;
+        let mut windows = Vec::new();
         for m in [1, 2, 3, 1000, 1 << 20, 1 << 40] {
             for block in [LOW_BLOCK_2, LOW_BLOCK_3, BOTH] {
                 let edge = m * block;
-                assert_chunk_bits(&window(edge - 2000, edge + 2000));
+                windows.push(window(edge - 2000, edge + 2000));
             }
         }
-        // One point, and a window that is exactly one aligned chunk.
-        assert_chunk_bits(&window(BOTH, BOTH));
-        assert_chunk_bits(&window(BOTH, BOTH + LOW_BLOCK_3 - 1));
+        windows.push(window(BOTH, BOTH));
+        windows.push(window(BOTH, BOTH + LOW_BLOCK_3 - 1));
+        windows
+    }
+
+    /// Windows where the term lists are longest: 2^53, where the first
+    /// digit outside the one-term sum sets, and its nearest multiples of
+    /// 4096 and 2187; digits 53 and 54 set over a clear digit 52, where
+    /// the second add rounds differently if both digits join the
+    /// one-term sum; and the top of the index range.
+    fn two_53_windows() -> Vec<QmcSlice> {
+        const TWO_53: u64 = 1 << 53;
+        let below_3 = TWO_53 / LOW_BLOCK_3 * LOW_BLOCK_3;
+        let mut windows: Vec<QmcSlice> = [
+            TWO_53 - LOW_BLOCK_2,
+            TWO_53,
+            TWO_53 + LOW_BLOCK_2,
+            below_3,
+            below_3 + LOW_BLOCK_3,
+            3 * TWO_53,
+        ]
+        .into_iter()
+        .map(|edge| window(edge - 3000, edge + 3000))
+        .collect();
+        windows.push(window(u64::MAX - 30_000, u64::MAX));
+        windows
+    }
+
+    #[test]
+    fn chunk_kernel_is_bit_identical_across_block_boundaries() {
+        for slice in &block_boundary_windows() {
+            assert_chunk_bits(slice);
+        }
     }
 
     #[test]
     fn chunk_kernel_is_bit_identical_at_large_indices() {
         assert_chunk_bits(&window((1u64 << 40) - 50_000, (1u64 << 40) + 49_999));
         assert_chunk_bits(&window(u64::MAX / 2 - 5000, u64::MAX / 2 + 5000));
-        assert_chunk_bits(&window(u64::MAX - 30_000, u64::MAX));
-
-        // 2^53 is where the first digit outside the one-term sum sets:
-        // windows across it and its nearest multiples of 4096 and 2187.
-        const TWO_53: u64 = 1 << 53;
-        let below_3 = TWO_53 / LOW_BLOCK_3 * LOW_BLOCK_3;
-        for edge in [
-            TWO_53 - LOW_BLOCK_2,
-            TWO_53,
-            TWO_53 + LOW_BLOCK_2,
-            below_3,
-            below_3 + LOW_BLOCK_3,
-        ] {
-            assert_chunk_bits(&window(edge - 3000, edge + 3000));
+        for slice in &two_53_windows() {
+            assert_chunk_bits(slice);
         }
-        // Digits 53 and 54 set over a clear digit 52: the second add
-        // rounds differently if both digits join the one-term sum.
-        let both = 3 * TWO_53;
-        assert_chunk_bits(&window(both - 3000, both + 3000));
+    }
+
+    /// The mapper's count over `slice` equals the count of
+    /// `van_der_corput` points inside the circle.
+    fn assert_count_matches_the_oracle(slice: &QmcSlice) {
+        let want = (slice.offset + 1..=slice.offset + slice.count)
+            .filter(|&i| {
+                let (x, y) = (van_der_corput(i, 2), van_der_corput(i, 3));
+                x * x + y * y <= 1.0
+            })
+            .count() as u64;
+        let mut got = Vec::new();
+        QmcMapper.map(slice, &mut |k, v| got.push((k, v)));
+        assert_eq!(got, vec![(0, (want, slice.count))], "{slice:?}");
+    }
+
+    #[test]
+    fn boundary_and_two_53_counts_match_the_per_point_oracle() {
+        for slice in block_boundary_windows().iter().chain(&two_53_windows()) {
+            assert_count_matches_the_oracle(slice);
+        }
     }
 
     #[test]
     fn slice_counts_match_the_per_point_oracle() {
         for slice in paper_sweep_slices() {
-            let want = (slice.offset + 1..=slice.offset + slice.count)
-                .filter(|&i| {
-                    let (x, y) = (van_der_corput(i, 2), van_der_corput(i, 3));
-                    x * x + y * y <= 1.0
-                })
-                .count() as u64;
-            let mut got = Vec::new();
-            QmcMapper.map(&slice, &mut |k, v| got.push((k, v)));
-            assert_eq!(got, vec![(0, (want, slice.count))], "{slice:?}");
+            assert_count_matches_the_oracle(&slice);
         }
     }
 

@@ -7,6 +7,15 @@
 //! bursts by over 30% with its slope rising from ≈ 0.15 to ≈ 0.25 — the
 //! step-wise `IN(n)` of Fig. 5, visible as a dip in the measured speedup
 //! around the same `n`.
+//!
+//! Both of its sorts go through one bucket sort: the mapper's run of a
+//! split and the reducer's merge of every task's run. TeraGen keys are
+//! uniform random bytes, so scattering the pairs by their key's first
+//! two bytes into about one bucket per pair leaves buckets of zero to
+//! two pairs, each then sorted on its own. Each pair is touched a fixed
+//! number of times instead of once per merge level, and the result is
+//! exactly the stable sort the defaults of `Mapper::map_split` and
+//! `Reducer::reduce_runs` compute.
 
 use ipso_mapreduce::{InputSplit, JobCostModel, JobSpec, Mapper, Reducer, ScalingSweep, Sizeable};
 use ipso_sim::SimRng;
@@ -53,16 +62,71 @@ impl Mapper for TeraSortMapper {
         emit(record.key, TeraPayload { row: record.row });
     }
 
-    /// Maps every record, then stably sorts the pairs once: with no
-    /// combiner, that is the default's run.
-    fn map_split(&self, records: &[TeraRecord]) -> Vec<([u8; 10], TeraPayload)> {
-        let mut run: Vec<([u8; 10], TeraPayload)> = records
-            .iter()
-            .map(|record| (record.key, TeraPayload { row: record.row }))
-            .collect();
-        run.sort_by_key(|&(key, _)| key);
-        run
+    /// Maps every record and stably sorts the pairs with the module's
+    /// bucket sort: with no combiner, that is the default's run.
+    fn map_split(&self, records: &[TeraRecord]) -> Vec<TeraPair> {
+        bucket_sort(
+            records
+                .iter()
+                .map(|record| (record.key, TeraPayload { row: record.row })),
+        )
     }
+}
+
+/// A mapped TeraSort record.
+type TeraPair = ([u8; 10], TeraPayload);
+
+/// Most buckets of [`bucket_sort`]: one per value of a key's first two
+/// bytes.
+const MAX_BUCKETS: usize = 1 << 16;
+
+/// Stably sorts `pairs` by key: what `sort_by_key` on their collected
+/// `Vec` returns.
+///
+/// TeraGen keys are uniform random bytes, so the pairs are scattered,
+/// in order, into about one bucket per pair (a power of two, at most
+/// [`MAX_BUCKETS`]) by the high bits of the key's first two bytes, and
+/// each bucket, mostly of zero to two pairs, is then sorted stably on
+/// its own. The buckets follow key order, and both the scatter and the
+/// sort keep equal keys in their input order. One `u32` table counts
+/// each bucket's pairs, then holds where its next pair goes, and after
+/// the scatter where it ends.
+fn bucket_sort<I>(pairs: I) -> Vec<TeraPair>
+where
+    I: Iterator<Item = TeraPair> + Clone,
+{
+    let len = pairs.clone().count();
+    assert!(u32::try_from(len).is_ok(), "bucket_sort counts in u32");
+    let buckets = len.next_power_of_two().min(MAX_BUCKETS);
+    let shift = 16 - buckets.trailing_zeros();
+    let bucket =
+        |key: &[u8; 10]| (u32::from(u16::from_be_bytes([key[0], key[1]])) >> shift) as usize;
+
+    let mut next = vec![0u32; buckets];
+    for (key, _) in pairs.clone() {
+        next[bucket(&key)] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut sorted = vec![([0; 10], TeraPayload { row: 0 }); len];
+    for pair in pairs {
+        let slot = &mut next[bucket(&pair.0)];
+        sorted[*slot as usize] = pair;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for end in next {
+        let end = end as usize;
+        if end - start > 1 {
+            sorted[start..end].sort_by_key(|&(key, _)| key);
+        }
+        start = end;
+    }
+    sorted
 }
 
 /// Emits `(key, row)` pairs in key order.
@@ -76,6 +140,18 @@ impl Reducer for TeraSortReducer {
 
     fn reduce(&self, key: [u8; 10], values: &[TeraPayload], emit: &mut dyn FnMut(([u8; 10], u64))) {
         for value in values {
+            emit((key, value.row));
+        }
+    }
+
+    /// Sorts the runs' pairs, in task order, with the module's bucket
+    /// sort and emits `(key, row)` in that order: the default's stable sort of
+    /// the concatenated runs, grouped and reduced. The runs are freed
+    /// before the outputs grow.
+    fn reduce_runs(&self, runs: Vec<Vec<TeraPair>>, emit: &mut dyn FnMut(([u8; 10], u64))) {
+        let sorted = bucket_sort(runs.iter().flatten().copied());
+        drop(runs);
+        for (key, value) in sorted {
             emit((key, value.row));
         }
     }
@@ -124,7 +200,107 @@ pub fn sweep(ns: &[u32]) -> ScalingSweep {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Asserts that [`bucket_sort`] over the concatenated `runs` returns
+    /// what a stable `sort_by_key` of them does.
+    fn assert_bucket_sort_is_stable_sort(runs: &[Vec<TeraPair>]) {
+        let mut want: Vec<TeraPair> = runs.concat();
+        want.sort_by_key(|&(key, _)| key);
+        let got = bucket_sort(runs.iter().flatten().copied());
+        let rows = |pairs: &[TeraPair]| -> Vec<([u8; 10], u64)> {
+            pairs.iter().map(|&(key, value)| (key, value.row)).collect()
+        };
+        assert_eq!(rows(&got), rows(&want));
+    }
+
+    /// Tags every key of `runs` with a distinct row, in order, so a pair
+    /// out of input order among equal keys shows.
+    fn tagged(runs: Vec<Vec<[u8; 10]>>) -> Vec<Vec<TeraPair>> {
+        let mut row = 0;
+        runs.into_iter()
+            .map(|keys| {
+                keys.into_iter()
+                    .map(|key| {
+                        row += 1;
+                        (key, TeraPayload { row })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Keys repeated within and across runs, empty and one-record
+        /// runs, and, when `one_bucket`, every key sharing its first two
+        /// bytes. Each key comes from a small set: three values for each
+        /// of the first two bytes, nine for two later bytes.
+        #[test]
+        fn bucket_sort_equals_stable_sort_on_repeated_keys(
+            one_bucket in any::<bool>(),
+            runs in prop::collection::vec(
+                prop::collection::vec((0u8..3, 0u8..3, 0u8..9), 0..40),
+                0..12,
+            ),
+        ) {
+            let runs = runs
+                .into_iter()
+                .map(|run| {
+                    run.into_iter()
+                        .map(|(a, b, c)| {
+                            let mut key = [0x5a; 10];
+                            if !one_bucket {
+                                key[0] = a * 0x7f;
+                                key[1] = b * 0x7f;
+                            }
+                            key[2] = c / 3;
+                            key[9] = c % 3;
+                            key
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_bucket_sort_is_stable_sort(&tagged(runs));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Over 65,536 records in all, past the bucket cap: TeraGen keys,
+        /// every fifth one repeating an earlier key of any run.
+        #[test]
+        fn bucket_sort_equals_stable_sort_past_the_bucket_cap(
+            seed in any::<u64>(),
+            lens in prop::collection::vec(13_200usize..30_000, 5..8),
+        ) {
+            assert!(lens.iter().sum::<usize>() > MAX_BUCKETS);
+            let mut rng = SimRng::seed_from(seed);
+            let mut keys: Vec<[u8; 10]> = Vec::new();
+            let runs: Vec<Vec<[u8; 10]>> = lens
+                .iter()
+                .map(|&len| {
+                    teragen_records(len, &mut rng)
+                        .into_iter()
+                        .map(|record| {
+                            let key = if keys.len() % 5 == 4 {
+                                keys[rng.index(keys.len())]
+                            } else {
+                                record.key
+                            };
+                            keys.push(key);
+                            key
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_bucket_sort_is_stable_sort(&tagged(runs));
+        }
+    }
 
     #[test]
     fn output_is_sorted_by_key() {
