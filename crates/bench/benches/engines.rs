@@ -71,6 +71,20 @@ const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engi
 /// MapReduce workloads (the acceptance point for the speedup targets).
 const MAP_TASKS: u32 = 8;
 
+/// The seeded inputs the WordCount row rotates through, 256 distinct
+/// splits in all. Timing one input over and over lets the branch
+/// predictor learn its text, which a sweep never maps twice.
+const WORDCOUNT_INPUTS: u64 = 32;
+
+/// Returns `inputs` one per call, in turn.
+fn cycle<'a, T>(inputs: &'a [T]) -> impl FnMut() -> &'a T {
+    let mut i = 0;
+    move || {
+        i = (i + 1) % inputs.len();
+        &inputs[i]
+    }
+}
+
 #[derive(Debug, Serialize)]
 struct BenchRecord {
     name: String,
@@ -296,15 +310,20 @@ fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
 
     // The baseline pairs the reference data path with the seed's
     // allocating mapper — the true pre-optimization path; the engine
-    // runs the shipping rank-keyed mapper.
+    // runs the shipping rank-keyed mapper. Both sides rotate through
+    // WORDCOUNT_INPUTS seeded inputs, as a sweep maps distinct text.
     let spec = wordcount::job_spec(MAP_TASKS);
-    let splits = wordcount::make_splits(MAP_TASKS, 1);
+    let inputs: Vec<_> = (1..=WORDCOUNT_INPUTS)
+        .map(|seed| wordcount::make_splits(MAP_TASKS, seed))
+        .collect();
+    let (mut base_input, mut opt_input) = (cycle(&inputs), cycle(&inputs));
     let mapper = wordcount::WordCountMapper::new();
     paired(
         "wordcount",
-        || reference::run(&SeedWordCountMapper, &SeedWordCountReducer, &splits),
+        || reference::run(&SeedWordCountMapper, &SeedWordCountReducer, base_input()),
         || {
-            ipso_mapreduce::try_run_scale_out(&spec, &mapper, &wordcount::WordCountReducer, &splits)
+            let splits = opt_input();
+            ipso_mapreduce::try_run_scale_out(&spec, &mapper, &wordcount::WordCountReducer, splits)
                 .expect("fault-free run")
         },
         &mut records,

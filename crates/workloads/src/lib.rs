@@ -39,7 +39,6 @@ pub mod collab_filter;
 pub mod datagen;
 pub mod join;
 pub mod nweight;
-mod prefix;
 pub mod qmc;
 pub mod random_forest;
 pub mod sort;

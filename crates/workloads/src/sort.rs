@@ -17,8 +17,7 @@
 //! Volumes are accounted from the line lengths, as for `String`.
 //!
 //! The key is a [`SortKey`]: the line behind its first 16 bytes as two
-//! big-endian, zero-padded integers, packed as [`crate::wordcount`]
-//! packs its dictionary index's keys. They order keys as their lines
+//! big-endian, zero-padded integers. They order keys as their lines
 //! and decide almost every comparison of the map-side sort and the
 //! reduce-side merge without reading the line. One 8-byte word would
 //! not: neighbours in sorted dictionary text mostly share their first.
@@ -30,13 +29,50 @@ use ipso_mapreduce::{InputSplit, JobCostModel, JobSpec, Mapper, Reducer, Scaling
 use ipso_sim::SimRng;
 
 use crate::datagen::random_lines;
-use crate::prefix::pack_prefix;
 
 /// Nominal HDFS shard per map task.
 pub const SHARD_BYTES: u64 = 128 * 1024 * 1024;
 /// Sample lines executed per task.
 const SAMPLE_LINES: usize = 300;
 const WORDS_PER_LINE: usize = 8;
+
+/// Bytes a packed prefix holds.
+const PREFIX_BYTES: usize = 16;
+
+/// The first [`PREFIX_BYTES`] bytes of `text` as two big-endian `u64`s,
+/// bytes 0–7 and 8–15, zero-padded past the text's end.
+///
+/// Packed prefixes order texts as their bytes do, up to where the
+/// prefixes first differ: there the lesser holds a smaller byte, or
+/// padding past a shorter text. Two texts share a packed prefix if they
+/// are equal, if they differ only in trailing NUL bytes, or if both are
+/// longer than [`PREFIX_BYTES`] with the same prefix.
+///
+/// A short text is read in two overlapping loads, one from its start and
+/// one ending at its end, so no byte is copied through a buffer.
+fn pack_prefix(text: &[u8]) -> [u64; 2] {
+    let n = text.len();
+    let be8 = |bytes: &[u8]| u64::from_be_bytes(bytes.try_into().expect("8 bytes"));
+    let be4 = |bytes: &[u8]| u64::from(u32::from_be_bytes(bytes.try_into().expect("4 bytes")));
+    if n >= PREFIX_BYTES {
+        return [be8(&text[..8]), be8(&text[8..16])];
+    }
+    if n >= 8 {
+        // Bytes n-8..n, shifted up until byte 8 leads.
+        let next = be8(&text[n - 8..]).checked_shl(8 * (16 - n) as u32);
+        return [be8(&text[..8]), next.unwrap_or(0)];
+    }
+    let head = match n {
+        4.. => be4(&text[..4]) << 32 | be4(&text[n - 4..]) << (8 * (8 - n)),
+        1.. => {
+            // Bytes 0, n/2 and n-1 cover every byte of a 1–3 byte text.
+            let byte = |i: usize| u64::from(text[i]) << (56 - 8 * i);
+            byte(0) | byte(n / 2) | byte(n - 1)
+        }
+        0 => 0,
+    };
+    [head, 0]
+}
 
 /// A line keyed by its first 16 bytes: `head` and `next` hold bytes
 /// 0–7 and 8–15, big-endian and zero-padded past the line's end. The
@@ -161,6 +197,24 @@ pub fn sweep(ns: &[u32]) -> ScalingSweep {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The definition: copy into a zeroed buffer, then read two words.
+    fn padded(text: &[u8]) -> [u64; 2] {
+        let mut prefix = [0u8; PREFIX_BYTES];
+        let n = text.len().min(PREFIX_BYTES);
+        prefix[..n].copy_from_slice(&text[..n]);
+        [&prefix[..8], &prefix[8..]].map(|w| u64::from_be_bytes(w.try_into().unwrap()))
+    }
+
+    #[test]
+    fn packs_every_length_as_the_padded_definition() {
+        let bytes: Vec<u8> = (1..=24u8).map(|b| b.wrapping_mul(37) | 1).collect();
+        for n in 0..=bytes.len() {
+            assert_eq!(pack_prefix(&bytes[..n]), padded(&bytes[..n]), "length {n}");
+            let nul = vec![0u8; n];
+            assert_eq!(pack_prefix(&nul), [0, 0], "{n} NULs");
+        }
+    }
 
     /// Characters drawn often, so that lines share prefixes: NUL, ASCII
     /// around the padding byte, and two- to four-byte UTF-8.

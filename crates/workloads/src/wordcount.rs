@@ -14,18 +14,24 @@
 //! accounting are those of plain string keys.
 //!
 //! The mapper combines in-mapper: [`WordCountMapper`]'s
-//! [`Mapper::map_split`] splits each line in one pass, 8 bytes a step,
-//! looks each token up once in an open-addressing dictionary index,
-//! counts dictionary words in a dense per-rank array and other tokens in
-//! a sorted map, and returns one `(Word, count)` per distinct token in
-//! [`Word`] order: the sorted, combined run that [`Mapper::map`] per
-//! line, a sort and the summing combiner would give.
+//! [`Mapper::map_split`] counts dictionary words in a dense per-rank
+//! array and other tokens in a sorted map, and returns one
+//! `(Word, count)` per distinct token in [`Word`] order: the sorted,
+//! combined run that [`Mapper::map`] per line, a sort and the summing
+//! combiner would give.
 //!
-//! The index is keyed by a token's first 16 bytes, packed into two
-//! integers as [`crate::sort`] packs its keys, and by its length. No
-//! dictionary word is longer than 16 bytes, so the pair identifies a
-//! word: a lookup hashes and compares integers and never reads a
-//! word's text, and a longer token is not looked up at all.
+//! An ASCII line of 8–128 bytes, as all generated text is, is counted
+//! with no per-byte or per-probe branch: the line is loaded once as
+//! little-endian words, a SWAR test marks its separators in one 128-bit
+//! mask, and the token starts are walked with `trailing_zeros`. Each
+//! token of at most 16 bytes is cut from the loaded words, zero-padded,
+//! and looked up in a two-level hash-and-displace index: its hash picks one
+//! of 256 buckets, the bucket's displacement one of 4,096 slots, and the
+//! slot one rank, whose `(text, length)` key a single compare confirms or
+//! rejects. The displacements give every dictionary word a slot of its
+//! own, and empty slots hold rank 0, so a lookup never probes twice and
+//! never reads a word's text. Other lines are split by
+//! `split_whitespace` and looked up in the same index.
 //!
 //! The reducer sums the same way: [`WordCountReducer`]'s
 //! [`Reducer::reduce_runs`] adds every task's run into a dense per-rank
@@ -44,7 +50,6 @@ use ipso_sim::SimRng;
 
 use crate::datagen::dictionary::dictionary_words;
 use crate::datagen::{random_lines, DICTIONARY_SIZE};
-use crate::prefix::{pack_prefix, PREFIX_BYTES};
 
 /// Nominal HDFS shard per map task (the paper's maximal block size).
 pub const SHARD_BYTES: u64 = 128 * 1024 * 1024;
@@ -53,121 +58,221 @@ const SAMPLE_LINES: usize = 250;
 /// Words per generated line.
 const WORDS_PER_LINE: usize = 8;
 
-/// log2 of the dictionary index's slot count.
-const INDEX_BITS: u32 = 12;
-/// Slots in the dictionary index: at least four per word, so linear
-/// probes stay short.
-const INDEX_SLOTS: usize = 1 << INDEX_BITS;
-/// An empty index slot.
-const VACANT: u16 = u16::MAX;
-const _: () = assert!(4 * DICTIONARY_SIZE <= INDEX_SLOTS);
+/// The longest dictionary word, in bytes: a [`Key`] holds no more.
+const MAX_WORD_BYTES: usize = 16;
+/// log2 of the index's bucket and slot counts; four slots or more per
+/// word let every bucket find a displacement that seats it.
+const BUCKET_BITS: u32 = 8;
+const SLOT_BITS: u32 = 12;
+const _: () = assert!(4 * DICTIONARY_SIZE <= 1 << SLOT_BITS);
+/// The line lengths [`DictionaryIndex::count_ascii_line`] takes: 8-byte
+/// reads fit in the line, and a bit per byte fits in a `u128`.
+const KERNEL_LINES: std::ops::RangeInclusive<usize> = 8..=128;
 
 /// The shared dictionary index, built on first use.
 static INDEX: LazyLock<DictionaryIndex> = LazyLock::new(DictionaryIndex::build);
 
-/// The sorted dictionary and an open-addressing hash index from a
-/// token's packed prefix to its rank.
+/// A token of at most [`MAX_WORD_BYTES`] bytes: its text as two
+/// little-endian, zero-padded words, and its length, which tells a word
+/// from the word followed by NUL bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key([u64; 2], usize);
+
+impl Key {
+    /// The key of `token`, if it is short enough to be a dictionary word.
+    fn of(token: &[u8]) -> Option<Key> {
+        let mut text = [0u8; MAX_WORD_BYTES];
+        text.get_mut(..token.len())?.copy_from_slice(token);
+        let text = u128::from_le_bytes(text);
+        Some(Key([text as u64, (text >> 64) as u64], token.len()))
+    }
+
+    /// The key's hash.
+    fn hash(&self) -> u64 {
+        let [lo, hi] = self.0;
+        (lo ^ hi.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// The bucket of a key of hash `hash`: its top [`BUCKET_BITS`].
+fn bucket(hash: u64) -> usize {
+    (hash >> (64 - BUCKET_BITS)) as usize
+}
+
+/// The slot of a key of hash `hash` in a bucket of displacement `d`.
+fn slot(hash: u64, d: u32) -> usize {
+    ((hash ^ u64::from(d)).wrapping_mul(0xD6E8_FEB8_6659_FD93) >> (64 - SLOT_BITS)) as usize
+}
+
+/// The sorted dictionary and a collision-free hash-and-displace index
+/// from a token's [`Key`] to its rank.
 struct DictionaryIndex {
     /// Dictionary words in sorted order: a word's rank is its position.
     words: Vec<&'static str>,
-    /// Each word's [`pack_prefix`] and length, by rank. No word is
-    /// longer than [`PREFIX_BYTES`], so the pair identifies the word.
-    keys: Vec<([u64; 2], usize)>,
-    /// Linear-probing table of ranks, slotted by [`home_slot`];
-    /// [`VACANT`] where empty.
-    slots: Vec<u16>,
+    /// Each word's key, by rank.
+    keys: Vec<Key>,
+    /// Each bucket's displacement.
+    displacements: [u32; 1 << BUCKET_BITS],
+    /// The rank seated in each slot; 0 where none is, so that a lookup
+    /// there compares against word 0 and misses.
+    slots: [u16; 1 << SLOT_BITS],
 }
 
 impl DictionaryIndex {
     fn build() -> DictionaryIndex {
         let mut words: Vec<&'static str> = dictionary_words().iter().map(String::as_str).collect();
         words.sort_unstable();
-        assert!(words.iter().all(|w| w.len() <= PREFIX_BYTES));
-        let keys: Vec<([u64; 2], usize)> = words
+        let keys: Vec<Key> = words
             .iter()
-            .map(|w| (pack_prefix(w.as_bytes()), w.len()))
+            .map(|w| Key::of(w.as_bytes()).expect("short word"))
             .collect();
-        let mut slots = vec![VACANT; INDEX_SLOTS];
-        for (rank, &(prefix, _)) in keys.iter().enumerate() {
-            let mut slot = home_slot(prefix);
-            while slots[slot] != VACANT {
-                slot = (slot + 1) % INDEX_SLOTS;
-            }
-            slots[slot] = rank as u16;
+        let mut buckets = vec![Vec::new(); 1 << BUCKET_BITS];
+        for (rank, key) in keys.iter().enumerate() {
+            buckets[bucket(key.hash())].push((rank as u16, key.hash()));
         }
-        DictionaryIndex { words, keys, slots }
+        // Each bucket takes the first displacement that seats all its
+        // words in free slots of their own.
+        let mut displacements = [0u32; 1 << BUCKET_BITS];
+        let mut slots = [None; 1 << SLOT_BITS];
+        for (b, members) in buckets.iter().enumerate() {
+            let seats =
+                |d| -> Vec<usize> { members.iter().map(|&(_, hash)| slot(hash, d)).collect() };
+            let free = |seats: &[usize]| {
+                (0..seats.len())
+                    .all(|i| slots[seats[i]].is_none() && !seats[..i].contains(&seats[i]))
+            };
+            displacements[b] = (0..1 << 16)
+                .find(|&d| free(&seats(d)))
+                .expect("a displacement");
+            for (&(rank, _), s) in members.iter().zip(seats(displacements[b])) {
+                slots[s] = Some(rank);
+            }
+        }
+        DictionaryIndex {
+            words,
+            keys,
+            displacements,
+            slots: slots.map(|rank| rank.unwrap_or(0)),
+        }
+    }
+
+    /// The one slot a lookup of `key` reads.
+    fn slot_of(&self, key: &Key) -> usize {
+        let hash = key.hash();
+        slot(hash, self.displacements[bucket(hash)])
+    }
+
+    /// `key`'s rank, if it is a dictionary word's key.
+    #[inline]
+    fn find(&self, key: &Key) -> Option<usize> {
+        let rank = usize::from(self.slots[self.slot_of(key)]);
+        (self.keys[rank] == *key).then_some(rank)
     }
 
     /// `token`'s rank in the sorted dictionary, if it is a dictionary
-    /// word. Probes compare packed prefixes and lengths, never text.
+    /// word.
     fn rank(&self, token: &str) -> Option<u32> {
-        if token.len() > PREFIX_BYTES {
-            return None;
+        let rank = self.find(&Key::of(token.as_bytes())?)?;
+        Some(rank as u32)
+    }
+
+    /// Counts `line`'s tokens, the tokens of `str::split_whitespace`,
+    /// into `ranked` and `others` as [`WordCountMapper::map_split`] does,
+    /// if it is an ASCII line of [`KERNEL_LINES`] bytes; returns whether
+    /// it was, having counted nothing if not.
+    ///
+    /// The line is read once, as little-endian words; the last is read
+    /// ending at the line's end and shifted down, so no byte past it is
+    /// read. Each word's separators (bytes 9–13 and 32, the ASCII
+    /// characters `char::is_whitespace` accepts) go into one bit per byte
+    /// of a 128-bit mask, which gives every token's first and last byte.
+    /// A token of at most [`MAX_WORD_BYTES`] is cut from the words by a
+    /// funnel shift and a length mask and looked up with
+    /// [`DictionaryIndex::find`]; only a token that is no dictionary word
+    /// takes a branch of its own.
+    fn count_ascii_line<'a>(
+        &self,
+        line: &'a str,
+        ranked: &mut [u64],
+        others: &mut BTreeMap<&'a str, u64>,
+    ) -> bool {
+        let bytes = line.as_bytes();
+        let len = bytes.len();
+        if !KERNEL_LINES.contains(&len) {
+            return false;
         }
-        let key = (pack_prefix(token.as_bytes()), token.len());
-        let mut slot = home_slot(key.0);
-        loop {
-            let rank = self.slots[slot];
-            if rank == VACANT {
-                return None;
-            }
-            if self.keys[usize::from(rank)] == key {
-                return Some(u32::from(rank));
-            }
-            slot = (slot + 1) % INDEX_SLOTS;
+        // Two zero words follow the line's, for the cut of a token that
+        // ends in its last word.
+        let mut words = [0u64; 128 / 8 + 2];
+        let mut high_bits = 0;
+        // Each word's separator bits enter the mask at its top, so that
+        // every shift in the loop is by a constant.
+        let mut separators = 0u128;
+        let mut push = |word: u64| {
+            high_bits |= word;
+            separators = separators >> 8 | u128::from(separator_bits(word)) << 120;
+        };
+        for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+            *word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            push(*word);
         }
+        // The bytes past the last whole word: the word that ends the
+        // line, shifted down past the bytes already read (0 if none).
+        let (whole, rest) = (len / 8, len % 8);
+        let last = u64::from_le_bytes(bytes[len - 8..].try_into().expect("8 bytes"));
+        words[whole] = last >> (8 * (7 - rest)) >> 8;
+        if rest > 0 {
+            push(words[whole]);
+        }
+        if high_bits & 0x8080_8080_8080_8080 != 0 {
+            return false;
+        }
+        separators >>= 8 * (16 - len.div_ceil(8));
+        // A token's first byte follows a separator or starts the line; its
+        // last byte precedes one or ends the line.
+        let tokens = !separators & u128::MAX >> (128 - len);
+        let mut starts = tokens & (separators << 1 | 1);
+        let mut lasts = tokens & (separators >> 1 | 1 << (len - 1));
+        while starts != 0 {
+            let start = starts.trailing_zeros() as usize;
+            let end = lasts.trailing_zeros() as usize + 1;
+            starts &= starts - 1;
+            lasts &= lasts - 1;
+            let n = end - start;
+            if n <= MAX_WORD_BYTES {
+                let (w, shift) = (start / 8, 8 * (start % 8) as u32);
+                let cut = |a: u64, b: u64| a >> shift | (b << 1) << (63 - shift);
+                let mask = u128::MAX >> (128 - 8 * n);
+                let lo = cut(words[w], words[w + 1]) & mask as u64;
+                let key = Key(
+                    [lo, cut(words[w + 1], words[w + 2]) & (mask >> 64) as u64],
+                    n,
+                );
+                if let Some(rank) = self.find(&key) {
+                    ranked[rank] += 1;
+                    continue;
+                }
+            }
+            *others.entry(&line[start..end]).or_insert(0) += 1;
+        }
+        true
     }
 }
 
-/// The home slot of a packed prefix: a multiplicative hash of its two
-/// words.
-fn home_slot([head, next]: [u64; 2]) -> usize {
-    let mixed = (head ^ next.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (mixed >> (64 - INDEX_BITS)) as usize
-}
-
-/// Whether `byte` separates tokens: 9–13 and 32, the ASCII characters
-/// `char::is_whitespace` accepts (`u8::is_ascii_whitespace` omits 0x0B).
-fn is_separator(byte: u8) -> bool {
-    matches!(byte, b'\t'..=b'\r' | b' ')
-}
-
-/// Calls `f` on each token of an ASCII `line`: the maximal runs of
-/// non-[`is_separator`] bytes, which are the tokens of
-/// `str::split_whitespace`.
+/// One bit per byte of an ASCII `word`, set where the byte separates
+/// tokens: 9–13 or 32.
 ///
-/// The line is scanned 8 bytes at a time: one add flags every byte at or
-/// below 0x20 (a carry-free test, since ASCII bytes are below 0x80), and
-/// only the flagged bytes — the separators and rare control bytes — are
-/// tested one by one.
-fn for_each_ascii_token<'a>(line: &'a str, f: &mut impl FnMut(&'a str)) {
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    let mut cut_at = |i: usize| {
-        if start < i {
-            f(&line[start..i]);
-        }
-        start = i + 1;
-    };
-    let chunks = bytes.chunks_exact(8);
-    let tail = bytes.len() - chunks.remainder().len();
-    for (c, chunk) in chunks.enumerate() {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        let mut flagged = !word.wrapping_add(0x5F5F_5F5F_5F5F_5F5F) & 0x8080_8080_8080_8080;
-        while flagged != 0 {
-            let i = 8 * c + (flagged.trailing_zeros() / 8) as usize;
-            if is_separator(bytes[i]) {
-                cut_at(i);
-            }
-            flagged &= flagged - 1;
-        }
-    }
-    for (i, &byte) in bytes.iter().enumerate().skip(tail) {
-        if is_separator(byte) {
-            cut_at(i);
-        }
-    }
-    cut_at(bytes.len());
+/// No byte of an ASCII word carries into the next: adding 0x77 sets a
+/// byte's top bit if it is at least 9, adding 0x72 if it is at least 14,
+/// and adding 0x7F to a byte XOR 0x20 if it is not 32. The top bits are
+/// then gathered into one byte by a multiply.
+fn separator_bits(word: u64) -> u8 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let tab_to_cr = word.wrapping_add(0x77 * ONES) & !word.wrapping_add(0x72 * ONES);
+    let space = !(word ^ (0x20 * ONES)).wrapping_add(0x7F * ONES);
+    let top_bits = (tab_to_cr | space) & (0x80 * ONES);
+    // Bit 8k of `top_bits >> 7` lands on bit 56 + k.
+    ((top_bits >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
 }
 
 /// A WordCount key: a token, ordered and compared as its text.
@@ -301,21 +406,22 @@ impl Mapper for WordCountMapper {
 
     /// Counts the whole split, then returns one `(Word, count)` per
     /// distinct token in [`Word`] order: the run mapping each line and
-    /// summing gives. Pure-ASCII lines are split by byte; any other
-    /// line falls back to `split_whitespace`.
+    /// summing gives. ASCII lines of 8–128 bytes are counted without a
+    /// per-byte branch, as the module doc describes; any other line is
+    /// split by `split_whitespace`.
     fn map_split(&self, lines: &[String]) -> Vec<(Word, u64)> {
         let index = &*INDEX;
         let mut ranked = vec![0u64; index.words.len()];
         let mut others: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut count = |token| match index.rank(token) {
-            Some(rank) => ranked[rank as usize] += 1,
-            None => *others.entry(token).or_insert(0) += 1,
-        };
         for line in lines {
-            if line.is_ascii() {
-                for_each_ascii_token(line, &mut count);
-            } else {
-                line.split_whitespace().for_each(&mut count);
+            if index.count_ascii_line(line, &mut ranked, &mut others) {
+                continue;
+            }
+            for token in line.split_whitespace() {
+                match index.rank(token) {
+                    Some(rank) => ranked[rank as usize] += 1,
+                    None => *others.entry(token).or_insert(0) += 1,
+                }
             }
         }
         let distinct = ranked.iter().filter(|&&n| n > 0).count() + others.len();
@@ -662,27 +768,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ascii_tokens_are_split_whitespace_tokens() {
-        fn tokens(line: &str) -> Vec<&str> {
-            let mut tokens = Vec::new();
-            for_each_ascii_token(line, &mut |t| tokens.push(t));
-            tokens
+    /// The distinct tokens of `lines` with their counts, in text order:
+    /// the definition of a split's run, keyed by plain text.
+    fn text_counts(lines: &[String]) -> Vec<(String, u64)> {
+        let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+        for token in lines.iter().flat_map(|line| line.split_whitespace()) {
+            *counts.entry(token).or_insert(0) += 1;
         }
+        counts
+            .into_iter()
+            .map(|(t, n)| (t.to_string(), n))
+            .collect()
+    }
+
+    /// `run` keyed by plain text, after checking that exactly its
+    /// dictionary words are held by rank.
+    fn run_text(run: &[(Word, u64)]) -> Vec<(String, u64)> {
+        for (word, _) in run {
+            let ranked = matches!(word.0, WordRepr::Dictionary { .. });
+            let listed = INDEX.words.binary_search(&word.as_str()).is_ok();
+            assert_eq!(ranked, listed, "{:?}", word.as_str());
+        }
+        run.iter()
+            .map(|(w, n)| (w.as_str().to_string(), *n))
+            .collect()
+    }
+
+    #[test]
+    fn ascii_lines_count_as_split_whitespace() {
         // Every ASCII byte, alone and in pairs, at every offset of lines
-        // longer and shorter than one 8-byte step.
-        for len in 0..20 {
+        // on both sides of the kernel's 8-byte minimum, with tokens on
+        // both sides of the 16-byte key.
+        for len in 0..=21 {
             let base = "abcdefghijklmnopqrstu"[..len].to_string();
             for b in 0..0x80u8 {
                 for at in 0..len {
                     for width in 1..=2.min(len - at) {
                         let mut bytes = base.clone().into_bytes();
                         bytes[at..at + width].fill(b);
-                        let line = String::from_utf8(bytes).unwrap();
-                        let want: Vec<&str> = line.split_whitespace().collect();
-                        assert_eq!(tokens(&line), want, "{line:?}");
+                        let lines = [String::from_utf8(bytes).unwrap()];
+                        let run = WordCountMapper.map_split(&lines);
+                        assert_eq!(run_text(&run), text_counts(&lines), "{:?}", lines[0]);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn separator_bits_mark_split_whitespace_bytes() {
+        for b in 0..0x80u8 {
+            let sep = u8::from(b == b' ' || (9..=13).contains(&b));
+            for at in 0..8 {
+                // `b` at byte `at` of a word of 'a's, and of NULs.
+                for fill in [b'a', 0] {
+                    let mut bytes = [fill; 8];
+                    bytes[at] = b;
+                    let bits = separator_bits(u64::from_le_bytes(bytes));
+                    assert_eq!(bits, sep << at, "{b:#x} at {at} among {fill:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_word_has_a_slot_of_its_own() {
+        let index = &*INDEX;
+        let mut seated = vec![false; index.slots.len()];
+        for (rank, word) in index.words.iter().enumerate() {
+            let key = Key::of(word.as_bytes()).unwrap();
+            let slot = index.slot_of(&key);
+            assert_eq!(usize::from(index.slots[slot]), rank, "{word:?}");
+            assert!(!std::mem::replace(&mut seated[slot], true), "{word:?}");
+            assert_eq!(index.find(&key), Some(rank));
+            // Tokens that start with the word's bytes: the word and a
+            // NUL, the word NUL-padded to 16 and 17 bytes (its 16-byte
+            // key, and one past it), and 16 and 17 bytes of the word
+            // and letters.
+            let near = [
+                format!("{word}\0"),
+                format!("{word:\0<16}"),
+                format!("{word:\0<17}"),
+                format!("{word:z<16}"),
+                format!("{word:z<17}"),
+            ];
+            for token in &near {
+                assert_eq!(index.rank(token), None, "{token:?}");
+                // And in a line the kernel counts.
+                let lines = [format!("\t{token} {word}\r")];
+                assert!(KERNEL_LINES.contains(&lines[0].len()));
+                let run = WordCountMapper.map_split(&lines);
+                assert_eq!(run_text(&run), text_counts(&lines), "{token:?}");
             }
         }
     }
@@ -702,8 +878,8 @@ mod tests {
         '\u{10FFFF}',
     ];
     /// Bytes at which [`packed_probe_is_text_equality`] edits a word:
-    /// either end of each packed word, the last byte a 12-byte
-    /// dictionary word may have, and the first byte past the prefix.
+    /// either end of each 8-byte half of a key, the last byte a 12-byte
+    /// dictionary word may have, and the first byte past the key.
     const EDIT_AT: [usize; 6] = [0, 7, 8, 11, 15, 16];
     /// Replacement bytes for edited words, and fill up to an edit past
     /// a word's end.
@@ -726,14 +902,45 @@ mod tests {
         text
     }
 
+    /// The six ASCII separators.
+    const SEPARATORS: [&str; 6] = [" ", "\t", "\n", "\x0B", "\x0C", "\r"];
+    /// Line lengths at the kernel's edges: under its 8-byte minimum, at
+    /// it, around a 16-byte key and 64 bytes, and around its 128-byte
+    /// maximum.
+    const LINE_LENGTHS: [usize; 18] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 63, 64, 65, 127, 128, 129,
+    ];
+    /// Bytes that fill a line up to its length.
+    const FILL: [char; 5] = [' ', '\t', 'a', '\0', '\r'];
+
+    /// Piece `kind` of a test line around dictionary word `word`: a
+    /// separator, the word, the word with a NUL after it or inside it,
+    /// the word filled out to a 15-, 16- or 17-byte token, or non-ASCII
+    /// text.
+    fn line_piece(kind: usize, word: &str) -> String {
+        match kind {
+            0..=5 => SEPARATORS[kind].to_string(),
+            6 => format!("{word}\0"),
+            7 => format!("{}\0{}", &word[..1], &word[1..]),
+            8 => format!("{word:x<15}"),
+            9 => format!("{word:\0<16}"),
+            10 => format!("{word:x<16}"),
+            11 => format!("{word:y<17}"),
+            12 => "é".to_string(),
+            13 => "\u{A0}".to_string(),
+            _ => word.to_string(),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The index's packed `(prefix, len)` probe finds a token exactly
-        /// when `str` equality finds it in the dictionary: for 0–20-byte
-        /// tokens with NULs and non-ASCII text, dictionary words with one
-        /// byte edited (or set past their end, filled up to it), and
-        /// tokens that start with a word, some over 16 bytes.
+        /// The index's `(text, len)` key finds a token exactly when `str`
+        /// equality finds it in the dictionary, by [`DictionaryIndex::rank`]
+        /// and when counted in a line: for 0–20-byte tokens with
+        /// NULs and non-ASCII text, dictionary words with one byte
+        /// edited (or set past their end, filled up to it), and tokens
+        /// that start with a word, some over 16 bytes.
         #[test]
         fn packed_probe_is_text_equality(
             picks in prop::collection::vec((0usize..12, any::<u32>()), 0..21),
@@ -756,7 +963,47 @@ mod tests {
             for token in &tokens {
                 let want = dict.binary_search(token).ok().map(|r| r as u32);
                 prop_assert_eq!(INDEX.rank(token), want, "{:?}", token);
+                let lines = [format!("{token}        ")];
+                let run = WordCountMapper.map_split(&lines);
+                prop_assert_eq!(run_text(&run), text_counts(&lines), "{:?}", token);
             }
+        }
+
+        /// `map_split` gives the run of per-line `map`, a sort and the
+        /// combiner, and the counts of `split_whitespace`'s tokens, for
+        /// lines of every [`LINE_LENGTHS`] with separator runs at either
+        /// end and inside, NULs in and after words, 15–17-byte tokens and
+        /// non-ASCII text.
+        #[test]
+        fn map_split_is_map_sort_and_combine(
+            lines in prop::collection::vec(
+                (
+                    0usize..LINE_LENGTHS.len(),
+                    prop::collection::vec((0usize..20, 0usize..DICTIONARY_SIZE), 0..48),
+                    0usize..FILL.len(),
+                ),
+                1..6,
+            ),
+        ) {
+            let words = dictionary_words();
+            let lines: Vec<String> = lines
+                .iter()
+                .map(|(len, pieces, fill)| {
+                    let len = LINE_LENGTHS[*len];
+                    let mut line: String =
+                        pieces.iter().map(|&(kind, w)| line_piece(kind, &words[w])).collect();
+                    while line.len() > len {
+                        line.pop();
+                    }
+                    while line.len() < len {
+                        line.push(FILL[*fill]);
+                    }
+                    line
+                })
+                .collect();
+            let run = WordCountMapper.map_split(&lines);
+            prop_assert_eq!(&run, &PerLine(WordCountMapper).map_split(&lines));
+            prop_assert_eq!(run_text(&run), text_counts(&lines));
         }
     }
 
