@@ -14,6 +14,12 @@
 //!
 //! The binaries write `results/` and `BENCH_faults.json` as usual; their
 //! bytes do not depend on `--jobs`, so a run leaves them unchanged.
+//!
+//! The record is one sweep of 5 samples (`SAMPLES`) per configuration with
+//! no baseline beside it, so it is a smoke record that cannot back a
+//! before/after: two runs of one unchanged build have read
+//! `all_experiments --jobs 1` at 1.01 s and 1.22 s. The before/after of
+//! record is `perfbench`, run in alternating parent/change pairs.
 
 use serde::Serialize;
 use std::process::{Command, Stdio};

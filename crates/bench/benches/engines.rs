@@ -1,25 +1,22 @@
-//! Criterion benchmarks of the full engines plus a regression harness.
+//! A regression harness for the MapReduce data path (`harness = false`).
 //!
-//! Two layers share this binary (`harness = false`):
-//!
-//! 1. Criterion-style benches of one MapReduce job (map + shuffle +
-//!    merge + reduce with real record processing), one Spark job (stage
-//!    DAG with broadcast and shuffles) and an end-to-end scaling sweep.
-//! 2. A regression harness that times the seed's ordered-map data path
-//!    ([`ipso_bench::reference`], the `btree_seq` rows) against the
-//!    engine's (`sortmerge_seq`) in alternating rounds, plus one QMC-Pi
-//!    scale-out data path (the Halton kernel) — and writes the
-//!    wall-clock samples with their median and IQR, and each workload's
-//!    per-round speedup ratios with their median and IQR, to
-//!    `BENCH_engines.json` at the repository root so CI can assert the
-//!    optimised data path never regresses.
+//! For each of Sort, WordCount, TeraSort and QMC-Pi it times the seed's
+//! data path (the `btree_seq` rows: the seed's ordered-map grouping in
+//! [`ipso_bench::reference`], and the seed's WordCount and QMC mappers)
+//! against the engine's (`sortmerge_seq`) in alternating rounds, at
+//! [`MAP_TASKS`] map tasks. Both sides of the Sort, WordCount and
+//! TeraSort rows rotate through [`INPUTS`] seeded inputs, as a sweep
+//! maps distinct data; QMC-Pi's input has no seed. It writes
+//! the wall-clock samples with their median and IQR, and each
+//! workload's per-round speedup ratios with their median and IQR, to
+//! `BENCH_engines.json` at the repository root, which CI's
+//! `.github/engine_gate.py` compares against the committed file.
 
-use criterion::{black_box, criterion_group, Criterion};
-use ipso_bench::{reference, SweepRunner};
+use ipso_bench::reference;
 use ipso_mapreduce::{Mapper, OutputScaling, Reducer};
-use ipso_spark::try_run_job;
-use ipso_workloads::{bayes, qmc, sort, terasort, wordcount};
+use ipso_workloads::{qmc, sort, terasort, wordcount};
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// The seed's WordCount mapper, kept verbatim as the regression
@@ -62,6 +59,30 @@ impl Reducer for SeedWordCountReducer {
     }
 }
 
+/// The seed's QMC-Pi mapper, the regression baseline: each Halton
+/// coordinate from [`qmc::van_der_corput`]'s chain of float divisions.
+struct SeedQmcMapper;
+
+impl Mapper for SeedQmcMapper {
+    type Input = qmc::QmcSlice;
+    type Key = u32;
+    type Value = (u64, u64);
+
+    fn map(&self, slice: &qmc::QmcSlice, emit: &mut dyn FnMut(u32, (u64, u64))) {
+        let inside = (slice.offset..slice.offset + slice.count)
+            .filter(|&i| {
+                let (x, y) = (qmc::van_der_corput(i, 2), qmc::van_der_corput(i, 3));
+                x * x + y * y <= 1.0
+            })
+            .count() as u64;
+        emit(0, (inside, slice.count));
+    }
+
+    fn output_scaling(&self) -> OutputScaling {
+        OutputScaling::Saturating
+    }
+}
+
 /// Where the regression record lands: the workspace root, NOT
 /// `results/` (CI checks `git diff --exit-code results/`, and bench
 /// timings are host-dependent by nature).
@@ -71,10 +92,18 @@ const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engi
 /// MapReduce workloads (the acceptance point for the speedup targets).
 const MAP_TASKS: u32 = 8;
 
-/// The seeded inputs the WordCount row rotates through, 256 distinct
-/// splits in all. Timing one input over and over lets the branch
-/// predictor learn its text, which a sweep never maps twice.
-const WORDCOUNT_INPUTS: u64 = 32;
+/// The seeded inputs the Sort, WordCount and TeraSort rows rotate
+/// through, 256 distinct splits per workload. Timing one input over and
+/// over lets the branch predictor and the caches learn it, which a sweep
+/// never maps twice.
+const INPUTS: u64 = 32;
+
+/// The splits of seeds 1 to [`INPUTS`] at [`MAP_TASKS`] map tasks.
+fn seeded_inputs<T>(make_splits: fn(u32, u64) -> T) -> Vec<T> {
+    (1..=INPUTS)
+        .map(|seed| make_splits(MAP_TASKS, seed))
+        .collect()
+}
 
 /// Returns `inputs` one per call, in turn.
 fn cycle<'a, T>(inputs: &'a [T]) -> impl FnMut() -> &'a T {
@@ -127,8 +156,6 @@ struct BenchReport {
     speedups: Vec<SpeedupRecord>,
 }
 
-/// Independent timing samples per unpaired bench.
-const SAMPLES: usize = 7;
 /// Rounds of a paired bench: each times one batch of either side.
 const ROUNDS: usize = 15;
 /// Wall-clock time one batch aims for.
@@ -198,13 +225,6 @@ fn timing(samples_ns: Vec<f64>, batch: u64) -> Timing {
         iters: batch * samples_ns.len() as u64,
         samples_ns,
     }
-}
-
-/// Times `f` in [`SAMPLES`] independent batches.
-fn measure<T>(mut f: impl FnMut() -> T) -> Timing {
-    let batch = calibrate(&mut f);
-    let samples = (0..SAMPLES).map(|_| time_batch(&mut f, batch)).collect();
-    timing(samples, batch)
 }
 
 /// Times `base` and `opt` in [`ROUNDS`] rounds of one batch each, back
@@ -293,15 +313,17 @@ fn paired<A, B>(
 fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
     let mut records = Vec::new();
     let mut speedups = Vec::new();
-    // MapReduce: sort, wordcount and terasort at MAP_TASKS map tasks, the
-    // seed's data path against the engine's.
+    // MapReduce at MAP_TASKS map tasks, the seed's data path against the
+    // engine's.
     let spec = sort::job_spec(MAP_TASKS);
-    let splits = sort::make_splits(MAP_TASKS, 1);
+    let inputs = seeded_inputs(sort::make_splits);
+    let (mut base_input, mut opt_input) = (cycle(&inputs), cycle(&inputs));
     paired(
         "sort",
-        || reference::run(&sort::SortMapper, &sort::SortReducer, &splits),
+        || reference::run(&sort::SortMapper, &sort::SortReducer, base_input()),
         || {
-            ipso_mapreduce::try_run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, &splits)
+            let splits = opt_input();
+            ipso_mapreduce::try_run_scale_out(&spec, &sort::SortMapper, &sort::SortReducer, splits)
                 .expect("fault-free run")
         },
         &mut records,
@@ -310,12 +332,9 @@ fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
 
     // The baseline pairs the reference data path with the seed's
     // allocating mapper — the true pre-optimization path; the engine
-    // runs the shipping rank-keyed mapper. Both sides rotate through
-    // WORDCOUNT_INPUTS seeded inputs, as a sweep maps distinct text.
+    // runs the shipping rank-keyed mapper.
     let spec = wordcount::job_spec(MAP_TASKS);
-    let inputs: Vec<_> = (1..=WORDCOUNT_INPUTS)
-        .map(|seed| wordcount::make_splits(MAP_TASKS, seed))
-        .collect();
+    let inputs = seeded_inputs(wordcount::make_splits);
     let (mut base_input, mut opt_input) = (cycle(&inputs), cycle(&inputs));
     let mapper = wordcount::WordCountMapper::new();
     paired(
@@ -333,14 +352,15 @@ fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
     // TeraSort's own sorts against the reference's per-record map and
     // ordered-map grouping.
     let spec = terasort::job_spec(MAP_TASKS);
-    let splits = terasort::make_splits(MAP_TASKS, 1);
+    let inputs = seeded_inputs(terasort::make_splits);
+    let (mut base_input, mut opt_input) = (cycle(&inputs), cycle(&inputs));
     paired(
         "terasort",
         || {
             reference::run(
                 &terasort::TeraSortMapper,
                 &terasort::TeraSortReducer,
-                &splits,
+                base_input(),
             )
         },
         || {
@@ -348,7 +368,7 @@ fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
                 &spec,
                 &terasort::TeraSortMapper,
                 &terasort::TeraSortReducer,
-                &splits,
+                opt_input(),
             )
             .expect("fault-free run")
         },
@@ -356,16 +376,29 @@ fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
         &mut speedups,
     );
 
-    // QMC-Pi: one scale-out data path. Its cost is the Halton kernel,
-    // which the reference path shares, so it has no baseline and no
-    // speedup ratio.
+    // QMC-Pi: the seed's per-point van der Corput kernel against the
+    // engine's table-driven one. Its input has no seed: every sweep maps
+    // the same Halton slices.
     let spec = qmc::job_spec(MAP_TASKS);
     let splits = qmc::make_splits(MAP_TASKS);
-    let timing = measure(|| {
+    let engine_run =
         ipso_mapreduce::try_run_scale_out(&spec, &qmc::QmcMapper, &qmc::QmcReducer, &splits)
-            .expect("fault-free run")
-    });
-    records.push(record("mapreduce", "qmc", "sortmerge_seq", timing));
+            .expect("fault-free run");
+    assert_eq!(
+        reference::run(&SeedQmcMapper, &qmc::QmcReducer, &splits).0,
+        engine_run.output,
+        "the seed kernel counts the points the engine counts"
+    );
+    paired(
+        "qmc",
+        || reference::run(&SeedQmcMapper, &qmc::QmcReducer, &splits),
+        || {
+            ipso_mapreduce::try_run_scale_out(&spec, &qmc::QmcMapper, &qmc::QmcReducer, &splits)
+                .expect("fault-free run")
+        },
+        &mut records,
+        &mut speedups,
+    );
     (records, speedups)
 }
 
@@ -389,82 +422,8 @@ fn run_regression_harness() {
     println!("wrote {REPORT_PATH}");
 }
 
-fn bench_mapreduce_jobs(c: &mut Criterion) {
-    let splits = sort::make_splits(16, 1);
-    let spec = sort::job_spec(16);
-    c.bench_function("mapreduce_sort_n16", |b| {
-        b.iter(|| {
-            ipso_mapreduce::try_run_scale_out(
-                black_box(&spec),
-                &sort::SortMapper,
-                &sort::SortReducer,
-                black_box(&splits),
-            )
-            .expect("fault-free run")
-        })
-    });
-
-    let wc_splits = wordcount::make_splits(8, 1);
-    let wc_spec = wordcount::job_spec(8);
-    let mapper = wordcount::WordCountMapper::new();
-    c.bench_function("mapreduce_wordcount_n8", |b| {
-        b.iter(|| {
-            ipso_mapreduce::try_run_scale_out(
-                black_box(&wc_spec),
-                &mapper,
-                &wordcount::WordCountReducer,
-                black_box(&wc_splits),
-            )
-            .expect("fault-free run")
-        })
-    });
-}
-
-fn bench_spark_job(c: &mut Criterion) {
-    let job = bayes::job(256, 64);
-    c.bench_function("spark_bayes_n256_m64", |b| {
-        b.iter(|| try_run_job(black_box(&job)).expect("fault-free run"))
-    });
-}
-
-fn bench_full_sweep(c: &mut Criterion) {
-    c.bench_function("sort_sweep_to_n16", |b| {
-        b.iter(|| sort::sweep(black_box(&[1, 2, 4, 8, 16])))
-    });
-
-    // The same sweep decomposed into per-n grid points through the
-    // deterministic runner: jobs = 1 measures the runner's overhead over
-    // the plain loop, jobs = 0 (all hardware threads) its speedup.
-    let cases = [
-        ("sort_sweep_to_n16_runner_seq", 1usize),
-        ("sort_sweep_to_n16_runner_par", 0),
-    ];
-    for (label, jobs) in cases {
-        let runner = SweepRunner::new(jobs);
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                runner
-                    .map(black_box(vec![1u32, 2, 4, 8, 16]), |n| {
-                        sort::sweep(&[n]).points
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect::<Vec<_>>()
-            })
-        });
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_mapreduce_jobs,
-    bench_spark_job,
-    bench_full_sweep
-);
-
 fn main() {
     // `cargo test --benches` invokes bench binaries with libtest-style
     // flags; accept and ignore them.
-    benches();
     run_regression_harness();
 }

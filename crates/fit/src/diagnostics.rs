@@ -8,16 +8,8 @@ pub struct GoodnessOfFit {
     /// Equal to 1.0 for a perfect fit. May be negative when the model fits
     /// worse than a horizontal line through the mean.
     pub r_squared: f64,
-    /// R² adjusted for the number of model parameters.
-    pub adjusted_r_squared: f64,
-    /// Root-mean-square error of the residuals.
-    pub rmse: f64,
     /// Sum of squared residuals.
     pub ss_res: f64,
-    /// Number of observations.
-    pub n_points: usize,
-    /// Number of free model parameters.
-    pub n_params: usize,
 }
 
 impl GoodnessOfFit {
@@ -27,7 +19,7 @@ impl GoodnessOfFit {
     ///
     /// Panics if `observed` and `predicted` have different lengths or are
     /// empty.
-    pub fn from_predictions(observed: &[f64], predicted: &[f64], n_params: usize) -> Self {
+    pub fn from_predictions(observed: &[f64], predicted: &[f64]) -> Self {
         assert_eq!(
             observed.len(),
             predicted.len(),
@@ -54,39 +46,8 @@ impl GoodnessOfFit {
         } else {
             0.0
         };
-        let adjusted_r_squared = if n > n_params + 1 {
-            1.0 - (1.0 - r_squared) * (n as f64 - 1.0) / (n as f64 - n_params as f64 - 1.0)
-        } else {
-            r_squared
-        };
-        let rmse = (ss_res / n as f64).sqrt();
-        GoodnessOfFit {
-            r_squared,
-            adjusted_r_squared,
-            rmse,
-            ss_res,
-            n_points: n,
-            n_params,
-        }
+        GoodnessOfFit { r_squared, ss_res }
     }
-}
-
-/// Computes residuals `observed − predicted`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn residuals(observed: &[f64], predicted: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        observed.len(),
-        predicted.len(),
-        "observed/predicted length mismatch"
-    );
-    observed
-        .iter()
-        .zip(predicted)
-        .map(|(y, yhat)| y - yhat)
-        .collect()
 }
 
 #[cfg(test)]
@@ -96,9 +57,8 @@ mod tests {
     #[test]
     fn perfect_fit_has_unit_r_squared() {
         let y = [1.0, 2.0, 3.0, 4.0];
-        let gof = GoodnessOfFit::from_predictions(&y, &y, 2);
+        let gof = GoodnessOfFit::from_predictions(&y, &y);
         assert_eq!(gof.r_squared, 1.0);
-        assert_eq!(gof.rmse, 0.0);
         assert_eq!(gof.ss_res, 0.0);
     }
 
@@ -106,7 +66,7 @@ mod tests {
     fn mean_model_has_zero_r_squared() {
         let y = [1.0, 2.0, 3.0];
         let mean = [2.0, 2.0, 2.0];
-        let gof = GoodnessOfFit::from_predictions(&y, &mean, 1);
+        let gof = GoodnessOfFit::from_predictions(&y, &mean);
         assert!(gof.r_squared.abs() < 1e-12);
     }
 
@@ -114,14 +74,14 @@ mod tests {
     fn worse_than_mean_model_is_negative() {
         let y = [1.0, 2.0, 3.0];
         let bad = [3.0, 2.0, 1.0];
-        let gof = GoodnessOfFit::from_predictions(&y, &bad, 1);
+        let gof = GoodnessOfFit::from_predictions(&y, &bad);
         assert!(gof.r_squared < 0.0);
     }
 
     #[test]
     fn constant_data_perfectly_matched() {
         let y = [5.0, 5.0, 5.0];
-        let gof = GoodnessOfFit::from_predictions(&y, &y, 1);
+        let gof = GoodnessOfFit::from_predictions(&y, &y);
         assert_eq!(gof.r_squared, 1.0);
     }
 
@@ -129,22 +89,7 @@ mod tests {
     fn constant_data_mismatched_scores_zero() {
         let y = [5.0, 5.0, 5.0];
         let p = [4.0, 5.0, 6.0];
-        let gof = GoodnessOfFit::from_predictions(&y, &p, 1);
+        let gof = GoodnessOfFit::from_predictions(&y, &p);
         assert_eq!(gof.r_squared, 0.0);
-    }
-
-    #[test]
-    fn residuals_are_signed() {
-        let r = residuals(&[3.0, 1.0], &[1.0, 3.0]);
-        assert_eq!(r, vec![2.0, -2.0]);
-    }
-
-    #[test]
-    fn adjusted_r_squared_penalizes_parameters() {
-        let y = [1.0, 2.1, 2.9, 4.2, 5.0, 5.9];
-        let p = [1.1, 2.0, 3.0, 4.0, 5.1, 6.0];
-        let g1 = GoodnessOfFit::from_predictions(&y, &p, 1);
-        let g4 = GoodnessOfFit::from_predictions(&y, &p, 4);
-        assert!(g4.adjusted_r_squared < g1.adjusted_r_squared);
     }
 }

@@ -14,8 +14,7 @@
 //!   used for the step-wise internal scaling of TeraSort (paper Fig. 5).
 //! * [`nonlinear`] — a Levenberg–Marquardt solver with numeric
 //!   Jacobians for arbitrary parametric models.
-//! * [`matrix`] — the small dense linear-algebra kernel backing the solvers.
-//! * [`diagnostics`] — R², adjusted R², RMSE and residual helpers.
+//! * [`diagnostics`] — R² and the residual sum of squares.
 //!
 //! # Example
 //!
@@ -36,7 +35,6 @@
 pub mod diagnostics;
 pub mod error;
 pub mod linear;
-pub mod matrix;
 pub mod nonlinear;
 pub mod powerlaw;
 pub mod segmented;

@@ -26,8 +26,6 @@ pub struct LineFit {
     pub slope: f64,
     /// Fitted intercept.
     pub intercept: f64,
-    /// Standard error of the slope estimate.
-    pub slope_stderr: f64,
     /// Goodness-of-fit statistics.
     pub gof: GoodnessOfFit,
 }
@@ -64,13 +62,10 @@ pub fn fit_line(x: &[f64], y: &[f64]) -> Result<LineFit, FitError> {
     let intercept = mean_y - slope * mean_x;
 
     let predicted: Vec<f64> = x.iter().map(|&xv| intercept + slope * xv).collect();
-    let gof = GoodnessOfFit::from_predictions(y, &predicted, 2);
-    let dof = (x.len() as f64 - 2.0).max(1.0);
-    let slope_stderr = (gof.ss_res / dof / sxx).sqrt();
+    let gof = GoodnessOfFit::from_predictions(y, &predicted);
     Ok(LineFit {
         slope,
         intercept,
-        slope_stderr,
         gof,
     })
 }
@@ -87,7 +82,7 @@ mod tests {
         assert!((fit.slope - 0.36).abs() < 1e-12);
         assert!((fit.intercept + 0.11).abs() < 1e-12);
         assert_eq!(fit.gof.r_squared, 1.0);
-        assert!(fit.slope_stderr < 1e-10);
+        assert!(fit.gof.ss_res < 1e-20);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::diagnostics::GoodnessOfFit;
 use crate::error::validate_xy;
-use crate::matrix::Matrix;
 use crate::FitError;
 
 /// Maximum number of outer iterations.
@@ -31,8 +30,6 @@ pub struct NonlinearFit {
     pub params: Vec<f64>,
     /// Goodness-of-fit statistics at the solution.
     pub gof: GoodnessOfFit,
-    /// Number of iterations performed.
-    pub iterations: usize,
 }
 
 /// Fits `y ≈ f(params, x)` by Levenberg–Marquardt starting from `initial`.
@@ -95,6 +92,11 @@ where
         Ok(r)
     };
     let ssr = |r: &[f64]| r.iter().map(|v| v * v).sum::<f64>();
+    let finish = |params: Vec<f64>| {
+        let predicted: Vec<f64> = x.iter().map(|&xi| model(&params, xi)).collect();
+        let gof = GoodnessOfFit::from_predictions(y, &predicted);
+        Ok(NonlinearFit { params, gof })
+    };
 
     let mut params = initial.to_vec();
     let mut r = residuals(&params)?;
@@ -105,35 +107,50 @@ where
     while iterations < MAX_ITERATIONS {
         iterations += 1;
 
-        // Numeric Jacobian of the *model* (not the residual): J[i][j] =
-        // ∂f(params, x_i)/∂params_j via central differences.
-        let mut jac = Matrix::zeros(x.len(), p);
-        for j in 0..p {
-            let h = FD_STEP * params[j].abs().max(1e-4);
-            let mut plus = params.clone();
-            let mut minus = params.clone();
-            plus[j] += h;
-            minus[j] -= h;
-            for (i, &xi) in x.iter().enumerate() {
-                let d = (model(&plus, xi) - model(&minus, xi)) / (2.0 * h);
+        // Normal equations: (JᵀJ + λ·diag) δ = Jᵀ r, with the numeric
+        // Jacobian of the *model* (not the residual), J[i][j] =
+        // ∂f(params, x_i)/∂params_j via central differences. Each row of
+        // J is added straight into the row-major p×p JᵀJ and into Jᵀr,
+        // rows in order and zero entries skipped.
+        let steps: Vec<(f64, Vec<f64>, Vec<f64>)> = (0..p)
+            .map(|j| {
+                let h = FD_STEP * params[j].abs().max(1e-4);
+                let mut plus = params.clone();
+                let mut minus = params.clone();
+                plus[j] += h;
+                minus[j] -= h;
+                (h, plus, minus)
+            })
+            .collect();
+        let mut jtj = vec![0.0; p * p];
+        let mut jtr = vec![0.0; p];
+        let mut row = vec![0.0; p];
+        for (&xi, &ri) in x.iter().zip(&r) {
+            for (d, (h, plus, minus)) in row.iter_mut().zip(&steps) {
+                *d = (model(plus, xi) - model(minus, xi)) / (2.0 * h);
                 if !d.is_finite() {
                     return Err(FitError::NonFinite);
                 }
-                jac.set(i, j, d);
+            }
+            for ((&ja, jtj_row), jtr_j) in row.iter().zip(jtj.chunks_exact_mut(p)).zip(&mut jtr) {
+                if ja == 0.0 {
+                    continue;
+                }
+                for (o, &jb) in jtj_row.iter_mut().zip(&row) {
+                    *o += ja * jb;
+                }
+                *jtr_j += ja * ri;
             }
         }
-
-        // Normal equations: (JᵀJ + λ·diag) δ = Jᵀ r.
-        let jt = jac.transpose();
-        let jtj = jt.mul(&jac);
-        let jtr = jt.mul(&Matrix::column(&r));
 
         let mut accepted = false;
         for _ in 0..24 {
             let mut damped = jtj.clone();
-            damped.add_diagonal(lambda);
-            let delta = match damped.solve(&jtr) {
-                Ok(d) => d.into_column_vec(),
+            for d in damped.iter_mut().step_by(p + 1) {
+                *d += lambda;
+            }
+            let delta = match solve(damped, jtr.clone()) {
+                Ok(d) => d,
                 Err(_) => {
                     lambda *= LAMBDA_FACTOR;
                     continue;
@@ -152,14 +169,7 @@ where
                         accepted = true;
                         if improvement < TOLERANCE {
                             // Converged.
-                            let predicted: Vec<f64> =
-                                x.iter().map(|&xi| model(&params, xi)).collect();
-                            let gof = GoodnessOfFit::from_predictions(y, &predicted, p);
-                            return Ok(NonlinearFit {
-                                params,
-                                gof,
-                                iterations,
-                            });
+                            return finish(params);
                         }
                         break;
                     }
@@ -171,13 +181,7 @@ where
         if !accepted {
             // Stuck: either converged to machine precision or hopeless.
             if cost < 1e-20 || lambda > 1e12 {
-                let predicted: Vec<f64> = x.iter().map(|&xi| model(&params, xi)).collect();
-                let gof = GoodnessOfFit::from_predictions(y, &predicted, p);
-                return Ok(NonlinearFit {
-                    params,
-                    gof,
-                    iterations,
-                });
+                return finish(params);
             }
             return Err(FitError::NoConvergence { iterations });
         }
@@ -185,13 +189,71 @@ where
 
     // Iteration budget exhausted but steps were still improving: report the
     // best point found rather than failing, mirroring common LM libraries.
-    let predicted: Vec<f64> = x.iter().map(|&xi| model(&params, xi)).collect();
-    let gof = GoodnessOfFit::from_predictions(y, &predicted, p);
-    Ok(NonlinearFit {
-        params,
-        gof,
-        iterations,
-    })
+    finish(params)
+}
+
+/// Solves the row-major `n×n` system `a · x = b` by Gaussian elimination
+/// with partial pivoting.
+///
+/// # Errors
+///
+/// [`FitError::Singular`] if a pivot falls below 1e-12 in magnitude, and
+/// [`FitError::NonFinite`] if a pivot or a solution entry is not finite.
+fn solve(mut a: Vec<f64>, mut b: Vec<f64>) -> Result<Vec<f64>, FitError> {
+    let n = b.len();
+    debug_assert_eq!(a.len(), n * n, "solve requires a square matrix");
+    for col in 0..n {
+        // Partial pivot: the row with the largest magnitude in this column
+        // at or below the diagonal; the first such row on a tie.
+        let mut pivot_row = col;
+        let mut pivot_val = a[col * n + col].abs();
+        for r in (col + 1)..n {
+            let v = a[r * n + col].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = r;
+            }
+        }
+        if !pivot_val.is_finite() {
+            return Err(FitError::NonFinite);
+        }
+        if pivot_val < 1e-12 {
+            return Err(FitError::Singular);
+        }
+        if pivot_row != col {
+            for c in 0..n {
+                a.swap(col * n + c, pivot_row * n + c);
+            }
+            b.swap(col, pivot_row);
+        }
+        // Eliminate below the pivot.
+        let pivot = a[col * n + col];
+        for r in (col + 1)..n {
+            let factor = a[r * n + col] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            for c in col..n {
+                a[r * n + c] -= factor * a[col * n + c];
+            }
+            b[r] -= factor * b[col];
+        }
+    }
+
+    // Back substitution.
+    let mut x = vec![0.0; n];
+    for r in (0..n).rev() {
+        let mut sum = b[r];
+        for k in (r + 1)..n {
+            sum -= a[r * n + k] * x[k];
+        }
+        let v = sum / a[r * n + r];
+        if !v.is_finite() {
+            return Err(FitError::NonFinite);
+        }
+        x[r] = v;
+    }
+    Ok(x)
 }
 
 #[cfg(test)]
@@ -262,6 +324,99 @@ mod tests {
             (fit.params[1] - 1.8).abs() < 0.02,
             "gamma = {}",
             fit.params[1]
+        );
+    }
+
+    #[test]
+    fn solve_simple_system() {
+        // 2x + y = 5, x - y = 1  =>  x = 2, y = 1
+        let x = solve(vec![2.0, 1.0, 1.0, -1.0], vec![5.0, 1.0]).unwrap();
+        assert!((x[0] - 2.0).abs() < 1e-12);
+        assert!((x[1] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solve_requires_pivoting() {
+        // Zero on the leading diagonal requires a row swap.
+        let x = solve(vec![0.0, 1.0, 1.0, 0.0], vec![3.0, 7.0]).unwrap();
+        assert!((x[0] - 7.0).abs() < 1e-12);
+        assert!((x[1] - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solve_keeps_the_upper_row_on_a_pivot_tie() {
+        // Pivoting on the second row would round x[0] one ulp lower.
+        let x = solve(vec![1.0, 0.3, 1.0, 1.1], vec![0.7, 1.3]).unwrap();
+        assert_eq!(x[0].to_bits(), 0x3fde666666666665);
+        assert_eq!(x[1].to_bits(), 0x3fe8000000000001);
+    }
+
+    #[test]
+    fn solve_detects_singularity() {
+        let err = solve(vec![1.0, 2.0, 2.0, 4.0], vec![1.0, 2.0]).unwrap_err();
+        assert_eq!(err, FitError::Singular);
+    }
+
+    #[test]
+    fn solve_rejects_non_finite_pivot() {
+        let err = solve(vec![1.0, 0.0, f64::INFINITY, 1.0], vec![1.0, 2.0]).unwrap_err();
+        assert_eq!(err, FitError::NonFinite);
+        let err = solve(vec![f64::NAN, 0.0, 0.0, 1.0], vec![1.0, 2.0]).unwrap_err();
+        assert_eq!(err, FitError::NonFinite);
+    }
+
+    #[test]
+    fn solve_3x3_system() {
+        let a = vec![1.0, 1.0, 1.0, 0.0, 2.0, 5.0, 2.0, 5.0, -1.0];
+        let x = solve(a, vec![6.0, -4.0, 27.0]).unwrap();
+        // Known solution: x = 5, y = 3, z = -2
+        assert!((x[0] - 5.0).abs() < 1e-10);
+        assert!((x[1] - 3.0).abs() < 1e-10);
+        assert!((x[2] + 2.0).abs() < 1e-10);
+    }
+
+    /// The bits of `params` and `gof.r_squared`, in that order.
+    fn fit_bits(fit: &NonlinearFit) -> Vec<u64> {
+        let mut bits: Vec<u64> = fit.params.iter().map(|v| v.to_bits()).collect();
+        bits.push(fit.gof.r_squared.to_bits());
+        bits
+    }
+
+    #[test]
+    fn fitted_bits_are_pinned() {
+        // The shifted power law β·(n^γ − 1) that `q(n)` is fitted with,
+        // on eight points with ±3 % alternating noise.
+        let x: [f64; 8] = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0];
+        let y: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, n)| 0.04 * (n.powf(1.35) - 1.0) * if i % 2 == 0 { 1.03 } else { 0.97 })
+            .collect();
+        let fit =
+            levenberg_marquardt(|p, n| p[0] * (n.powf(p[1]) - 1.0), &x, &y, &[0.05, 1.2]).unwrap();
+        assert_eq!(
+            fit_bits(&fit),
+            [0x3fa6e50c6219ee60, 0x3ff4ede3cb2bcde5, 0x3feff7bef8a6a43d]
+        );
+
+        // a + b·x^c: the first column of JᵀJ is (8, Σx^c, Σb·x^c·ln x), so
+        // the damped system's first pivot is a row swap.
+        let x: Vec<f64> = (2..=9).map(f64::from).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, v)| 2.0 + 0.5 * v.powf(1.5) + if i % 2 == 0 { 0.05 } else { -0.05 })
+            .collect();
+        let fit = levenberg_marquardt(|p, v| p[0] + p[1] * v.powf(p[2]), &x, &y, &[1.0, 1.0, 1.0])
+            .unwrap();
+        assert_eq!(
+            fit_bits(&fit),
+            [
+                0x40002f6174385378,
+                0x3fdfd0dbf65c7297,
+                0x3ff80544a490d82b,
+                0x3feffec4cf633485
+            ]
         );
     }
 }

@@ -19,13 +19,6 @@ pub struct PowerLawFit {
     pub gof: GoodnessOfFit,
 }
 
-impl PowerLawFit {
-    /// Evaluates `a·x^b` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.coefficient * x.powf(self.exponent)
-    }
-}
-
 /// Fits `y = a·x^b` by ordinary least squares in log–log space.
 ///
 /// # Errors
@@ -68,7 +61,7 @@ pub fn fit_power_law(x: &[f64], y: &[f64]) -> Result<PowerLawFit, FitError> {
         .iter()
         .map(|&xv| coefficient * xv.powf(exponent))
         .collect();
-    let gof = GoodnessOfFit::from_predictions(y, &predicted, 2);
+    let gof = GoodnessOfFit::from_predictions(y, &predicted);
     Ok(PowerLawFit {
         coefficient,
         exponent,
@@ -111,13 +104,11 @@ mod tests {
     }
 
     #[test]
-    fn predict_evaluates_the_power_law() {
-        let fit = PowerLawFit {
-            coefficient: 2.0,
-            exponent: 1.0,
-            gof: GoodnessOfFit::from_predictions(&[1.0], &[1.0], 1),
-        };
-        assert!((fit.predict(5.0) - 10.0).abs() < 1e-12);
+    fn linear_data_gives_unit_exponent() {
+        let fit = fit_power_law(&[1.0, 5.0], &[2.0, 10.0]).unwrap();
+        assert!((fit.coefficient - 2.0).abs() < 1e-12);
+        assert!((fit.exponent - 1.0).abs() < 1e-12);
+        assert!(fit.gof.ss_res < 1e-20);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub fn fit_two_segment(
                     }
                 })
                 .collect();
-            let mut gof = GoodnessOfFit::from_predictions(&ys, &predicted, 5);
+            let mut gof = GoodnessOfFit::from_predictions(&ys, &predicted);
             // Use the side-fit residual total as the selection criterion so
             // ties at the boundary do not flip the choice.
             gof.ss_res = ss;
