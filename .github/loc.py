@@ -7,7 +7,9 @@ line (all of them when it has none). Its code lines are the non-test
 lines that are neither blank nor `//` comments (which takes in `///`
 and `//!` docs). Counted files: `crates/*/src/**/*.rs` and
 `src/**/*.rs`. Prints one line per crate (the root package as `.`),
-then the total, each as non-test lines then code lines.
+then the total, each as non-test lines then code lines. Below them,
+the same for each vendored stand-in (`vendor/*/src/**/*.rs`) and their
+total, which the workspace total leaves out.
 """
 import sys
 from pathlib import Path
@@ -27,11 +29,9 @@ def count_lines(path):
     return lines, code
 
 
-def main(root="."):
-    root = Path(root)
-    packages = sorted(p.parent for p in root.glob("crates/*/src")) + [root]
+def count_packages(root, packages):
+    """Prints one row per package and returns the summed counts."""
     total = total_code = 0
-    print(f"{'lines':>7} {'code':>7}")
     for package in packages:
         counts = [count_lines(f) for f in sorted((package / "src").rglob("*.rs"))]
         lines = sum(c[0] for c in counts)
@@ -39,7 +39,18 @@ def main(root="."):
         total += lines
         total_code += code
         print(f"{lines:7} {code:7} {package.relative_to(root)}")
+    return total, total_code
+
+
+def main(root="."):
+    root = Path(root)
+    packages = sorted(p.parent for p in root.glob("crates/*/src")) + [root]
+    print(f"{'lines':>7} {'code':>7}")
+    total, total_code = count_packages(root, packages)
     print(f"{total:7} {total_code:7} total")
+    vendored = sorted(p.parent for p in root.glob("vendor/*/src"))
+    total, total_code = count_packages(root, vendored)
+    print(f"{total:7} {total_code:7} vendored total")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@
 //! `all_experiments --jobs 1` at 1.01 s and 1.22 s. The before/after of
 //! record is `perfbench`, run in alternating parent/change pairs.
 
-use serde::Serialize;
+use ipso_bench::Json;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
@@ -62,23 +62,6 @@ const BINARIES: [(&str, &str); 19] = [
 
 /// Where the report lands: the repository root.
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e2e.json");
-
-#[derive(Debug, Serialize)]
-struct Record {
-    binary: &'static str,
-    jobs: usize,
-    median_s: f64,
-    iqr_s: f64,
-    samples_s: Vec<f64>,
-}
-
-#[derive(Debug, Serialize)]
-struct Report {
-    schema: &'static str,
-    host_threads: usize,
-    samples: usize,
-    records: Vec<Record>,
-}
 
 /// The `q`-quantile of ascending `sorted`, interpolating linearly
 /// between the two nearest ranks.
@@ -127,33 +110,33 @@ fn main() {
         }
     }
 
-    let records: Vec<Record> = configs
+    let records = configs
         .iter()
         .zip(samples)
         .map(|(&(binary, _, jobs), samples_s)| {
             let mut sorted = samples_s.clone();
             sorted.sort_by(f64::total_cmp);
-            let record = Record {
-                binary,
-                jobs,
-                median_s: quantile(&sorted, 0.5),
-                iqr_s: quantile(&sorted, 0.75) - quantile(&sorted, 0.25),
-                samples_s,
-            };
+            let median_s = quantile(&sorted, 0.5);
+            let iqr_s = quantile(&sorted, 0.75) - quantile(&sorted, 0.25);
             println!(
-                "e2e {binary:<28} --jobs {jobs}: {:>8.3} s median, IQR {:.3} s ({SAMPLES} samples)",
-                record.median_s, record.iqr_s
+                "e2e {binary:<28} --jobs {jobs}: {median_s:>8.3} s median, IQR {iqr_s:.3} s ({SAMPLES} samples)"
             );
-            record
+            Json::Object(vec![
+                ("binary", Json::Str(binary.into())),
+                ("jobs", Json::Int(jobs as u64)),
+                ("median_s", Json::Float(median_s)),
+                ("iqr_s", Json::Float(iqr_s)),
+                ("samples_s", Json::floats(&samples_s)),
+            ])
         })
         .collect();
-    let report = Report {
-        schema: "ipso-bench-e2e/v1",
-        host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        samples: SAMPLES,
-        records,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("e2e report serializes");
-    std::fs::write(REPORT_PATH, json + "\n").expect("write BENCH_e2e.json");
+    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let report = Json::Object(vec![
+        ("schema", Json::Str("ipso-bench-e2e/v1".into())),
+        ("host_threads", Json::Int(host_threads as u64)),
+        ("samples", Json::Int(SAMPLES as u64)),
+        ("records", Json::List(records)),
+    ]);
+    std::fs::write(REPORT_PATH, report.pretty() + "\n").expect("write BENCH_e2e.json");
     println!("wrote {REPORT_PATH}");
 }

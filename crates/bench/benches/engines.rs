@@ -13,10 +13,9 @@
 //! ([`keep_freed_memory`]), so that once the heap has grown neither side
 //! pays page faults.
 
-use ipso_bench::reference;
+use ipso_bench::{reference, Json};
 use ipso_mapreduce::{Mapper, OutputScaling, Reducer};
 use ipso_workloads::{qmc, sort, terasort, wordcount};
-use serde::Serialize;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -83,12 +82,15 @@ fn cycle<'a, T>(inputs: &'a [T]) -> impl FnMut() -> &'a T {
     }
 }
 
-#[derive(Debug, Serialize)]
-struct BenchRecord {
-    name: String,
-    engine: &'static str,
-    workload: &'static str,
-    config: &'static str,
+/// Independent timing samples per unpaired bench.
+const SAMPLES: usize = 7;
+/// Rounds of a paired bench: each times one batch of either side.
+const ROUNDS: usize = 15;
+/// Wall-clock time one batch aims for.
+const SAMPLE_TIME: Duration = Duration::from_millis(90);
+
+/// The timing fields of one bench record.
+struct Timing {
     /// Mean of the per-sample ns per iteration.
     mean_ns: f64,
     /// Median of the per-sample ns per iteration.
@@ -98,46 +100,6 @@ struct BenchRecord {
     /// Every sample's ns per iteration, in the order taken.
     samples_ns: Vec<f64>,
     /// Iterations over all samples.
-    iters: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct SpeedupRecord {
-    engine: &'static str,
-    workload: &'static str,
-    baseline: &'static str,
-    optimized: &'static str,
-    /// Median of the per-round ratios.
-    ratio: f64,
-    /// Interquartile range of the per-round ratios.
-    ratio_iqr: f64,
-    /// Each round's baseline ns per iteration over its optimized ns per
-    /// iteration, both timed back to back.
-    ratios: Vec<f64>,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchReport {
-    schema: &'static str,
-    map_tasks: u32,
-    host_threads: usize,
-    benches: Vec<BenchRecord>,
-    speedups: Vec<SpeedupRecord>,
-}
-
-/// Independent timing samples per unpaired bench.
-const SAMPLES: usize = 7;
-/// Rounds of a paired bench: each times one batch of either side.
-const ROUNDS: usize = 15;
-/// Wall-clock time one batch aims for.
-const SAMPLE_TIME: Duration = Duration::from_millis(90);
-
-/// The timing fields of one [`BenchRecord`].
-struct Timing {
-    mean_ns: f64,
-    median_ns: f64,
-    iqr_ns: f64,
-    samples_ns: Vec<f64>,
     iters: u64,
 }
 
@@ -237,12 +199,7 @@ fn measure_pair<A, B>(
 }
 
 /// Prints one bench's timing and wraps it in its record.
-fn record(
-    engine: &'static str,
-    workload: &'static str,
-    config: &'static str,
-    t: Timing,
-) -> BenchRecord {
+fn record(engine: &'static str, workload: &'static str, config: &'static str, t: Timing) -> Json {
     let name = format!("{engine}_{workload}_n{MAP_TASKS}_{config}");
     println!(
         "bench {name:<40} {:>12.1} ns/iter median, IQR {:.1} ({} samples, {} iters)",
@@ -251,44 +208,50 @@ fn record(
         t.samples_ns.len(),
         t.iters
     );
-    BenchRecord {
-        name,
-        engine,
-        workload,
-        config,
-        mean_ns: t.mean_ns,
-        median_ns: t.median_ns,
-        iqr_ns: t.iqr_ns,
-        samples_ns: t.samples_ns,
-        iters: t.iters,
-    }
+    Json::Object(vec![
+        ("name", Json::Str(name)),
+        ("engine", Json::Str(engine.into())),
+        ("workload", Json::Str(workload.into())),
+        ("config", Json::Str(config.into())),
+        ("mean_ns", Json::Float(t.mean_ns)),
+        ("median_ns", Json::Float(t.median_ns)),
+        ("iqr_ns", Json::Float(t.iqr_ns)),
+        ("samples_ns", Json::floats(&t.samples_ns)),
+        ("iters", Json::Int(t.iters)),
+    ])
 }
 
 /// Times the reference data path (`btree_seq`) against the engine
-/// (`sortmerge_seq`) in paired rounds, records both and their speedup.
+/// (`sortmerge_seq`) in paired rounds, records both and their speedup:
+/// the median and IQR of the per-round ratios, and the ratios, each a
+/// round's baseline ns per iteration over its optimized ns per
+/// iteration, both timed back to back.
 fn paired<A, B>(
     workload: &'static str,
     base: impl FnMut() -> A,
     opt: impl FnMut() -> B,
-    records: &mut Vec<BenchRecord>,
-    speedups: &mut Vec<SpeedupRecord>,
+    records: &mut Vec<Json>,
+    speedups: &mut Vec<Json>,
 ) {
     let (base, opt, ratios) = measure_pair(base, opt);
     records.push(record("mapreduce", workload, "btree_seq", base));
     records.push(record("mapreduce", workload, "sortmerge_seq", opt));
     let (ratio, ratio_iqr) = median_iqr(&ratios);
-    speedups.push(SpeedupRecord {
-        engine: "mapreduce",
-        workload,
-        baseline: "btree_seq",
-        optimized: "sortmerge_seq",
-        ratio,
-        ratio_iqr,
-        ratios,
-    });
+    println!(
+        "speedup mapreduce/{workload}: btree_seq -> sortmerge_seq: {ratio:.2}x (IQR {ratio_iqr:.3})"
+    );
+    speedups.push(Json::Object(vec![
+        ("engine", Json::Str("mapreduce".into())),
+        ("workload", Json::Str(workload.into())),
+        ("baseline", Json::Str("btree_seq".into())),
+        ("optimized", Json::Str("sortmerge_seq".into())),
+        ("ratio", Json::Float(ratio)),
+        ("ratio_iqr", Json::Float(ratio_iqr)),
+        ("ratios", Json::floats(&ratios)),
+    ]));
 }
 
-fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
+fn bench_regression_grid() -> (Vec<Json>, Vec<Json>) {
     let mut records = Vec::new();
     let mut speedups = Vec::new();
     // MapReduce: sort, wordcount and terasort at MAP_TASKS map tasks, the
@@ -371,21 +334,15 @@ fn bench_regression_grid() -> (Vec<BenchRecord>, Vec<SpeedupRecord>) {
 
 fn run_regression_harness() {
     let (benches, speedups) = bench_regression_grid();
-    let report = BenchReport {
-        schema: "ipso-bench-engines/v2",
-        map_tasks: MAP_TASKS,
-        host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        benches,
-        speedups,
-    };
-    for s in &report.speedups {
-        println!(
-            "speedup {}/{}: {} -> {}: {:.2}x (IQR {:.3})",
-            s.engine, s.workload, s.baseline, s.optimized, s.ratio, s.ratio_iqr
-        );
-    }
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(REPORT_PATH, json + "\n").expect("write BENCH_engines.json");
+    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let report = Json::Object(vec![
+        ("schema", Json::Str("ipso-bench-engines/v2".into())),
+        ("map_tasks", Json::Int(MAP_TASKS.into())),
+        ("host_threads", Json::Int(host_threads as u64)),
+        ("benches", Json::List(benches)),
+        ("speedups", Json::List(speedups)),
+    ]);
+    std::fs::write(REPORT_PATH, report.pretty() + "\n").expect("write BENCH_engines.json");
     println!("wrote {REPORT_PATH}");
 }
 

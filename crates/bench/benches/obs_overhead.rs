@@ -5,11 +5,18 @@
 //! the engine with tracing off and on, measures the disabled check
 //! itself, and **asserts** that the disabled-mode instrumentation cost
 //! stays below 5% of the engine's runtime.
+//!
+//! ```text
+//! cargo bench -p ipso-bench --bench obs_overhead
+//! ```
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ipso_workloads::sort;
+
+/// Wall-clock time each of the tracing-off and tracing-on timings runs.
+const BUDGET: Duration = Duration::from_millis(200);
 
 fn run_once() {
     let spec = sort::job_spec(16);
@@ -25,17 +32,27 @@ fn run_once() {
     );
 }
 
-fn bench_disabled_vs_enabled(c: &mut Criterion) {
+/// Runs `f` for [`BUDGET`] and prints its mean time per run.
+fn time_runs(name: &str, mut f: impl FnMut()) {
+    let start = Instant::now();
+    let mut runs = 0u64;
+    while start.elapsed() < BUDGET {
+        f();
+        runs += 1;
+    }
+    let mean_ns = start.elapsed().as_secs_f64() * 1e9 / runs as f64;
+    println!("bench {name:<40} {mean_ns:>12.1} ns/iter ({runs} iters)");
+}
+
+fn time_disabled_vs_enabled() {
     ipso_obs::set_enabled(false);
     ipso_obs::reset();
-    c.bench_function("mapreduce_sort_n16_tracing_off", |b| b.iter(run_once));
+    time_runs("mapreduce_sort_n16_tracing_off", run_once);
 
     ipso_obs::set_enabled(true);
-    c.bench_function("mapreduce_sort_n16_tracing_on", |b| {
-        b.iter(|| {
-            ipso_obs::reset();
-            run_once()
-        })
+    time_runs("mapreduce_sort_n16_tracing_on", || {
+        ipso_obs::reset();
+        run_once()
     });
     ipso_obs::set_enabled(false);
     ipso_obs::reset();
@@ -68,7 +85,7 @@ fn count_touch_points() -> u64 {
     events + counters + gauges + samples
 }
 
-fn assert_disabled_overhead_below_5_percent(c: &mut Criterion) {
+fn assert_disabled_overhead_below_5_percent() {
     // Engine runtime with tracing disabled.
     ipso_obs::set_enabled(false);
     let runs = 20u32;
@@ -89,9 +106,6 @@ fn assert_disabled_overhead_below_5_percent(c: &mut Criterion) {
     let touches = count_touch_points();
     let disabled_cost = touches as f64 * per_check;
     let share = disabled_cost / per_run;
-    c.bench_function("obs_disabled_check", |b| {
-        b.iter(|| black_box(ipso_obs::enabled()))
-    });
     println!(
         "obs overhead: {touches} touch points x {:.2} ns/check = {:.3} us \
          over a {:.3} ms run = {:.4}% (budget 5%)",
@@ -107,9 +121,9 @@ fn assert_disabled_overhead_below_5_percent(c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_disabled_vs_enabled,
-    assert_disabled_overhead_below_5_percent
-);
-criterion_main!(benches);
+fn main() {
+    // `cargo test --benches` passes libtest-style flags; they are
+    // ignored, and the budget is asserted either way.
+    time_disabled_vs_enabled();
+    assert_disabled_overhead_below_5_percent();
+}

@@ -15,13 +15,12 @@
 //! Every run is simulated and seeded: the CSV and `BENCH_faults.json`
 //! are byte-identical for any `--jobs` value.
 
-use crate::{Context, Table};
+use crate::{Context, Json, Table};
 use ipso::estimate::estimate_factors;
 use ipso::measurement::RunMeasurement;
 use ipso_cluster::{FaultModel, RecoveryPolicy};
 use ipso_mapreduce::measure::SweepPoint;
 use ipso_workloads::sort;
-use serde::Serialize;
 
 /// Per-attempt failure probabilities swept (node-crash probability is
 /// coupled at a tenth of each).
@@ -46,30 +45,6 @@ struct Point {
     scheduler_s: f64,
     retry_s: f64,
     speculation_s: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct FaultBenchPoint {
-    fail_prob: f64,
-    n: u32,
-    speedup: f64,
-    wasted_frac: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct FaultFit {
-    fail_prob: f64,
-    beta: f64,
-    gamma: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct FaultReport {
-    schema: &'static str,
-    workload: &'static str,
-    recovery: &'static str,
-    points: Vec<FaultBenchPoint>,
-    fits: Vec<FaultFit>,
 }
 
 /// The Sort job spec with the ablation's fault setting applied.
@@ -151,13 +126,7 @@ pub(super) fn emit(ctx: &mut Context) {
         ],
     );
 
-    let mut report = FaultReport {
-        schema: "ipso-bench-faults/v1",
-        workload: "sort",
-        recovery: "hadoop_like + speculation, max_attempts = 8",
-        points: Vec::new(),
-        fits: Vec::new(),
-    };
+    let (mut report_points, mut report_fits) = (Vec::new(), Vec::new());
     let mut fitted_q_at_max: Vec<f64> = Vec::new();
 
     println!("fitted induced factor q(n) = beta * n^gamma per failure rate:\n");
@@ -182,19 +151,19 @@ pub(super) fn emit(ctx: &mut Context) {
                 asym.gamma,
             ]);
             if REPORT_NS.contains(&n) {
-                report.points.push(FaultBenchPoint {
-                    fail_prob: p,
-                    n,
-                    speedup: pt.measurement.speedup(),
-                    wasted_frac: pt.wasted_frac,
-                });
+                report_points.push(Json::Object(vec![
+                    ("fail_prob", Json::Float(p)),
+                    ("n", Json::Int(n.into())),
+                    ("speedup", Json::Float(pt.measurement.speedup())),
+                    ("wasted_frac", Json::Float(pt.wasted_frac)),
+                ]));
             }
         }
-        report.fits.push(FaultFit {
-            fail_prob: p,
-            beta: asym.beta,
-            gamma: asym.gamma,
-        });
+        report_fits.push(Json::Object(vec![
+            ("fail_prob", Json::Float(p)),
+            ("beta", Json::Float(asym.beta)),
+            ("gamma", Json::Float(asym.gamma)),
+        ]));
         let last = chunk.last().expect("non-empty sweep");
         println!(
             "  p = {p:4.2}: beta = {:9.3e}, gamma = {:5.3}, fitted q(128) = {:8.1}; \
@@ -213,8 +182,17 @@ pub(super) fn emit(ctx: &mut Context) {
     println!();
     table.emit();
 
-    let json = serde_json::to_string_pretty(&report).expect("fault report serializes");
-    std::fs::write(REPORT_PATH, json + "\n").expect("write BENCH_faults.json");
+    let report = Json::Object(vec![
+        ("schema", Json::Str("ipso-bench-faults/v1".into())),
+        ("workload", Json::Str("sort".into())),
+        (
+            "recovery",
+            Json::Str("hadoop_like + speculation, max_attempts = 8".into()),
+        ),
+        ("points", Json::List(report_points)),
+        ("fits", Json::List(report_fits)),
+    ]);
+    std::fs::write(REPORT_PATH, report.pretty() + "\n").expect("write BENCH_faults.json");
     println!("wrote {REPORT_PATH}");
 
     println!(

@@ -28,10 +28,12 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 pub mod experiments;
+pub mod json;
 pub mod parallel;
 pub mod reference;
 
 pub use experiments::Context;
+pub use json::Json;
 pub use parallel::SweepRunner;
 
 /// Where experiment CSVs are written: `<workspace>/results/`.

@@ -102,8 +102,8 @@ pub fn fit_two_segment(
                 })
                 .collect();
             let mut gof = GoodnessOfFit::from_predictions(&ys, &predicted);
-            // Use the side-fit residual total as the selection criterion so
-            // ties at the boundary do not flip the choice.
+            // Select on the side-fit residual total, so that ties at the
+            // boundary do not flip the choice.
             gof.ss_res = ss;
             best = Some(TwoSegmentFit {
                 breakpoint: lx[lx.len() - 1],

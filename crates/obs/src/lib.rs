@@ -11,7 +11,8 @@
 //!   by `&'static str` literals.
 //! * [`perfetto`] — a Chrome trace-event (Perfetto-loadable) JSON
 //!   exporter over the recorded spans: one track per executor, `ph:"X"`
-//!   duration events and `ph:"i"` instants.
+//!   duration events and `ph:"i"` instants. Its string escaper,
+//!   [`escape_json`], is the one the workspace's other JSON writers use.
 //!
 //! Every thread has its own recorder and its own switch, so concurrent
 //! runs (and concurrent tests) never see each other's records. A thread
@@ -47,7 +48,7 @@ pub use metrics::{
     counter_add, counter_value, gauge_add, gauge_set, gauge_value, histogram_record, snapshot,
     MetricsSnapshot,
 };
-pub use perfetto::{export_chrome_trace, write_chrome_trace};
+pub use perfetto::{escape_json, export_chrome_trace, write_chrome_trace};
 pub use span::{record_instant, record_span, snapshot_events, take_events, SpanKind, TraceEvent};
 
 /// This thread's recorder: the base frame holds the recorded events and

@@ -18,10 +18,15 @@ use std::path::Path;
 
 use crate::span::{SpanKind, TraceEvent};
 
-/// Appends `s` to `out` as the body of a JSON string literal. A string
-/// with nothing to escape (the common case) is copied in one piece;
-/// otherwise the runs between escapes are.
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` as the body of a JSON string literal, without
+/// the quotes: `"`, `\`, newline, carriage return and tab as their
+/// two-character escapes, other bytes below 0x20 as `\u00xx`, and
+/// everything else as is. A string with nothing to escape (the common
+/// case) is copied in one piece; otherwise the runs between escapes are.
+///
+/// The one escaper of the workspace: the Spark event log and the bench
+/// records write their strings through it too.
+pub fn escape_json(s: &str, out: &mut String) {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {

@@ -277,7 +277,7 @@ pub(crate) fn finish_run(
         .chain(stage_events)
         .chain(std::iter::once(end))
         .collect();
-    let log = write_event_log(&events).expect("event log serialization cannot fail");
+    let log = write_event_log(&events);
     SparkRun {
         total_time: clock,
         stage_times,
