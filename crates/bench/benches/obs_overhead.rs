@@ -6,6 +6,11 @@
 //! itself, and **asserts** that the disabled-mode instrumentation cost
 //! stays below 5% of the engine's runtime.
 //!
+//! It also prints, without a gate, what a traced Sort and WordCount
+//! sweep pays per recorded event: to record it (`record_span` and
+//! `record_instant`), to snapshot it (`snapshot_events`) and to export
+//! it (`export_chrome_trace`).
+//!
 //! ```text
 //! cargo bench -p ipso-bench --bench obs_overhead
 //! ```
@@ -13,7 +18,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use ipso_workloads::sort;
+use ipso_obs::SpanKind;
+use ipso_workloads::{sort, wordcount};
 
 /// Wall-clock time each of the tracing-off and tracing-on timings runs.
 const BUDGET: Duration = Duration::from_millis(200);
@@ -32,16 +38,72 @@ fn run_once() {
     );
 }
 
-/// Runs `f` for [`BUDGET`] and prints its mean time per run.
-fn time_runs(name: &str, mut f: impl FnMut()) {
+/// Runs `f` for [`BUDGET`]; returns its mean time per run in ns and
+/// the number of runs.
+fn mean_ns(mut f: impl FnMut()) -> (f64, u64) {
     let start = Instant::now();
     let mut runs = 0u64;
     while start.elapsed() < BUDGET {
         f();
         runs += 1;
     }
-    let mean_ns = start.elapsed().as_secs_f64() * 1e9 / runs as f64;
+    (start.elapsed().as_secs_f64() * 1e9 / runs as f64, runs)
+}
+
+/// Runs `f` for [`BUDGET`] and prints its mean time per run.
+fn time_runs(name: &str, f: impl FnMut()) {
+    let (mean_ns, runs) = mean_ns(f);
     println!("bench {name:<40} {mean_ns:>12.1} ns/iter ({runs} iters)");
+}
+
+/// Scale-out degrees of the traced sweep.
+const SWEEP_NS: [u32; 3] = [8, 32, 128];
+
+/// Sort and WordCount over [`SWEEP_NS`], each point run scaled out and
+/// sequentially: the MapReduce half of perfbench's `trace_export`.
+fn sweep() {
+    black_box(sort::sweep(&SWEEP_NS));
+    black_box(wordcount::sweep(&SWEEP_NS));
+}
+
+/// Prints the traced sweep's record, snapshot and export costs per
+/// event. Recording is timed by replaying the sweep's events into the
+/// recorder, labels cloned as the engines hand them over (a borrowed
+/// label for free, a built one by copy): against the sweep itself, the
+/// recorder's share is below the host's run-to-run noise.
+fn print_per_event_costs() {
+    ipso_obs::set_enabled(true);
+    ipso_obs::reset();
+    sweep();
+    let events = ipso_obs::take_events();
+    let (record, _) = mean_ns(|| {
+        ipso_obs::reset();
+        for e in &events {
+            let (track, name) = (e.track.clone(), e.name.clone());
+            match e.kind {
+                SpanKind::Complete { start, end } => {
+                    ipso_obs::record_span(track, name, e.cat, start, end);
+                }
+                SpanKind::Instant { at } => ipso_obs::record_instant(track, name, e.cat, at),
+            }
+        }
+    });
+    let (snapshot, _) = mean_ns(|| {
+        black_box(ipso_obs::snapshot_events());
+    });
+    let (export, _) = mean_ns(|| {
+        black_box(ipso_obs::export_chrome_trace(black_box(&events)));
+    });
+    ipso_obs::set_enabled(false);
+    ipso_obs::reset();
+    let per_event = |ns: f64| ns / events.len() as f64;
+    println!(
+        "obs per event: {} events per traced sweep; record {:.1} ns, snapshot {:.1} ns, export {:.1} ns",
+        events.len(),
+        per_event(record),
+        per_event(snapshot),
+        per_event(export),
+    );
 }
 
 fn time_disabled_vs_enabled() {
@@ -125,5 +187,6 @@ fn main() {
     // `cargo test --benches` passes libtest-style flags; they are
     // ignored, and the budget is asserted either way.
     time_disabled_vs_enabled();
+    print_per_event_costs();
     assert_disabled_overhead_below_5_percent();
 }

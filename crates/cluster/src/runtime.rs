@@ -20,6 +20,9 @@
 //! node `t % executors`, which is both the wave-schedule executor label
 //! and the lineage partition mapping.
 
+use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
+
 use crate::error::ClusterError;
 use crate::exec::{run_wave_schedule, uniform_wave_makespan, TaskSchedule};
 use crate::fault::{resolve_faults, FaultModel, FaultOutcome, RecoveryPolicy};
@@ -124,21 +127,16 @@ impl StageOutcome {
         if !ipso_obs::enabled() {
             return;
         }
-        for record in &self.schedule.records {
-            let track = format!("executor-{}", record.executor);
+        let records = &self.schedule.records;
+        let executors = EXECUTOR_LABELS.up_to(records.iter().map(|r| r.executor).max());
+        let tasks = TASK_LABELS.up_to(records.iter().map(|r| r.task_id).max());
+        for record in records {
+            let track = executors[record.executor as usize];
             let id = record.task_id as usize;
             let nominal = stage.nominal(id);
-            let straggler = (nominal > 0.0 && self.effective[id] / nominal >= SEVERE_MULTIPLIER)
-                .then(|| track.clone());
             let end = t0 + record.end;
-            ipso_obs::record_span(
-                track,
-                format!("task-{}", record.task_id),
-                category,
-                t0 + record.start,
-                end,
-            );
-            if let Some(track) = straggler {
+            ipso_obs::record_span(track, tasks[id], category, t0 + record.start, end);
+            if nominal > 0.0 && self.effective[id] / nominal >= SEVERE_MULTIPLIER {
                 ipso_obs::record_instant(track, "straggler", category, end);
             }
         }
@@ -152,21 +150,76 @@ impl StageOutcome {
             return;
         }
         if let Some(outcome) = &self.fault {
+            let records = &self.schedule.records;
+            let executors = EXECUTOR_LABELS.up_to(records.iter().map(|r| r.executor).max());
             for event in &outcome.summary.events {
-                let record: &TaskRecord = &self.schedule.records[event.task as usize];
+                let record: &TaskRecord = &records[event.task as usize];
                 let name = match event.kind {
                     crate::fault::RecoveryEventKind::AttemptFailed { .. } => "task-retry",
                     crate::fault::RecoveryEventKind::OutputLost { .. } => "output-lost",
                     crate::fault::RecoveryEventKind::Speculated { .. } => "speculative-copy",
                 };
-                ipso_obs::record_instant(
-                    format!("executor-{}", record.executor),
-                    name,
-                    category,
-                    t0 + record.end,
-                );
+                let track = executors[record.executor as usize];
+                ipso_obs::record_instant(track, name, category, t0 + record.end);
             }
         }
+    }
+}
+
+/// Track labels of the executors recorded so far: `executor-0`, ….
+static EXECUTOR_LABELS: Labels = Labels::new("executor-");
+/// Span labels of the task indices recorded so far: `task-0`, ….
+static TASK_LABELS: Labels = Labels::new("task-");
+
+/// The labels `"{prefix}{i}"`, built once per index `i` and kept for the
+/// process, so that a traced run moves a borrowed label into each event
+/// instead of formatting one per task.
+///
+/// The table covers the indices below a power of two. One too short is
+/// replaced by one at least twice as long, whose new labels share one
+/// string. So recording indices up to `n` allocates O(log n) times,
+/// builds each label once, and the replaced tables together hold fewer
+/// entries than the current one.
+struct Labels {
+    prefix: &'static str,
+    table: Mutex<&'static [&'static str]>,
+}
+
+impl Labels {
+    const fn new(prefix: &'static str) -> Labels {
+        Labels {
+            prefix,
+            table: Mutex::new(&[]),
+        }
+    }
+
+    /// The labels of indices `0..=max` at least; none for `None`.
+    fn up_to(&self, max: Option<u32>) -> &'static [&'static str] {
+        // The table changes in one store of a complete table, so a lock
+        // poisoned by a panic elsewhere still guards a valid one.
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+        let needed = max.map_or(0, |max| max as usize + 1);
+        if table.len() >= needed {
+            return *table;
+        }
+        let (from, to) = (table.len(), needed.next_power_of_two());
+        let digits = |i: usize| i.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let bytes = (from..to).map(|i| self.prefix.len() + digits(i)).sum();
+        let mut text = String::with_capacity(bytes);
+        for i in from..to {
+            write!(text, "{}{i}", self.prefix).expect("string write");
+        }
+        let text: &'static str = text.leak();
+        let mut labels = Vec::with_capacity(to);
+        labels.extend_from_slice(*table);
+        let mut start = 0;
+        for i in from..to {
+            let end = start + self.prefix.len() + digits(i);
+            labels.push(&text[start..end]);
+            start = end;
+        }
+        *table = Vec::leak(labels);
+        *table
     }
 }
 

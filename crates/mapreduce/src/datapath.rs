@@ -30,7 +30,9 @@
 //!   merge structure is needed. The grouping walk of the default
 //!   `map_split` then moves each group's first key into
 //!   [`Reducer::reduce`]. WordCount overrides it to sum the runs by
-//!   dictionary rank, and TeraSort to bucket-sort all runs at once.
+//!   dictionary rank, TeraSort to bucket-sort all runs at once, and Sort
+//!   to sort them by its keys' packed 16-byte prefix, one `u128`
+//!   compare, and count each key's pairs without a group buffer.
 //!
 //! The seed's ordered-map grouping lives on outside the engine, as
 //! `ipso_bench::reference`: the engines bench times it as the baseline

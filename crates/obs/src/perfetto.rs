@@ -46,13 +46,63 @@ pub fn escape_json(s: &str, out: &mut String) {
     out.push_str(&s[run..]);
 }
 
+/// Appends `v` with three decimals, exactly as `format!("{v:.3}")`
+/// writes it, but by integer arithmetic.
+///
+/// `v` is `m · 2^e` for integers `m < 2^53` and `e`, so `1000 · m` fits
+/// a `u64` and `1000 · v` rounds to an integer by one shift: the bits
+/// shifted out decide, and a tie goes to the even neighbour, as the
+/// formatter rounds. A value of magnitude 2^53 or more, infinite or NaN
+/// goes through the formatter.
+fn write_micros(v: f64, out: &mut String) {
+    if v.is_nan() || v.abs() >= 9_007_199_254_740_992.0 {
+        write!(out, "{v:.3}").expect("string write");
+        return;
+    }
+    let bits = v.to_bits();
+    let exponent = (bits >> 52 & 0x7FF) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = match exponent {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << 52, exponent - 1075),
+    };
+    let x = m * 1000;
+    // Below 2^53, `e` is at most 0; from a shift of 64 on, `x < 2^63`
+    // is below half a unit.
+    let thousandths = match e.unsigned_abs() {
+        0 => x,
+        shift @ 1..=63 => {
+            let (q, r, half) = (x >> shift, x & ((1 << shift) - 1), 1 << (shift - 1));
+            q + u64::from(r > half || (r == half && q & 1 == 1))
+        }
+        _ => 0,
+    };
+    if v.is_sign_negative() {
+        out.push('-');
+    }
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    let mut rest = thousandths;
+    // Three decimals, then the integer part, which has at least one digit.
+    while at > digits.len() - 4 || rest > 0 {
+        if at == digits.len() - 3 {
+            at -= 1;
+            digits[at] = b'.';
+        }
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// Serializes events into Chrome trace-event JSON.
 ///
 /// Track ids (`tid`) are assigned in order of first appearance, starting
 /// at 1; each track gets a `thread_name` metadata record so the viewer
 /// shows the track label (`driver`, `executor-0`, …). Every record is
 /// written straight into the output; timestamps are microseconds with
-/// three decimals.
+/// three decimals, the bytes of `{:.3}` written by integer arithmetic.
 pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
     let mut tids: BTreeMap<&str, u32> = BTreeMap::new();
     let mut order: Vec<&str> = Vec::new();
@@ -85,20 +135,23 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
         escape_json(&e.name, &mut out);
         out.push_str("\",\"cat\":\"");
         escape_json(e.cat, &mut out);
+        let ph = match e.kind {
+            SpanKind::Complete { .. } => "X",
+            SpanKind::Instant { .. } => "i",
+        };
+        write!(out, "\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":").expect("string write");
         match e.kind {
-            SpanKind::Complete { start, end } => write!(
-                out,
-                "\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
-                start * 1e6,
-                (end - start) * 1e6,
-            ),
-            SpanKind::Instant { at } => write!(
-                out,
-                "\",\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"s\":\"t\"}}",
-                at * 1e6,
-            ),
+            SpanKind::Complete { start, end } => {
+                write_micros(start * 1e6, &mut out);
+                out.push_str(",\"dur\":");
+                write_micros((end - start) * 1e6, &mut out);
+                out.push('}');
+            }
+            SpanKind::Instant { at } => {
+                write_micros(at * 1e6, &mut out);
+                out.push_str(",\"s\":\"t\"}");
+            }
         }
-        .expect("string write");
     }
 
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
@@ -170,6 +223,77 @@ mod tests {
         let json = export_chrome_trace(&[span("t\"rack", "na\\me\n", 0.0, 0.0)]);
         assert!(json.contains("t\\\"rack"));
         assert!(json.contains("na\\\\me\\n"));
+    }
+
+    /// `v` as [`write_micros`] writes it.
+    fn micros(v: f64) -> String {
+        let mut out = String::new();
+        write_micros(v, &mut out);
+        out
+    }
+
+    /// Asserts that [`write_micros`] writes `v` and `-v` as `{:.3}` does.
+    fn assert_formats_as_std(v: f64) {
+        for v in [v, -v] {
+            assert_eq!(micros(v), format!("{v:.3}"), "bits {:#018x}", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn fixed_point_ties_round_to_even() {
+        // k/16 is exact, and 1000·k/16 ends in .5 for odd k: every one
+        // of these is a tie, from the smallest up to near 2^53.
+        for k in 0..100_000u64 {
+            assert_formats_as_std(k as f64 / 16.0);
+        }
+        for k in (1u64 << 57) - 100_000..1 << 57 {
+            assert_formats_as_std(k as f64 / 16.0);
+        }
+        assert_eq!(micros(0.0625), "0.062");
+        assert_eq!(micros(0.1875), "0.188");
+    }
+
+    #[test]
+    fn fixed_point_edges_match_std() {
+        let two_53 = 9_007_199_254_740_992.0f64;
+        let edges = [
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            0.000_5,
+            0.000_499_999_999_999_999_9,
+            0.999_5,
+            1.0,
+            1_000_000.0,
+            two_53 - 1.0,
+            two_53 - 0.5,
+            two_53 - 1.5,
+            two_53,
+            two_53 + 2.0,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        for v in edges {
+            assert_formats_as_std(v);
+        }
+        assert_eq!(micros(-0.0), "-0.000");
+        assert_eq!(micros(-f64::INFINITY), "-inf");
+        assert_eq!(micros(f64::NAN), "NaN");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        /// Any bit pattern, and any with a biased exponent of at most
+        /// 1100 (below 2^77, so most take the integer path), writes as
+        /// `{:.3}` does.
+        #[test]
+        fn fixed_point_matches_std(bits in proptest::prelude::any::<u64>(), exponent in 0u64..1101) {
+            assert_formats_as_std(f64::from_bits(bits));
+            assert_formats_as_std(f64::from_bits(bits & !(0x7FF << 52) | exponent << 52));
+        }
     }
 
     #[test]

@@ -1,62 +1,14 @@
 //! The recording path allocates nothing of its own for static labels.
 //!
-//! A counting global allocator tallies the calling thread's allocations
-//! (so tests running in parallel do not see each other's). With
-//! observability on, metric updates with literal names and spans with
-//! literal labels may allocate only when a record buffer grows, which
-//! for `n` records is O(log n) times; with it off they allocate nothing.
+//! A counting global allocator (`counting/mod.rs`) tallies the calling
+//! thread's allocations. With observability on, metric updates with
+//! literal names and spans with literal labels may allocate only when a
+//! record buffer grows, which for `n` records is O(log n) times; with
+//! it off they allocate nothing.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// so `System` upholds the allocator contract; counting touches only a
-// const-initialized thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller meets `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: the caller meets `GlobalAlloc::realloc`'s contract, and
-        // `ptr` came from this allocator, that is from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations made on this thread while `f` runs.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+use counting::allocations_in;
 
 const ROUNDS: u32 = 10_000;
 

@@ -21,6 +21,13 @@
 //! and decide almost every comparison of the map-side sort and the
 //! reduce-side merge without reading the line. One 8-byte word would
 //! not: neighbours in sorted dictionary text mostly share their first.
+//!
+//! Every record passes the single reducer, so [`SortReducer`] overrides
+//! [`Reducer::reduce_runs`]: it stably sorts the concatenated runs by
+//! the packed prefix as one `u128`, a compare without branches, and
+//! reads the lines only where prefixes tie. It then walks equal keys
+//! with a running count instead of a group buffer. The map side sorts
+//! by the derived order, which measured as fast there.
 
 use std::sync::Arc;
 
@@ -92,6 +99,12 @@ impl SortKey {
         let [head, next] = pack_prefix(line.as_bytes());
         SortKey { head, next, line }
     }
+
+    /// The packed prefix as one integer, `head` leading: one compare of
+    /// it orders two keys as `head`, then `next`, do.
+    fn prefix(&self) -> u128 {
+        u128::from(self.head) << 64 | u128::from(self.next)
+    }
 }
 
 impl Sizeable for SortKey {
@@ -138,15 +151,52 @@ impl Reducer for SortReducer {
 
     /// Emits `count - 1` clones of the line, then the key's own `Arc`.
     fn reduce(&self, key: SortKey, values: &[u32], emit: &mut dyn FnMut(Arc<str>)) {
-        let count: u32 = values.iter().sum();
-        if count == 0 {
-            return;
-        }
-        for _ in 1..count {
-            emit(Arc::clone(&key.line));
-        }
-        emit(key.line);
+        emit_line(key, values.iter().sum(), emit);
     }
+
+    /// The default's stable sort and grouping walk, with a cheaper
+    /// compare and no group buffer: the concatenated runs are sorted by
+    /// packed prefix as one `u128`, the lines read only where prefixes
+    /// tie, and each key's multiplicities summed as the walk goes. The
+    /// first pair of each key keeps its `Arc`, as the default's group
+    /// does.
+    fn reduce_runs(&self, runs: Vec<Vec<(SortKey, u32)>>, emit: &mut dyn FnMut(Arc<str>)) {
+        let len = runs.iter().map(Vec::len).sum();
+        let mut pairs: Vec<(SortKey, u32)> = Vec::with_capacity(len);
+        for mut run in runs {
+            pairs.append(&mut run);
+        }
+        pairs.sort_by(|(a, _), (b, _)| {
+            a.prefix()
+                .cmp(&b.prefix())
+                .then_with(|| a.line.cmp(&b.line))
+        });
+        let mut pairs = pairs.into_iter();
+        let Some((mut key, mut count)) = pairs.next() else {
+            return;
+        };
+        for (next, n) in pairs {
+            if next == key {
+                count += n;
+            } else {
+                emit_line(std::mem::replace(&mut key, next), count, emit);
+                count = n;
+            }
+        }
+        emit_line(key, count, emit);
+    }
+}
+
+/// Emits `key`'s line `count` times: `count - 1` clones, then the key's
+/// own `Arc`.
+fn emit_line(key: SortKey, count: u32, emit: &mut dyn FnMut(Arc<str>)) {
+    if count == 0 {
+        return;
+    }
+    for _ in 1..count {
+        emit(Arc::clone(&key.line));
+    }
+    emit(key.line);
 }
 
 /// Cost calibration reproducing the paper's fitted factors
@@ -289,6 +339,86 @@ mod tests {
                     prop_assert_eq!(ka == kb, a == b, "{:?} vs {:?}", a, b);
                 }
             }
+        }
+    }
+
+    /// [`SortReducer`] with only its `reduce`: the trait's default
+    /// `reduce_runs` sorts the concatenated runs by the derived order
+    /// and reduces each group, moving in its first key.
+    struct DefaultRuns;
+
+    impl Reducer for DefaultRuns {
+        type Key = SortKey;
+        type Value = u32;
+        type Output = Arc<str>;
+
+        fn reduce(&self, key: SortKey, values: &[u32], emit: &mut dyn FnMut(Arc<str>)) {
+            SortReducer.reduce(key, values, emit);
+        }
+    }
+
+    /// The lines `reducer` emits from `runs`.
+    fn reduced(
+        reducer: &impl Reducer<Key = SortKey, Value = u32, Output = Arc<str>>,
+        runs: Vec<Vec<(SortKey, u32)>>,
+    ) -> Vec<Arc<str>> {
+        let mut out = Vec::new();
+        reducer.reduce_runs(runs, &mut |line| out.push(line));
+        out
+    }
+
+    /// Whether `a` and `b` hold the very same `Arc`s, in order.
+    fn same_arcs(a: &[Arc<str>], b: &[Arc<str>]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn reduce_runs_of_no_lines_emits_nothing() {
+        assert!(reduced(&SortReducer, Vec::new()).is_empty());
+        assert!(reduced(&SortReducer, vec![Vec::new(), Vec::new()]).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `SortReducer::reduce_runs` emits exactly what the default
+        /// emits, the same `Arc`s in the same order, so the merge is
+        /// stable and each key's first pair supplies its line. The
+        /// lines share 8- and 16-byte prefixes, come from [`EDGES`], and
+        /// repeat within and across tasks, each occurrence its own
+        /// `Arc`; some runs are empty, and multiplicities run from 0 to 3.
+        #[test]
+        fn reduce_runs_is_the_default_merge(
+            tails in prop::collection::vec(
+                prop::collection::vec((0usize..12, any::<u32>()), 0..12),
+                1..16,
+            ),
+            runs in prop::collection::vec(
+                prop::collection::vec((any::<usize>(), 0u32..4), 0..48),
+                1..6,
+            ),
+        ) {
+            let texts: Vec<String> = tails
+                .iter()
+                .enumerate()
+                .map(|(i, tail)| ["", "abcdefgh", "abcdefghijklmnop"][i % 3].to_string() + &line(tail))
+                .chain(EDGES.map(String::from))
+                .collect();
+            // Each run sorted stably by line, as `map_split` sorts it.
+            let runs: Vec<Vec<(SortKey, u32)>> = runs
+                .iter()
+                .map(|picks| {
+                    let mut run: Vec<(SortKey, u32)> = picks
+                        .iter()
+                        .map(|&(pick, n)| (SortKey::new(Arc::from(texts[pick % texts.len()].as_str())), n))
+                        .collect();
+                    run.sort_by(|a, b| a.0.line.cmp(&b.0.line));
+                    run
+                })
+                .collect();
+            let want = reduced(&DefaultRuns, runs.clone());
+            let got = reduced(&SortReducer, runs);
+            prop_assert!(same_arcs(&got, &want), "{:?} vs {:?}", got, want);
         }
     }
 

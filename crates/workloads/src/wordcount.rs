@@ -11,7 +11,9 @@
 //! sorted dictionary, so two dictionary words compare as integers, and
 //! keying a token costs one lookup and no allocation or reference
 //! count. Rank order is string order, so output order and byte
-//! accounting are those of plain string keys.
+//! accounting are those of plain string keys. The rank is all a
+//! dictionary word holds, and its text comes from the index when asked,
+//! so a `(Word, count)` pair takes 24 bytes.
 //!
 //! The mapper combines in-mapper: [`WordCountMapper`]'s
 //! [`Mapper::map_split`] counts dictionary words in a dense per-rank
@@ -277,7 +279,7 @@ fn separator_bits(word: u64) -> u8 {
 
 /// A WordCount key: a token, ordered and compared as its text.
 ///
-/// A dictionary word holds its rank in the sorted dictionary, which
+/// A dictionary word holds only its rank in the sorted dictionary, which
 /// orders dictionary words exactly as their text does; any other token
 /// holds its own text. Two dictionary words compare by rank, every other
 /// pair by text.
@@ -286,7 +288,7 @@ pub struct Word(WordRepr);
 
 #[derive(Debug, Clone)]
 enum WordRepr {
-    Dictionary { rank: u32, text: &'static str },
+    Dictionary { rank: u32 },
     Other(Arc<str>),
 }
 
@@ -295,15 +297,14 @@ impl Word {
     /// for an out-of-dictionary token.
     pub fn new(token: &str) -> Word {
         match INDEX.rank(token) {
-            Some(rank) => Word::ranked(&INDEX, rank),
+            Some(rank) => Word::ranked(rank),
             None => Word::other(token),
         }
     }
 
     /// The key of the dictionary word of rank `rank`.
-    fn ranked(index: &DictionaryIndex, rank: u32) -> Word {
-        let text = index.words[rank as usize];
-        Word(WordRepr::Dictionary { rank, text })
+    fn ranked(rank: u32) -> Word {
+        Word(WordRepr::Dictionary { rank })
     }
 
     /// The key of an out-of-dictionary token.
@@ -311,10 +312,10 @@ impl Word {
         Word(WordRepr::Other(Arc::from(token)))
     }
 
-    /// The token's text.
+    /// The token's text: a dictionary word's from the index.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            WordRepr::Dictionary { text, .. } => text,
+            WordRepr::Dictionary { rank } => INDEX.words[*rank as usize],
             WordRepr::Other(text) => text,
         }
     }
@@ -323,7 +324,7 @@ impl Word {
 impl PartialEq for Word {
     fn eq(&self, other: &Word) -> bool {
         match (&self.0, &other.0) {
-            (WordRepr::Dictionary { rank: a, .. }, WordRepr::Dictionary { rank: b, .. }) => a == b,
+            (WordRepr::Dictionary { rank: a }, WordRepr::Dictionary { rank: b }) => a == b,
             _ => self.as_str() == other.as_str(),
         }
     }
@@ -340,9 +341,7 @@ impl PartialOrd for Word {
 impl Ord for Word {
     fn cmp(&self, other: &Word) -> Ordering {
         match (&self.0, &other.0) {
-            (WordRepr::Dictionary { rank: a, .. }, WordRepr::Dictionary { rank: b, .. }) => {
-                a.cmp(b)
-            }
+            (WordRepr::Dictionary { rank: a }, WordRepr::Dictionary { rank: b }) => a.cmp(b),
             _ => self.as_str().cmp(other.as_str()),
         }
     }
@@ -358,20 +357,19 @@ impl Sizeable for Word {
 /// of `ranked`, as `(rank, count)` in rank order, merged with `others`.
 /// Both are sorted by text and never share a text.
 fn for_each_in_text_order(
-    index: &DictionaryIndex,
     ranked: impl Iterator<Item = (u32, u64)>,
     others: BTreeMap<&str, u64>,
     mut f: impl FnMut(Word, u64),
 ) {
     if others.is_empty() {
         for (rank, n) in ranked {
-            f(Word::ranked(index, rank), n);
+            f(Word::ranked(rank), n);
         }
         return;
     }
     let mut others = others.into_iter().peekable();
     for (rank, n) in ranked {
-        let word = Word::ranked(index, rank);
+        let word = Word::ranked(rank);
         while let Some((token, m)) = others.next_if(|&(token, _)| token < word.as_str()) {
             f(Word::other(token), m);
         }
@@ -427,7 +425,7 @@ impl Mapper for WordCountMapper {
         let distinct = ranked.iter().filter(|&&n| n > 0).count() + others.len();
         let mut run = Vec::with_capacity(distinct);
         let ranked = (0..).zip(ranked).filter(|&(_, n)| n > 0);
-        for_each_in_text_order(index, ranked, others, |w, n| run.push((w, n)));
+        for_each_in_text_order(ranked, others, |w, n| run.push((w, n)));
         run
     }
 
@@ -460,12 +458,11 @@ impl Reducer for WordCountReducer {
     /// into a sorted map. Then reduces each distinct token's sum in text
     /// order, as per merged group.
     fn reduce_runs(&self, runs: Vec<Vec<(Word, u64)>>, emit: &mut dyn FnMut((String, u64))) {
-        let index = &*INDEX;
-        let mut ranked: Vec<Option<u64>> = vec![None; index.words.len()];
+        let mut ranked: Vec<Option<u64>> = vec![None; INDEX.words.len()];
         let mut others: BTreeMap<&str, u64> = BTreeMap::new();
         for (word, n) in runs.iter().flatten() {
             match &word.0 {
-                WordRepr::Dictionary { rank, .. } => {
+                WordRepr::Dictionary { rank } => {
                     *ranked[*rank as usize].get_or_insert(0) += n;
                 }
                 WordRepr::Other(text) => *others.entry(text).or_insert(0) += n,
@@ -474,7 +471,7 @@ impl Reducer for WordCountReducer {
         let ranked = (0..)
             .zip(ranked)
             .filter_map(|(rank, sum)| Some((rank, sum?)));
-        for_each_in_text_order(index, ranked, others, |word, sum| {
+        for_each_in_text_order(ranked, others, |word, sum| {
             self.reduce(word, &[sum], emit);
         });
     }
@@ -582,17 +579,21 @@ mod tests {
     }
 
     #[test]
+    fn a_counted_word_takes_24_bytes() {
+        assert_eq!(std::mem::size_of::<(Word, u64)>(), 24);
+    }
+
+    #[test]
     fn dictionary_tokens_are_ranked() {
         let dict = crate::datagen::unix_dictionary();
         let mut sorted = dict.clone();
         sorted.sort();
         for word in &dict {
             let rank = sorted.binary_search(word).unwrap() as u32;
-            match Word::new(word).0 {
-                WordRepr::Dictionary { rank: r, text } => {
-                    assert_eq!(r, rank);
-                    assert_eq!(text, word);
-                }
+            let key = Word::new(word);
+            assert_eq!(key.as_str(), word);
+            match key.0 {
+                WordRepr::Dictionary { rank: r } => assert_eq!(r, rank),
                 WordRepr::Other(_) => panic!("{word:?} not ranked"),
             }
         }

@@ -191,3 +191,27 @@ fn recovery_gauges_account_for_wasted_work() {
         assert!(b.other.abs() < 1e-9, "{b}");
     }
 }
+
+/// `ipso-cli trace` of a faulted Sort run writes the committed timeline
+/// byte for byte: task spans and recovery instants on every executor
+/// track, with the exporter's microsecond timestamps.
+#[test]
+fn faulted_sort_trace_matches_golden_file() {
+    const GOLDEN: &str = include_str!("golden/sort_faulted.trace.json");
+    let out = std::env::temp_dir().join(format!("ipso-golden-{}.trace.json", std::process::id()));
+    let flags = "trace sort --n 12 --fail-prob 0.2 --node-crash-prob 0.05 --max-attempts 8 --speculate --out";
+    let mut args: Vec<String> = flags.split(' ').map(String::from).collect();
+    args.push(out.display().to_string());
+    ipso_repro::cli::run(&args).expect("traced run");
+    let json = std::fs::read_to_string(&out).expect("trace file");
+    std::fs::remove_file(&out).expect("remove trace file");
+    for event in [
+        "\"task-11\"",
+        "\"task-retry\"",
+        "\"speculative-copy\"",
+        "\"executor-11\"",
+    ] {
+        assert!(GOLDEN.contains(event), "golden lacks {event}");
+    }
+    assert_eq!(json, GOLDEN, "trace drifted from the golden file");
+}
